@@ -73,13 +73,22 @@ def build_labels(spec, mesh, eta):
     raise ScenarioError(f"unknown label type {kind!r}")
 
 
-def build_model(spec):
-    return EnergyModel(**{k: v for k, v in spec.items()})
+def build_section(cls, scenario, section, **fixed):
+    """`cls` from a scenario section; unknown or bad values are errors.
 
-
-def _filter_kwargs(cls, spec):
-    names = {f.name for f in dataclasses.fields(cls)}
-    return {k: v for k, v in spec.items() if k in names}
+    Keys in `fixed` are set by the CLI and may not appear in the section.
+    """
+    spec = scenario.get(section, {})
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{section}: expected an object")
+    allowed = {f.name for f in dataclasses.fields(cls)} - set(fixed)
+    for key in spec:
+        if key not in allowed:
+            raise ScenarioError(f"{section}: unknown key {key!r}")
+    try:
+        return cls(**spec, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{section}: {exc}") from exc
 
 
 def cmd_validate(scenario, out, seed):
@@ -97,12 +106,11 @@ def cmd_validate(scenario, out, seed):
 
 def cmd_equilibrium(scenario, out, seed):
     mesh = build_mesh(scenario.get("mesh", {}))
-    model = build_model(scenario.get("model", {}))
+    model = build_section(EnergyModel, scenario, "model")
     phases = build_labels(scenario.get("labels", {"type": "uniform"}),
                           mesh, model.eta)
-    options = SolveOptions(**_filter_kwargs(SolveOptions,
-                                            scenario.get("solve", {})),
-                           seed=sub_seed(seed, "monte-carlo"))
+    options = build_section(SolveOptions, scenario, "solve",
+                            seed=sub_seed(seed, "monte-carlo"))
     state, report = minimize_equilibrium(mesh, identity_state(mesh), phases,
                                          model, options)
     export.write_csv(os.path.join(out, "equilibrium_log.csv"),
@@ -125,7 +133,7 @@ def cmd_equilibrium(scenario, out, seed):
     return 0 if report.converged else 1
 
 
-def _write_topopt_outputs(out, mesh, model, result: TopOptResult, seed):
+def _write_topopt_outputs(out, mesh, eta, result: TopOptResult, seed):
     export.write_csv(os.path.join(out, "trace.csv"),
                      ["step", "temperature", "objective", "compliance",
                       "interface_energy", "mass", "accepted"],
@@ -153,20 +161,19 @@ def _write_topopt_outputs(out, mesh, model, result: TopOptResult, seed):
         "rejected_moves": result.rejected_moves,
         "mass_constraint_residual":
             result.best_phases.phase1_volume(mesh)
-            - model.eta * mesh.total_volume(),
+            - eta * mesh.total_volume(),
         "seed": seed,
     })
 
 
 def cmd_topopt(scenario, out, seed):
     mesh = build_mesh(scenario.get("mesh", {}))
-    model = build_model(scenario.get("model", {}))
-    topopt_spec = dict(scenario.get("topopt", {}))
-    solve_spec = _filter_kwargs(SolveOptions, scenario.get("solve", {}))
-    solve_spec["seed"] = sub_seed(seed, "monte-carlo")
-    config = TopOptConfig(**_filter_kwargs(TopOptConfig, topopt_spec),
-                          solve_options=SolveOptions(**solve_spec),
-                          seed=sub_seed(seed, "moves"))
+    model = build_section(EnergyModel, scenario, "model")
+    config = build_section(
+        TopOptConfig, scenario, "topopt",
+        solve_options=build_section(SolveOptions, scenario, "solve",
+                                    seed=sub_seed(seed, "monte-carlo")),
+        seed=sub_seed(seed, "moves"))
     phases = build_labels(scenario.get("labels", {"type": "slab"}),
                           mesh, config.eta)
 
@@ -181,7 +188,7 @@ def cmd_topopt(scenario, out, seed):
 
     result = optimize_topology(mesh, phases, model, config,
                                snapshot_callback=snapshot)
-    _write_topopt_outputs(out, mesh, model, result, seed)
+    _write_topopt_outputs(out, mesh, config.eta, result, seed)
     return 0
 
 
@@ -231,18 +238,12 @@ def main(argv=None):
     parser.add_argument("--scenario", help="scenario JSON path")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
         scenario = load_scenario(args.scenario) if args.scenario else {}
         out = args.out or scenario.get("output", "out")
         seed = args.seed if args.seed is not None else scenario.get("seed", 0)
-        threads = args.threads
-        if threads is None:
-            threads = int(os.environ.get("SHARPTOP_THREADS", "0")) or None
-        if threads:
-            os.environ.setdefault("OMP_NUM_THREADS", str(threads))
         os.makedirs(out, exist_ok=True)
         return COMMANDS[args.command](scenario, out, seed)
     except (ScenarioError, meshmod.MeshError) as exc:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .kinematics import deformation_gradients, minors, reference_edge_inverses
+from .kinematics import deformation_minors, minors
 
 INFEASIBLE = math.inf
 
@@ -85,38 +85,39 @@ def bulk_stress(F, phase, model):
     return model.scale(phase) * P
 
 
-def _density_terms(F_all):
-    """Vectorized (|F|, Cof F, det F) over a stack of gradients."""
-    F, cof, det = minors(F_all)
-    norm = np.sqrt(np.sum(F * F, axis=(-2, -1)))
-    return norm, cof, det
+def _scale(phases, model):
+    labels = np.asarray(phases.labels, float)
+    return model.scale0 * (1.0 - labels) + model.scale1 * labels
 
 
-def bulk_energy(mesh, state, phases, model, F_all=None):
+def _scatter(mesh, index, weights):
+    """Nodal (nv, 3) sums of `weights` over a flat (vertex, axis) index."""
+    return np.bincount(index, weights.ravel(),
+                       minlength=3 * mesh.n_vertices).reshape(-1, 3)
+
+
+def bulk_energy(mesh, state, phases, model, F_minors=None):
     """Sum over tets of vol_ref * W_label(F); +inf on any inverted tet.
 
     Labels are constant per tet, so midpoint quadrature is exact in phase
-    and exact for the piecewise-affine deformation.
+    and exact for the piecewise-affine deformation.  `F_minors` is
+    `deformation_minors` of the state, when the caller already has it.
     """
-    if F_all is None:
-        F_all = deformation_gradients(mesh, state.positions)
-    norm, _, det = _density_terms(F_all)
+    if F_minors is None:
+        F_minors = deformation_minors(mesh, state.positions)
+    F, _, det = F_minors
     if np.any(det <= 0):
         return INFEASIBLE
+    norm = np.sqrt(np.sum(F * F, axis=(-2, -1)))
     w = norm**model.r + (norm**3 / det) ** (model.r - 1.0) + det ** (-model.s)
-    labels = np.asarray(phases.labels, float)
-    scale = model.scale0 * (1.0 - labels) + model.scale1 * labels
-    return float(np.sum(mesh.volumes * scale * w))
+    return float(np.sum(mesh.volumes * _scale(phases, model) * w))
 
 
-def bulk_energy_gradient(mesh, state, phases, model, ref_inv=None,
-                         F_all=None):
+def bulk_energy_gradient(mesh, state, phases, model, F_minors=None):
     """Nodal gradient of bulk_energy, shape (nv, 3); Dirichlet rows zeroed."""
-    if ref_inv is None:
-        ref_inv = reference_edge_inverses(mesh)
-    if F_all is None:
-        F_all = deformation_gradients(mesh, state.positions, ref_inv)
-    F, cof, det = minors(F_all)
+    if F_minors is None:
+        F_minors = deformation_minors(mesh, state.positions)
+    F, cof, det = F_minors
     if np.any(det <= 0):
         raise ValueError("gradient requires det F > 0 on all tets")
     r, s = model.r, model.s
@@ -126,17 +127,13 @@ def bulk_energy_gradient(mesh, state, phases, model, ref_inv=None,
     P += (r - 1.0) * (norm**3 / det) ** (r - 2.0) * (
         3.0 * norm / det * F - norm**3 / det**2 * cof)
     P += -s * det ** (-s - 1.0) * cof
-    labels = np.asarray(phases.labels, float)
-    scale = model.scale0 * (1.0 - labels) + model.scale1 * labels
-    P *= (mesh.volumes * scale)[:, None, None]
-    # F = Dx G with G = ref_inv: d(vol W)/dx_i = P G_i. (G_i = i-th row)
-    grad_corner = P @ np.transpose(ref_inv, (0, 2, 1))   # (nt, 3, 3): cols?
-    # grad_corner[:, :, i] is the force on local vertex i+1
-    g = np.zeros_like(state.positions)
-    np.add.at(g, mesh.tets[:, 1], grad_corner[:, :, 0])
-    np.add.at(g, mesh.tets[:, 2], grad_corner[:, :, 1])
-    np.add.at(g, mesh.tets[:, 3], grad_corner[:, :, 2])
-    np.add.at(g, mesh.tets[:, 0], -grad_corner.sum(axis=2))
+    P *= (mesh.volumes * _scale(phases, model))[:, None, None]
+    # F = Dx G with G = ref_inv: d(vol W)/dx_i = P G_i (G_i = i-th row);
+    # grad_corner[:, :, i] is the force on local vertex i+1.
+    grad_corner = P @ np.transpose(mesh.ref_inv, (0, 2, 1))
+    forces = np.concatenate([np.moveaxis(grad_corner, 2, 0),
+                             -grad_corner.sum(axis=2)[None]])
+    g = _scatter(mesh, mesh.scatter_index, forces)
     g[state.dirichlet_mask] = 0.0
     return g
 
@@ -163,12 +160,6 @@ def _traction_per_face(mesh, model, neumann_idx):
     return g[neumann_idx]
 
 
-def _reference_face_areas(mesh, faces):
-    v = mesh.vertices[faces]
-    n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    return 0.5 * np.linalg.norm(n, axis=1)
-
-
 def load_potential(mesh, state, phases, model):
     """Work of the referential loads; equilibrium minimizes bulk - loads.
 
@@ -179,14 +170,10 @@ def load_potential(mesh, state, phases, model):
     f = _body_force_per_tet(mesh, model)
     ybar = state.positions[mesh.tets].mean(axis=1)
     body = float(np.sum(mesh.volumes * labels * np.sum(f * ybar, axis=1)))
-    sel = np.where(mesh.boundary_tags == "NEUMANN")[0]
-    surface = 0.0
-    if sel.size:
-        faces = mesh.boundary_faces[sel]
-        areas = _reference_face_areas(mesh, faces)
-        g = _traction_per_face(mesh, model, sel)
-        fbar = state.positions[faces].mean(axis=1)
-        surface = float(np.sum(areas * np.sum(g * fbar, axis=1)))
+    faces = mesh.boundary_faces[mesh.neumann_index]
+    g = _traction_per_face(mesh, model, mesh.neumann_index)
+    fbar = state.positions[faces].mean(axis=1)
+    surface = float(np.sum(mesh.neumann_areas * np.sum(g * fbar, axis=1)))
     return body + surface
 
 
@@ -194,18 +181,12 @@ def load_potential_gradient(mesh, state, phases, model):
     """Nodal gradient of load_potential; Dirichlet rows zeroed."""
     labels = np.asarray(phases.labels, float)
     f = _body_force_per_tet(mesh, model)
-    g = np.zeros_like(state.positions)
-    contrib = (mesh.volumes * labels)[:, None] * f / 4.0
-    for c in range(4):
-        np.add.at(g, mesh.tets[:, c], contrib)
-    sel = np.where(mesh.boundary_tags == "NEUMANN")[0]
-    if sel.size:
-        faces = mesh.boundary_faces[sel]
-        areas = _reference_face_areas(mesh, faces)
-        trac = _traction_per_face(mesh, model, sel)
-        fc = areas[:, None] * trac / 3.0
-        for c in range(3):
-            np.add.at(g, faces[:, c], fc)
+    body = (mesh.volumes * labels)[:, None] * f / 4.0
+    trac = _traction_per_face(mesh, model, mesh.neumann_index)
+    surface = mesh.neumann_areas[:, None] * trac / 3.0
+    g = _scatter(mesh, mesh.load_scatter_index,
+                 np.concatenate([np.tile(body.ravel(), 4),
+                                 np.tile(surface.ravel(), 3)]))
     g[state.dirichlet_mask] = 0.0
     return g
 

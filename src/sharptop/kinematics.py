@@ -1,9 +1,10 @@
 """Deformation states, per-tet gradients/minors, distortion, injectivity.
 
 The deformation is piecewise affine over the tets: F = Dx (DX)^-1 with
-edge matrices of the deformed and reference tet.  Almost-everywhere
-injectivity is monitored through the Ciarlet-Necas gap between the
-Jacobian integral and a Monte Carlo estimate of the image volume.
+edge matrices of the deformed and reference tet; the mesh stores
+(DX)^-1 as `ref_inv`.  Almost-everywhere injectivity is monitored
+through the Ciarlet-Necas gap between the Jacobian integral and a Monte
+Carlo estimate of the image volume.
 """
 
 from dataclasses import dataclass, replace
@@ -38,36 +39,22 @@ def identity_state(mesh):
                             dirichlet_mask=mesh.dirichlet_vertex_mask())
 
 
-def reference_edge_inverses(mesh):
-    """Per-tet inverse of the reference edge matrix, shape (nt, 3, 3).
-
-    Columns of the edge matrix are X_i - X_0.
-    """
-    v = mesh.vertices[mesh.tets]
-    DX = np.transpose(v[:, 1:] - v[:, :1], (0, 2, 1))
-    det = np.linalg.det(DX)
-    if np.any(np.abs(det) < 1e-300):
-        raise KinematicsError("degenerate reference tet")
-    return np.linalg.inv(DX)
-
-
-def deformation_gradients(mesh, positions, ref_inv=None):
+def deformation_gradients(mesh, positions):
     """All per-tet deformation gradients, shape (nt, 3, 3)."""
-    if ref_inv is None:
-        ref_inv = reference_edge_inverses(mesh)
     x = np.asarray(positions, float)[mesh.tets]
     Dx = np.transpose(x[:, 1:] - x[:, :1], (0, 2, 1))
-    return Dx @ ref_inv
+    return Dx @ mesh.ref_inv
+
+
+def deformation_minors(mesh, positions):
+    """minors() of every tet's deformation gradient: (F, Cof F, det F)."""
+    return minors(deformation_gradients(mesh, positions))
 
 
 def deformation_gradient(mesh, state, tet):
     """Deformation gradient of a single tet."""
-    v = mesh.vertices[mesh.tets[tet]]
     x = state.positions[mesh.tets[tet]]
-    DX = (v[1:] - v[:1]).T
-    if abs(np.linalg.det(DX)) < 1e-300:
-        raise KinematicsError(f"degenerate reference tet {tet}")
-    return (x[1:] - x[:1]).T @ np.linalg.inv(DX)
+    return (x[1:] - x[:1]).T @ mesh.ref_inv[tet]
 
 
 def minors(F):
@@ -159,10 +146,15 @@ class _TetGrid:
         return hit
 
 
-def jacobian_integral(mesh, positions, ref_inv=None):
-    """Integral of det grad y over the reference domain (exact)."""
-    F = deformation_gradients(mesh, positions, ref_inv)
-    _, _, det = minors(F)
+def jacobian_integral(mesh, positions, F_minors=None):
+    """Integral of det grad y over the reference domain (exact).
+
+    `F_minors` is `deformation_minors` of `positions`, when the caller
+    already has it.
+    """
+    if F_minors is None:
+        F_minors = deformation_minors(mesh, positions)
+    det = F_minors[2]
     if np.any(det <= 0):
         raise KinematicsError("det F <= 0 in some tet")
     return float(np.sum(mesh.volumes * det))
@@ -177,15 +169,17 @@ class CiarletNecasResult:
     samples: int
 
 
-def ciarlet_necas_residual(mesh, state, samples=100_000, seed=0):
+def ciarlet_necas_residual(mesh, state, samples=100_000, seed=0,
+                           F_minors=None):
     """Monte Carlo gap between the Jacobian integral and the image volume.
 
     Residual near zero indicates a.e. injectivity; a residual well above
-    the Monte Carlo noise indicates sheet overlap.
+    the Monte Carlo noise indicates sheet overlap.  `F_minors` is as for
+    `jacobian_integral`.
     """
     if samples <= 0:
         raise ValueError("need at least one sample")
-    jac = jacobian_integral(mesh, state.positions)
+    jac = jacobian_integral(mesh, state.positions, F_minors)
     grid = _TetGrid(state.positions, mesh.tets)
     rng = np.random.default_rng(seed)
     box = grid.box_volume()

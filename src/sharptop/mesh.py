@@ -38,29 +38,70 @@ def tet_volumes(vertices, tets):
 
 @dataclass(frozen=True)
 class ReferenceMesh:
+    """Tet mesh plus every array that depends only on the reference.
+
+    The derived fields are built once, at construction, and are read-only.
+    Face triples are sorted vertex ids; edge keys are lo * nv + hi.
+    """
     vertices: np.ndarray          # (nv, 3) float
     tets: np.ndarray              # (nt, 4) int, positively oriented
     boundary_faces: np.ndarray    # (nb, 3) int
     boundary_tags: np.ndarray     # (nb,) object/str
-    volumes: np.ndarray = field(default=None)        # (nt,)
-    face_adjacency: dict = field(default=None)       # sorted face -> [tet ids]
+    volumes: np.ndarray = field(init=False)          # (nt,)
+    ref_inv: np.ndarray = field(init=False, repr=False)  # (nt, 3, 3) (DX)^-1
+    # faces of exactly two tets, in order of first occurrence (tet-major,
+    # local faces as in _TET_FACES), and their tets in occurrence order
+    interior_faces: np.ndarray = field(init=False, repr=False)      # (ni, 3)
+    interior_face_tets: np.ndarray = field(init=False, repr=False)  # (ni, 2)
+    # faces of one tet, and of more than two, in lexicographic order
+    topological_boundary_faces: np.ndarray = field(init=False, repr=False)
+    nonmanifold_faces: np.ndarray = field(init=False, repr=False)
+    boundary_edge_keys: np.ndarray = field(init=False, repr=False)  # sorted
+    # rows of boundary_faces tagged NEUMANN, and their reference areas
+    neumann_index: np.ndarray = field(init=False, repr=False)
+    neumann_areas: np.ndarray = field(init=False, repr=False)
+    # flat np.bincount indices of (corner, element, axis) into nodal (nv, 3)
+    # arrays, corners in the order the sums have always run: tet corners
+    # 1, 2, 3, 0 for the bulk gradient; tet corners 0-3 and then Neumann
+    # face corners 0-2 for the load gradient
+    scatter_index: np.ndarray = field(init=False, repr=False)
+    load_scatter_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, float))
-        object.__setattr__(self, "tets", np.asarray(self.tets, int))
-        object.__setattr__(self, "boundary_faces",
-                           np.asarray(self.boundary_faces, int).reshape(-1, 3))
-        object.__setattr__(self, "boundary_tags",
-                           np.asarray(self.boundary_tags, object).reshape(-1))
-        if self.volumes is None:
-            object.__setattr__(self, "volumes",
-                               tet_volumes(self.vertices, self.tets))
-        if self.face_adjacency is None:
-            object.__setattr__(self, "face_adjacency",
-                               build_face_adjacency(self.tets))
-        for arr in (self.vertices, self.tets, self.boundary_faces,
-                    self.boundary_tags, self.volumes):
-            arr.setflags(write=False)
+        def put(name, value):
+            object.__setattr__(self, name, value)
+            value.setflags(write=False)
+
+        put("vertices", np.asarray(self.vertices, float))
+        put("tets", np.asarray(self.tets, int))
+        put("boundary_faces",
+            np.asarray(self.boundary_faces, int).reshape(-1, 3))
+        put("boundary_tags",
+            np.asarray(self.boundary_tags, object).reshape(-1))
+        nv = self.n_vertices
+        edges = self.vertices[self.tets]
+        edges = edges[:, 1:] - edges[:, :1]
+        put("volumes", np.linalg.det(edges) / 6.0)
+        degenerate = np.flatnonzero(np.abs(self.volumes) < 1e-300)
+        if degenerate.size:
+            raise MeshError(f"zero-volume tets {degenerate[:5].tolist()} "
+                            f"({degenerate.size} total)")
+        put("ref_inv", np.linalg.inv(np.transpose(edges, (0, 2, 1))))
+        for name, value in zip(("interior_faces", "interior_face_tets",
+                                "topological_boundary_faces",
+                                "nonmanifold_faces"),
+                               face_topology(self.tets, nv)):
+            put(name, value)
+        put("boundary_edge_keys",
+            np.unique(edge_keys(self.boundary_faces, nv)))
+        put("neumann_index", np.flatnonzero(self.boundary_tags == NEUMANN))
+        v = self.vertices[self.boundary_faces[self.neumann_index]]
+        put("neumann_areas", 0.5 * np.linalg.norm(
+            np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1))
+        put("scatter_index", _corner_index(self.tets[:, [1, 2, 3, 0]]))
+        put("load_scatter_index", np.concatenate([
+            _corner_index(self.tets),
+            _corner_index(self.boundary_faces[self.neumann_index])]))
 
     @property
     def n_vertices(self):
@@ -87,36 +128,38 @@ class ReferenceMesh:
         mask[self.boundary_faces[sel].ravel()] = True
         return mask
 
-    def boundary_edge_set(self):
-        """Set of sorted vertex-index pairs of edges lying on the boundary."""
-        edges = set()
-        for f in self.boundary_faces:
-            a, b, c = int(f[0]), int(f[1]), int(f[2])
-            edges.add((min(a, b), max(a, b)))
-            edges.add((min(b, c), max(b, c)))
-            edges.add((min(a, c), max(a, c)))
-        return edges
+
+def face_topology(tets, n_vertices):
+    """Faces of a tet mesh grouped by the number of tets sharing them.
+
+    Returns (interior faces (ni, 3), their tets (ni, 2), boundary faces,
+    faces of more than two tets), as described on ReferenceMesh.
+    """
+    if n_vertices >= 2**21:
+        raise MeshError("face keys need fewer than 2**21 vertices")
+    occ = np.sort(np.asarray(tets, int)[:, _TET_FACES], axis=2).reshape(-1, 3)
+    key = (occ[:, 0] * n_vertices + occ[:, 1]) * n_vertices + occ[:, 2]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[start, len(key)])
+    pair = start[count == 2]
+    by_first = np.argsort(order[pair])
+    first, second = order[pair][by_first], order[pair + 1][by_first]
+    return (occ[first], np.stack([first // 4, second // 4], axis=1),
+            occ[order[start[count == 1]]], occ[order[start[count > 2]]])
 
 
-def build_face_adjacency(tets):
-    """Map each face (sorted vertex triple) to the list of incident tets."""
-    adj = {}
-    for ti, tet in enumerate(np.asarray(tets, int)):
-        for lf in _TET_FACES:
-            key = tuple(sorted((int(tet[lf[0]]), int(tet[lf[1]]),
-                                int(tet[lf[2]]))))
-            adj.setdefault(key, []).append(ti)
-    return adj
+def _corner_index(elements):
+    return (3 * elements.T[:, :, None] + np.arange(3)).ravel()
 
 
-def combinatorial_boundary_faces(face_adjacency):
-    return {f for f, ts in face_adjacency.items() if len(ts) == 1}
-
-
-def interior_faces(face_adjacency):
-    """Interior faces as a list of (sorted face, (tet_a, tet_b))."""
-    return [(f, tuple(ts)) for f, ts in face_adjacency.items()
-            if len(ts) == 2]
+def edge_keys(faces, n_vertices):
+    """Keys lo * n_vertices + hi of the three edges of each triangle."""
+    f = np.sort(np.asarray(faces, int).reshape(-1, 3), axis=1)
+    return np.concatenate([f[:, 0] * n_vertices + f[:, 1],
+                           f[:, 1] * n_vertices + f[:, 2],
+                           f[:, 0] * n_vertices + f[:, 2]])
 
 
 @dataclass
@@ -143,14 +186,16 @@ def validate_mesh(mesh):
         neg = np.where(mesh.volumes <= 0)[0]
         if neg.size:
             failures.append(("negative volume", neg.tolist()))
-        seen = {}
-        for ti, tet in enumerate(mesh.tets):
-            key = tuple(sorted(tet.tolist()))
-            if key in seen:
-                failures.append(("duplicate tet", (seen[key], ti)))
-            seen[key] = ti
-        comb = combinatorial_boundary_faces(mesh.face_adjacency)
-        tagged = {tuple(sorted(f.tolist())) for f in mesh.boundary_faces}
+        keys = np.sort(mesh.tets, axis=1)
+        order = np.lexsort(keys.T[::-1])
+        same = np.all(keys[order[1:]] == keys[order[:-1]], axis=1)
+        for pair in sorted(zip(order[:-1][same].tolist(),
+                               order[1:][same].tolist()), key=lambda p: p[1]):
+            failures.append(("duplicate tet", pair))
+        for f in mesh.nonmanifold_faces.tolist():
+            failures.append(("face shared by more than two tets", tuple(f)))
+        comb = set(map(tuple, mesh.topological_boundary_faces.tolist()))
+        tagged = set(map(tuple, np.sort(mesh.boundary_faces, axis=1).tolist()))
         for f in sorted(tagged - comb):
             failures.append(("tag on non-boundary face", f))
         for f in sorted(comb - tagged):
@@ -164,7 +209,8 @@ def validate_mesh(mesh):
 def orient_tets(vertices, tets):
     """Swap two vertices of every negatively oriented tet.
 
-    Returns (tets, fixed_ids).  Zero-volume tets are left for validation.
+    Returns (tets, fixed_ids).  Zero-volume tets are left for ReferenceMesh
+    to reject.
     """
     tets = np.array(tets, int)
     vols = tet_volumes(np.asarray(vertices, float), tets)
@@ -209,34 +255,23 @@ def build_box_mesh(nx, ny, nz, extent=(1.0, 1.0, 1.0), tagging=None):
     if min(ex, ey, ez) <= 0:
         raise MeshError("extents must be positive")
 
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
     xs = np.linspace(0.0, ex, nx + 1)
     ys = np.linspace(0.0, ey, ny + 1)
     zs = np.linspace(0.0, ez, nz + 1)
-    vertices = np.array([[x, y, z] for x in xs for y in ys for z in zs])
-
-    tets = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                corners = [vid(i + di, j + dj, k + dk)
-                           for (di, dj, dk) in _CUBE_CORNERS]
-                for tet in _KUHN_TETS:
-                    tets.append([corners[c] for c in tet])
-    tets, _ = orient_tets(vertices, np.array(tets, int))
-
-    adjacency = build_face_adjacency(tets)
-    bfaces = sorted(combinatorial_boundary_faces(adjacency))
-    bfaces = np.array(bfaces, int)
+    vertices = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+    vid = np.arange(len(vertices)).reshape(nx + 1, ny + 1, nz + 1)
+    corners = np.stack([vid[i:i + nx, j:j + ny, k:k + nz].ravel()
+                        for i, j, k in _CUBE_CORNERS], axis=1)
+    tets, _ = orient_tets(vertices, corners[:, _KUHN_TETS].reshape(-1, 4))
+    bfaces = face_topology(tets, len(vertices))[2]
     centroids = vertices[bfaces].mean(axis=1)
     if tagging is None:
         tags = np.array([FREE] * len(bfaces), object)
     else:
         tags = np.array([tagging(c) for c in centroids], object)
     return ReferenceMesh(vertices=vertices, tets=tets, boundary_faces=bfaces,
-                         boundary_tags=tags, face_adjacency=adjacency)
+                         boundary_tags=tags)
 
 
 def plane_tagging(rules, default=FREE):
@@ -296,9 +331,12 @@ def load_mesh(path):
         if idx.size and (idx.min() < 0 or idx.max() >= len(vertices)):
             raise MeshError(f"{path}: validation error: index out of range")
     tets, fixed = orient_tets(vertices, tets)
-    mesh = ReferenceMesh(vertices=vertices, tets=tets,
-                         boundary_faces=np.array(bfaces, int).reshape(-1, 3),
-                         boundary_tags=np.array(btags, object))
+    try:
+        mesh = ReferenceMesh(vertices=vertices, tets=tets,
+                             boundary_faces=np.array(bfaces, int),
+                             boundary_tags=np.array(btags, object))
+    except MeshError as exc:
+        raise MeshError(f"{path}: invalid mesh: {exc}") from exc
     report = validate_mesh(mesh)
     report.orientation_fixes = fixed
     if not report.passed:

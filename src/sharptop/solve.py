@@ -14,8 +14,7 @@ import numpy as np
 
 from .energy import (INFEASIBLE, bulk_energy, bulk_energy_gradient,
                      load_potential, load_potential_gradient)
-from .kinematics import (ciarlet_necas_residual, deformation_gradients,
-                         minors, reference_edge_inverses)
+from .kinematics import ciarlet_necas_residual, deformation_minors
 
 
 @dataclass(frozen=True)
@@ -57,44 +56,49 @@ class SolveReport:
     history: list = field(default_factory=list)  # (iter, obj, |g|, min_det, guards)
 
 
-def equilibrium_objective(mesh, state, phases, model):
-    """bulk_energy - load_potential; +inf when infeasible."""
-    bulk = bulk_energy(mesh, state, phases, model)
+def equilibrium_objective(mesh, state, phases, model, F_minors=None):
+    """bulk_energy - load_potential; +inf when infeasible.
+
+    `F_minors` is `deformation_minors` of the state, when the caller
+    already has it.
+    """
+    bulk = bulk_energy(mesh, state, phases, model, F_minors)
     if bulk == INFEASIBLE:
         return INFEASIBLE
     return bulk - load_potential(mesh, state, phases, model)
 
 
-def equilibrium_gradient(mesh, state, phases, model, ref_inv=None):
+def equilibrium_gradient(mesh, state, phases, model, F_minors=None):
     """Nodal gradient of the equilibrium objective; Dirichlet rows zero."""
-    return (bulk_energy_gradient(mesh, state, phases, model, ref_inv)
+    return (bulk_energy_gradient(mesh, state, phases, model, F_minors)
             - load_potential_gradient(mesh, state, phases, model))
 
 
-def _min_det(mesh, positions, ref_inv):
-    F = deformation_gradients(mesh, positions, ref_inv)
-    _, _, det = minors(F)
-    return float(det.min())
+def _min_det(F_minors):
+    return float(F_minors[2].min())
 
 
 def minimize_equilibrium(mesh, state0, phases, model, options=None):
     """Descent to an equilibrium deformation at fixed phase labeling.
 
     Returns (state, SolveReport).  The returned state always satisfies
-    min det F > 0 and preserves Dirichlet positions bit-exactly.
+    min det F > 0 and preserves Dirichlet positions bit-exactly.  F and
+    its minors are built once per trial point and shared by the det
+    floor, the objective, the injectivity check and the gradient.
     """
     options = options or SolveOptions()
-    ref_inv = reference_edge_inverses(mesh)
     free = ~state0.dirichlet_mask
 
     state = state0
-    det_ref = _min_det(mesh, mesh.vertices, ref_inv)
-    det_floor = options.det_margin * det_ref
-    obj = equilibrium_objective(mesh, state, phases, model)
-    if obj == INFEASIBLE or _min_det(mesh, state.positions, ref_inv) <= det_floor:
+    det_floor = options.det_margin * _min_det(
+        deformation_minors(mesh, mesh.vertices))
+    terms = deformation_minors(mesh, state.positions)
+    obj = equilibrium_objective(mesh, state, phases, model, terms)
+    min_det = _min_det(terms)
+    if obj == INFEASIBLE or min_det <= det_floor:
         raise ValueError("initial state is infeasible")
 
-    grad = equilibrium_gradient(mesh, state, phases, model, ref_inv)
+    grad = equilibrium_gradient(mesh, state, phases, model, terms)
     gnorm = float(np.linalg.norm(grad))
     pairs = deque(maxlen=options.history)   # (s, y, rho) for L-BFGS
     guard_total = 0
@@ -105,11 +109,11 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
     converged = gnorm <= options.gradient_tolerance
     it = 0
 
-    def cn_ok(positions):
+    def cn_ok(positions, F_minors):
         nonlocal cn_res
         res = ciarlet_necas_residual(
             mesh, state.with_positions(positions),
-            samples=options.cn_samples, seed=options.seed)
+            samples=options.cn_samples, seed=options.seed, F_minors=F_minors)
         cn_res = res.residual
         tol = 3.0 * res.mc_std + options.cn_tolerance_factor * res.jacobian_integral
         return res.residual <= tol
@@ -126,18 +130,21 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
         for _ in range(options.max_line_search):
             trial = state.positions + step * direction
             trial[~free] = state0.positions[~free]
-            if _min_det(mesh, trial, ref_inv) <= det_floor:
+            terms = deformation_minors(mesh, trial)
+            trial_det = _min_det(terms)
+            if trial_det <= det_floor:
                 guards_this_iter += 1
                 step *= options.contraction
                 continue
             trial_state = state.with_positions(trial)
-            trial_obj = equilibrium_objective(mesh, trial_state, phases, model)
+            trial_obj = equilibrium_objective(mesh, trial_state, phases, model,
+                                              terms)
             if not (trial_obj < obj + options.sufficient_decrease * step * gd):
                 step *= options.contraction
                 continue
             if (options.cn_check_every
                     and it % options.cn_check_every == 0
-                    and not cn_ok(trial)):
+                    and not cn_ok(trial, terms)):
                 guards_this_iter += 1
                 step *= options.contraction
                 continue
@@ -150,19 +157,18 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
             message = "line search exhausted; returning best feasible state"
             break
         new_grad = equilibrium_gradient(mesh, trial_state, phases, model,
-                                        ref_inv)
+                                        terms)
         s = (trial_state.positions - state.positions).ravel()
         y = (new_grad - grad).ravel()
         sy = float(np.dot(s, y))
         if sy > 1e-12 * float(np.dot(y, y)):
             pairs.append((s, y, 1.0 / sy))
         state, obj, grad = trial_state, trial_obj, new_grad
+        min_det = trial_det
         gnorm = float(np.linalg.norm(grad))
-        log.append((it, obj, gnorm, _min_det(mesh, state.positions, ref_inv),
-                    guards_this_iter))
+        log.append((it, obj, gnorm, min_det, guards_this_iter))
         converged = gnorm <= options.gradient_tolerance
 
-    min_det = _min_det(mesh, state.positions, ref_inv)
     report = SolveReport(
         converged=converged, iterations=it, objective=obj, grad_norm=gnorm,
         min_det=min_det, guard_activations=guard_total,

@@ -104,8 +104,7 @@ def wedge_fold(n_sectors=45, domain_deg=6.0, image_deg=10.0, height=1.0):
     Returns (mesh, image_positions, info) with info holding the exact
     jacobian_integral, union_volume, and overlap_volume.
     """
-    from .mesh import (ReferenceMesh, build_face_adjacency,
-                       combinatorial_boundary_faces, orient_tets)
+    from .mesh import ReferenceMesh, face_topology, orient_tets
     total_img = n_sectors * image_deg
     if total_img <= 360.0:
         raise ValueError("image fan must wrap past a full turn")
@@ -130,12 +129,10 @@ def wedge_fold(n_sectors=45, domain_deg=6.0, image_deg=10.0, height=1.0):
                  [b[0], b[1], t[2], t[1]],
                  [b[0], t[1], t[2], t[0]]]
     tets, _ = orient_tets(domain, np.array(tets, int))
-    adjacency = build_face_adjacency(tets)
-    bfaces = np.array(sorted(combinatorial_boundary_faces(adjacency)), int)
+    bfaces = face_topology(tets, len(domain))[2]
     mesh = ReferenceMesh(vertices=domain, tets=tets, boundary_faces=bfaces,
                          boundary_tags=np.array(["FREE"] * len(bfaces),
-                                                object),
-                         face_adjacency=adjacency)
+                                                object))
     tri = 0.5 * np.sin(np.deg2rad(image_deg)) * height
     n_union = int(round(360.0 / image_deg))
     info = {

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import load_potential
-from .mesh import interior_faces
 from .solve import SolveOptions, minimize_equilibrium
 from .varifold import (InterfaceError, PhaseLabeling, boundary_defect,
                        extract_interface, interface_energy, varifold_mass)
@@ -67,19 +66,11 @@ def objective(mesh, state, phases, model, mode=EULERIAN):
 
 
 def _interface_adjacent_tets(mesh, phases):
-    """Tets incident to at least one interface face, per phase."""
-    labels = phases.labels
-    near1, near0 = set(), set()
-    for _, (ta, tb) in interior_faces(mesh.face_adjacency):
-        la, lb = int(labels[ta]), int(labels[tb])
-        if la != lb:
-            if la == 1:
-                near1.add(ta)
-                near0.add(tb)
-            else:
-                near1.add(tb)
-                near0.add(ta)
-    return sorted(near1), sorted(near0)
+    """Tets incident to at least one interface face, per phase (sorted)."""
+    labels = phases.labels[mesh.interior_face_tets]
+    cut = labels[:, 0] != labels[:, 1]
+    tets, is1 = mesh.interior_face_tets[cut], labels[cut] == 1
+    return np.unique(tets[is1]), np.unique(tets[~is1])
 
 
 def mass_preserving_move(mesh, phases, rng, interface_bias=0.9,
@@ -98,7 +89,7 @@ def mass_preserving_move(mesh, phases, rng, interface_bias=0.9,
         raise TopOptError("no admissible move: a phase is empty")
     near1, near0 = _interface_adjacent_tets(mesh, phases)
     for _ in range(max_tries):
-        local = rng.random() < interface_bias and near1 and near0
+        local = rng.random() < interface_bias and len(near1) and len(near0)
         src = rng.choice(near1 if local else ones)
         dst = rng.choice(near0 if local else zeros)
         va, vb = mesh.volumes[src], mesh.volumes[dst]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import interface_density
-from .mesh import interior_faces
+from .mesh import edge_keys
 from .quadrature import map_to_simplex, tet_rule, triangle_rule
 
 
@@ -50,7 +50,9 @@ class InterfaceVarifold:
     faces: np.ndarray                 # (nf, 3) into vertices, oriented
     areas: np.ndarray                 # (nf,)
     normals: np.ndarray               # (nf, 3), phase-0 side -> phase-1 side
-    domain_boundary_edges: frozenset = frozenset()  # edges on the domain boundary
+    # sorted keys lo * nv + hi of the edges on the domain boundary
+    domain_boundary_edges: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, int))
     mesh_vertex_ids: np.ndarray = None  # source mesh vertex per varifold vertex
     face_tet_pairs: np.ndarray = None   # (nf, 2): (phase-0 tet, phase-1 tet)
     # curvature samples (filled by discrete_curvature)
@@ -65,15 +67,10 @@ class InterfaceVarifold:
     def n_triangles(self):
         return len(self.faces)
 
-    def edge_incidence(self):
-        """Map sorted vertex pair -> number of incident interface triangles."""
-        inc = {}
-        for f in self.faces:
-            a, b, c = (int(v) for v in f)
-            for e in ((a, b), (b, c), (a, c)):
-                key = (min(e), max(e))
-                inc[key] = inc.get(key, 0) + 1
-        return inc
+
+def _edge_counts(faces, n_vertices):
+    """Sorted edge keys lo * n_vertices + hi and their triangle counts."""
+    return np.unique(edge_keys(faces, n_vertices), return_counts=True)
 
 
 def _empty_varifold():
@@ -111,20 +108,14 @@ def extract_interface(mesh, state, phases, positions=None):
     if positions is None:
         positions = state.positions
     positions = np.asarray(positions, float)
-    labels = phases.labels
-    tris = []
-    pairs = []
-    for face, (ta, tb) in interior_faces(mesh.face_adjacency):
-        la, lb = int(labels[ta]), int(labels[tb])
-        if la == lb:
-            continue
-        t0, t1 = (ta, tb) if la == 0 else (tb, ta)
-        tris.append(face)
-        pairs.append((t0, t1))
-    if not tris:
+    labels = phases.labels[mesh.interior_face_tets]
+    cut = labels[:, 0] != labels[:, 1]
+    if not cut.any():
         return _empty_varifold()
-    tris = np.array(tris, int)
-    pairs = np.array(pairs, int)
+    tris = mesh.interior_faces[cut]
+    pairs = mesh.interior_face_tets[cut]
+    swap = labels[cut, 0] == 1          # order pairs as (phase 0, phase 1)
+    pairs[swap] = pairs[swap, ::-1]
 
     used = np.unique(tris)
     remap = np.full(mesh.n_vertices, -1, int)
@@ -144,26 +135,21 @@ def extract_interface(mesh, state, phases, positions=None):
     faces[flip, 1], faces[flip, 2] = faces[flip, 2].copy(), faces[flip, 1].copy()
     normals[flip] *= -1.0
 
-    boundary_edges = mesh.boundary_edge_set()
-    dbe = set()
-    inc = {}
-    for src in tris:
-        for a, b in ((0, 1), (1, 2), (0, 2)):
-            mkey = (min(int(src[a]), int(src[b])),
-                    max(int(src[a]), int(src[b])))
-            key = (min(int(remap[mkey[0]]), int(remap[mkey[1]])),
-                   max(int(remap[mkey[0]]), int(remap[mkey[1]])))
-            inc[key] = inc.get(key, 0) + 1
-            if mkey in boundary_edges:
-                dbe.add(key)
-    bad = [e for e, n in inc.items() if n > 2]
-    if bad:
-        raise InterfaceError(f"non-manifold interface edges: {bad[:5]}"
-                             f" ({len(bad)} total)")
+    n = len(used)
+    keys, counts = _edge_counts(faces, n)
+    bad = keys[counts > 2]
+    if bad.size:
+        raise InterfaceError(
+            "non-manifold interface edges: "
+            f"{np.stack([bad // n, bad % n], axis=1)[:5].tolist()}"
+            f" ({bad.size} total)")
+    on_boundary = np.isin(used[keys // n] * mesh.n_vertices + used[keys % n],
+                          mesh.boundary_edge_keys)
 
-    V = InterfaceVarifold(vertices=vertices, faces=faces, areas=areas,
-                          normals=normals, domain_boundary_edges=frozenset(dbe),
-                          mesh_vertex_ids=used, face_tet_pairs=pairs)
+    V = InterfaceVarifold(
+        vertices=vertices, faces=faces, areas=areas, normals=normals,
+        domain_boundary_edges=keys[on_boundary], mesh_vertex_ids=used,
+        face_tet_pairs=pairs)
     return discrete_curvature_inplace(V)
 
 
@@ -240,11 +226,11 @@ def discrete_curvature_inplace(V):
         np.add.at(angle_sum, V.faces[:, c], angles[:, c])
     K = (2.0 * np.pi - angle_sum) / mixed
 
+    keys, counts = _edge_counts(V.faces, nv)
+    open_edges = keys[counts == 1]
     interior = np.ones(nv, bool)
-    for (a, b), n in V.edge_incidence().items():
-        if n == 1:
-            interior[a] = False
-            interior[b] = False
+    interior[open_edges // nv] = False
+    interior[open_edges % nv] = False
 
     h2 = np.sum(H * H, axis=1)
     ii2 = 4.0 * h2 - 2.0 * K
@@ -293,12 +279,14 @@ def boundary_defect(V, domain_boundary_edges=None):
     """Count of single-incidence interface edges off the domain boundary.
 
     Zero is required for admissibility (the interface current has no
-    boundary inside the deformed domain).
+    boundary inside the deformed domain).  `domain_boundary_edges` holds
+    edge keys lo * nv + hi, as on the varifold.
     """
     if domain_boundary_edges is None:
         domain_boundary_edges = V.domain_boundary_edges
-    return sum(1 for e, n in V.edge_incidence().items()
-               if n == 1 and e not in domain_boundary_edges)
+    keys, counts = _edge_counts(V.faces, len(V.vertices))
+    return int(np.count_nonzero(~np.isin(keys[counts == 1],
+                                         domain_boundary_edges)))
 
 
 @dataclass(frozen=True)

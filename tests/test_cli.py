@@ -6,6 +6,8 @@ import pytest
 
 from sharptop.cli import main, sub_seed
 
+from conftest import NONMANIFOLD_MESH, ZERO_VOLUME_MESH
+
 
 def write_scenario(tmp_path, name, doc):
     path = tmp_path / name
@@ -172,11 +174,47 @@ def test_curvature_test_command(tmp_path):
     assert float(plane["mass"]) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setenv("SHARPTOP_THREADS", "2")
-    scenario = write_scenario(tmp_path, "v.json", {"mesh": {"nx": 1}})
-    assert main(["validate", "--scenario", scenario,
-                 "--out", str(tmp_path / "o")]) == 0
-    import os
-    assert os.environ.get("OMP_NUM_THREADS") == "2"
+@pytest.mark.parametrize("section, spec, needle", [
+    ("model", {"stiffness": 2.0}, "'stiffness'"),
+    ("solve", {"max_iter": 1}, "'max_iter'"),
+    ("topopt", {"temperature": 1.0}, "'temperature'"),
+    ("solve", {"seed": 3}, "'seed'"),
+    ("topopt", {"seed": 3}, "'seed'"),
+    ("topopt", {"solve_options": {}}, "'solve_options'"),
+    ("model", {"r": 2}, "r must exceed 3"),
+    ("solve", {"contraction": 2.0}, "contraction"),
+    ("topopt", {"t_decay": 1.5}, "decay"),
+])
+def test_bad_scenario_section_exit_2(tmp_path, capsys, section, spec, needle):
+    scenario = write_scenario(tmp_path, "bad.json", {
+        "mesh": {"type": "box", "nx": 1, "ny": 1, "nz": 1}, section: spec})
+    code = main(["topopt", "--scenario", scenario,
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"].startswith(section + ":")
+    assert needle in err["message"]
+
+
+def test_mass_residual_uses_annealing_eta(tmp_path):
+    scenario = json.loads(open(topopt_scenario(tmp_path)).read())
+    scenario["model"]["eta"] = 0.3      # the annealer targets topopt.eta
+    path = write_scenario(tmp_path, "eta.json", scenario)
+    out = tmp_path / "eta"
+    assert main(["topopt", "--scenario", path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert abs(summary["mass_constraint_residual"]) < 1e-9
+
+
+@pytest.mark.parametrize("text, needle", [
+    (NONMANIFOLD_MESH, "face shared by more than two tets"),
+    (ZERO_VOLUME_MESH, "zero-volume"),
+])
+def test_invalid_mesh_file_exit_2(tmp_path, capsys, text, needle):
+    (tmp_path / "m.tet").write_text(text)
+    scenario = write_scenario(tmp_path, "s.json", {
+        "mesh": {"type": "file", "path": str(tmp_path / "m.tet")}})
+    code = main(["validate", "--scenario", scenario,
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert needle in json.loads(capsys.readouterr().err)["message"]

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import sharptop as st
-from sharptop.energy import INFEASIBLE, stress_free_s
+from sharptop.energy import (INFEASIBLE, bulk_energy_gradient,
+                             load_potential_gradient, stress_free_s)
+
+from conftest import random_feasible_state
 
 
 def random_feasible_F(rng, spread=0.4):
@@ -197,6 +200,48 @@ def test_load_potential_traction_linearity(clamped_mesh, uniform_phase1):
     v2 = st.load_potential(clamped_mesh, state, phases,
                            st.EnergyModel(g=2 * g))
     assert v2 == pytest.approx(2 * v1, rel=1e-13)
+
+
+def test_gradient_scatter_matches_add_at(clamped_mesh):
+    """bincount assembly equals the per-corner np.add.at sums bit for bit."""
+    mesh = clamped_mesh
+    model = st.EnergyModel(r=4.5, s=1.5, scale0=0.3, scale1=2.0,
+                           f=[0.3, 0.1, -0.4], g=[0.2, -0.1, 0.7])
+    phases = st.PhaseLabeling(np.arange(mesh.n_tets) % 2)
+    state = random_feasible_state(mesh, seed=4)
+    F, cof, det = st.minors(st.deformation_gradients(mesh, state.positions))
+    r, s = model.r, model.s
+    norm = np.sqrt(np.sum(F * F, axis=(-2, -1)))[:, None, None]
+    det = det[:, None, None]
+    P = r * norm ** (r - 2.0) * F
+    P += (r - 1.0) * (norm**3 / det) ** (r - 2.0) * (
+        3.0 * norm / det * F - norm**3 / det**2 * cof)
+    P += -s * det ** (-s - 1.0) * cof
+    labels = np.asarray(phases.labels, float)
+    P *= (mesh.volumes * (model.scale0 * (1.0 - labels)
+                          + model.scale1 * labels))[:, None, None]
+    corner = P @ np.transpose(mesh.ref_inv, (0, 2, 1))
+    ref = np.zeros_like(state.positions)
+    for c in range(3):
+        np.add.at(ref, mesh.tets[:, c + 1], corner[:, :, c])
+    np.add.at(ref, mesh.tets[:, 0], -corner.sum(axis=2))
+    ref[state.dirichlet_mask] = 0.0
+    assert np.array_equal(bulk_energy_gradient(mesh, state, phases, model),
+                          ref)
+
+    faces = mesh.boundary_faces[mesh.boundary_tags == "NEUMANN"]
+    v = mesh.vertices[faces]
+    areas = 0.5 * np.linalg.norm(np.cross(v[:, 1] - v[:, 0],
+                                          v[:, 2] - v[:, 0]), axis=1)
+    ref = np.zeros_like(state.positions)
+    for c in range(4):
+        np.add.at(ref, mesh.tets[:, c],
+                  (mesh.volumes * labels)[:, None] * model.f / 4.0)
+    for c in range(3):
+        np.add.at(ref, faces[:, c], areas[:, None] * model.g / 3.0)
+    ref[state.dirichlet_mask] = 0.0
+    assert np.array_equal(load_potential_gradient(mesh, state, phases, model),
+                          ref)
 
 
 def test_total_energy_uniform_phase(small_mesh, uniform_phase1):

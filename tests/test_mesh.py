@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 import sharptop as st
-from sharptop.mesh import (FREE, MeshError, ReferenceMesh,
-                           build_face_adjacency,
-                           combinatorial_boundary_faces, interior_faces,
-                           plane_tagging)
+from sharptop.mesh import FREE, MeshError, ReferenceMesh, plane_tagging
+
+from conftest import (NONMANIFOLD_MESH, ZERO_VOLUME_MESH,
+                      brute_force_face_adjacency)
 
 
 def brute_force_boundary_count(mesh):
@@ -71,7 +72,9 @@ def test_validate_inverted_tet(small_mesh):
 
 
 def test_validate_tag_on_interior_face(small_mesh):
-    face, _ = interior_faces(small_mesh.face_adjacency)[0]
+    face = next(f for f, ts in
+                brute_force_face_adjacency(small_mesh.tets).items()
+                if len(ts) == 2)
     bfaces = np.vstack([small_mesh.boundary_faces, np.array(face)])
     btags = np.append(small_mesh.boundary_tags, FREE)
     mesh = ReferenceMesh(vertices=small_mesh.vertices, tets=small_mesh.tets,
@@ -83,14 +86,62 @@ def test_validate_tag_on_interior_face(small_mesh):
 
 
 def test_face_adjacency_involution(small_mesh):
-    for face, tets in small_mesh.face_adjacency.items():
+    for face, tets in brute_force_face_adjacency(small_mesh.tets).items():
         assert len(tets) in (1, 2)
         for ti in tets:
             verts = set(int(v) for v in small_mesh.tets[ti])
             assert set(face) <= verts
-    comb = combinatorial_boundary_faces(small_mesh.face_adjacency)
+    comb = set(map(tuple, small_mesh.topological_boundary_faces.tolist()))
     tagged = {tuple(sorted(f.tolist())) for f in small_mesh.boundary_faces}
     assert comb == tagged
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=hs.tuples(*[hs.integers(1, 3)] * 3),
+       seed=hs.integers(0, 2**32 - 1), duplicate=hs.booleans())
+def test_face_topology_matches_dict_oracle(dims, seed, duplicate):
+    """Face arrays equal a dict walk over permuted, relabelled box meshes."""
+    box = st.build_box_mesh(*dims)
+    rng = np.random.default_rng(seed)
+    relabel = rng.permutation(box.n_vertices)
+    vertices = np.empty_like(box.vertices)
+    vertices[relabel] = box.vertices
+    tets = box.tets[rng.permutation(box.n_tets)]
+    # cycle the last three vertices of each tet: orientation is kept
+    for _ in range(2):
+        turn = rng.random(len(tets)) < 0.5
+        tets[turn] = tets[turn][:, [0, 2, 3, 1]]
+    if duplicate:
+        tets = np.insert(tets, rng.integers(len(tets) + 1),
+                         tets[rng.integers(len(tets))], axis=0)
+    mesh = ReferenceMesh(vertices=vertices, tets=relabel[tets],
+                         boundary_faces=relabel[box.boundary_faces],
+                         boundary_tags=box.boundary_tags)
+    adj = brute_force_face_adjacency(mesh.tets)
+    interior = [(list(f), ts) for f, ts in adj.items() if len(ts) == 2]
+    assert mesh.interior_faces.tolist() == [f for f, _ in interior]
+    assert mesh.interior_face_tets.tolist() == [ts for _, ts in interior]
+    assert mesh.topological_boundary_faces.tolist() == sorted(
+        list(f) for f, ts in adj.items() if len(ts) == 1)
+    assert mesh.nonmanifold_faces.tolist() == sorted(
+        list(f) for f, ts in adj.items() if len(ts) > 2)
+    assert st.validate_mesh(mesh).passed is not duplicate
+
+
+def test_load_rejects_face_of_three_tets(tmp_path):
+    path = tmp_path / "fan.tet"
+    path.write_text(NONMANIFOLD_MESH)
+    with pytest.raises(MeshError) as info:
+        st.load_mesh(path)
+    assert "face shared by more than two tets', (0, 1, 2)" in str(info.value)
+    assert "untagged" not in str(info.value)
+
+
+def test_load_rejects_zero_volume_tet(tmp_path):
+    path = tmp_path / "flat.tet"
+    path.write_text(ZERO_VOLUME_MESH)
+    with pytest.raises(MeshError, match="flat.tet: invalid mesh: zero-volume"):
+        st.load_mesh(path)
 
 
 def test_save_load_round_trip(tmp_path, clamped_mesh):

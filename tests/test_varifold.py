@@ -8,10 +8,12 @@ from sharptop.varifold import (InterfaceError, InterfaceVarifold,
                                curvature_integral, random_bump_fields,
                                varifold_from_triangles)
 
+from conftest import brute_force_face_adjacency
+
 
 def brute_force_interface_area(mesh, positions, labels):
     total = 0.0
-    for face, tets in mesh.face_adjacency.items():
+    for face, tets in brute_force_face_adjacency(mesh.tets).items():
         if len(tets) != 2:
             continue
         la, lb = labels[tets[0]], labels[tets[1]]
