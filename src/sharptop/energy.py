@@ -165,28 +165,33 @@ def load_potential(mesh, state, phases, model):
 
     sum_{label=1} vol_ref f . ybar  +  sum_{Neumann faces} area_ref g . ybar
     with deformed centroid values ybar (exact for affine y per element).
+    The body term is skipped when f is identically zero.
     """
-    labels = np.asarray(phases.labels, float)
-    f = _body_force_per_tet(mesh, model)
-    ybar = state.positions[mesh.tets].mean(axis=1)
-    body = float(np.sum(mesh.volumes * labels * np.sum(f * ybar, axis=1)))
     faces = mesh.boundary_faces[mesh.neumann_index]
     g = _traction_per_face(mesh, model, mesh.neumann_index)
     fbar = state.positions[faces].mean(axis=1)
-    surface = float(np.sum(mesh.neumann_areas * np.sum(g * fbar, axis=1)))
-    return body + surface
+    potential = float(np.sum(mesh.neumann_areas * np.sum(g * fbar, axis=1)))
+    if np.any(model.f):
+        labels = np.asarray(phases.labels, float)
+        f = _body_force_per_tet(mesh, model)
+        ybar = state.positions[mesh.tets].mean(axis=1)
+        potential += float(np.sum(mesh.volumes * labels
+                                  * np.sum(f * ybar, axis=1)))
+    return potential
 
 
 def load_potential_gradient(mesh, state, phases, model):
     """Nodal gradient of load_potential; Dirichlet rows zeroed."""
-    labels = np.asarray(phases.labels, float)
-    f = _body_force_per_tet(mesh, model)
-    body = (mesh.volumes * labels)[:, None] * f / 4.0
     trac = _traction_per_face(mesh, model, mesh.neumann_index)
-    surface = mesh.neumann_areas[:, None] * trac / 3.0
-    g = _scatter(mesh, mesh.load_scatter_index,
-                 np.concatenate([np.tile(body.ravel(), 4),
-                                 np.tile(surface.ravel(), 3)]))
+    weights = np.tile((mesh.neumann_areas[:, None] * trac / 3.0).ravel(), 3)
+    if np.any(model.f):
+        labels = np.asarray(phases.labels, float)
+        f = _body_force_per_tet(mesh, model)
+        body = (mesh.volumes * labels)[:, None] * f / 4.0
+        weights = np.concatenate([np.tile(body.ravel(), 4), weights])
+    # the Neumann corners close load_scatter_index, after the tet corners
+    index = mesh.load_scatter_index
+    g = _scatter(mesh, index[len(index) - len(weights):], weights)
     g[state.dirichlet_mask] = 0.0
     return g
 

@@ -88,33 +88,53 @@ def distortion(F):
     return norm**3 / det
 
 
-class _TetGrid:
-    """Uniform spatial hash over deformed tets for point-in-tet queries."""
+QUERY_CHUNK = 128  # points per point-in-tet batch; bounds the pair arrays
 
-    def __init__(self, positions, tets, resolution=None):
+
+class _TetGrid:
+    """Uniform spatial hash over deformed tets for point-in-tet queries.
+
+    The grid has round(nt^(1/3)) cells per axis over the deformed bounding
+    box.  Each tet is listed in every cell its box overlaps: `cell_tets`
+    holds the candidate tets grouped by flat cell id, ascending tet id
+    within a cell, and cell c's group is cell_tets[cell_start[c]:
+    cell_start[c + 1]].
+    """
+
+    def __init__(self, positions, tets):
         self.corners = np.asarray(positions, float)[tets]  # (nt, 4, 3)
         self.lo = self.corners.min(axis=(0, 1))
         self.hi = self.corners.max(axis=(0, 1))
         n = len(tets)
-        if resolution is None:
-            resolution = max(1, int(round(n ** (1.0 / 3.0))))
-        self.res = resolution
+        self.res = max(1, int(round(n ** (1.0 / 3.0))))
         span = np.maximum(self.hi - self.lo, 1e-300)
         self.inv_h = self.res / span
         # inverse affine maps x -> barycentric-ish local coords
         e = np.transpose(self.corners[:, 1:] - self.corners[:, :1], (0, 2, 1))
         self.inv_e = np.linalg.inv(e)
         self.base = self.corners[:, 0]
-        self.cells = {}
-        tlo = np.clip(((self.corners.min(axis=1) - self.lo) * self.inv_h)
-                      .astype(int), 0, self.res - 1)
-        thi = np.clip(((self.corners.max(axis=1) - self.lo) * self.inv_h)
-                      .astype(int), 0, self.res - 1)
-        for ti in range(n):
-            for i in range(tlo[ti, 0], thi[ti, 0] + 1):
-                for j in range(tlo[ti, 1], thi[ti, 1] + 1):
-                    for k in range(tlo[ti, 2], thi[ti, 2] + 1):
-                        self.cells.setdefault((i, j, k), []).append(ti)
+        tlo = self._cell(self.corners.min(axis=1))
+        extent = self._cell(self.corners.max(axis=1)) - tlo + 1
+        # one key cell * n + tet per (tet, overlapped cell), generated per
+        # cell offset of the tet boxes (at most 27 on a box mesh)
+        keys = []
+        for offset in np.ndindex(*extent.max(axis=0)):
+            tet = np.flatnonzero((extent > offset).all(axis=1))
+            cell = self._flat(tlo[tet] + offset)
+            keys.append(cell * n + tet)
+        keys = np.sort(np.concatenate(keys))
+        self.cell_tets = (keys % n).astype(np.int32)
+        self.cell_start = np.searchsorted(
+            keys // n, np.arange(self.res**3 + 1))
+
+    def _cell(self, points):
+        """Integer cell coordinates of points, clipped to the grid."""
+        return np.clip(((points - self.lo) * self.inv_h).astype(int),
+                       0, self.res - 1)
+
+    def _flat(self, cell_ids):
+        return ((cell_ids[:, 0] * self.res + cell_ids[:, 1]) * self.res
+                + cell_ids[:, 2])
 
     def box_volume(self):
         return float(np.prod(self.hi - self.lo))
@@ -122,27 +142,21 @@ class _TetGrid:
     def contains(self, points, tol=1e-12):
         """Boolean mask: is each point inside at least one tet."""
         points = np.asarray(points, float)
-        cell_ids = np.clip(((points - self.lo) * self.inv_h).astype(int),
-                           0, self.res - 1)
-        flat = (cell_ids[:, 0] * self.res + cell_ids[:, 1]) * self.res \
-            + cell_ids[:, 2]
+        flat = self._flat(self._cell(points))
+        first = self.cell_start[flat]
+        count = self.cell_start[flat + 1] - first
         hit = np.zeros(len(points), bool)
-        order = np.argsort(flat, kind="stable")
-        bounds = np.searchsorted(flat[order], np.unique(flat))
-        groups = np.split(order, bounds[1:])
-        for grp in groups:
-            if not len(grp):
-                continue
-            cid = tuple(cell_ids[grp[0]])
-            tets = self.cells.get(cid)
-            if not tets:
-                continue
-            tets = np.asarray(tets, int)
-            d = points[grp][:, None, :] - self.base[tets][None, :, :]
-            lam = np.einsum("tij,ptj->pti", self.inv_e[tets], d)
+        for a in range(0, len(points), QUERY_CHUNK):
+            n_pairs = count[a:a + QUERY_CHUNK]
+            point = np.repeat(np.arange(a, a + len(n_pairs)), n_pairs)
+            group_start = np.cumsum(n_pairs) - n_pairs
+            tet = self.cell_tets[np.arange(len(point)) + np.repeat(
+                first[a:a + QUERY_CHUNK] - group_start, n_pairs)]
+            d = points[point] - self.base[tet]
+            lam = np.einsum("kij,kj->ki", self.inv_e[tet], d)
             inside = ((lam >= -tol).all(axis=-1)
                       & (lam.sum(axis=-1) <= 1.0 + tol))
-            hit[grp] = inside.any(axis=1)
+            hit[point[inside]] = True
         return hit
 
 

@@ -187,7 +187,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                     warm = identity_state(mesh)
                 cand_state, c_comp, c_eint, c_mu, report = _evaluate(
                     mesh, candidate, model, config, warm)
-            except (InterfaceError, TopOptError, ValueError):
+            except (InterfaceError, TopOptError):
                 failures += 1
                 rejected_total += 1
                 trace.append(TraceRow(step, temperature, obj, comp, eint,

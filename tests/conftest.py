@@ -1,8 +1,17 @@
+from types import SimpleNamespace
+
+from hypothesis import settings
 import numpy as np
 import pytest
 
 import sharptop as st
 from sharptop.mesh import DIRICHLET, FREE, NEUMANN
+
+# Property tests draw the same examples on every run and keep no example
+# database; each test still sets its own max_examples.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 def clamp_bottom_pull_top(c):
@@ -47,6 +56,56 @@ def brute_force_face_adjacency(tets):
             face = tuple(sorted(tet[i] for i in local))
             adj.setdefault(face, []).append(ti)
     return adj
+
+
+def brute_force_tet_grid(positions, tets):
+    """Point-in-tet grid with dict-of-lists cells, built tet by tet.
+
+    Same grid, candidate lists and per-pair test as kinematics._TetGrid;
+    `contains` queries the points cell by cell.
+    """
+    corners = np.asarray(positions, float)[tets]
+    lo = corners.min(axis=(0, 1))
+    hi = corners.max(axis=(0, 1))
+    res = max(1, int(round(len(tets) ** (1.0 / 3.0))))
+    inv_h = res / np.maximum(hi - lo, 1e-300)
+    inv_e = np.linalg.inv(
+        np.transpose(corners[:, 1:] - corners[:, :1], (0, 2, 1)))
+    base = corners[:, 0]
+    tlo = np.clip(((corners.min(axis=1) - lo) * inv_h).astype(int),
+                  0, res - 1)
+    thi = np.clip(((corners.max(axis=1) - lo) * inv_h).astype(int),
+                  0, res - 1)
+    cells = {}
+    for ti in range(len(tets)):
+        for i in range(tlo[ti, 0], thi[ti, 0] + 1):
+            for j in range(tlo[ti, 1], thi[ti, 1] + 1):
+                for k in range(tlo[ti, 2], thi[ti, 2] + 1):
+                    cells.setdefault((i, j, k), []).append(ti)
+
+    def contains(points, tol=1e-12):
+        points = np.asarray(points, float)
+        cell_ids = np.clip(((points - lo) * inv_h).astype(int), 0, res - 1)
+        flat = (cell_ids[:, 0] * res + cell_ids[:, 1]) * res + cell_ids[:, 2]
+        hit = np.zeros(len(points), bool)
+        order = np.argsort(flat, kind="stable")
+        bounds = np.searchsorted(flat[order], np.unique(flat))
+        for grp in np.split(order, bounds[1:]):
+            if not len(grp):
+                continue
+            cand = cells.get(tuple(cell_ids[grp[0]]))
+            if not cand:
+                continue
+            cand = np.asarray(cand, int)
+            d = points[grp][:, None, :] - base[cand][None, :, :]
+            lam = np.einsum("tij,ptj->pti", inv_e[cand], d)
+            inside = ((lam >= -tol).all(axis=-1)
+                      & (lam.sum(axis=-1) <= 1.0 + tol))
+            hit[grp] = inside.any(axis=1)
+        return hit
+
+    return SimpleNamespace(lo=lo, hi=hi, res=res, inv_e=inv_e, cells=cells,
+                           contains=contains)
 
 
 # A face shared by three tets, every single-tet face tagged.

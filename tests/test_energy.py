@@ -244,6 +244,44 @@ def test_gradient_scatter_matches_add_at(clamped_mesh):
                           ref)
 
 
+def full_load_terms(mesh, state, phases, model):
+    """load_potential and its gradient with the body term always formed."""
+    labels = np.asarray(phases.labels, float)
+    f = np.broadcast_to(model.f, (mesh.n_tets, 3))
+    ybar = state.positions[mesh.tets].mean(axis=1)
+    body = float(np.sum(mesh.volumes * labels * np.sum(f * ybar, axis=1)))
+    faces = mesh.boundary_faces[mesh.neumann_index]
+    g = np.broadcast_to(model.g, (len(faces), 3))
+    fbar = state.positions[faces].mean(axis=1)
+    surface = float(np.sum(mesh.neumann_areas * np.sum(g * fbar, axis=1)))
+    weights = np.concatenate([
+        np.tile(((mesh.volumes * labels)[:, None] * f / 4.0).ravel(), 4),
+        np.tile((mesh.neumann_areas[:, None] * g / 3.0).ravel(), 3)])
+    grad = np.bincount(mesh.load_scatter_index, weights,
+                       minlength=3 * mesh.n_vertices).reshape(-1, 3)
+    grad[state.dirichlet_mask] = 0.0
+    return body + surface, grad
+
+
+@pytest.mark.parametrize("f", [[0.0, 0.0, 0.0], [0.0, -0.0, 0.0],
+                               [0.3, 0.0, -0.4]])
+@pytest.mark.parametrize("g", [[0.0, 0.0, 0.0], [0.2, -0.1, 0.7]])
+def test_load_terms_equal_full_formula(clamped_mesh, f, g):
+    """Skipping a zero body force changes no bit, sign bits included;
+    f != 0 keeps the body term."""
+    mesh = clamped_mesh
+    model = st.EnergyModel(f=f, g=g)
+    phases = st.PhaseLabeling(np.arange(mesh.n_tets) % 2)
+    state = random_feasible_state(mesh, seed=5)
+    state = state.with_positions(state.positions - 0.5)  # signs of both kinds
+    potential, grad = full_load_terms(mesh, state, phases, model)
+    got = st.load_potential(mesh, state, phases, model)
+    assert np.float64(got).view(np.int64) == np.float64(potential).view(
+        np.int64)
+    got = load_potential_gradient(mesh, state, phases, model)
+    assert np.array_equal(got.view(np.int64), grad.view(np.int64))
+
+
 def test_total_energy_uniform_phase(small_mesh, uniform_phase1):
     model = st.EnergyModel(r=4, s=2)
     state = st.identity_state(small_mesh)

@@ -1,12 +1,13 @@
+from hypothesis import given, settings, strategies as hs
 import numpy as np
 import pytest
 
 import sharptop as st
-from sharptop.kinematics import (KinematicsError, deformation_gradients,
-                                 jacobian_integral)
+from sharptop.kinematics import (QUERY_CHUNK, KinematicsError, _TetGrid,
+                                 deformation_gradients, jacobian_integral)
 from sharptop.surfaces import wedge_fold
 
-from conftest import random_feasible_state
+from conftest import brute_force_tet_grid, random_feasible_state
 
 
 def test_identity_gradient(small_mesh):
@@ -122,6 +123,38 @@ def test_ciarlet_necas_detects_fold():
                                                   rel=1e-12)
     assert abs(res.residual - info["overlap_volume"]) <= 3 * res.mc_std
     assert res.residual > 5 * res.mc_std
+
+
+@settings(max_examples=25)
+@given(dims=hs.tuples(*[hs.integers(1, 6)] * 3),
+       scale=hs.floats(0.0, 0.3), n_uniform=hs.integers(0, 600),
+       seed=hs.integers(0, 2**32 - 1))
+def test_tet_grid_matches_dict_oracle(dims, scale, n_uniform, seed):
+    """Cell arrays and hits equal the tet-by-tet dict grid."""
+    mesh = st.build_box_mesh(*dims)
+    rng = np.random.default_rng(seed)
+    h = 1.0 / max(dims)
+    positions = mesh.vertices + scale * h * rng.uniform(
+        -1, 1, mesh.vertices.shape)
+    grid = _TetGrid(positions, mesh.tets)
+    oracle = brute_force_tet_grid(positions, mesh.tets)
+    assert np.array_equal(grid.lo, oracle.lo)
+    assert np.array_equal(grid.hi, oracle.hi)
+    assert np.array_equal(grid.inv_e, oracle.inv_e)
+    assert grid.res == oracle.res
+    for c, cell in enumerate(np.ndindex(grid.res, grid.res, grid.res)):
+        assert (grid.cell_tets[grid.cell_start[c]:grid.cell_start[c + 1]]
+                .tolist() == oracle.cells.get(cell, []))
+    corners = positions[mesh.tets]
+    faces = corners[:, [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]]
+    points = np.concatenate([
+        rng.uniform(grid.lo, grid.hi, (n_uniform, 3)), positions,
+        faces.mean(axis=2).reshape(-1, 3), grid.hi[None]])
+    if len(points) % QUERY_CHUNK == 0:  # keep a ragged last chunk
+        points = points[1:]
+    hits = grid.contains(points)
+    assert hits.dtype == bool
+    assert np.array_equal(hits, oracle.contains(points))
 
 
 def test_fold_map_is_orientation_preserving():

@@ -162,3 +162,23 @@ def test_snapshot_callback_invoked():
                       annealing_model(), config,
                       snapshot_callback=lambda step, s, p: seen.append(step))
     assert seen  # every accepted move snapshots at cadence 1
+
+
+def test_programming_error_in_inner_solve_propagates(monkeypatch):
+    """A ValueError from a candidate's solve is a bug, not a rejected move."""
+    import sharptop.topopt as topopt
+    real = topopt.minimize_equilibrium
+    calls = []
+
+    def broken_after_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise ValueError("bug in the inner solve")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(topopt, "minimize_equilibrium", broken_after_first)
+    mesh = pinned_mesh(3)
+    with pytest.raises(ValueError, match="bug in the inner solve"):
+        optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
+                          annealing_model(), fast_config(seed=3))
+    assert len(calls) == 2
