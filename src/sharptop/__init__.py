@@ -12,8 +12,8 @@ from .solve import SolveOptions, equilibrium_gradient, equilibrium_objective, \
 from .topopt import EULERIAN, REFERENTIAL, TopOptConfig, compliance, \
     mass_preserving_move, objective, optimize_topology
 from .varifold import InterfaceVarifold, PhaseLabeling, boundary_defect, \
-    coupling_residual, curvature_integral, discrete_curvature, \
-    extract_interface, interface_energy, random_bump_fields, varifold_mass
+    coupling_residual, curvature_integral, extract_interface, \
+    interface_energy, random_bump_fields, varifold_mass
 
 __version__ = "0.1.0"
 

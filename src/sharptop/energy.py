@@ -32,8 +32,11 @@ class EnergyModel:
     eta: float = 0.5          # target phase-1 mass fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "f", np.asarray(self.f, float))
-        object.__setattr__(self, "g", np.asarray(self.g, float))
+        for name in ("f", "g"):
+            load = np.asarray(getattr(self, name), float)
+            if load.shape != (3,) or not np.isfinite(load).all():
+                raise ValueError(f"{name} must be a finite 3-vector")
+            object.__setattr__(self, name, load)
         if not self.r > 3:
             raise ValueError("r must exceed 3")
         if not (self.s > 0 and self.p > 1 and self.c_int > 0):
@@ -146,20 +149,6 @@ def interface_density(a_norm, model):
     return model.c_int * (1.0 + a**model.p)
 
 
-def _body_force_per_tet(mesh, model):
-    f = np.asarray(model.f, float)
-    if f.ndim == 1:
-        return np.broadcast_to(f, (mesh.n_tets, 3))
-    return f
-
-
-def _traction_per_face(mesh, model, neumann_idx):
-    g = np.asarray(model.g, float)
-    if g.ndim == 1:
-        return np.broadcast_to(g, (len(neumann_idx), 3))
-    return g[neumann_idx]
-
-
 def load_potential(mesh, state, phases, model):
     """Work of the referential loads; equilibrium minimizes bulk - loads.
 
@@ -168,26 +157,24 @@ def load_potential(mesh, state, phases, model):
     The body term is skipped when f is identically zero.
     """
     faces = mesh.boundary_faces[mesh.neumann_index]
-    g = _traction_per_face(mesh, model, mesh.neumann_index)
     fbar = state.positions[faces].mean(axis=1)
-    potential = float(np.sum(mesh.neumann_areas * np.sum(g * fbar, axis=1)))
+    potential = float(np.sum(mesh.neumann_areas
+                             * np.sum(model.g * fbar, axis=1)))
     if np.any(model.f):
         labels = np.asarray(phases.labels, float)
-        f = _body_force_per_tet(mesh, model)
         ybar = state.positions[mesh.tets].mean(axis=1)
         potential += float(np.sum(mesh.volumes * labels
-                                  * np.sum(f * ybar, axis=1)))
+                                  * np.sum(model.f * ybar, axis=1)))
     return potential
 
 
 def load_potential_gradient(mesh, state, phases, model):
     """Nodal gradient of load_potential; Dirichlet rows zeroed."""
-    trac = _traction_per_face(mesh, model, mesh.neumann_index)
-    weights = np.tile((mesh.neumann_areas[:, None] * trac / 3.0).ravel(), 3)
+    trac = mesh.neumann_areas[:, None] * model.g / 3.0
+    weights = np.tile(trac.ravel(), 3)
     if np.any(model.f):
         labels = np.asarray(phases.labels, float)
-        f = _body_force_per_tet(mesh, model)
-        body = (mesh.volumes * labels)[:, None] * f / 4.0
+        body = (mesh.volumes * labels)[:, None] * model.f / 4.0
         weights = np.concatenate([np.tile(body.ravel(), 4), weights])
     # the Neumann corners close load_scatter_index, after the tet corners
     index = mesh.load_scatter_index

@@ -117,11 +117,6 @@ class ReferenceMesh:
     def tet_centroids(self):
         return self.vertices[self.tets].mean(axis=1)
 
-    def boundary_vertex_mask(self):
-        mask = np.zeros(self.n_vertices, bool)
-        mask[self.boundary_faces.ravel()] = True
-        return mask
-
     def dirichlet_vertex_mask(self):
         mask = np.zeros(self.n_vertices, bool)
         sel = self.boundary_tags == DIRICHLET

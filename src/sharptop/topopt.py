@@ -13,11 +13,14 @@ import numpy as np
 
 from .energy import load_potential
 from .solve import SolveOptions, minimize_equilibrium
-from .varifold import (InterfaceError, PhaseLabeling, boundary_defect,
-                       extract_interface, interface_energy, varifold_mass)
+from .varifold import (InterfaceError, PhaseLabeling, _cut_faces,
+                       _interface_faces, boundary_defect, extract_interface,
+                       interface_energy, varifold_mass)
 
 EULERIAN = "EULERIAN"
 REFERENTIAL = "REFERENTIAL"
+SWAP_VOLUME_RTOL = 0.01    # relative volume mismatch a swap may carry
+MOVE_TRIES = 50             # candidates drawn before a move gives up
 
 
 @dataclass(frozen=True)
@@ -67,20 +70,18 @@ def objective(mesh, state, phases, model, mode=EULERIAN):
 
 def _interface_adjacent_tets(mesh, phases):
     """Tets incident to at least one interface face, per phase (sorted)."""
-    labels = phases.labels[mesh.interior_face_tets]
-    cut = labels[:, 0] != labels[:, 1]
-    tets, is1 = mesh.interior_face_tets[cut], labels[cut] == 1
-    return np.unique(tets[is1]), np.unique(tets[~is1])
+    _, pairs = _cut_faces(mesh, phases)
+    return np.unique(pairs[:, 1]), np.unique(pairs[:, 0])
 
 
-def mass_preserving_move(mesh, phases, rng, interface_bias=0.9,
-                         volume_match_rtol=0.01, max_tries=50):
+def mass_preserving_move(mesh, phases, rng, interface_bias=0.9):
     """Propose a label swap keeping the phase-1 volume fixed.
 
     Swaps one phase-1 tet to 0 and one phase-0 tet to 1, biased toward
     interface-adjacent tets; candidates must be volume-matched within
-    `volume_match_rtol` (exact for uniform meshes).  Proposals creating
-    non-manifold interface junctions are rejected and retried.
+    SWAP_VOLUME_RTOL (exact for uniform meshes).  Proposals creating
+    non-manifold interface edges are rejected and retried; that topology
+    check is all a reference-position extraction could reject.
     """
     labels = phases.labels
     ones = np.where(labels == 1)[0]
@@ -88,17 +89,16 @@ def mass_preserving_move(mesh, phases, rng, interface_bias=0.9,
     if len(ones) == 0 or len(zeros) == 0:
         raise TopOptError("no admissible move: a phase is empty")
     near1, near0 = _interface_adjacent_tets(mesh, phases)
-    for _ in range(max_tries):
+    for _ in range(MOVE_TRIES):
         local = rng.random() < interface_bias and len(near1) and len(near0)
         src = rng.choice(near1 if local else ones)
         dst = rng.choice(near0 if local else zeros)
         va, vb = mesh.volumes[src], mesh.volumes[dst]
-        if abs(va - vb) > volume_match_rtol * max(va, vb):
+        if abs(va - vb) > SWAP_VOLUME_RTOL * max(va, vb):
             continue
         candidate = phases.with_swap(tet_to_0=src, tet_to_1=dst)
         try:
-            extract_interface(mesh, None, candidate,
-                              positions=mesh.vertices)
+            _interface_faces(mesh, candidate)
         except InterfaceError:
             continue
         return candidate

@@ -8,7 +8,7 @@ full-curvature magnitude is recovered through a_norm^2 = 2 * |II|^2 with
 |II|^2 estimated as 4|H|^2 - 2K.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,9 +53,7 @@ class InterfaceVarifold:
     # sorted keys lo * nv + hi of the edges on the domain boundary
     domain_boundary_edges: np.ndarray = field(
         default_factory=lambda: np.zeros(0, int))
-    mesh_vertex_ids: np.ndarray = None  # source mesh vertex per varifold vertex
-    face_tet_pairs: np.ndarray = None   # (nf, 2): (phase-0 tet, phase-1 tet)
-    # curvature samples (filled by discrete_curvature)
+    # curvature samples (filled by discrete_curvature_inplace)
     mean_curvature: np.ndarray = None   # (nv, 3) vector H
     gauss_curvature: np.ndarray = None  # (nv,)
     a_norm: np.ndarray = None           # (nv,)
@@ -73,10 +71,45 @@ def _edge_counts(faces, n_vertices):
     return np.unique(edge_keys(faces, n_vertices), return_counts=True)
 
 
-def _empty_varifold():
-    return InterfaceVarifold(vertices=np.zeros((0, 3)),
-                             faces=np.zeros((0, 3), int),
-                             areas=np.zeros(0), normals=np.zeros((0, 3)))
+def _cut_faces(mesh, phases):
+    """Interior faces between the phases, and their tets as (phase 0, 1)."""
+    labels = phases.labels[mesh.interior_face_tets]
+    cut = labels[:, 0] != labels[:, 1]
+    pairs = mesh.interior_face_tets[cut]
+    swap = labels[cut, 0] == 1
+    pairs[swap] = pairs[swap, ::-1]
+    return mesh.interior_faces[cut], pairs
+
+
+def _interface_faces(mesh, phases):
+    """Interface triangles of a labeling, checked for manifold edges.
+
+    Returns the triangles (mesh vertex ids), their tet pairs (phase 0,
+    phase 1), and the sorted edge keys lo * nv + hi with their triangle
+    counts.  Raises when an edge bounds more than two triangles; at the
+    reference positions this is the only way a labeling can fail
+    extraction, since faces of non-degenerate tets have positive area.
+    """
+    tris, pairs = _cut_faces(mesh, phases)
+    n = mesh.n_vertices
+    keys, counts = _edge_counts(tris, n)
+    bad = keys[counts > 2]
+    if bad.size:
+        raise InterfaceError(
+            "non-manifold interface edges: "
+            f"{np.stack([bad // n, bad % n], axis=1)[:5].tolist()}"
+            f" ({bad.size} total)")
+    return tris, pairs, keys, counts
+
+
+def _areas_normals(vertices, faces):
+    """Triangle areas and unit normals (right-hand rule)."""
+    v = vertices[faces]
+    cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    if np.any(areas <= 0):
+        raise InterfaceError("degenerate interface triangle")
+    return areas, cross / (2.0 * areas[:, None])
 
 
 def varifold_from_triangles(vertices, faces):
@@ -87,15 +120,9 @@ def varifold_from_triangles(vertices, faces):
     """
     vertices = np.asarray(vertices, float)
     faces = np.asarray(faces, int)
-    v = vertices[faces]
-    cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    if np.any(areas <= 0):
-        raise InterfaceError("degenerate interface triangle")
-    normals = cross / (2.0 * areas[:, None])
-    V = InterfaceVarifold(vertices=vertices, faces=faces, areas=areas,
-                          normals=normals)
-    return discrete_curvature_inplace(V)
+    areas, normals = _areas_normals(vertices, faces)
+    return discrete_curvature_inplace(InterfaceVarifold(
+        vertices=vertices, faces=faces, areas=areas, normals=normals))
 
 
 def extract_interface(mesh, state, phases, positions=None):
@@ -108,49 +135,27 @@ def extract_interface(mesh, state, phases, positions=None):
     if positions is None:
         positions = state.positions
     positions = np.asarray(positions, float)
-    labels = phases.labels[mesh.interior_face_tets]
-    cut = labels[:, 0] != labels[:, 1]
-    if not cut.any():
-        return _empty_varifold()
-    tris = mesh.interior_faces[cut]
-    pairs = mesh.interior_face_tets[cut]
-    swap = labels[cut, 0] == 1          # order pairs as (phase 0, phase 1)
-    pairs[swap] = pairs[swap, ::-1]
-
+    tris, pairs, keys, counts = _interface_faces(mesh, phases)
     used = np.unique(tris)
     remap = np.full(mesh.n_vertices, -1, int)
     remap[used] = np.arange(len(used))
     faces = remap[tris]
     vertices = positions[used]
 
-    centroids = positions[mesh.tets].mean(axis=1)
-    v = vertices[faces]
-    cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    if np.any(areas <= 0):
-        raise InterfaceError("degenerate interface triangle")
-    normals = cross / (2.0 * areas[:, None])
-    toward1 = centroids[pairs[:, 1]] - centroids[pairs[:, 0]]
+    areas, normals = _areas_normals(vertices, faces)
+    centroids = positions[mesh.tets[pairs]].mean(axis=2)
+    toward1 = centroids[:, 1] - centroids[:, 0]
     flip = np.sum(normals * toward1, axis=1) < 0
     faces[flip, 1], faces[flip, 2] = faces[flip, 2].copy(), faces[flip, 1].copy()
     normals[flip] *= -1.0
 
-    n = len(used)
-    keys, counts = _edge_counts(faces, n)
-    bad = keys[counts > 2]
-    if bad.size:
-        raise InterfaceError(
-            "non-manifold interface edges: "
-            f"{np.stack([bad // n, bad % n], axis=1)[:5].tolist()}"
-            f" ({bad.size} total)")
-    on_boundary = np.isin(used[keys // n] * mesh.n_vertices + used[keys % n],
-                          mesh.boundary_edge_keys)
-
+    # the remap is monotone, so the renumbered edge keys stay sorted
+    nv = mesh.n_vertices
+    local = remap[keys // nv] * len(used) + remap[keys % nv]
     V = InterfaceVarifold(
         vertices=vertices, faces=faces, areas=areas, normals=normals,
-        domain_boundary_edges=keys[on_boundary], mesh_vertex_ids=used,
-        face_tet_pairs=pairs)
-    return discrete_curvature_inplace(V)
+        domain_boundary_edges=local[np.isin(keys, mesh.boundary_edge_keys)])
+    return discrete_curvature_inplace(V, edge_counts=(local, counts))
 
 
 def varifold_mass(V):
@@ -190,22 +195,15 @@ def _mixed_areas(V, angles):
     return mixed
 
 
-def discrete_curvature_inplace(V):
+def discrete_curvature_inplace(V, edge_counts=None):
     """Attach per-vertex (H, K, a_norm, mixed area) samples to a varifold.
 
     Interface-boundary vertices (incident to a single-triangle edge) carry
     a_norm = 0 and are excluded from curvature quadrature; their area
-    weight still counts toward the mass.
+    weight still counts toward the mass.  `edge_counts` is
+    `_edge_counts(V.faces, nv)`, when the caller already has it.
     """
     nv = len(V.vertices)
-    if V.n_triangles == 0:
-        return InterfaceVarifold(
-            vertices=V.vertices, faces=V.faces, areas=V.areas,
-            normals=V.normals, domain_boundary_edges=V.domain_boundary_edges,
-            mesh_vertex_ids=V.mesh_vertex_ids, face_tet_pairs=V.face_tet_pairs,
-            mean_curvature=np.zeros((nv, 3)), gauss_curvature=np.zeros(nv),
-            a_norm=np.zeros(nv), mixed_area=np.zeros(nv),
-            interior_vertex=np.zeros(nv, bool), clip_count=0)
     v = V.vertices[V.faces]
     angles = _triangle_angles(v)
     mixed = _mixed_areas(V, angles)
@@ -226,7 +224,9 @@ def discrete_curvature_inplace(V):
         np.add.at(angle_sum, V.faces[:, c], angles[:, c])
     K = (2.0 * np.pi - angle_sum) / mixed
 
-    keys, counts = _edge_counts(V.faces, nv)
+    if edge_counts is None:
+        edge_counts = _edge_counts(V.faces, nv)
+    keys, counts = edge_counts
     open_edges = keys[counts == 1]
     interior = np.ones(nv, bool)
     interior[open_edges // nv] = False
@@ -237,29 +237,15 @@ def discrete_curvature_inplace(V):
     clip_count = int(np.count_nonzero(interior & (ii2 < 0)))
     a_norm = np.sqrt(2.0 * np.maximum(ii2, 0.0))
     a_norm[~interior] = 0.0
-    H = H.copy()
     H[~interior] = 0.0
-    K = K.copy()
     K[~interior] = 0.0
-    return InterfaceVarifold(
-        vertices=V.vertices, faces=V.faces, areas=V.areas, normals=V.normals,
-        domain_boundary_edges=V.domain_boundary_edges,
-        mesh_vertex_ids=V.mesh_vertex_ids, face_tet_pairs=V.face_tet_pairs,
-        mean_curvature=H, gauss_curvature=K, a_norm=a_norm, mixed_area=mixed,
-        interior_vertex=interior, clip_count=clip_count)
-
-
-def discrete_curvature(V):
-    """Per-vertex (H, K, a_norm) of a varifold (computed if missing)."""
-    if V.a_norm is None:
-        V = discrete_curvature_inplace(V)
-    return V.mean_curvature, V.gauss_curvature, V.a_norm
+    return replace(V, mean_curvature=H, gauss_curvature=K, a_norm=a_norm,
+                   mixed_area=mixed, interior_vertex=interior,
+                   clip_count=clip_count)
 
 
 def curvature_integral(V, power=2.0):
     """Integral of a_norm^power against the mass measure."""
-    if V.a_norm is None:
-        V = discrete_curvature_inplace(V)
     return float(np.sum(V.mixed_area * V.a_norm**power))
 
 
@@ -268,25 +254,18 @@ def interface_energy(V, model):
 
     Equals c_int * (mass + integral of a_norm^p) for the model density.
     """
-    if V.n_triangles == 0:
-        return 0.0
-    if V.a_norm is None:
-        V = discrete_curvature_inplace(V)
     return float(np.sum(V.mixed_area * interface_density(V.a_norm, model)))
 
 
-def boundary_defect(V, domain_boundary_edges=None):
+def boundary_defect(V):
     """Count of single-incidence interface edges off the domain boundary.
 
     Zero is required for admissibility (the interface current has no
-    boundary inside the deformed domain).  `domain_boundary_edges` holds
-    edge keys lo * nv + hi, as on the varifold.
+    boundary inside the deformed domain).
     """
-    if domain_boundary_edges is None:
-        domain_boundary_edges = V.domain_boundary_edges
     keys, counts = _edge_counts(V.faces, len(V.vertices))
     return int(np.count_nonzero(~np.isin(keys[counts == 1],
-                                         domain_boundary_edges)))
+                                         V.domain_boundary_edges)))
 
 
 @dataclass(frozen=True)

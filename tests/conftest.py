@@ -6,6 +6,9 @@ import pytest
 
 import sharptop as st
 from sharptop.mesh import DIRICHLET, FREE, NEUMANN
+from sharptop.surfaces import slab_labels
+from sharptop.topopt import MOVE_TRIES, SWAP_VOLUME_RTOL, TopOptError
+from sharptop.varifold import InterfaceError
 
 # Property tests draw the same examples on every run and keep no example
 # database; each test still sets its own max_examples.
@@ -106,6 +109,57 @@ def brute_force_tet_grid(positions, tets):
 
     return SimpleNamespace(lo=lo, hi=hi, res=res, inv_e=inv_e, cells=cells,
                            contains=contains)
+
+
+def perturbed_slab_labels(mesh, axis, seed, flips):
+    """Half-volume slab with `flips` random 1 <-> 0 tet exchanges.
+
+    The exchanges keep the phase-1 tet count but not the topology, so the
+    labeling may have non-manifold interface edges.
+    """
+    labels = np.array(slab_labels(mesh, 0.5, axis=axis).labels)
+    rng = np.random.default_rng(seed)
+    for _ in range(flips):
+        a = rng.choice(np.flatnonzero(labels == 1))
+        b = rng.choice(np.flatnonzero(labels == 0))
+        labels[a], labels[b] = 0, 1
+    return st.PhaseLabeling(labels)
+
+
+def brute_force_mass_preserving_move(mesh, phases, rng, interface_bias=0.9,
+                                     rejections=None):
+    """The annealer's swap proposal, admitting a candidate only when a full
+    extraction at the reference positions succeeds.
+
+    Draws from `rng` exactly as topopt.mass_preserving_move does.  The
+    message of every rejected extraction is appended to `rejections`.
+    """
+    labels = phases.labels
+    ones = np.where(labels == 1)[0]
+    zeros = np.where(labels == 0)[0]
+    if len(ones) == 0 or len(zeros) == 0:
+        raise TopOptError("no admissible move: a phase is empty")
+    face_labels = labels[mesh.interior_face_tets]
+    cut = face_labels[:, 0] != face_labels[:, 1]
+    tets, is1 = mesh.interior_face_tets[cut], face_labels[cut] == 1
+    near1, near0 = np.unique(tets[is1]), np.unique(tets[~is1])
+    for _ in range(MOVE_TRIES):
+        local = rng.random() < interface_bias and len(near1) and len(near0)
+        src = rng.choice(near1 if local else ones)
+        dst = rng.choice(near0 if local else zeros)
+        va, vb = mesh.volumes[src], mesh.volumes[dst]
+        if abs(va - vb) > SWAP_VOLUME_RTOL * max(va, vb):
+            continue
+        candidate = phases.with_swap(tet_to_0=src, tet_to_1=dst)
+        try:
+            st.extract_interface(mesh, None, candidate,
+                                 positions=mesh.vertices)
+        except InterfaceError as exc:
+            if rejections is not None:
+                rejections.append(str(exc))
+            continue
+        return candidate
+    raise TopOptError("no admissible move found (frozen configuration)")
 
 
 # A face shared by three tets, every single-tet face tagged.

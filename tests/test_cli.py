@@ -184,6 +184,8 @@ def test_curvature_test_command(tmp_path):
     ("model", {"r": 2}, "r must exceed 3"),
     ("solve", {"contraction": 2.0}, "contraction"),
     ("topopt", {"t_decay": 1.5}, "decay"),
+    ("model", {"g": [1, 2]}, "g must be a finite 3-vector"),
+    ("model", {"f": [[0, 0, 1], [0, 0, 1]]}, "f must be a finite 3-vector"),
 ])
 def test_bad_scenario_section_exit_2(tmp_path, capsys, section, spec, needle):
     scenario = write_scenario(tmp_path, "bad.json", {

@@ -321,3 +321,7 @@ def test_model_invariants():
         st.EnergyModel(eta=1.0)
     with pytest.raises(ValueError):
         st.EnergyModel(scale0=0.0)
+    with pytest.raises(ValueError, match="g must be a finite 3-vector"):
+        st.EnergyModel(g=[0.0, 0.0, np.inf])
+    with pytest.raises(ValueError, match="f must be a finite 3-vector"):
+        st.EnergyModel(f=np.zeros((4, 3)))

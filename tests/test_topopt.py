@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as hs
 import numpy as np
 import pytest
 
@@ -8,6 +9,8 @@ from sharptop.surfaces import slab_labels
 from sharptop.topopt import (EULERIAN, REFERENTIAL, TopOptConfig, TopOptError,
                              compliance, mass_preserving_move, objective,
                              optimize_topology)
+
+from conftest import brute_force_mass_preserving_move, perturbed_slab_labels
 
 
 def pinned_mesh(n=4):
@@ -73,6 +76,40 @@ def test_mass_preserving_move_changes_exactly_two(small_mesh):
     changed = np.flatnonzero(moved.labels != phases.labels)
     assert len(changed) == 2
     assert sorted(int(phases.labels[c]) for c in changed) == [0, 1]
+
+
+def test_move_matches_full_extraction_oracle():
+    """From equal seeds the topology-only proposal returns the same labels
+    as one that runs a full extraction on every candidate."""
+    rejections = []
+
+    def step(move, mesh, phases, rng, bias, **kw):
+        try:
+            return move(mesh, phases, rng, interface_bias=bias, **kw)
+        except TopOptError:
+            return None
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=hs.integers(3, 5), axis=hs.integers(0, 2),
+           seed=hs.integers(0, 2**16), flips=hs.integers(0, 6),
+           bias=hs.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    def check(n, axis, seed, flips, bias):
+        mesh = st.build_box_mesh(n, n, n)
+        fast = oracle = perturbed_slab_labels(mesh, axis, seed, flips)
+        rng_fast = np.random.default_rng(seed)
+        rng_oracle = np.random.default_rng(seed)
+        for _ in range(8):
+            fast = step(mass_preserving_move, mesh, fast, rng_fast, bias)
+            oracle = step(brute_force_mass_preserving_move, mesh, oracle,
+                          rng_oracle, bias, rejections=rejections)
+            assert (fast is None) == (oracle is None)
+            if fast is None:
+                break
+            assert np.array_equal(fast.labels, oracle.labels)
+        assert rng_fast.random() == rng_oracle.random()
+
+    check()
+    assert any(r.startswith("non-manifold") for r in rejections)
 
 
 def test_move_rejects_empty_phase(small_mesh, uniform_phase1):

@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+from hypothesis import given, settings, strategies as hs
 import numpy as np
 import pytest
 
@@ -5,10 +8,14 @@ import sharptop as st
 from sharptop.surfaces import (cylinder_varifold, flat_varifold,
                                halfspace_labels, sphere_varifold)
 from sharptop.varifold import (InterfaceError, InterfaceVarifold,
-                               curvature_integral, random_bump_fields,
+                               _interface_faces, curvature_integral,
+                               discrete_curvature_inplace, random_bump_fields,
                                varifold_from_triangles)
 
-from conftest import brute_force_face_adjacency
+from conftest import brute_force_face_adjacency, perturbed_slab_labels
+
+CURVATURE_FIELDS = ("mean_curvature", "gauss_curvature", "a_norm",
+                    "mixed_area", "interior_vertex")
 
 
 def brute_force_interface_area(mesh, positions, labels):
@@ -24,6 +31,16 @@ def brute_force_interface_area(mesh, positions, labels):
     return total
 
 
+def brute_force_nonmanifold(mesh, labels):
+    """Whether some edge bounds more than two interface triangles."""
+    per_edge = {}
+    for (a, b, c), tets in brute_force_face_adjacency(mesh.tets).items():
+        if len(tets) == 2 and labels[tets[0]] != labels[tets[1]]:
+            for edge in ((a, b), (b, c), (a, c)):
+                per_edge[edge] = per_edge.get(edge, 0) + 1
+    return max(per_edge.values(), default=0) > 2
+
+
 # ---------------------------------------------------------------- extraction
 
 def test_empty_interface(small_mesh, uniform_phase1):
@@ -32,6 +49,17 @@ def test_empty_interface(small_mesh, uniform_phase1):
     assert V.n_triangles == 0
     assert st.varifold_mass(V) == 0.0
     assert st.interface_energy(V, st.EnergyModel()) == 0.0
+
+
+def test_empty_interface_carries_curvature(small_mesh, uniform_phase1):
+    V = st.extract_interface(small_mesh, st.identity_state(small_mesh),
+                             uniform_phase1(small_mesh))
+    assert V.mean_curvature.shape == (0, 3)
+    for name in CURVATURE_FIELDS[1:]:
+        assert getattr(V, name).shape == (0,)
+    assert V.clip_count == 0
+    assert V.domain_boundary_edges.size == 0
+    assert curvature_integral(V) == 0.0
 
 
 def test_midplane_interface(small_mesh):
@@ -100,6 +128,47 @@ def test_nonmanifold_interface_rejected():
     with pytest.raises(InterfaceError, match="non-manifold"):
         st.extract_interface(mesh, st.identity_state(mesh), phases)
     del a, b
+
+
+def test_topology_check_rejects_exactly_when_extraction_raises():
+    """The manifold-edge check alone decides whether a reference-position
+    extraction succeeds; when it does, the curvature built from the
+    check's edge counts equals one built from a fresh count."""
+    outcomes = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=hs.integers(2, 4), axis=hs.integers(0, 2),
+           seed=hs.integers(0, 2**16), flips=hs.integers(0, 8),
+           bernoulli=hs.one_of(hs.none(), hs.floats(0.05, 0.95)))
+    def check(n, axis, seed, flips, bernoulli):
+        mesh = st.build_box_mesh(n, n, n)
+        if bernoulli is None:
+            phases = perturbed_slab_labels(mesh, axis, seed, flips)
+        else:
+            rng = np.random.default_rng(seed)
+            phases = st.PhaseLabeling(rng.random(mesh.n_tets) < bernoulli)
+        try:
+            _interface_faces(mesh, phases)
+            rejected = False
+        except InterfaceError:
+            rejected = True
+        try:
+            V = st.extract_interface(mesh, None, phases,
+                                     positions=mesh.vertices)
+            raised = False
+        except InterfaceError:
+            raised = True
+        assert rejected == raised
+        assert rejected == brute_force_nonmanifold(mesh, phases.labels)
+        outcomes.append(raised)
+        if not raised:
+            fresh = discrete_curvature_inplace(
+                replace(V, **{name: None for name in CURVATURE_FIELDS}))
+            for name in CURVATURE_FIELDS + ("clip_count",):
+                assert np.array_equal(getattr(V, name), getattr(fresh, name))
+
+    check()
+    assert True in outcomes and False in outcomes
 
 
 # ---------------------------------------------------------------- curvature
