@@ -35,16 +35,30 @@ def sub_seed(seed, name):
 def load_scenario(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            scenario = json.load(fh)
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}")
+    if not isinstance(scenario, dict):
+        raise ScenarioError(f"{path}: the scenario must be a JSON object")
+    return scenario
+
+
+def check_seed(seed):
+    """The scenario seed: an integer in [0, 2**64), not a bool."""
+    if (isinstance(seed, bool) or not isinstance(seed, int)
+            or not 0 <= seed < 2**64):
+        raise ScenarioError(
+            f"seed: expected an integer in [0, 2**64), got {seed!r}")
+    return seed
 
 
 def build_mesh(spec):
     kind = spec.get("type", "box")
     if kind == "file":
+        if "path" not in spec:
+            raise ScenarioError("mesh: a file mesh needs a 'path'")
         return meshmod.load_mesh(spec["path"])
     if kind == "box":
         tagging = None
@@ -243,7 +257,8 @@ def main(argv=None):
     try:
         scenario = load_scenario(args.scenario) if args.scenario else {}
         out = args.out or scenario.get("output", "out")
-        seed = args.seed if args.seed is not None else scenario.get("seed", 0)
+        seed = check_seed(args.seed if args.seed is not None
+                          else scenario.get("seed", 0))
         os.makedirs(out, exist_ok=True)
         return COMMANDS[args.command](scenario, out, seed)
     except (ScenarioError, meshmod.MeshError) as exc:

@@ -9,7 +9,7 @@ Psi(a) = c_int * (1 + a^p).  Infeasible values are represented by the
 explicit float('inf') sentinel, never by a large finite number.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -49,9 +49,6 @@ class EnergyModel:
     def scale(self, phase):
         return self.scale1 if phase else self.scale0
 
-    def with_(self, **kw):
-        return replace(self, **kw)
-
 
 def stress_free_s(r):
     """Compressibility exponent making the identity stress-free.
@@ -62,15 +59,32 @@ def stress_free_s(r):
     return r * 3.0 ** ((r - 2.0) / 2.0)
 
 
+def _density(norm, det, model):
+    """Unscaled W for Frobenius norm(s) `norm` and det F > 0 `det`.
+
+    Scalars (a Python float norm, a NumPy scalar det) and arrays take the
+    same expression, so each path keeps its own `pow` bit for bit.
+    """
+    return norm**model.r + (norm**3 / det) ** (model.r - 1.0) + det ** (-model.s)
+
+
+def _stress(F, cof, norm, det, model):
+    """Unscaled dW/dF; `norm` and `det` broadcast against F and cof."""
+    r, s = model.r, model.s
+    P = r * norm ** (r - 2.0) * F
+    P += (r - 1.0) * (norm**3 / det) ** (r - 2.0) * (
+        3.0 * norm / det * F - norm**3 / det**2 * cof)
+    P += -s * det ** (-s - 1.0) * cof
+    return P
+
+
 def bulk_density(F, phase, model):
     """W_phase(F); +inf when det F <= 0."""
     F, _, det = minors(F)
     if det <= 0:
         return INFEASIBLE
     norm = float(np.sqrt(np.sum(F * F)))
-    return model.scale(phase) * (norm**model.r
-                                 + (norm**3 / det) ** (model.r - 1.0)
-                                 + det ** (-model.s))
+    return model.scale(phase) * _density(norm, det, model)
 
 
 def bulk_stress(F, phase, model):
@@ -78,14 +92,8 @@ def bulk_stress(F, phase, model):
     F, cof, det = minors(F)
     if det <= 0:
         raise ValueError("bulk_stress requires det F > 0")
-    r, s = model.r, model.s
     norm = float(np.sqrt(np.sum(F * F)))
-    dist = norm**3 / det
-    P = r * norm ** (r - 2.0) * F
-    P += (r - 1.0) * dist ** (r - 2.0) * (3.0 * norm / det * F
-                                          - norm**3 / det**2 * cof)
-    P += -s * det ** (-s - 1.0) * cof
-    return model.scale(phase) * P
+    return model.scale(phase) * _stress(F, cof, norm, det, model)
 
 
 def _scale(phases, model):
@@ -112,8 +120,8 @@ def bulk_energy(mesh, state, phases, model, F_minors=None):
     if np.any(det <= 0):
         return INFEASIBLE
     norm = np.sqrt(np.sum(F * F, axis=(-2, -1)))
-    w = norm**model.r + (norm**3 / det) ** (model.r - 1.0) + det ** (-model.s)
-    return float(np.sum(mesh.volumes * _scale(phases, model) * w))
+    return float(np.sum(mesh.volumes * _scale(phases, model)
+                        * _density(norm, det, model)))
 
 
 def bulk_energy_gradient(mesh, state, phases, model, F_minors=None):
@@ -123,13 +131,8 @@ def bulk_energy_gradient(mesh, state, phases, model, F_minors=None):
     F, cof, det = F_minors
     if np.any(det <= 0):
         raise ValueError("gradient requires det F > 0 on all tets")
-    r, s = model.r, model.s
     norm = np.sqrt(np.sum(F * F, axis=(-2, -1)))[:, None, None]
-    det = det[:, None, None]
-    P = r * norm ** (r - 2.0) * F
-    P += (r - 1.0) * (norm**3 / det) ** (r - 2.0) * (
-        3.0 * norm / det * F - norm**3 / det**2 * cof)
-    P += -s * det ** (-s - 1.0) * cof
+    P = _stress(F, cof, norm, det[:, None, None], model)
     P *= (mesh.volumes * _scale(phases, model))[:, None, None]
     # F = Dx G with G = ref_inv: d(vol W)/dx_i = P G_i (G_i = i-th row);
     # grad_corner[:, :, i] is the force on local vertex i+1.

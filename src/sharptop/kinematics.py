@@ -11,8 +11,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-SQRT27 = 3.0 * np.sqrt(3.0)  # distortion lower bound, attained at rotations
-
 
 class KinematicsError(Exception):
     pass

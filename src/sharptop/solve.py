@@ -2,9 +2,10 @@
 
 Limited-memory quasi-Newton descent with Armijo backtracking.  Steps are
 accepted only if the objective strictly decreases, every tet keeps
-det F above a relative margin, and (periodically) the Ciarlet-Necas
-residual stays within tolerance.  The interface energy is deliberately
-not part of this objective; it enters the outer topology objective.
+det F above DET_FLOOR, and (every CN_CHECK_EVERY iterations) the
+Ciarlet-Necas residual stays within tolerance.  The interface energy is
+deliberately not part of this objective; it enters the outer topology
+objective.
 """
 
 from collections import deque
@@ -16,30 +17,27 @@ from .energy import (INFEASIBLE, bulk_energy, bulk_energy_gradient,
                      load_potential, load_potential_gradient)
 from .kinematics import ciarlet_necas_residual, deformation_minors
 
+CONTRACTION = 0.5            # line-search backtracking factor
+SUFFICIENT_DECREASE = 1e-4   # Armijo constant
+DET_FLOOR = 1e-6             # absolute det F floor (det F = 1 at the reference)
+CN_CHECK_EVERY = 25          # iterations between Ciarlet-Necas checks
+CN_SAMPLES = 10_000
+CN_TOLERANCE_FACTOR = 1e-3   # times the Jacobian integral, plus 3 MC std
+HISTORY = 10                 # L-BFGS memory
+MAX_LINE_SEARCH = 40
+
 
 @dataclass(frozen=True)
 class SolveOptions:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-6
-    contraction: float = 0.5          # line-search backtracking factor
-    sufficient_decrease: float = 1e-4  # Armijo constant
-    det_margin: float = 1e-6           # relative det F floor
-    cn_check_every: int = 25           # Ciarlet-Necas cadence (0 = off)
-    cn_samples: int = 10_000
-    cn_tolerance_factor: float = 1e-3  # plus 3 MC std deviations
-    history: int = 10                  # L-BFGS memory
-    max_line_search: int = 40
-    seed: int = 0
+    seed: int = 0                      # Monte Carlo injectivity-check stream
 
     def __post_init__(self):
-        if not 0 < self.contraction < 1:
-            raise ValueError("contraction must lie in (0, 1)")
-        if not 0 < self.sufficient_decrease < 1:
-            raise ValueError("sufficient_decrease must lie in (0, 1)")
-        if min(self.max_iterations, self.history, self.max_line_search) <= 0:
-            raise ValueError("counts must be positive")
-        if self.det_margin <= 0 or self.gradient_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.max_iterations <= 0:
+            raise ValueError("max_iterations must be positive")
+        if not self.gradient_tolerance > 0:
+            raise ValueError("gradient_tolerance must be positive")
 
 
 @dataclass
@@ -90,17 +88,15 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
     free = ~state0.dirichlet_mask
 
     state = state0
-    det_floor = options.det_margin * _min_det(
-        deformation_minors(mesh, mesh.vertices))
     terms = deformation_minors(mesh, state.positions)
     obj = equilibrium_objective(mesh, state, phases, model, terms)
     min_det = _min_det(terms)
-    if obj == INFEASIBLE or min_det <= det_floor:
+    if obj == INFEASIBLE or min_det <= DET_FLOOR:
         raise ValueError("initial state is infeasible")
 
     grad = equilibrium_gradient(mesh, state, phases, model, terms)
     gnorm = float(np.linalg.norm(grad))
-    pairs = deque(maxlen=options.history)   # (s, y, rho) for L-BFGS
+    pairs = deque(maxlen=HISTORY)   # (s, y, rho) for L-BFGS
     guard_total = 0
     guard_iters = []
     cn_res = 0.0
@@ -113,9 +109,9 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
         nonlocal cn_res
         res = ciarlet_necas_residual(
             mesh, state.with_positions(positions),
-            samples=options.cn_samples, seed=options.seed, F_minors=F_minors)
+            samples=CN_SAMPLES, seed=options.seed, F_minors=F_minors)
         cn_res = res.residual
-        tol = 3.0 * res.mc_std + options.cn_tolerance_factor * res.jacobian_integral
+        tol = 3.0 * res.mc_std + CN_TOLERANCE_FACTOR * res.jacobian_integral
         return res.residual <= tol
 
     while not converged and it < options.max_iterations:
@@ -127,26 +123,24 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
         accepted = False
         guards_this_iter = 0
         gd = float(np.sum(direction * grad))
-        for _ in range(options.max_line_search):
+        for _ in range(MAX_LINE_SEARCH):
             trial = state.positions + step * direction
             trial[~free] = state0.positions[~free]
             terms = deformation_minors(mesh, trial)
             trial_det = _min_det(terms)
-            if trial_det <= det_floor:
+            if trial_det <= DET_FLOOR:
                 guards_this_iter += 1
-                step *= options.contraction
+                step *= CONTRACTION
                 continue
             trial_state = state.with_positions(trial)
             trial_obj = equilibrium_objective(mesh, trial_state, phases, model,
                                               terms)
-            if not (trial_obj < obj + options.sufficient_decrease * step * gd):
-                step *= options.contraction
+            if not (trial_obj < obj + SUFFICIENT_DECREASE * step * gd):
+                step *= CONTRACTION
                 continue
-            if (options.cn_check_every
-                    and it % options.cn_check_every == 0
-                    and not cn_ok(trial, terms)):
+            if it % CN_CHECK_EVERY == 0 and not cn_ok(trial, terms):
                 guards_this_iter += 1
-                step *= options.contraction
+                step *= CONTRACTION
                 continue
             accepted = True
             break

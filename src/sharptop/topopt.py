@@ -7,11 +7,12 @@ re-equilibrated by the inner solver, warm started from the previous
 equilibrium.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import load_potential
+from .kinematics import identity_state
 from .solve import SolveOptions, minimize_equilibrium
 from .varifold import (InterfaceError, PhaseLabeling, _cut_faces,
                        _interface_faces, boundary_defect, extract_interface,
@@ -21,6 +22,8 @@ EULERIAN = "EULERIAN"
 REFERENTIAL = "REFERENTIAL"
 SWAP_VOLUME_RTOL = 0.01    # relative volume mismatch a swap may carry
 MOVE_TRIES = 50             # candidates drawn before a move gives up
+INTERFACE_MOVE_BIAS = 0.9   # probability of interface-local swaps
+COLD_SOLVE_EVERY = 50       # accepted moves between cold restarts
 
 
 @dataclass(frozen=True)
@@ -31,9 +34,7 @@ class TopOptConfig:
     t_decay: float = 0.85           # geometric temperature decay
     steps_per_temperature: int = 20
     t_final: float = 1e-3
-    interface_move_bias: float = 0.9  # probability of interface-local swaps
     solve_options: SolveOptions = field(default_factory=SolveOptions)
-    cold_solve_every: int = 50      # accepted moves between cold restarts
     seed: int = 0
     snapshot_every: int = 0         # accepted moves between snapshots (0 = off)
 
@@ -57,14 +58,19 @@ def compliance(mesh, state, phases, model):
     return load_potential(mesh, state, phases, model)
 
 
+def _mode_interface(mesh, state, phases, mode):
+    """The interface placed where `mode` measures it."""
+    positions = mesh.vertices if mode == REFERENTIAL else state.positions
+    return extract_interface(mesh, state, phases, positions=positions)
+
+
 def objective(mesh, state, phases, model, mode=EULERIAN):
     """Compliance plus interface energy (Eulerian or referential placement).
 
     In referential mode the interface is extracted at the reference
     positions; in Eulerian mode at the deformed positions.
     """
-    positions = mesh.vertices if mode == REFERENTIAL else state.positions
-    V = extract_interface(mesh, state, phases, positions=positions)
+    V = _mode_interface(mesh, state, phases, mode)
     return compliance(mesh, state, phases, model) + interface_energy(V, model)
 
 
@@ -74,7 +80,8 @@ def _interface_adjacent_tets(mesh, phases):
     return np.unique(pairs[:, 1]), np.unique(pairs[:, 0])
 
 
-def mass_preserving_move(mesh, phases, rng, interface_bias=0.9):
+def mass_preserving_move(mesh, phases, rng,
+                         interface_bias=INTERFACE_MOVE_BIAS):
     """Propose a label swap keeping the phase-1 volume fixed.
 
     Swaps one phase-1 tet to 0 and one phase-0 tet to 1, biased toward
@@ -130,7 +137,6 @@ class TopOptResult:
 
 
 def _evaluate(mesh, phases, model, config, warm_state):
-    from .kinematics import identity_state
     state, report = minimize_equilibrium(mesh, warm_state, phases, model,
                                          config.solve_options)
     if not report.converged:
@@ -140,8 +146,7 @@ def _evaluate(mesh, phases, model, config, warm_state):
                                              config.solve_options)
         if not report.converged:
             raise TopOptError("inner equilibrium solve did not converge")
-    positions = mesh.vertices if config.mode == REFERENTIAL else state.positions
-    V = extract_interface(mesh, state, phases, positions=positions)
+    V = _mode_interface(mesh, state, phases, config.mode)
     defect = boundary_defect(V)
     if defect:
         raise InterfaceError(f"interface has {defect} dangling edges")
@@ -153,7 +158,6 @@ def _evaluate(mesh, phases, model, config, warm_state):
 def optimize_topology(mesh, init_phases, model, config, state0=None,
                       snapshot_callback=None):
     """Simulated annealing over labelings with inner equilibrium solves."""
-    from .kinematics import identity_state
     rng = np.random.default_rng(config.seed)
     target = config.eta * mesh.total_volume()
     mass = init_phases.phase1_volume(mesh)
@@ -177,13 +181,9 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
         for _ in range(config.steps_per_temperature):
             step += 1
             try:
-                candidate = mass_preserving_move(
-                    mesh, phases, rng,
-                    interface_bias=config.interface_move_bias)
+                candidate = mass_preserving_move(mesh, phases, rng)
                 warm = state
-                if (config.cold_solve_every
-                        and accepted_total
-                        and accepted_total % config.cold_solve_every == 0):
+                if accepted_total and accepted_total % COLD_SOLVE_EVERY == 0:
                     warm = identity_state(mesh)
                 cand_state, c_comp, c_eint, c_mu, report = _evaluate(
                     mesh, candidate, model, config, warm)

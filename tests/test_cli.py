@@ -1,10 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sharptop.cli import main, sub_seed
+from sharptop.energy import stress_free_s
 
 from conftest import NONMANIFOLD_MESH, ZERO_VOLUME_MESH
 
@@ -186,6 +188,9 @@ def test_curvature_test_command(tmp_path):
     ("topopt", {"t_decay": 1.5}, "decay"),
     ("model", {"g": [1, 2]}, "g must be a finite 3-vector"),
     ("model", {"f": [[0, 0, 1], [0, 0, 1]]}, "f must be a finite 3-vector"),
+    ("solve", {"cn_samples": 10}, "'cn_samples'"),
+    ("solve", {"det_margin": 1e-3}, "'det_margin'"),
+    ("topopt", {"cold_solve_every": 5}, "'cold_solve_every'"),
 ])
 def test_bad_scenario_section_exit_2(tmp_path, capsys, section, spec, needle):
     scenario = write_scenario(tmp_path, "bad.json", {
@@ -199,7 +204,7 @@ def test_bad_scenario_section_exit_2(tmp_path, capsys, section, spec, needle):
 
 
 def test_mass_residual_uses_annealing_eta(tmp_path):
-    scenario = json.loads(open(topopt_scenario(tmp_path)).read())
+    scenario = json.loads(Path(topopt_scenario(tmp_path)).read_text())
     scenario["model"]["eta"] = 0.3      # the annealer targets topopt.eta
     path = write_scenario(tmp_path, "eta.json", scenario)
     out = tmp_path / "eta"
@@ -216,6 +221,47 @@ def test_invalid_mesh_file_exit_2(tmp_path, capsys, text, needle):
     (tmp_path / "m.tet").write_text(text)
     scenario = write_scenario(tmp_path, "s.json", {
         "mesh": {"type": "file", "path": str(tmp_path / "m.tet")}})
+    code = main(["validate", "--scenario", scenario,
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert needle in json.loads(capsys.readouterr().err)["message"]
+
+
+def seed_scenario(tmp_path, doc):
+    """A zero-iteration equilibrium scenario: the seed is its only input."""
+    return write_scenario(tmp_path, "s.json", {
+        "mesh": {"type": "box", "nx": 1, "ny": 1, "nz": 1,
+                 "tags": ALL_DIRICHLET_TAGS},
+        "model": {"r": 4, "s": stress_free_s(4)}, **doc})
+
+
+@pytest.mark.parametrize("flag, doc", [
+    (["--seed", "-1"], {}),
+    ([], {"seed": -1}),
+    ([], {"seed": "abc"}),
+    ([], {"seed": 1.5}),
+    ([], {"seed": True}),
+    ([], {"seed": 2**64}),
+])
+def test_bad_seed_exit_2(tmp_path, capsys, flag, doc):
+    code = main(["equilibrium", "--scenario", seed_scenario(tmp_path, doc),
+                 "--out", str(tmp_path / "o"), *flag])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["message"].startswith("seed:")
+
+
+def test_largest_seed_accepted(tmp_path):
+    scenario = seed_scenario(tmp_path, {"seed": 2**64 - 1})
+    assert main(["equilibrium", "--scenario", scenario,
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("doc, needle", [
+    ([1, 2], "scenario must be a JSON object"),
+    ({"mesh": {"type": "file"}}, "mesh: a file mesh needs a 'path'"),
+])
+def test_bad_scenario_document_exit_2(tmp_path, capsys, doc, needle):
+    scenario = write_scenario(tmp_path, "s.json", doc)
     code = main(["validate", "--scenario", scenario,
                  "--out", str(tmp_path / "o")])
     assert code == 2

@@ -244,6 +244,29 @@ def test_gradient_scatter_matches_add_at(clamped_mesh):
                           ref)
 
 
+def test_bulk_terms_equal_per_tet_sums(clamped_mesh):
+    """The batched energy and gradient are per-tet sums of the scalar W, P."""
+    mesh = clamped_mesh
+    model = st.EnergyModel(r=4.5, s=1.5, scale0=0.3, scale1=2.0)
+    phases = st.PhaseLabeling(np.arange(mesh.n_tets) % 2)
+    state = random_feasible_state(mesh, seed=5)
+    energy = 0.0
+    grad = np.zeros_like(state.positions)
+    for t in range(mesh.n_tets):
+        F = st.deformation_gradient(mesh, state, t)
+        label = int(phases.labels[t])
+        energy += mesh.volumes[t] * st.bulk_density(F, label, model)
+        P = mesh.volumes[t] * st.bulk_stress(F, label, model)
+        corner = P @ mesh.ref_inv[t].T      # column i: force on corner i+1
+        grad[mesh.tets[t, 1:]] += corner.T
+        grad[mesh.tets[t, 0]] -= corner.sum(axis=1)
+    grad[state.dirichlet_mask] = 0.0
+    assert st.bulk_energy(mesh, state, phases, model) == pytest.approx(
+        energy, rel=1e-12)
+    batched = bulk_energy_gradient(mesh, state, phases, model)
+    assert np.max(np.abs(batched - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+
 def full_load_terms(mesh, state, phases, model):
     """load_potential and its gradient with the body term always formed."""
     labels = np.asarray(phases.labels, float)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import sharptop as st
+import sharptop.solve
 from sharptop.energy import stress_free_s
-from sharptop.solve import (SolveOptions, equilibrium_gradient,
+from sharptop.kinematics import deformation_minors
+from sharptop.solve import (DET_FLOOR, SolveOptions, equilibrium_gradient,
                             equilibrium_objective)
 
 from conftest import random_feasible_state
@@ -67,6 +69,24 @@ def test_stress_free_model_converges_immediately(uniform_phase1):
     np.testing.assert_array_equal(state.positions, state0.positions)
 
 
+def test_zero_iteration_solve_builds_minors_once(uniform_phase1,
+                                                  monkeypatch):
+    # the det floor is absolute: no F is built at the reference positions
+    calls = []
+
+    def counting(mesh, positions):
+        calls.append(positions)
+        return deformation_minors(mesh, positions)
+
+    monkeypatch.setattr(sharptop.solve, "deformation_minors", counting)
+    mesh = st.build_box_mesh(2, 2, 2, tagging=lambda c: "DIRICHLET")
+    model = st.EnergyModel(r=4, s=stress_free_s(4))
+    _, report = st.minimize_equilibrium(mesh, st.identity_state(mesh),
+                                        uniform_phase1(mesh), model)
+    assert report.iterations == 0
+    assert len(calls) == 1
+
+
 def test_solver_converges_and_decreases(clamped_mesh, uniform_phase1):
     model = st.EnergyModel(r=4, s=stress_free_s(4), g=[0.0, 0.0, 2.0])
     phases = uniform_phase1(clamped_mesh)
@@ -119,6 +139,21 @@ def test_solver_rejects_infeasible_start(clamped_mesh, uniform_phase1):
                                 st.EnergyModel())
 
 
+def test_solver_rejects_start_below_det_floor(small_mesh, uniform_phase1):
+    # a uniform shrink by 0.005 gives det F = 1.25e-7 in every tet: finite
+    # energy, but below the absolute floor DET_FLOOR = 1e-6
+    state0 = st.identity_state(small_mesh).with_positions(
+        0.005 * small_mesh.vertices)
+    det = st.minors(st.deformation_gradients(small_mesh,
+                                             state0.positions))[2]
+    assert 0.0 < det.max() <= DET_FLOOR
+    phases, model = uniform_phase1(small_mesh), st.EnergyModel()
+    assert np.isfinite(equilibrium_objective(small_mesh, state0, phases,
+                                             model))
+    with pytest.raises(ValueError, match="infeasible"):
+        st.minimize_equilibrium(small_mesh, state0, phases, model)
+
+
 def test_solver_deterministic(clamped_mesh, uniform_phase1):
     model = st.EnergyModel(g=[0.0, 0.1, 0.8])
     opts = SolveOptions(gradient_tolerance=1e-4, max_iterations=100, seed=11)
@@ -135,10 +170,6 @@ def test_solver_deterministic(clamped_mesh, uniform_phase1):
 
 def test_options_validation():
     with pytest.raises(ValueError):
-        SolveOptions(contraction=1.0)
-    with pytest.raises(ValueError):
-        SolveOptions(sufficient_decrease=0.0)
-    with pytest.raises(ValueError):
         SolveOptions(max_iterations=0)
     with pytest.raises(ValueError):
-        SolveOptions(det_margin=0.0)
+        SolveOptions(gradient_tolerance=0.0)
