@@ -1,7 +1,7 @@
 """Sharp-interface two-phase hyperelasticity with curvature varifolds."""
 
 from .energy import EnergyModel, bulk_density, bulk_energy, bulk_stress, \
-    interface_density, load_potential, stress_free_s, total_energy
+    interface_density, load_potential, stress_free_s
 from .kinematics import DeformationState, ciarlet_necas_residual, \
     deformation_gradient, deformation_gradients, distortion, identity_state, \
     minors
@@ -13,7 +13,7 @@ from .topopt import EULERIAN, REFERENTIAL, TopOptConfig, compliance, \
     mass_preserving_move, objective, optimize_topology
 from .varifold import InterfaceVarifold, PhaseLabeling, boundary_defect, \
     coupling_residual, curvature_integral, extract_interface, \
-    interface_energy, random_bump_fields, varifold_mass
+    interface_energy, random_bump_fields, total_energy, varifold_mass
 
 __version__ = "0.1.0"
 

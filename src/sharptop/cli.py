@@ -7,6 +7,7 @@ randomness flows from one scenario seed through named sub-seeds.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import zlib
@@ -54,25 +55,74 @@ def check_seed(seed):
     return seed
 
 
+def _object(section, spec, allowed):
+    """`spec` if it is an object with no key outside `allowed`."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{section}: expected an object")
+    for key in spec:
+        if key not in allowed:
+            raise ScenarioError(f"{section}: unknown key {key!r}")
+    return spec
+
+
+# JSON value checks; a bool is neither an integer nor a number here
+def _integer(low, high=math.inf):
+    return lambda v: type(v) is int and low <= v <= high
+
+
+def _number(low=-math.inf):
+    return lambda v: type(v) in (int, float) and low < v < math.inf
+
+
+def _triple(ok):
+    return lambda v: isinstance(v, list) and len(v) == 3 and all(map(ok, v))
+
+
+def _tag_rules(rules):
+    return isinstance(rules, list) and all(
+        isinstance(r, dict) and r.keys() - {"tol"} == {"tag", "axis", "value"}
+        and r["tag"] in meshmod.TAGS and _integer(0, 2)(r["axis"])
+        and _number()(r["value"]) and _number()(r.get("tol", 0.0))
+        for r in rules)
+
+
+# the keys of each mesh and labels type, and the check of each value
+MESH_KEYS = {"box": {"nx": _integer(1), "ny": _integer(1), "nz": _integer(1),
+                     "extent": _triple(_number(0)), "tags": _tag_rules},
+             "file": {"path": lambda v: isinstance(v, str)}}
+LABEL_KEYS = {"uniform": {"value": _integer(0, 1)},
+              "slab": {"axis": _integer(0, 2)},
+              "halfspace": {"axis": _integer(0, 2), "threshold": _number()},
+              "ball": {"center": _triple(_number()), "radius": _number(0)}}
+
+
+def _kind(section, spec, kinds, default):
+    """The type of a mesh or labels section, whose values must suit it."""
+    kind = spec.get("type", default) if isinstance(spec, dict) else default
+    if kind not in list(kinds):     # a list: a JSON kind may be unhashable
+        raise ScenarioError(f"{section}: unknown type {kind!r}")
+    for key, value in _object(section, spec, {"type", *kinds[kind]}).items():
+        if key != "type" and not kinds[kind][key](value):
+            raise ScenarioError(f"{section}: invalid {key} {value!r}")
+    return kind
+
+
 def build_mesh(spec):
-    kind = spec.get("type", "box")
-    if kind == "file":
+    if _kind("mesh", spec, MESH_KEYS, "box") == "file":
         if "path" not in spec:
             raise ScenarioError("mesh: a file mesh needs a 'path'")
         return meshmod.load_mesh(spec["path"])
-    if kind == "box":
-        tagging = None
-        if spec.get("tags"):
-            tagging = meshmod.plane_tagging(spec["tags"])
-        return meshmod.build_box_mesh(spec.get("nx", 4), spec.get("ny", 4),
-                                      spec.get("nz", 4),
-                                      spec.get("extent", (1.0, 1.0, 1.0)),
-                                      tagging=tagging)
-    raise ScenarioError(f"unknown mesh type {kind!r}")
+    tagging = None
+    if spec.get("tags"):
+        tagging = meshmod.plane_tagging(spec["tags"])
+    return meshmod.build_box_mesh(spec.get("nx", 4), spec.get("ny", 4),
+                                  spec.get("nz", 4),
+                                  spec.get("extent", (1.0, 1.0, 1.0)),
+                                  tagging=tagging)
 
 
 def build_labels(spec, mesh, eta):
-    kind = spec.get("type", "slab")
+    kind = _kind("labels", spec, LABEL_KEYS, "slab")
     if kind == "uniform":
         return PhaseLabeling(np.full(mesh.n_tets, spec.get("value", 1),
                                      np.int8))
@@ -81,10 +131,8 @@ def build_labels(spec, mesh, eta):
     if kind == "halfspace":
         return surfaces.halfspace_labels(mesh, axis=spec.get("axis", 0),
                                          threshold=spec.get("threshold", 0.5))
-    if kind == "ball":
-        return surfaces.ball_labels(mesh, spec.get("center", (0.5, 0.5, 0.5)),
-                                    spec.get("radius", 0.3))
-    raise ScenarioError(f"unknown label type {kind!r}")
+    return surfaces.ball_labels(mesh, spec.get("center", (0.5, 0.5, 0.5)),
+                                spec.get("radius", 0.3))
 
 
 def build_section(cls, scenario, section, **fixed):
@@ -92,13 +140,8 @@ def build_section(cls, scenario, section, **fixed):
 
     Keys in `fixed` are set by the CLI and may not appear in the section.
     """
-    spec = scenario.get(section, {})
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"{section}: expected an object")
-    allowed = {f.name for f in dataclasses.fields(cls)} - set(fixed)
-    for key in spec:
-        if key not in allowed:
-            raise ScenarioError(f"{section}: unknown key {key!r}")
+    spec = _object(section, scenario.get(section, {}),
+                   {f.name for f in dataclasses.fields(cls)} - set(fixed))
     try:
         return cls(**spec, **fixed)
     except (TypeError, ValueError) as exc:
@@ -212,21 +255,20 @@ def cmd_curvature_test(scenario, out, seed):
         radius = 0.3
         V = surfaces.sphere_varifold(level, radius=radius)
         mass = varifold_mass(V)
-        bending = curvature_integral(V, 2.0)
+        bending = curvature_integral(V)
         rows.append(("sphere", level, len(V.vertices),
                      f"{mass:.17g}", f"{4 * np.pi * radius**2:.17g}",
                      f"{bending:.17g}", f"{16 * np.pi:.17g}"))
     Vf = surfaces.flat_varifold(8, 8)
     rows.append(("plane", 0, len(Vf.vertices), f"{varifold_mass(Vf):.17g}",
-                 "1", f"{curvature_integral(Vf, 2.0):.17g}", "0"))
+                 "1", f"{curvature_integral(Vf):.17g}", "0"))
     for n in (16, 32):
         radius = 0.5
-        Vc = surfaces.cylinder_varifold(radius, angle=np.pi, height=1.0,
-                                        n_theta=n, n_z=n // 2)
+        Vc = surfaces.cylinder_varifold(radius, n_theta=n, n_z=n // 2)
         area = np.pi * radius * 1.0
         rows.append(("cylinder", n, len(Vc.vertices),
                      f"{varifold_mass(Vc):.17g}", f"{area:.17g}",
-                     f"{curvature_integral(Vc, 2.0):.17g}",
+                     f"{curvature_integral(Vc):.17g}",
                      f"{2.0 / radius**2 * area:.17g}"))
     export.write_csv(os.path.join(out, "curvature_table.csv"),
                      ["surface", "level", "n_vertices", "mass",

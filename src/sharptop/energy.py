@@ -185,13 +185,3 @@ def load_potential_gradient(mesh, state, phases, model):
     g[state.dirichlet_mask] = 0.0
     return g
 
-
-def total_energy(mesh, state, phases, model, varifold=None):
-    """E = bulk + interface energy of the extracted interface varifold."""
-    from .varifold import extract_interface, interface_energy
-    bulk = bulk_energy(mesh, state, phases, model)
-    if bulk == INFEASIBLE:
-        return INFEASIBLE
-    if varifold is None:
-        varifold = extract_interface(mesh, state, phases)
-    return bulk + interface_energy(varifold, model)

@@ -29,8 +29,7 @@ def write_csv(path, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
 
 
@@ -38,11 +37,20 @@ def write_json(path, obj):
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_vtk_unstructured(path, points, tets, cell_data=None,
-                           point_data=None, title="sharptop grid"):
-    """VTK legacy ASCII 3.0 unstructured grid of tetrahedra."""
+# legacy VTK cell type and title by cell width
+_VTK_CELLS = {4: (10, "sharptop grid"), 3: (5, "sharptop interface")}
+
+
+def write_vtk_unstructured(path, points, cells, cell_data=None,
+                           point_data=None):
+    """VTK legacy ASCII 3.0 unstructured grid of tetrahedra or triangles.
+
+    The cell width (4 or 3 vertex ids) picks the cell type and the title.
+    """
     points = np.asarray(points, float)
-    tets = np.asarray(tets, int)
+    cells = np.asarray(cells, int)
+    width = cells.shape[1]
+    cell_type, title = _VTK_CELLS[width]
     out = [
         "# vtk DataFile Version 3.0",
         title,
@@ -51,65 +59,33 @@ def write_vtk_unstructured(path, points, tets, cell_data=None,
         f"POINTS {len(points)} double",
     ]
     out += ["%.17g %.17g %.17g" % tuple(p) for p in points]
-    out.append(f"CELLS {len(tets)} {5 * len(tets)}")
-    out += ["4 %d %d %d %d" % tuple(t) for t in tets]
-    out.append(f"CELL_TYPES {len(tets)}")
-    out += ["10"] * len(tets)
-    if cell_data:
-        out.append(f"CELL_DATA {len(tets)}")
-        for name, values in cell_data.items():
-            out.append(f"SCALARS {name} double 1")
-            out.append("LOOKUP_TABLE default")
-            out += ["%.17g" % v for v in np.asarray(values, float)]
-    if point_data:
-        out.append(f"POINT_DATA {len(points)}")
-        for name, values in point_data.items():
-            out.append(f"SCALARS {name} double 1")
-            out.append("LOOKUP_TABLE default")
-            out += ["%.17g" % v for v in np.asarray(values, float)]
+    out.append(f"CELLS {len(cells)} {(width + 1) * len(cells)}")
+    fmt = str(width) + " %d" * width
+    out += [fmt % tuple(c) for c in cells]
+    out.append(f"CELL_TYPES {len(cells)}")
+    out += [str(cell_type)] * len(cells)
+    for kind, n, data in (("CELL_DATA", len(cells), cell_data),
+                          ("POINT_DATA", len(points), point_data)):
+        if data:
+            out.append(f"{kind} {n}")
+            for name, values in data.items():
+                out.append(f"SCALARS {name} double 1")
+                out.append("LOOKUP_TABLE default")
+                out += ["%.17g" % v for v in np.asarray(values, float)]
     atomic_write_text(path, "\n".join(out) + "\n")
 
 
-def write_vtk_surface(path, vertices, faces, point_data=None,
-                      title="sharptop interface"):
+def write_vtk_surface(path, vertices, faces, point_data=None):
     """VTK legacy ASCII triangle surface with per-vertex scalars."""
-    vertices = np.asarray(vertices, float)
-    faces = np.asarray(faces, int)
-    out = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {len(vertices)} double",
-    ]
-    out += ["%.17g %.17g %.17g" % tuple(p) for p in vertices]
-    out.append(f"CELLS {len(faces)} {4 * len(faces)}")
-    out += ["3 %d %d %d" % tuple(f) for f in faces]
-    out.append(f"CELL_TYPES {len(faces)}")
-    out += ["5"] * len(faces)
-    if point_data:
-        out.append(f"POINT_DATA {len(vertices)}")
-        for name, values in point_data.items():
-            out.append(f"SCALARS {name} double 1")
-            out.append("LOOKUP_TABLE default")
-            out += ["%.17g" % v for v in np.asarray(values, float)]
-    atomic_write_text(path, "\n".join(out) + "\n")
+    write_vtk_unstructured(path, vertices, faces, point_data=point_data)
 
 
-def write_obj(path, vertices, faces, face_normals=None):
-    """Wavefront OBJ triangle mesh; one normal per face when given."""
-    vertices = np.asarray(vertices, float)
-    faces = np.asarray(faces, int)
-    out = []
-    for v in vertices:
-        out.append("v %.17g %.17g %.17g" % tuple(v))
-    if face_normals is not None:
-        for n in np.asarray(face_normals, float):
-            out.append("vn %.17g %.17g %.17g" % tuple(n))
-        for fi, f in enumerate(faces):
-            a, b, c = (int(i) + 1 for i in f)
-            out.append(f"f {a}//{fi+1} {b}//{fi+1} {c}//{fi+1}")
-    else:
-        for f in faces:
-            out.append("f %d %d %d" % tuple(int(i) + 1 for i in f))
+def write_obj(path, vertices, faces, face_normals):
+    """Wavefront OBJ triangle mesh with one normal per face."""
+    out = ["v %.17g %.17g %.17g" % tuple(v)
+           for v in np.asarray(vertices, float)]
+    out += ["vn %.17g %.17g %.17g" % tuple(n)
+            for n in np.asarray(face_normals, float)]
+    out += [f"f {a}//{i} {b}//{i} {c}//{i}"
+            for i, (a, b, c) in enumerate(np.asarray(faces, int) + 1, 1)]
     atomic_write_text(path, "\n".join(out) + "\n")

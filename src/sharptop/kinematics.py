@@ -55,26 +55,29 @@ def deformation_gradient(mesh, state, tet):
     return (x[1:] - x[:1]).T @ mesh.ref_inv[tet]
 
 
+def _cross(u, v, out):
+    """out = u x v, for 3-vectors indexed component first."""
+    out[0] = u[1] * v[2] - u[2] * v[1]
+    out[1] = u[2] * v[0] - u[0] * v[2]
+    out[2] = u[0] * v[1] - u[1] * v[0]
+
+
 def minors(F):
     """(F, Cof F, det F); batched over leading axes.
 
-    det by direct expansion, Cof by the nine signed 2x2 minors, so
-    Cof F . F^T = det(F) I holds identically.
+    The rows of Cof F are r1 x r2, r2 x r0 and r0 x r1 for the rows r_i of
+    F, and det F = r0 . (r1 x r2).  They are written in place through
+    component-first views: np.cross took twice as long on 1296 tets.
     """
     F = np.asarray(F, float)
-    det = (F[..., 0, 0] * (F[..., 1, 1] * F[..., 2, 2] - F[..., 1, 2] * F[..., 2, 1])
-           - F[..., 0, 1] * (F[..., 1, 0] * F[..., 2, 2] - F[..., 1, 2] * F[..., 2, 0])
-           + F[..., 0, 2] * (F[..., 1, 0] * F[..., 2, 1] - F[..., 1, 1] * F[..., 2, 0]))
     cof = np.empty_like(F)
-    idx = [0, 1, 2]
-    for i in range(3):
-        for j in range(3):
-            ri = [a for a in idx if a != i]
-            ci = [a for a in idx if a != j]
-            m = (F[..., ri[0], ci[0]] * F[..., ri[1], ci[1]]
-                 - F[..., ri[0], ci[1]] * F[..., ri[1], ci[0]])
-            cof[..., i, j] = ((-1.0) ** (i + j)) * m
-    return F, cof, det
+    (r0, r1, r2), rows = (np.moveaxis(F, (-2, -1), (0, 1)),
+                          np.moveaxis(cof, (-2, -1), (0, 1)))
+    _cross(r1, r2, rows[0])
+    _cross(r2, r0, rows[1])
+    _cross(r0, r1, rows[2])
+    # a C-ordered product, so the three-term sum runs over whole rows
+    return F, cof, np.multiply(r0, rows[0], order="C").sum(axis=0)
 
 
 def distortion(F):
@@ -87,6 +90,7 @@ def distortion(F):
 
 
 QUERY_CHUNK = 128  # points per point-in-tet batch; bounds the pair arrays
+INSIDE_TOL = 1e-12  # slack of the barycentric point-in-tet test
 
 
 class _TetGrid:
@@ -137,7 +141,7 @@ class _TetGrid:
     def box_volume(self):
         return float(np.prod(self.hi - self.lo))
 
-    def contains(self, points, tol=1e-12):
+    def contains(self, points):
         """Boolean mask: is each point inside at least one tet."""
         points = np.asarray(points, float)
         flat = self._flat(self._cell(points))
@@ -152,8 +156,8 @@ class _TetGrid:
                 first[a:a + QUERY_CHUNK] - group_start, n_pairs)]
             d = points[point] - self.base[tet]
             lam = np.einsum("kij,kj->ki", self.inv_e[tet], d)
-            inside = ((lam >= -tol).all(axis=-1)
-                      & (lam.sum(axis=-1) <= 1.0 + tol))
+            inside = ((lam >= -INSIDE_TOL).all(axis=-1)
+                      & (lam.sum(axis=-1) <= 1.0 + INSIDE_TOL))
             hit[point[inside]] = True
         return hit
 

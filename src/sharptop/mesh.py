@@ -13,8 +13,11 @@ with 0-based indices and TAG one of DIRICHLET / NEUMANN / FREE.
 """
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
+
+from .export import atomic_write_text
 
 DIRICHLET = "DIRICHLET"
 NEUMANN = "NEUMANN"
@@ -161,7 +164,6 @@ def edge_keys(faces, n_vertices):
 class ValidationReport:
     passed: bool
     failures: list          # (check name, offending entity) pairs
-    orientation_fixes: list  # tet ids whose orientation was repaired
 
     def __bool__(self):
         return self.passed
@@ -197,43 +199,27 @@ def validate_mesh(mesh):
             failures.append(("untagged boundary face", f))
         for tag in set(mesh.boundary_tags.tolist()) - set(TAGS):
             failures.append(("unknown tag", tag))
-    return ValidationReport(passed=not failures, failures=failures,
-                            orientation_fixes=[])
+    return ValidationReport(passed=not failures, failures=failures)
 
 
 def orient_tets(vertices, tets):
     """Swap two vertices of every negatively oriented tet.
 
-    Returns (tets, fixed_ids).  Zero-volume tets are left for ReferenceMesh
-    to reject.
+    Zero-volume tets are left for ReferenceMesh to reject.
     """
     tets = np.array(tets, int)
     vols = tet_volumes(np.asarray(vertices, float), tets)
     fixed = np.where(vols < 0)[0]
     tets[fixed, 0], tets[fixed, 1] = tets[fixed, 1].copy(), tets[fixed, 0].copy()
-    return tets, fixed.tolist()
-
-
-# Kuhn split of the unit cube into 6 tets, conforming across cells.
-# Each tet follows one vertex ordering 0 -> e_a -> e_a+e_b -> (1,1,1).
-_CUBE_CORNERS = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
-_CORNER_INDEX = {c: n for n, c in enumerate(_CUBE_CORNERS)}
-
-
-def _kuhn_tets():
-    from itertools import permutations
-    tets = []
-    for perm in permutations(range(3)):
-        corner = [0, 0, 0]
-        path = [tuple(corner)]
-        for axis in perm:
-            corner[axis] = 1
-            path.append(tuple(corner))
-        tets.append([_CORNER_INDEX[c] for c in path])
     return tets
 
 
-_KUHN_TETS = _kuhn_tets()
+# Kuhn split of the unit cube into 6 tets, conforming across cells.  Each
+# tet walks 0 -> e_a -> e_a + e_b -> (1,1,1) along a permutation (a, b, c)
+# of the axes; cube corner (i, j, k) is number 4i + 2j + k.
+_CUBE_CORNERS = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+_KUHN_TETS = np.cumsum([[0] + [(4, 2, 1)[axis] for axis in perm]
+                        for perm in permutations(range(3))], axis=1)
 
 
 def build_box_mesh(nx, ny, nz, extent=(1.0, 1.0, 1.0), tagging=None):
@@ -258,7 +244,7 @@ def build_box_mesh(nx, ny, nz, extent=(1.0, 1.0, 1.0), tagging=None):
     vid = np.arange(len(vertices)).reshape(nx + 1, ny + 1, nz + 1)
     corners = np.stack([vid[i:i + nx, j:j + ny, k:k + nz].ravel()
                         for i, j, k in _CUBE_CORNERS], axis=1)
-    tets, _ = orient_tets(vertices, corners[:, _KUHN_TETS].reshape(-1, 4))
+    tets = orient_tets(vertices, corners[:, _KUHN_TETS].reshape(-1, 4))
     bfaces = face_topology(tets, len(vertices))[2]
     centroids = vertices[bfaces].mean(axis=1)
     if tagging is None:
@@ -269,23 +255,23 @@ def build_box_mesh(nx, ny, nz, extent=(1.0, 1.0, 1.0), tagging=None):
                          boundary_tags=tags)
 
 
-def plane_tagging(rules, default=FREE):
+def plane_tagging(rules):
     """Face tagging from axis-aligned plane rules.
 
     `rules` is a list of dicts {"tag", "axis", "value", "tol"}; a face gets
-    the first tag whose plane contains its centroid coordinate.
+    the first tag whose plane contains its centroid coordinate, and FREE
+    when there is none.
     """
     def tag(centroid):
         for rule in rules:
             tol = rule.get("tol", 1e-9)
             if abs(centroid[rule["axis"]] - rule["value"]) <= tol:
                 return rule["tag"]
-        return default
+        return FREE
     return tag
 
 
 def save_mesh(mesh, path):
-    from .export import atomic_write_text
     lines = ["tetmesh v1"]
     for v in mesh.vertices:
         lines.append("v %.17g %.17g %.17g" % (v[0], v[1], v[2]))
@@ -325,7 +311,7 @@ def load_mesh(path):
     for idx in indices:
         if idx.size and (idx.min() < 0 or idx.max() >= len(vertices)):
             raise MeshError(f"{path}: validation error: index out of range")
-    tets, fixed = orient_tets(vertices, tets)
+    tets = orient_tets(vertices, tets)
     try:
         mesh = ReferenceMesh(vertices=vertices, tets=tets,
                              boundary_faces=np.array(bfaces, int),
@@ -333,7 +319,6 @@ def load_mesh(path):
     except MeshError as exc:
         raise MeshError(f"{path}: invalid mesh: {exc}") from exc
     report = validate_mesh(mesh)
-    report.orientation_fixes = fixed
     if not report.passed:
         raise MeshError(f"{path}: invalid mesh: {report.failures}")
     return mesh

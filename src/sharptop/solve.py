@@ -27,6 +27,14 @@ HISTORY = 10                 # L-BFGS memory
 MAX_LINE_SEARCH = 40
 
 
+def _check_count(name, value, minimum):
+    """Raise ValueError unless `value` is an int (not a bool) >= minimum."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     max_iterations: int = 500
@@ -34,8 +42,7 @@ class SolveOptions:
     seed: int = 0                      # Monte Carlo injectivity-check stream
 
     def __post_init__(self):
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
+        _check_count("max_iterations", self.max_iterations, 1)
         if not self.gradient_tolerance > 0:
             raise ValueError("gradient_tolerance must be positive")
 

@@ -2,10 +2,11 @@
 
 import numpy as np
 
+from .mesh import ReferenceMesh, face_topology, orient_tets
 from .varifold import PhaseLabeling, varifold_from_triangles
 
 
-def icosphere(level, radius=1.0, center=(0.0, 0.0, 0.0)):
+def icosphere(level, radius=1.0):
     """Subdivided icosahedron projected to the sphere, outward winding.
 
     Level 0 is the icosahedron (20 faces); each level quadruples the count.
@@ -42,103 +43,82 @@ def icosphere(level, radius=1.0, center=(0.0, 0.0, 0.0)):
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
         faces = np.array(new_faces, int)
-    vertices = np.array(verts_list) * radius + np.asarray(center, float)
-    return vertices, faces
+    return np.array(verts_list) * radius, faces  # centred at the origin
 
 
-def sphere_varifold(level, radius=1.0, center=(0.0, 0.0, 0.0)):
-    return varifold_from_triangles(*icosphere(level, radius, center))
+def sphere_varifold(level, radius=1.0):
+    return varifold_from_triangles(*icosphere(level, radius))
 
 
-def cylinder_patch(radius, angle=np.pi, height=1.0, n_theta=16, n_z=8):
-    """Open cylinder patch x^2+y^2=R^2, theta in [0, angle], z in [0, h]."""
-    thetas = np.linspace(0.0, angle, n_theta + 1)
-    zs = np.linspace(0.0, height, n_z + 1)
-    verts = np.array([[radius * np.cos(th), radius * np.sin(th), z]
-                      for z in zs for th in thetas])
-    faces = []
-    w = n_theta + 1
-    for j in range(n_z):
-        for i in range(n_theta):
-            a = j * w + i
-            b = a + 1
-            c = a + w
-            d = c + 1
-            faces += [[a, b, d], [a, d, c]]
-    return verts, np.array(faces, int)
-
-
-def cylinder_varifold(radius, angle=np.pi, height=1.0, n_theta=16, n_z=8):
-    return varifold_from_triangles(
-        *cylinder_patch(radius, angle, height, n_theta, n_z))
-
-
-def flat_patch(nx=8, ny=8, extent=(1.0, 1.0), z=0.0):
-    """Triangulated flat rectangle in the plane z = const."""
+def flat_patch(nx, ny, extent=(1.0, 1.0)):
+    """Triangulated rectangle [0, ex] x [0, ey] in the plane z = 0."""
     xs = np.linspace(0.0, extent[0], nx + 1)
     ys = np.linspace(0.0, extent[1], ny + 1)
-    verts = np.array([[x, y, z] for y in ys for x in xs])
-    faces = []
+    x, y = np.meshgrid(xs, ys)
+    verts = np.stack([x.ravel(), y.ravel(), np.zeros(x.size)], axis=1)
     w = nx + 1
-    for j in range(ny):
-        for i in range(nx):
-            a = j * w + i
-            faces += [[a, a + 1, a + w + 1], [a, a + w + 1, a + w]]
-    return verts, np.array(faces, int)
+    a = (np.arange(ny)[:, None] * w + np.arange(nx)).ravel()
+    faces = np.stack([a, a + 1, a + w + 1, a, a + w + 1, a + w], axis=1)
+    return verts, faces.reshape(-1, 3)
 
 
-def flat_varifold(nx=8, ny=8, extent=(1.0, 1.0), z=0.0):
-    return varifold_from_triangles(*flat_patch(nx, ny, extent, z))
+def flat_varifold(nx, ny):
+    return varifold_from_triangles(*flat_patch(nx, ny))
 
 
-def wedge_fold(n_sectors=45, domain_deg=6.0, image_deg=10.0, height=1.0):
+def cylinder_patch(radius, n_theta, n_z):
+    """Open half cylinder x^2+y^2=R^2, theta in [0, pi], z in [0, 1]."""
+    flat, faces = flat_patch(n_theta, n_z, (np.pi, 1.0))
+    theta, z, _ = flat.T
+    return np.stack([radius * np.cos(theta), radius * np.sin(theta), z],
+                    axis=1), faces
+
+
+def cylinder_varifold(radius, n_theta, n_z):
+    return varifold_from_triangles(*cylinder_patch(radius, n_theta, n_z))
+
+
+# wedge_fold maps 45 wedges of 6 degrees onto wedges of 10 (a divisor of 360)
+FOLD_SECTORS = 45
+FOLD_DOMAIN_DEG = 6.0
+FOLD_IMAGE_DEG = 10.0
+
+
+def wedge_fold():
     """Orientation-preserving piecewise-affine fold with analytic overlap.
 
-    The domain is an extruded fan of `n_sectors` wedges of `domain_deg`
-    degrees each; the map rotates each wedge onto an `image_deg` wedge at
-    the same radius.  When the image angles wrap past a full turn the
-    wrapped wedges coincide exactly with first-sheet wedges, so the
-    doubly covered volume is analytic.  With the defaults the domain
-    spans 270 degrees, the image 450, and 90 degrees are covered twice.
+    The domain is an extruded fan of unit height and radius, cut into
+    wedges; the map rotates each wedge onto a wider wedge at the same
+    radius.  The image angles wrap past a full turn, and the wrapped
+    wedges coincide exactly with first-sheet wedges, so the doubly
+    covered volume is analytic.  The domain spans 270 degrees, the image
+    450, and 90 degrees are covered twice.
 
     Returns (mesh, image_positions, info) with info holding the exact
     jacobian_integral, union_volume, and overlap_volume.
     """
-    from .mesh import ReferenceMesh, face_topology, orient_tets
-    total_img = n_sectors * image_deg
-    if total_img <= 360.0:
-        raise ValueError("image fan must wrap past a full turn")
-    if (360.0 / image_deg) % 1.0 != 0.0:
-        raise ValueError("image_deg must divide 360 for an exact overlap")
-
     def fan(deg_per_sector):
-        pts = [[0.0, 0.0, 0.0], [0.0, 0.0, height]]
-        for i in range(n_sectors + 1):
-            th = np.deg2rad(deg_per_sector * i)
-            pts.append([np.cos(th), np.sin(th), 0.0])
-            pts.append([np.cos(th), np.sin(th), height])
-        return np.array(pts)
+        th = np.deg2rad(deg_per_sector * np.arange(FOLD_SECTORS + 1))
+        rim = np.repeat(np.stack([np.cos(th), np.sin(th)], axis=1), 2, axis=0)
+        z = np.tile([0.0, 1.0], FOLD_SECTORS + 2)
+        return np.column_stack([np.vstack([np.zeros((2, 2)), rim]), z])
 
-    domain = fan(domain_deg)
-    image = fan(image_deg)
-    tets = []
-    for i in range(n_sectors):
-        b = [0, 2 + 2 * i, 2 + 2 * (i + 1)]
-        t = [1, 3 + 2 * i, 3 + 2 * (i + 1)]
-        tets += [[b[0], b[1], b[2], t[2]],
-                 [b[0], b[1], t[2], t[1]],
-                 [b[0], t[1], t[2], t[0]]]
-    tets, _ = orient_tets(domain, np.array(tets, int))
+    domain, image = fan(FOLD_DOMAIN_DEG), fan(FOLD_IMAGE_DEG)
+    b = 2 * np.arange(FOLD_SECTORS) + 2   # bottom rim vertex; b + 1 on top
+    axis0, axis1 = np.zeros_like(b), np.ones_like(b)
+    tets = np.stack([axis0, b, b + 2, b + 3, axis0, b, b + 3, b + 1,
+                     axis0, b + 1, b + 3, axis1], axis=1).reshape(-1, 4)
+    tets = orient_tets(domain, tets)
     bfaces = face_topology(tets, len(domain))[2]
     mesh = ReferenceMesh(vertices=domain, tets=tets, boundary_faces=bfaces,
                          boundary_tags=np.array(["FREE"] * len(bfaces),
                                                 object))
-    tri = 0.5 * np.sin(np.deg2rad(image_deg)) * height
-    n_union = int(round(360.0 / image_deg))
+    tri = 0.5 * np.sin(np.deg2rad(FOLD_IMAGE_DEG))
+    n_union = int(round(360.0 / FOLD_IMAGE_DEG))
     info = {
-        "jacobian_integral": n_sectors * tri,
+        "jacobian_integral": FOLD_SECTORS * tri,
         "union_volume": n_union * tri,
-        "overlap_volume": (n_sectors - n_union) * tri,
+        "overlap_volume": (FOLD_SECTORS - n_union) * tri,
     }
     return mesh, image, info
 
@@ -146,27 +126,23 @@ def wedge_fold(n_sectors=45, domain_deg=6.0, image_deg=10.0, height=1.0):
 def slab_labels(mesh, eta, axis=0):
     """Slab labeling at mass fraction eta: phase 1 fills the low-`axis` side.
 
-    Tets are taken in centroid order along the axis until the phase-1
-    volume reaches eta * vol(Omega); exact for uniform meshes when
-    eta * n_tets is an integer.
+    Tets are taken in centroid order along the axis up to the first one
+    whose running volume exceeds eta * vol(Omega) (plus 1e-12 vol(Omega));
+    exact for uniform meshes when eta * n_tets is an integer.
     """
     order = np.argsort(mesh.tet_centroids()[:, axis], kind="stable")
-    target = eta * mesh.total_volume()
+    total = mesh.total_volume()
+    running = np.cumsum(mesh.volumes[order])
+    n = np.argmax(np.append(running, np.inf) > eta * total + 1e-12 * total)
     labels = np.zeros(mesh.n_tets, np.int8)
-    acc = 0.0
-    for ti in order:
-        if acc + mesh.volumes[ti] > target + 1e-12 * mesh.total_volume():
-            break
-        labels[ti] = 1
-        acc += mesh.volumes[ti]
+    labels[order[:n]] = 1
     return PhaseLabeling(labels)
 
 
-def halfspace_labels(mesh, axis=0, threshold=0.5, side="below"):
-    """Label tets by centroid position against an axis-aligned plane."""
+def halfspace_labels(mesh, axis=0, threshold=0.5):
+    """Phase 1 below an axis-aligned plane (by tet centroid)."""
     c = mesh.tet_centroids()[:, axis]
-    labels = (c < threshold) if side == "below" else (c >= threshold)
-    return PhaseLabeling(labels.astype(np.int8))
+    return PhaseLabeling((c < threshold).astype(np.int8))
 
 
 def ball_labels(mesh, center, radius):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .energy import load_potential
 from .kinematics import identity_state
-from .solve import SolveOptions, minimize_equilibrium
+from .solve import SolveOptions, _check_count, minimize_equilibrium
 from .varifold import (InterfaceError, PhaseLabeling, _cut_faces,
                        _interface_faces, boundary_defect, extract_interface,
                        interface_energy, varifold_mass)
@@ -47,6 +47,8 @@ class TopOptConfig:
             raise ValueError("temperatures must be positive")
         if not 0 < self.t_decay < 1:
             raise ValueError("decay must lie in (0, 1)")
+        _check_count("steps_per_temperature", self.steps_per_temperature, 1)
+        _check_count("snapshot_every", self.snapshot_every, 0)
 
 
 class TopOptError(Exception):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import interface_density
+from .energy import INFEASIBLE, bulk_energy, interface_density
 from .mesh import edge_keys
 from .quadrature import map_to_simplex, tet_rule, triangle_rule
 
@@ -163,66 +163,45 @@ def varifold_mass(V):
     return float(np.sum(V.areas))
 
 
-def _triangle_angles(v):
-    """Corner angles of triangles given vertex stack (nf, 3, 3)."""
-    angles = np.empty((len(v), 3))
-    for c in range(3):
-        e1 = v[:, (c + 1) % 3] - v[:, c]
-        e2 = v[:, (c + 2) % 3] - v[:, c]
-        cosv = np.sum(e1 * e2, axis=1)
-        sinv = np.linalg.norm(np.cross(e1, e2), axis=1)
-        angles[:, c] = np.arctan2(sinv, cosv)
-    return angles
-
-
-def _mixed_areas(V, angles):
-    """Meyer mixed (Voronoi-safe) vertex areas; they partition the area."""
-    nv = len(V.vertices)
-    mixed = np.zeros(nv)
-    v = V.vertices[V.faces]
-    obtuse = angles > 0.5 * np.pi
-    any_obtuse = obtuse.any(axis=1)
-    cot = 1.0 / np.tan(angles)
-    for c in range(3):
-        j, k = (c + 1) % 3, (c + 2) % 3
-        lj2 = np.sum((v[:, k] - v[:, c]) ** 2, axis=1)  # edge opposite j
-        lk2 = np.sum((v[:, j] - v[:, c]) ** 2, axis=1)  # edge opposite k
-        voronoi = (lj2 * cot[:, j] + lk2 * cot[:, k]) / 8.0
-        share = np.where(any_obtuse,
-                         np.where(obtuse[:, c], V.areas / 2.0, V.areas / 4.0),
-                         voronoi)
-        np.add.at(mixed, V.faces[:, c], share)
-    return mixed
-
-
 def discrete_curvature_inplace(V, edge_counts=None):
     """Attach per-vertex (H, K, a_norm, mixed area) samples to a varifold.
 
-    Interface-boundary vertices (incident to a single-triangle edge) carry
-    a_norm = 0 and are excluded from curvature quadrature; their area
-    weight still counts toward the mass.  `edge_counts` is
+    Mixed areas are Meyer's Voronoi-safe vertex areas, which partition
+    the area.  Interface-boundary vertices (incident to a single-triangle
+    edge) carry a_norm = 0 and are excluded from curvature quadrature;
+    their area weight still counts toward the mass.  `edge_counts` is
     `_edge_counts(V.faces, nv)`, when the caller already has it.
+
+    Each per-vertex sum is one np.bincount over all faces per corner in
+    turn: corners 0, 1, 2, or for the cotangent Laplacian the ends c+1,
+    c+2 of the edge opposite corner c, for c = 0, 1, 2.
     """
     nv = len(V.vertices)
-    v = V.vertices[V.faces]
-    angles = _triangle_angles(v)
-    mixed = _mixed_areas(V, angles)
+    p = V.vertices[V.faces.T]               # (corner, face, xyz)
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    e1, e2 = p[nxt] - p, p[prv] - p         # edges leaving each corner
+    angles = np.arctan2(np.linalg.norm(np.cross(e1, e2), axis=-1),
+                        np.sum(e1 * e2, axis=-1))
+    cot = 1.0 / np.tan(angles)
+    corners = V.faces.T.ravel()
+
+    obtuse = angles > 0.5 * np.pi
+    voronoi = (np.sum(e2**2, axis=-1) * cot[nxt]
+               + np.sum(e1**2, axis=-1) * cot[prv]) / 8.0
+    share = np.where(obtuse.any(axis=0),
+                     np.where(obtuse, V.areas / 2.0, V.areas / 4.0), voronoi)
+    mixed = np.bincount(corners, share.ravel(), minlength=nv)
     if np.any(mixed <= 0):
         raise InterfaceError("zero mixed area (degenerate triangle fan)")
 
-    cot = 1.0 / np.tan(angles)
-    lap = np.zeros((nv, 3))
-    for c in range(3):
-        a, b = (c + 1) % 3, (c + 2) % 3   # edge (a, b) opposite corner c
-        w = cot[:, c][:, None]
-        np.add.at(lap, V.faces[:, a], w * (v[:, a] - v[:, b]))
-        np.add.at(lap, V.faces[:, b], w * (v[:, b] - v[:, a]))
+    ends = np.stack([V.faces.T[nxt], V.faces.T[prv]], axis=1)
+    terms = cot[:, None, :, None] * np.stack([p[nxt] - p[prv],
+                                              p[prv] - p[nxt]], axis=1)
+    lap = np.bincount((3 * ends[..., None] + np.arange(3)).ravel(),
+                      terms.ravel(), minlength=3 * nv).reshape(nv, 3)
     H = lap / (4.0 * mixed[:, None])
-
-    angle_sum = np.zeros(nv)
-    for c in range(3):
-        np.add.at(angle_sum, V.faces[:, c], angles[:, c])
-    K = (2.0 * np.pi - angle_sum) / mixed
+    K = (2.0 * np.pi - np.bincount(corners, angles.ravel(), minlength=nv)
+         ) / mixed
 
     if edge_counts is None:
         edge_counts = _edge_counts(V.faces, nv)
@@ -244,9 +223,9 @@ def discrete_curvature_inplace(V, edge_counts=None):
                    clip_count=clip_count)
 
 
-def curvature_integral(V, power=2.0):
-    """Integral of a_norm^power against the mass measure."""
-    return float(np.sum(V.mixed_area * V.a_norm**power))
+def curvature_integral(V):
+    """Integral of a_norm^2 against the mass measure."""
+    return float(np.sum(V.mixed_area * V.a_norm**2.0))
 
 
 def interface_energy(V, model):
@@ -255,6 +234,15 @@ def interface_energy(V, model):
     Equals c_int * (mass + integral of a_norm^p) for the model density.
     """
     return float(np.sum(V.mixed_area * interface_density(V.a_norm, model)))
+
+
+def total_energy(mesh, state, phases, model):
+    """E = bulk + interface energy of the extracted interface varifold."""
+    bulk = bulk_energy(mesh, state, phases, model)
+    if bulk == INFEASIBLE:
+        return INFEASIBLE
+    return bulk + interface_energy(extract_interface(mesh, state, phases),
+                                   model)
 
 
 def boundary_defect(V):
@@ -276,12 +264,12 @@ class TestField:
     radius: float
     matrix: np.ndarray   # Y(x) = bump(x) * (matrix (x - center) + offset)
     offset: np.ndarray
-    power: int = 4
+    POWER = 4            # bump(x) = (1 - |x - center|^2 / radius^2)_+^POWER
 
     def _bump(self, x):
         u = np.sum((x - self.center) ** 2, axis=-1) / self.radius**2
         w = np.maximum(1.0 - u, 0.0)
-        return w**self.power, u, w
+        return w**self.POWER, u, w
 
     def __call__(self, x):
         x = np.asarray(x, float)
@@ -294,8 +282,8 @@ class TestField:
         w, _, core = self._bump(x)
         d = x - self.center
         lin = d @ self.matrix.T + self.offset
-        grad_w = (-2.0 * self.power / self.radius**2
-                  * core ** (self.power - 1))[..., None] * d
+        grad_w = (-2.0 * self.POWER / self.radius**2
+                  * core ** (self.POWER - 1))[..., None] * d
         return np.sum(grad_w * lin, axis=-1) + w * np.trace(self.matrix)
 
     def sup_norm(self):

@@ -162,6 +162,48 @@ def brute_force_mass_preserving_move(mesh, phases, rng, interface_bias=0.9,
     raise TopOptError("no admissible move found (frozen configuration)")
 
 
+def brute_force_curvature_sums(V):
+    """Mixed areas, cotangent Laplacian and angle sums of a varifold, added
+    one term at a time: corner by corner, and face by face within a
+    corner.  The corners run 0, 1, 2; for the Laplacian, the ends c+1 and
+    then c+2 of the edge opposite corner c, for c = 0, 1, 2.
+
+    The per-face terms are Meyer's mixed-area shares, the cotangent edge
+    terms and the corner angles, each computed one corner at a time.
+    """
+    nv, faces = len(V.vertices), V.faces
+    v = V.vertices[faces]
+    angles = np.empty((len(faces), 3))
+    for c in range(3):
+        e1 = v[:, (c + 1) % 3] - v[:, c]
+        e2 = v[:, (c + 2) % 3] - v[:, c]
+        angles[:, c] = np.arctan2(np.linalg.norm(np.cross(e1, e2), axis=1),
+                                  np.sum(e1 * e2, axis=1))
+    cot = 1.0 / np.tan(angles)
+    obtuse = angles > 0.5 * np.pi
+    mixed, lap, angle_sum = np.zeros(nv), np.zeros((nv, 3)), np.zeros(nv)
+    for c in range(3):
+        j, k = (c + 1) % 3, (c + 2) % 3
+        lj2 = np.sum((v[:, k] - v[:, c]) ** 2, axis=1)  # edge opposite j
+        lk2 = np.sum((v[:, j] - v[:, c]) ** 2, axis=1)  # edge opposite k
+        voronoi = (lj2 * cot[:, j] + lk2 * cot[:, k]) / 8.0
+        for f in range(len(faces)):
+            if obtuse[f].any():
+                share = V.areas[f] / (2.0 if obtuse[f, c] else 4.0)
+            else:
+                share = voronoi[f]
+            mixed[faces[f, c]] += share
+    for c in range(3):
+        a, b = (c + 1) % 3, (c + 2) % 3
+        for end, other in ((a, b), (b, a)):
+            for f in range(len(faces)):
+                lap[faces[f, end]] += cot[f, c] * (v[f, end] - v[f, other])
+    for c in range(3):
+        for f in range(len(faces)):
+            angle_sum[faces[f, c]] += angles[f, c]
+    return mixed, lap, angle_sum
+
+
 # A face shared by three tets, every single-tet face tagged.
 NONMANIFOLD_MESH = (
     "tetmesh v1\n"

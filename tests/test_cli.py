@@ -191,6 +191,27 @@ def test_curvature_test_command(tmp_path):
     ("solve", {"cn_samples": 10}, "'cn_samples'"),
     ("solve", {"det_margin": 1e-3}, "'det_margin'"),
     ("topopt", {"cold_solve_every": 5}, "'cold_solve_every'"),
+    ("mesh", 5, "expected an object"),
+    ("mesh", {"type": "box", "nx": "a"}, "nx"),
+    ("mesh", {"type": "box", "ny": 1.5}, "ny"),
+    ("mesh", {"type": "box", "nz": True}, "nz"),
+    ("mesh", {"type": "box", "extent": [1, 1]}, "extent"),
+    ("mesh", {"type": "box", "bogus": 1}, "'bogus'"),
+    ("mesh", {"type": "file", "path": "m.tet", "nx": 2}, "'nx'"),
+    ("mesh", {"type": ["box"]}, "unknown type"),
+    ("mesh", {"tags": [{"tag": "FOO", "axis": 2, "value": 0.0}]}, "tags"),
+    ("mesh", {"tags": [{"tag": "FREE", "axis": 3, "value": 0.0}]}, "tags"),
+    ("mesh", {"tags": [{"tag": "FREE", "value": 0.0}]}, "tags"),
+    ("labels", [1], "expected an object"),
+    ("labels", {"type": "slab", "axis": 5}, "axis"),
+    ("labels", {"type": "uniform", "value": 3}, "value"),
+    ("labels", {"type": "slab", "bogus": 1}, "'bogus'"),
+    ("labels", {"type": "ball", "axis": 0}, "'axis'"),
+    ("labels", {"type": "ball", "radius": "big"}, "radius"),
+    ("labels", {"type": "halfspace", "threshold": None}, "threshold"),
+    ("topopt", {"steps_per_temperature": 2.5}, "steps_per_temperature"),
+    ("topopt", {"snapshot_every": -1}, "snapshot_every"),
+    ("solve", {"max_iterations": 2.5}, "max_iterations"),
 ])
 def test_bad_scenario_section_exit_2(tmp_path, capsys, section, spec, needle):
     scenario = write_scenario(tmp_path, "bad.json", {

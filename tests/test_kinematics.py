@@ -68,6 +68,37 @@ def test_minors_cofactor_identity():
         np.testing.assert_allclose(cof @ F.T, det * np.eye(3), atol=1e-12)
 
 
+def signed_minors(F):
+    """Cof F from the nine signed 2x2 minors, det F expanded along row 0."""
+    cof = np.empty_like(F)
+    for i in range(3):
+        for j in range(3):
+            (r0, r1), (c0, c1) = [[a for a in range(3) if a != k]
+                                  for k in (i, j)]
+            cof[..., i, j] = (-1.0) ** (i + j) * (
+                F[..., r0, c0] * F[..., r1, c1]
+                - F[..., r0, c1] * F[..., r1, c0])
+    det = (F[..., 0, 0] * (F[..., 1, 1] * F[..., 2, 2]
+                           - F[..., 1, 2] * F[..., 2, 1])
+           - F[..., 0, 1] * (F[..., 1, 0] * F[..., 2, 2]
+                             - F[..., 1, 2] * F[..., 2, 0])
+           + F[..., 0, 2] * (F[..., 1, 0] * F[..., 2, 1]
+                             - F[..., 1, 1] * F[..., 2, 0]))
+    return cof, det
+
+
+def test_minors_equal_signed_2x2_minors():
+    rng = np.random.default_rng(4)
+    for F in (rng.standard_normal((500, 3, 3)),
+              np.eye(3) + 0.01 * rng.standard_normal((500, 3, 3)),
+              rng.standard_normal((2, 7, 3, 3)), np.eye(3),
+              np.diag([2.0, 3.0, 4.0])):
+        cof, det = signed_minors(F)
+        _, cof_new, det_new = st.minors(F)
+        assert np.array_equal(cof_new, cof)
+        assert np.array_equal(det_new, det)
+
+
 def test_distortion_values():
     assert st.distortion(np.eye(3)) == pytest.approx(3 * np.sqrt(3.0))
     # rotations attain the lower bound

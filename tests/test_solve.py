@@ -173,3 +173,7 @@ def test_options_validation():
         SolveOptions(max_iterations=0)
     with pytest.raises(ValueError):
         SolveOptions(gradient_tolerance=0.0)
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolveOptions(max_iterations=bad)
+    assert SolveOptions(max_iterations=np.int64(3)).max_iterations == 3

@@ -189,6 +189,13 @@ def test_config_validation():
         TopOptConfig(t_decay=1.0)
     with pytest.raises(ValueError):
         TopOptConfig(t_initial=-1.0)
+    for key, bad in (("steps_per_temperature", 2.5),
+                     ("steps_per_temperature", 0),
+                     ("steps_per_temperature", True),
+                     ("snapshot_every", -1), ("snapshot_every", 1.0)):
+        with pytest.raises(ValueError, match=key):
+            TopOptConfig(**{key: bad})
+    assert TopOptConfig(snapshot_every=0).snapshot_every == 0
 
 
 def test_snapshot_callback_invoked():

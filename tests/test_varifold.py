@@ -1,18 +1,21 @@
 from dataclasses import replace
+import itertools
 
 from hypothesis import given, settings, strategies as hs
 import numpy as np
 import pytest
 
 import sharptop as st
-from sharptop.surfaces import (cylinder_varifold, flat_varifold,
-                               halfspace_labels, sphere_varifold)
+from sharptop.surfaces import (cylinder_patch, cylinder_varifold, flat_patch,
+                               flat_varifold, halfspace_labels, slab_labels,
+                               sphere_varifold)
 from sharptop.varifold import (InterfaceError, InterfaceVarifold,
                                _interface_faces, curvature_integral,
                                discrete_curvature_inplace, random_bump_fields,
                                varifold_from_triangles)
 
-from conftest import brute_force_face_adjacency, perturbed_slab_labels
+from conftest import (brute_force_curvature_sums, brute_force_face_adjacency,
+                      perturbed_slab_labels)
 
 CURVATURE_FIELDS = ("mean_curvature", "gauss_curvature", "a_norm",
                     "mixed_area", "interior_vertex")
@@ -208,7 +211,7 @@ def test_sphere_curvature_refines():
 
 def test_cylinder_curvature():
     R = 0.5
-    V = cylinder_varifold(R, angle=np.pi, height=1.0, n_theta=48, n_z=12)
+    V = cylinder_varifold(R, n_theta=48, n_z=12)
     inner = V.interior_vertex
     h = np.linalg.norm(V.mean_curvature[inner], axis=1)
     # cylinder: |H| = 1/(2R), K = 0, |II|^2 = 1/R^2, a_norm = sqrt(2)/R
@@ -218,6 +221,97 @@ def test_cylinder_curvature():
                                                        rel=0.03)
     # boundary vertices excluded from the curvature sample
     assert np.all(V.a_norm[~inner] == 0.0)
+
+
+def assert_curvature_sums_equal_oracle(V):
+    """H, K and the mixed areas, bit for bit, from the term-by-term sums."""
+    mixed, lap, angle_sum = brute_force_curvature_sums(V)
+    H = lap / (4.0 * mixed[:, None])
+    K = (2.0 * np.pi - angle_sum) / mixed
+    H[~V.interior_vertex] = 0.0
+    K[~V.interior_vertex] = 0.0
+    assert np.array_equal(V.mixed_area, mixed)
+    assert np.array_equal(V.mean_curvature, H)
+    assert np.array_equal(V.gauss_curvature, K)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_sphere_curvature_sums_equal_oracle(level):
+    assert_curvature_sums_equal_oracle(sphere_varifold(level, radius=0.7))
+
+
+def test_interface_curvature_sums_equal_oracle():
+    """Extracted interfaces of perturbed slabs, at the reference and at
+    jittered vertex positions."""
+    extracted = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=hs.integers(2, 4), axis=hs.integers(0, 2),
+           seed=hs.integers(0, 2**16), flips=hs.integers(0, 8),
+           jitter=hs.sampled_from([0.0, 0.05, 0.15]))
+    def check(n, axis, seed, flips, jitter):
+        mesh = st.build_box_mesh(n, n, n)
+        phases = perturbed_slab_labels(mesh, axis, seed, flips)
+        rng = np.random.default_rng(seed)
+        positions = mesh.vertices + jitter / n * rng.standard_normal(
+            mesh.vertices.shape)
+        try:
+            V = st.extract_interface(mesh, None, phases, positions=positions)
+        except InterfaceError:
+            return
+        extracted.append(V.n_triangles)
+        assert_curvature_sums_equal_oracle(V)
+
+    check()
+    assert len(extracted) >= 10
+
+
+def test_slab_labels_equal_running_sum_loop():
+    """Tets are taken in centroid order until the next one would overshoot
+    the target volume, as a tet-by-tet running sum decides it."""
+    rng = np.random.default_rng(2)
+    meshes = [st.build_box_mesh(3, 3, 3), st.build_box_mesh(4, 5, 6)]
+    m = meshes[1]
+    meshes.append(st.ReferenceMesh(
+        vertices=m.vertices + 0.02 * rng.standard_normal(m.vertices.shape),
+        tets=m.tets, boundary_faces=m.boundary_faces,
+        boundary_tags=m.boundary_tags))
+    for mesh, eta, axis in itertools.product(meshes, (0.3, 0.5, 0.77),
+                                             (0, 1, 2)):
+        order = np.argsort(mesh.tet_centroids()[:, axis], kind="stable")
+        expected = np.zeros(mesh.n_tets, np.int8)
+        acc = 0.0
+        for ti in order:
+            if (acc + mesh.volumes[ti]
+                    > eta * mesh.total_volume() + 1e-12 * mesh.total_volume()):
+                break
+            expected[ti] = 1
+            acc += mesh.volumes[ti]
+        assert np.array_equal(slab_labels(mesh, eta, axis).labels, expected)
+
+
+@pytest.mark.parametrize("n_theta, n_z", [(16, 8), (5, 3), (1, 1)])
+def test_patches_equal_quad_loops(n_theta, n_z):
+    """Vertices row by row, two triangles per quad, as the loops built
+    them; the cylinder is the (theta, z) patch mapped onto it."""
+    R, angle, height = 0.7, np.pi, 1.0
+    faces = []
+    w = n_theta + 1
+    for j in range(n_z):
+        for i in range(n_theta):
+            a = j * w + i
+            faces += [[a, a + 1, a + w + 1], [a, a + w + 1, a + w]]
+    thetas = np.linspace(0.0, angle, n_theta + 1)
+    zs = np.linspace(0.0, height, n_z + 1)
+    verts, tris = cylinder_patch(R, n_theta, n_z)
+    assert np.array_equal(tris, faces)
+    assert np.array_equal(verts, [[R * np.cos(th), R * np.sin(th), z]
+                                  for z in zs for th in thetas])
+    verts, tris = flat_patch(n_theta, n_z, (2.0, 1.5))
+    assert np.array_equal(tris, faces)
+    assert np.array_equal(verts, [[x, y, 0.0]
+                                  for y in np.linspace(0.0, 1.5, n_z + 1)
+                                  for x in np.linspace(0.0, 2.0, n_theta + 1)])
 
 
 def test_clip_count_reported():
