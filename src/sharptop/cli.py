@@ -180,6 +180,7 @@ def cmd_equilibrium(scenario, out, seed):
         cell_data={"phase": phases.labels})
     export.write_json(os.path.join(out, "equilibrium.json"), {
         "converged": report.converged,
+        "message": report.message,
         "iterations": report.iterations,
         "objective": report.objective,
         "grad_norm": report.grad_norm,

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .kinematics import deformation_minors, minors
+from .kinematics import (component_first, deformation_minors,
+                         frobenius_norm, minors)
 
 INFEASIBLE = math.inf
 
@@ -83,7 +84,7 @@ def bulk_density(F, phase, model):
     F, _, det = minors(F)
     if det <= 0:
         return INFEASIBLE
-    norm = float(np.sqrt(np.sum(F * F)))
+    norm = float(frobenius_norm(F))
     return model.scale(phase) * _density(norm, det, model)
 
 
@@ -92,7 +93,7 @@ def bulk_stress(F, phase, model):
     F, cof, det = minors(F)
     if det <= 0:
         raise ValueError("bulk_stress requires det F > 0")
-    norm = float(np.sqrt(np.sum(F * F)))
+    norm = float(frobenius_norm(F))
     return model.scale(phase) * _stress(F, cof, norm, det, model)
 
 
@@ -119,9 +120,8 @@ def bulk_energy(mesh, state, phases, model, F_minors=None):
     F, _, det = F_minors
     if np.any(det <= 0):
         return INFEASIBLE
-    norm = np.sqrt(np.sum(F * F, axis=(-2, -1)))
     return float(np.sum(mesh.volumes * _scale(phases, model)
-                        * _density(norm, det, model)))
+                        * _density(frobenius_norm(F), det, model)))
 
 
 def bulk_energy_gradient(mesh, state, phases, model, F_minors=None):
@@ -131,14 +131,20 @@ def bulk_energy_gradient(mesh, state, phases, model, F_minors=None):
     F, cof, det = F_minors
     if np.any(det <= 0):
         raise ValueError("gradient requires det F > 0 on all tets")
-    norm = np.sqrt(np.sum(F * F, axis=(-2, -1)))[:, None, None]
-    P = _stress(F, cof, norm, det[:, None, None], model)
-    P *= (mesh.volumes * _scale(phases, model))[:, None, None]
-    # F = Dx G with G = ref_inv: d(vol W)/dx_i = P G_i (G_i = i-th row);
-    # grad_corner[:, :, i] is the force on local vertex i+1.
-    grad_corner = P @ np.transpose(mesh.ref_inv, (0, 2, 1))
-    forces = np.concatenate([np.moveaxis(grad_corner, 2, 0),
-                             -grad_corner.sum(axis=2)[None]])
+    P = _stress(component_first(F), component_first(cof), frobenius_norm(F),
+                det, model)
+    P *= mesh.volumes * _scale(phases, model)
+    # F = Dx G with G = ref_inv, so the force on corner c + 1 is P G[c]
+    # (G[c] the c-th row of G) and corner 0 takes minus their sum;
+    # forces[c, i] runs over the tets, corners in scatter_index order
+    G = component_first(mesh.ref_inv)
+    forces = np.empty((4, 3, mesh.n_tets))
+    np.multiply(G[:, 0, None], P[:, 0], out=forces[:3])
+    forces[:3] += G[:, 1, None] * P[:, 1]
+    forces[:3] += G[:, 2, None] * P[:, 2]
+    np.add(forces[0], forces[1], out=forces[3])
+    forces[3] += forces[2]
+    np.negative(forces[3], out=forces[3])
     g = _scatter(mesh, mesh.scatter_index, forces)
     g[state.dirichlet_mask] = 0.0
     return g

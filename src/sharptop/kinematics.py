@@ -37,11 +37,28 @@ def identity_state(mesh):
                             dirichlet_mask=mesh.dirichlet_vertex_mask())
 
 
+def component_first(A):
+    """A (..., 3, 3) array viewed as (3, 3, ...): A[..., i, j] is [i, j]."""
+    return np.moveaxis(A, (-2, -1), (0, 1))
+
+
 def deformation_gradients(mesh, positions):
-    """All per-tet deformation gradients, shape (nt, 3, 3)."""
-    x = np.asarray(positions, float)[mesh.tets]
-    Dx = np.transpose(x[:, 1:] - x[:, :1], (0, 2, 1))
-    return Dx @ mesh.ref_inv
+    """All per-tet deformation gradients, shape (nt, 3, 3).
+
+    F = Dx G with the edges d_k = x_k - x_0 as the columns of Dx and
+    G = ref_inv, summed elementwise over component-first rows:
+    F[i, j] = (d1[i] G[0, j] + d2[i] G[1, j]) + d3[i] G[2, j].  F is an
+    (nt, 3, 3) view of (3, 3, nt) storage, like `ref_inv`.
+    """
+    # np.take on (axis, vertex) rows gathers 4x faster than fancy indexing
+    x = np.take(np.asarray(positions, float).T, mesh.tets.T, axis=1)
+    d = x[:, 1:] - x[:, :1]                 # (axis, edge, tet)
+    G = component_first(mesh.ref_inv)
+    F = np.multiply(d[:, 0, None], G[0])
+    term = np.multiply(d[:, 1, None], G[1])
+    F += term
+    F += np.multiply(d[:, 2, None], G[2], out=term)
+    return np.moveaxis(F, -1, 0)
 
 
 def deformation_minors(mesh, positions):
@@ -50,9 +67,11 @@ def deformation_minors(mesh, positions):
 
 
 def deformation_gradient(mesh, state, tet):
-    """Deformation gradient of a single tet."""
+    """Deformation gradient of a single tet, summed as in
+    `deformation_gradients`."""
     x = state.positions[mesh.tets[tet]]
-    return (x[1:] - x[:1]).T @ mesh.ref_inv[tet]
+    d, G = x[1:] - x[:1], mesh.ref_inv[tet]
+    return (d[0, :, None] * G[0] + d[1, :, None] * G[1]) + d[2, :, None] * G[2]
 
 
 def _cross(u, v, out):
@@ -70,9 +89,8 @@ def minors(F):
     component-first views: np.cross took twice as long on 1296 tets.
     """
     F = np.asarray(F, float)
-    cof = np.empty_like(F)
-    (r0, r1, r2), rows = (np.moveaxis(F, (-2, -1), (0, 1)),
-                          np.moveaxis(cof, (-2, -1), (0, 1)))
+    cof = np.empty_like(F)  # in F's memory layout
+    (r0, r1, r2), rows = component_first(F), component_first(cof)
     _cross(r1, r2, rows[0])
     _cross(r2, r0, rows[1])
     _cross(r0, r1, rows[2])
@@ -80,13 +98,26 @@ def minors(F):
     return F, cof, np.multiply(r0, rows[0], order="C").sum(axis=0)
 
 
+def frobenius_norm(F):
+    """|F| over the last two axes, batched over the leading ones.
+
+    The nine squares q_k = F[k // 3, k % 3]^2 are summed in NumPy's
+    pairwise order for a contiguous 3x3,
+    (((q0 + q1) + (q2 + q3)) + ((q4 + q5) + (q6 + q7))) + q8, whatever
+    the layout of F: np.sum over a strided view adds in another order.
+    """
+    F = np.asarray(F, float)
+    q = (component_first(F) ** 2).reshape(9, *F.shape[:-2])
+    return np.sqrt((((q[0] + q[1]) + (q[2] + q[3]))
+                    + ((q[4] + q[5]) + (q[6] + q[7]))) + q[8])
+
+
 def distortion(F):
     """|F|^3 / det F (Frobenius norm); >= 3*sqrt(3), batched."""
     F, _, det = minors(F)
     if np.any(det <= 0):
         raise KinematicsError("distortion requires det F > 0")
-    norm = np.sqrt(np.sum(F * F, axis=(-2, -1)))
-    return norm**3 / det
+    return frobenius_norm(F)**3 / det
 
 
 QUERY_CHUNK = 128  # points per point-in-tet batch; bounds the pair arrays
@@ -156,8 +187,12 @@ class _TetGrid:
                 first[a:a + QUERY_CHUNK] - group_start, n_pairs)]
             d = points[point] - self.base[tet]
             lam = np.einsum("kij,kj->ki", self.inv_e[tet], d)
-            inside = ((lam >= -INSIDE_TOL).all(axis=-1)
-                      & (lam.sum(axis=-1) <= 1.0 + INSIDE_TOL))
+            # per-component tests: length-3 reductions cost more than the
+            # gather and the einsum; (l0 + l1) + l2 is np.sum's order
+            l0, l1, l2 = lam.T
+            inside = ((l0 >= -INSIDE_TOL) & (l1 >= -INSIDE_TOL)
+                      & (l2 >= -INSIDE_TOL)
+                      & ((l0 + l1) + l2 <= 1.0 + INSIDE_TOL))
             hit[point[inside]] = True
         return hit
 

@@ -51,7 +51,8 @@ class ReferenceMesh:
     boundary_faces: np.ndarray    # (nb, 3) int
     boundary_tags: np.ndarray     # (nb,) object/str
     volumes: np.ndarray = field(init=False)          # (nt,)
-    ref_inv: np.ndarray = field(init=False, repr=False)  # (nt, 3, 3) (DX)^-1
+    # (nt, 3, 3) (DX)^-1, a view of component-first (3, 3, nt) storage
+    ref_inv: np.ndarray = field(init=False, repr=False)
     # faces of exactly two tets, in order of first occurrence (tet-major,
     # local faces as in _TET_FACES), and their tets in occurrence order
     interior_faces: np.ndarray = field(init=False, repr=False)      # (ni, 3)
@@ -63,10 +64,10 @@ class ReferenceMesh:
     # rows of boundary_faces tagged NEUMANN, and their reference areas
     neumann_index: np.ndarray = field(init=False, repr=False)
     neumann_areas: np.ndarray = field(init=False, repr=False)
-    # flat np.bincount indices of (corner, element, axis) into nodal (nv, 3)
-    # arrays, corners in the order the sums have always run: tet corners
-    # 1, 2, 3, 0 for the bulk gradient; tet corners 0-3 and then Neumann
-    # face corners 0-2 for the load gradient
+    # flat np.bincount indices into nodal (nv, 3) arrays, corners in the
+    # order the sums have always run: (corner, axis, tet) over tet corners
+    # 1, 2, 3, 0 for the bulk gradient; (corner, element, axis) over tet
+    # corners 0-3 and then Neumann face corners 0-2 for the load gradient
     scatter_index: np.ndarray = field(init=False, repr=False)
     load_scatter_index: np.ndarray = field(init=False, repr=False)
 
@@ -89,7 +90,10 @@ class ReferenceMesh:
         if degenerate.size:
             raise MeshError(f"zero-volume tets {degenerate[:5].tolist()} "
                             f"({degenerate.size} total)")
-        put("ref_inv", np.linalg.inv(np.transpose(edges, (0, 2, 1))))
+        ref_inv = np.linalg.inv(np.transpose(edges, (0, 2, 1)))
+        ref_inv = np.ascontiguousarray(np.moveaxis(ref_inv, 0, -1))
+        ref_inv.setflags(write=False)
+        put("ref_inv", np.moveaxis(ref_inv, -1, 0))
         for name, value in zip(("interior_faces", "interior_face_tets",
                                 "topological_boundary_faces",
                                 "nonmanifold_faces"),
@@ -101,7 +105,8 @@ class ReferenceMesh:
         v = self.vertices[self.boundary_faces[self.neumann_index]]
         put("neumann_areas", 0.5 * np.linalg.norm(
             np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1))
-        put("scatter_index", _corner_index(self.tets[:, [1, 2, 3, 0]]))
+        put("scatter_index", (3 * self.tets.T[[1, 2, 3, 0], None]
+                              + np.arange(3)[:, None]).ravel())
         put("load_scatter_index", np.concatenate([
             _corner_index(self.tets),
             _corner_index(self.boundary_faces[self.neumann_index])]))

@@ -108,7 +108,7 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
     guard_iters = []
     cn_res = 0.0
     log = []
-    message = "converged"
+    message = "iteration limit reached"
     converged = gnorm <= options.gradient_tolerance
     it = 0
 
@@ -174,7 +174,7 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
         converged=converged, iterations=it, objective=obj, grad_norm=gnorm,
         min_det=min_det, guard_activations=guard_total,
         guard_iterations=guard_iters, cn_residual=cn_res,
-        message=message if not converged else "converged", history=log)
+        message="converged" if converged else message, history=log)
     return state, report
 
 

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 from hypothesis import settings
@@ -49,6 +50,55 @@ def random_feasible_state(mesh, scale=0.02, seed=0):
     pos = state.positions + scale * rng.standard_normal(state.positions.shape)
     pos[state.dirichlet_mask] = mesh.vertices[state.dirichlet_mask]
     return state.with_positions(pos)
+
+
+def brute_force_deformation_gradients(mesh, positions):
+    """F and |F| of every tet, one tet at a time in Python floats.
+
+    F[i][j] = (d1[i] G[0][j] + d2[i] G[1][j]) + d3[i] G[2][j] for the
+    edges d_k = x_k - x_0 and G = ref_inv, and |F|^2 adds the squares q_k
+    of F[k // 3][k % 3] as (((q0 + q1) + (q2 + q3)) + ((q4 + q5) +
+    (q6 + q7))) + q8.  Python floats never fuse a multiply-add.
+    """
+    pos = np.asarray(positions, float).tolist()
+    F, norm = np.empty((mesh.n_tets, 3, 3)), np.empty(mesh.n_tets)
+    for t, tet in enumerate(mesh.tets.tolist()):
+        x0 = pos[tet[0]]
+        d = [[pos[v][i] - x0[i] for i in range(3)] for v in tet[1:]]
+        G = mesh.ref_inv[t].tolist()
+        Ft = [[(d[0][i] * G[0][j] + d[1][i] * G[1][j]) + d[2][i] * G[2][j]
+               for j in range(3)] for i in range(3)]
+        q = [v * v for row in Ft for v in row]
+        F[t] = Ft
+        norm[t] = math.sqrt((((q[0] + q[1]) + (q[2] + q[3]))
+                             + ((q[4] + q[5]) + (q[6] + q[7]))) + q[8])
+    return F, norm
+
+
+def brute_force_corner_scatter(mesh, P, dirichlet_mask):
+    """Nodal sums of the corner forces of per-tet stresses P (nt, 3, 3).
+
+    In Python floats: corner c + 1 of a tet takes f_c[i] = (P[i][0]
+    G[c][0] + P[i][1] G[c][1]) + P[i][2] G[c][2] with G = ref_inv, and
+    corner 0 takes -((f_0 + f_1) + f_2).  Each nodal sum starts at 0.0
+    and adds its terms corner by corner (1, 2, 3, 0), tet by tet within
+    a corner.  Dirichlet rows are zeroed.
+    """
+    forces = []
+    for t in range(mesh.n_tets):
+        G, Pt = mesh.ref_inv[t].tolist(), P[t].tolist()
+        f = [[(Pt[i][0] * G[c][0] + Pt[i][1] * G[c][1]) + Pt[i][2] * G[c][2]
+              for i in range(3)] for c in range(3)]
+        f.append([-((f[0][i] + f[1][i]) + f[2][i]) for i in range(3)])
+        forces.append(f)
+    grad = [[0.0] * 3 for _ in range(mesh.n_vertices)]
+    for c, corner in enumerate((1, 2, 3, 0)):
+        for t, tet in enumerate(mesh.tets.tolist()):
+            for i in range(3):
+                grad[tet[corner]][i] += forces[t][c][i]
+    grad = np.array(grad)
+    grad[dirichlet_mask] = 0.0
+    return grad
 
 
 def brute_force_face_adjacency(tets):

@@ -86,6 +86,7 @@ def test_equilibrium_command(tmp_path):
     assert code == 0
     summary = json.loads((out / "equilibrium.json").read_text())
     assert summary["converged"] is True
+    assert summary["message"] == "converged"
     assert summary["min_det"] > 0
     assert summary["seed"] == 5
     with open(out / "equilibrium_log.csv", newline="") as fh:
@@ -96,6 +97,22 @@ def test_equilibrium_command(tmp_path):
     vtk = (out / "equilibrium.vtk").read_text()
     assert vtk.startswith("# vtk DataFile Version 3.0")
     assert "CELLS" in vtk and "SCALARS phase" in vtk
+
+
+def test_equilibrium_iteration_limit_exit_1(tmp_path):
+    """A solve stopped short exits 1 and says why in equilibrium.json."""
+    scenario = write_scenario(tmp_path, "eq.json", {
+        "mesh": {"type": "box", "nx": 2, "ny": 2, "nz": 2,
+                 "tags": CLAMP_PULL_TAGS},
+        "model": {"g": [0.0, 0.0, 1.0]},
+        "solve": {"max_iterations": 1},
+    })
+    out = tmp_path / "eq"
+    assert main(["equilibrium", "--scenario", scenario,
+                 "--out", str(out)]) == 1
+    summary = json.loads((out / "equilibrium.json").read_text())
+    assert summary["converged"] is False
+    assert summary["message"] and summary["message"] != "converged"
 
 
 def topopt_scenario(tmp_path, seed_field=None):
