@@ -33,13 +33,24 @@ def sub_seed(seed, name):
                .generate_state(1)[0])
 
 
+def _finite_number(text):
+    """A JSON number or NaN/Infinity constant, which must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def load_scenario(path):
     try:
-        with open(path) as fh:
-            scenario = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            scenario = json.load(fh, parse_float=_finite_number,
+                                 parse_constant=_finite_number)
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read the scenario: {exc}")
+    except ValueError as exc:   # not UTF-8, not JSON, or not finite
         raise ScenarioError(f"{path}: invalid JSON: {exc}")
     if not isinstance(scenario, dict):
         raise ScenarioError(f"{path}: the scenario must be a JSON object")

@@ -102,12 +102,6 @@ def _scale(phases, model):
     return model.scale0 * (1.0 - labels) + model.scale1 * labels
 
 
-def _scatter(mesh, index, weights):
-    """Nodal (nv, 3) sums of `weights` over a flat (vertex, axis) index."""
-    return np.bincount(index, weights.ravel(),
-                       minlength=3 * mesh.n_vertices).reshape(-1, 3)
-
-
 def bulk_energy(mesh, state, phases, model, F_minors=None):
     """Sum over tets of vol_ref * W_label(F); +inf on any inverted tet.
 
@@ -145,7 +139,8 @@ def bulk_energy_gradient(mesh, state, phases, model, F_minors=None):
     np.add(forces[0], forces[1], out=forces[3])
     forces[3] += forces[2]
     np.negative(forces[3], out=forces[3])
-    g = _scatter(mesh, mesh.scatter_index, forces)
+    g = np.bincount(mesh.scatter_index, forces.ravel(),
+                    minlength=3 * mesh.n_vertices).reshape(-1, 3)
     g[state.dirichlet_mask] = 0.0
     return g
 
@@ -158,36 +153,33 @@ def interface_density(a_norm, model):
     return model.c_int * (1.0 + a**model.p)
 
 
-def load_potential(mesh, state, phases, model):
-    """Work of the referential loads; equilibrium minimizes bulk - loads.
+def _load_vector(mesh, phases, model):
+    """Nodal load vector b(phi), shape (nv, 3), of the load work sum(b * y).
 
-    sum_{label=1} vol_ref f . ybar  +  sum_{Neumann faces} area_ref g . ybar
-    with deformed centroid values ybar (exact for affine y per element).
-    The body term is skipped when f is identically zero.
+    b = t g + w f, for t = mesh.traction_weights and w a quarter of each
+    phase-1 tet's reference volume summed at its corners; exact for y
+    affine per element.  The body term is skipped when f = 0; b starts
+    from +0.0, so no entry is -0.0 and the skip changes no bit.
     """
-    faces = mesh.boundary_faces[mesh.neumann_index]
-    fbar = state.positions[faces].mean(axis=1)
-    potential = float(np.sum(mesh.neumann_areas
-                             * np.sum(model.g * fbar, axis=1)))
+    b = np.zeros((mesh.n_vertices, 3))
+    b += mesh.traction_weights[:, None] * model.g
     if np.any(model.f):
         labels = np.asarray(phases.labels, float)
-        ybar = state.positions[mesh.tets].mean(axis=1)
-        potential += float(np.sum(mesh.volumes * labels
-                                  * np.sum(model.f * ybar, axis=1)))
-    return potential
+        w = np.bincount(mesh.tets.ravel(),
+                        np.repeat(mesh.volumes * labels / 4.0, 4),
+                        minlength=mesh.n_vertices)
+        b += w[:, None] * model.f
+    return b
+
+
+def load_potential(mesh, state, phases, model):
+    """Work of the referential loads, sum(b * y) for the load vector b;
+    equilibrium minimizes bulk - loads."""
+    return float(np.sum(_load_vector(mesh, phases, model) * state.positions))
 
 
 def load_potential_gradient(mesh, state, phases, model):
-    """Nodal gradient of load_potential; Dirichlet rows zeroed."""
-    trac = mesh.neumann_areas[:, None] * model.g / 3.0
-    weights = np.tile(trac.ravel(), 3)
-    if np.any(model.f):
-        labels = np.asarray(phases.labels, float)
-        body = (mesh.volumes * labels)[:, None] * model.f / 4.0
-        weights = np.concatenate([np.tile(body.ravel(), 4), weights])
-    # the Neumann corners close load_scatter_index, after the tet corners
-    index = mesh.load_scatter_index
-    g = _scatter(mesh, index[len(index) - len(weights):], weights)
-    g[state.dirichlet_mask] = 0.0
-    return g
-
+    """Nodal gradient of load_potential: b with Dirichlet rows zeroed."""
+    b = _load_vector(mesh, phases, model)
+    b[state.dirichlet_mask] = 0.0
+    return b

@@ -66,14 +66,6 @@ def deformation_minors(mesh, positions):
     return minors(deformation_gradients(mesh, positions))
 
 
-def deformation_gradient(mesh, state, tet):
-    """Deformation gradient of a single tet, summed as in
-    `deformation_gradients`."""
-    x = state.positions[mesh.tets[tet]]
-    d, G = x[1:] - x[:1], mesh.ref_inv[tet]
-    return (d[0, :, None] * G[0] + d[1, :, None] * G[1]) + d[2, :, None] * G[2]
-
-
 def _cross(u, v, out):
     """out = u x v, for 3-vectors indexed component first."""
     out[0] = u[1] * v[2] - u[2] * v[1]

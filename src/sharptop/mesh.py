@@ -61,15 +61,12 @@ class ReferenceMesh:
     topological_boundary_faces: np.ndarray = field(init=False, repr=False)
     nonmanifold_faces: np.ndarray = field(init=False, repr=False)
     boundary_edge_keys: np.ndarray = field(init=False, repr=False)  # sorted
-    # rows of boundary_faces tagged NEUMANN, and their reference areas
-    neumann_index: np.ndarray = field(init=False, repr=False)
-    neumann_areas: np.ndarray = field(init=False, repr=False)
-    # flat np.bincount indices into nodal (nv, 3) arrays, corners in the
-    # order the sums have always run: (corner, axis, tet) over tet corners
-    # 1, 2, 3, 0 for the bulk gradient; (corner, element, axis) over tet
-    # corners 0-3 and then Neumann face corners 0-2 for the load gradient
+    # a third of each NEUMANN face's reference area, summed at its corners
+    # face by face: the traction load on vertex v is traction_weights[v] g
+    traction_weights: np.ndarray = field(init=False, repr=False)  # (nv,)
+    # flat np.bincount index of the bulk gradient into a nodal (nv, 3)
+    # array, in (corner, axis, tet) order over tet corners 1, 2, 3, 0
     scatter_index: np.ndarray = field(init=False, repr=False)
-    load_scatter_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         def put(name, value):
@@ -77,6 +74,10 @@ class ReferenceMesh:
             value.setflags(write=False)
 
         put("vertices", np.asarray(self.vertices, float))
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if bad.size:
+            raise MeshError(f"non-finite vertices {bad[:5].tolist()} "
+                            f"({bad.size} total)")
         put("tets", np.asarray(self.tets, int))
         put("boundary_faces",
             np.asarray(self.boundary_faces, int).reshape(-1, 3))
@@ -101,15 +102,14 @@ class ReferenceMesh:
             put(name, value)
         put("boundary_edge_keys",
             np.unique(edge_keys(self.boundary_faces, nv)))
-        put("neumann_index", np.flatnonzero(self.boundary_tags == NEUMANN))
-        v = self.vertices[self.boundary_faces[self.neumann_index]]
-        put("neumann_areas", 0.5 * np.linalg.norm(
-            np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1))
+        faces = self.boundary_faces[self.boundary_tags == NEUMANN]
+        v = self.vertices[faces]
+        areas = 0.5 * np.linalg.norm(
+            np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1)
+        put("traction_weights", np.bincount(
+            faces.ravel(), np.repeat(areas / 3.0, 3), minlength=nv))
         put("scatter_index", (3 * self.tets.T[[1, 2, 3, 0], None]
                               + np.arange(3)[:, None]).ravel())
-        put("load_scatter_index", np.concatenate([
-            _corner_index(self.tets),
-            _corner_index(self.boundary_faces[self.neumann_index])]))
 
     @property
     def n_vertices(self):
@@ -151,10 +151,6 @@ def face_topology(tets, n_vertices):
     first, second = order[pair][by_first], order[pair + 1][by_first]
     return (occ[first], np.stack([first // 4, second // 4], axis=1),
             occ[order[start[count == 1]]], occ[order[start[count > 2]]])
-
-
-def _corner_index(elements):
-    return (3 * elements.T[:, :, None] + np.arange(3)).ravel()
 
 
 def edge_keys(faces, n_vertices):
@@ -210,10 +206,12 @@ def validate_mesh(mesh):
 def orient_tets(vertices, tets):
     """Swap two vertices of every negatively oriented tet.
 
-    Zero-volume tets are left for ReferenceMesh to reject.
+    Zero-volume tets and non-finite vertices are left for ReferenceMesh
+    to reject.
     """
     tets = np.array(tets, int)
-    vols = tet_volumes(np.asarray(vertices, float), tets)
+    with np.errstate(invalid="ignore"):
+        vols = tet_volumes(np.asarray(vertices, float), tets)
     fixed = np.where(vols < 0)[0]
     tets[fixed, 0], tets[fixed, 1] = tets[fixed, 1].copy(), tets[fixed, 0].copy()
     return tets
@@ -288,28 +286,31 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshError(f"{path}: cannot read the mesh file: {exc}") from exc
+    if lines[0].strip() != "tetmesh v1":
+        raise MeshError(f"{path}:1: expected header 'tetmesh v1'")
     vertices, tets, bfaces, btags = [], [], [], []
-    with open(path) as fh:
-        first = fh.readline()
-        if first.strip() != "tetmesh v1":
-            raise MeshError(f"{path}:1: expected header 'tetmesh v1'")
-        for ln, raw in enumerate(fh, start=2):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "v" and len(parts) == 4:
-                    vertices.append([float(p) for p in parts[1:]])
-                elif parts[0] == "t" and len(parts) == 5:
-                    tets.append([int(p) for p in parts[1:]])
-                elif parts[0] == "bf" and len(parts) == 5:
-                    bfaces.append([int(p) for p in parts[1:4]])
-                    btags.append(parts[4])
-                else:
-                    raise ValueError("unrecognized record")
-            except ValueError as exc:
-                raise MeshError(f"{path}:{ln}: parse error: {exc}") from exc
+    for ln, raw in enumerate(lines[1:], start=2):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "v" and len(parts) == 4:
+                vertices.append([float(p) for p in parts[1:]])
+            elif parts[0] == "t" and len(parts) == 5:
+                tets.append([int(p) for p in parts[1:]])
+            elif parts[0] == "bf" and len(parts) == 5:
+                bfaces.append([int(p) for p in parts[1:4]])
+                btags.append(parts[4])
+            else:
+                raise ValueError("unrecognized record")
+        except ValueError as exc:
+            raise MeshError(f"{path}:{ln}: parse error: {exc}") from exc
     vertices = np.array(vertices, float).reshape(-1, 3)
     tets = np.array(tets, int).reshape(-1, 4)
     indices = [tets.ravel(), np.array(bfaces, int).ravel()]

@@ -25,25 +25,22 @@ def icosphere(level, radius=1.0):
         [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ], int)
-    verts_list = [v for v in verts]
     for _ in range(int(level)):
-        cache = {}
-
-        def midpoint(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in cache:
-                m = verts_list[a] + verts_list[b]
-                m /= np.linalg.norm(m)
-                cache[key] = len(verts_list)
-                verts_list.append(m)
-            return cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        faces = np.array(new_faces, int)
-    return np.array(verts_list) * radius, faces  # centred at the origin
+        # the edges ab, bc, ca of each face in turn; a midpoint's number
+        # is the rank of its edge's first appearance in that sequence
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, inverse = np.unique(edges[:, 0] * len(verts) + edges[:, 1],
+                                      return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        ab, bc, ca = (len(verts) + rank[inverse]).reshape(-1, 3).T
+        ends = edges[np.sort(first)]
+        mid = verts[ends[:, 0]] + verts[ends[:, 1]]
+        verts = np.vstack([verts, mid / np.linalg.norm(mid, axis=1)[:, None]])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+    return verts * radius, faces  # centred at the origin
 
 
 def sphere_varifold(level, radius=1.0):

@@ -43,8 +43,8 @@ class TopOptConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
-        if not (self.t_initial > 0 and self.t_final > 0):
-            raise ValueError("temperatures must be positive")
+        if not (0 < self.t_initial < np.inf and 0 < self.t_final < np.inf):
+            raise ValueError("temperatures must be positive and finite")
         if not 0 < self.t_decay < 1:
             raise ValueError("decay must lie in (0, 1)")
         _check_count("steps_per_temperature", self.steps_per_temperature, 1)

@@ -59,6 +59,8 @@ class InterfaceVarifold:
     a_norm: np.ndarray = None           # (nv,)
     mixed_area: np.ndarray = None       # (nv,)
     interior_vertex: np.ndarray = None  # (nv,) bool
+    # sorted keys lo * nv + hi of the edges of a single triangle
+    open_edges: np.ndarray = None
     clip_count: int = 0
 
     @property
@@ -229,7 +231,7 @@ def discrete_curvature_inplace(V, edge_counts=None):
     K[~interior] = 0.0
     return replace(V, mean_curvature=H, gauss_curvature=K, a_norm=a_norm,
                    mixed_area=mixed, interior_vertex=interior,
-                   clip_count=clip_count)
+                   open_edges=open_edges, clip_count=clip_count)
 
 
 def curvature_integral(V):
@@ -258,10 +260,10 @@ def boundary_defect(V):
     """Count of single-incidence interface edges off the domain boundary.
 
     Zero is required for admissibility (the interface current has no
-    boundary inside the deformed domain).
+    boundary inside the deformed domain).  Reads the open edges that
+    discrete_curvature_inplace found.
     """
-    keys, counts = _edge_counts(V.faces, len(V.vertices))
-    return int(np.count_nonzero(~np.isin(keys[counts == 1],
+    return int(np.count_nonzero(~np.isin(V.open_edges,
                                          V.domain_boundary_edges)))
 
 

@@ -251,9 +251,20 @@ def test_mass_residual_uses_annealing_eta(tmp_path):
     assert abs(summary["mass_constraint_residual"]) < 1e-9
 
 
+def one_tet_mesh(apex):
+    """A one-tet mesh file whose fourth vertex is the line `v {apex}`."""
+    return ("tetmesh v1\nv 0 0 0\nv 1 0 0\nv 0 1 0\n"
+            f"v {apex}\nt 0 1 2 3\n"
+            "bf 0 2 1 FREE\nbf 0 1 3 FREE\nbf 0 3 2 FREE\nbf 1 2 3 FREE\n")
+
+
 @pytest.mark.parametrize("text, needle", [
     (NONMANIFOLD_MESH, "face shared by more than two tets"),
     (ZERO_VOLUME_MESH, "zero-volume"),
+    pytest.param(one_tet_mesh("nan 0 1"), "non-finite vertices [3]",
+                 id="nan"),
+    pytest.param(one_tet_mesh("0 -inf 1"), "non-finite vertices [3]",
+                 id="inf"),
 ])
 def test_invalid_mesh_file_exit_2(tmp_path, capsys, text, needle):
     (tmp_path / "m.tet").write_text(text)
@@ -262,7 +273,59 @@ def test_invalid_mesh_file_exit_2(tmp_path, capsys, text, needle):
     code = main(["validate", "--scenario", scenario,
                  "--out", str(tmp_path / "o")])
     assert code == 2
-    assert needle in json.loads(capsys.readouterr().err)["message"]
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert str(tmp_path / "m.tet") in message
+    assert needle in message
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: None,
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"tetmesh v1\nv 0 0 0 # \xff\n"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_mesh_file_exit_2(tmp_path, capsys, make):
+    make(tmp_path / "m.tet")
+    scenario = write_scenario(tmp_path, "s.json", {
+        "mesh": {"type": "file", "path": str(tmp_path / "m.tet")}})
+    code = main(["validate", "--scenario", scenario,
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert str(tmp_path / "m.tet") in json.loads(
+        capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b'{"seed": 1, "output": "\xff"}'),
+], ids=["directory", "not-utf8"])
+def test_unreadable_scenario_exit_2(tmp_path, capsys, make):
+    make(tmp_path / "s.json")
+    code = main(["validate", "--scenario", str(tmp_path / "s.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert str(tmp_path / "s.json") in json.loads(
+        capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("command, extra, needle", [
+    ("equilibrium", '"model": {"scale1": Infinity}', "Infinity"),
+    ("equilibrium", '"model": {"scale1": NaN}', "NaN"),
+    ("equilibrium", '"model": {"g": [0, 0, -1e999]}', "-1e999"),
+    # uniform labels miss the mass target, so a run that took the
+    # infinite temperature would stop at once instead of annealing forever
+    ("topopt", '"topopt": {"t_initial": Infinity}, '
+               '"labels": {"type": "uniform"}', "Infinity"),
+], ids=["Infinity", "NaN", "1e999", "t_initial"])
+def test_non_finite_number_exit_2(tmp_path, capsys, command, extra, needle):
+    path = tmp_path / "s.json"
+    path.write_text('{"mesh": {"type": "box", "nx": 1, "ny": 1, "nz": 1}, '
+                    + extra + "}")
+    code = main([command, "--scenario", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert str(path) in message
+    assert f"non-finite number {needle}" in message
 
 
 def seed_scenario(tmp_path, doc):

@@ -234,16 +234,24 @@ def test_gradient_scatter_matches_add_at(clamped_mesh):
     assert np.array_equal(bulk_energy_gradient(mesh, state, phases, model),
                           ref)
 
+    # the load vector: per-vertex weights summed element by element,
+    # corner by corner within an element, then one product per load; on
+    # a jittered mesh, so that the order of each sum shows
+    mesh = jittered_box_mesh((3, 2, 2), np.random.default_rng(4), 0.1)
+    phases = st.PhaseLabeling(np.arange(mesh.n_tets) % 2)
+    labels = np.asarray(phases.labels, float)
+    state = random_feasible_state(mesh, seed=4)
     faces = mesh.boundary_faces[mesh.boundary_tags == "NEUMANN"]
     v = mesh.vertices[faces]
     areas = 0.5 * np.linalg.norm(np.cross(v[:, 1] - v[:, 0],
                                           v[:, 2] - v[:, 0]), axis=1)
+    t = np.zeros(mesh.n_vertices)
+    np.add.at(t, faces.ravel(), np.repeat(areas / 3.0, 3))
+    w = np.zeros(mesh.n_vertices)
+    np.add.at(w, mesh.tets.ravel(), np.repeat(mesh.volumes * labels / 4.0, 4))
     ref = np.zeros_like(state.positions)
-    for c in range(4):
-        np.add.at(ref, mesh.tets[:, c],
-                  (mesh.volumes * labels)[:, None] * model.f / 4.0)
-    for c in range(3):
-        np.add.at(ref, faces[:, c], areas[:, None] * model.g / 3.0)
+    ref += t[:, None] * model.g
+    ref += w[:, None] * model.f
     ref[state.dirichlet_mask] = 0.0
     assert np.array_equal(load_potential_gradient(mesh, state, phases, model),
                           ref)
@@ -257,8 +265,9 @@ def test_bulk_terms_equal_per_tet_sums(clamped_mesh):
     state = random_feasible_state(mesh, seed=5)
     energy = 0.0
     grad = np.zeros_like(state.positions)
+    F_all = st.deformation_gradients(mesh, state.positions)
     for t in range(mesh.n_tets):
-        F = st.deformation_gradient(mesh, state, t)
+        F = F_all[t]
         label = int(phases.labels[t])
         energy += mesh.volumes[t] * st.bulk_density(F, label, model)
         P = mesh.volumes[t] * st.bulk_stress(F, label, model)
@@ -307,8 +316,6 @@ def test_bulk_kernels_match_python_float_oracle(dims, seed):
     assert np.moveaxis(mesh.ref_inv, 0, -1).flags.c_contiguous
     F_oracle, norm = brute_force_deformation_gradients(mesh, positions)
     assert np.array_equal(F, F_oracle)
-    assert all(np.array_equal(st.deformation_gradient(mesh, state, t), F[t])
-               for t in range(mesh.n_tets))
     _, cof, det = st.minors(F_oracle)
     labels = phases.labels.astype(float)
     weight = mesh.volumes * (model.scale0 * (1.0 - labels)
@@ -342,20 +349,15 @@ def test_bulk_kernels_match_python_float_oracle(dims, seed):
 def full_load_terms(mesh, state, phases, model):
     """load_potential and its gradient with the body term always formed."""
     labels = np.asarray(phases.labels, float)
-    f = np.broadcast_to(model.f, (mesh.n_tets, 3))
-    ybar = state.positions[mesh.tets].mean(axis=1)
-    body = float(np.sum(mesh.volumes * labels * np.sum(f * ybar, axis=1)))
-    faces = mesh.boundary_faces[mesh.neumann_index]
-    g = np.broadcast_to(model.g, (len(faces), 3))
-    fbar = state.positions[faces].mean(axis=1)
-    surface = float(np.sum(mesh.neumann_areas * np.sum(g * fbar, axis=1)))
-    weights = np.concatenate([
-        np.tile(((mesh.volumes * labels)[:, None] * f / 4.0).ravel(), 4),
-        np.tile((mesh.neumann_areas[:, None] * g / 3.0).ravel(), 3)])
-    grad = np.bincount(mesh.load_scatter_index, weights,
-                       minlength=3 * mesh.n_vertices).reshape(-1, 3)
-    grad[state.dirichlet_mask] = 0.0
-    return body + surface, grad
+    w = np.bincount(mesh.tets.ravel(),
+                    np.repeat(mesh.volumes * labels / 4.0, 4),
+                    minlength=mesh.n_vertices)
+    b = np.zeros((mesh.n_vertices, 3))
+    b += mesh.traction_weights[:, None] * model.g
+    b += w[:, None] * model.f
+    potential = float(np.sum(b * state.positions))
+    b[state.dirichlet_mask] = 0.0
+    return potential, b
 
 
 @pytest.mark.parametrize("f", [[0.0, 0.0, 0.0], [0.0, -0.0, 0.0],
@@ -375,6 +377,61 @@ def test_load_terms_equal_full_formula(clamped_mesh, f, g):
         np.int64)
     got = load_potential_gradient(mesh, state, phases, model)
     assert np.array_equal(got.view(np.int64), grad.view(np.int64))
+
+
+def corner_mean_load_terms(mesh, state, phases, model):
+    """The load work as sums of element-centroid values, and its gradient
+    as per-corner shares of each element's load."""
+    labels = np.asarray(phases.labels, float)
+    faces = mesh.boundary_faces[mesh.boundary_tags == "NEUMANN"]
+    v = mesh.vertices[faces]
+    areas = 0.5 * np.linalg.norm(np.cross(v[:, 1] - v[:, 0],
+                                          v[:, 2] - v[:, 0]), axis=1)
+    ybar = state.positions[mesh.tets].mean(axis=1)
+    fbar = state.positions[faces].mean(axis=1)
+    potential = (np.sum(mesh.volumes * labels * (ybar @ model.f))
+                 + np.sum(areas * (fbar @ model.g)))
+    grad = np.zeros_like(state.positions)
+    for c in range(4):
+        np.add.at(grad, mesh.tets[:, c],
+                  (mesh.volumes * labels)[:, None] * model.f / 4.0)
+    for c in range(3):
+        np.add.at(grad, faces[:, c], areas[:, None] * model.g / 3.0)
+    grad[state.dirichlet_mask] = 0.0
+    return potential, grad
+
+
+@settings(max_examples=20)
+@given(dims=hs.tuples(*[hs.integers(1, 4)] * 3),
+       seed=hs.integers(0, 2**32 - 1))
+def test_load_terms_match_corner_means(dims, seed):
+    """The nodal load vector gives the corner-mean load work and its
+    per-corner gradient to 1e-12 on jittered two-phase meshes."""
+    rng = np.random.default_rng(seed)
+    mesh = jittered_box_mesh(dims, rng, 0.05)
+    state = random_feasible_state(mesh, seed=seed)
+    phases = st.PhaseLabeling(rng.integers(0, 2, mesh.n_tets))
+    model = st.EnergyModel(f=[0.3, 0.1, 0.4], g=[0.2, -0.1, 0.7])
+    potential, grad = corner_mean_load_terms(mesh, state, phases, model)
+    assert st.load_potential(mesh, state, phases, model) == pytest.approx(
+        potential, rel=1e-12)
+    got = load_potential_gradient(mesh, state, phases, model)
+    assert np.max(np.abs(got - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+
+def test_load_potential_is_its_gradient_times_y():
+    """With no Dirichlet vertex the load work is sum(gradient * y) bit
+    for bit: one load vector serves both."""
+    rng = np.random.default_rng(8)
+    mesh = st.build_box_mesh(3, 2, 2, tagging=lambda c: (
+        "NEUMANN" if c[2] > 1.0 - 1e-9 else "FREE"))
+    state = random_feasible_state(mesh, scale=0.05, seed=8)
+    assert not state.dirichlet_mask.any()
+    phases = st.PhaseLabeling(rng.integers(0, 2, mesh.n_tets))
+    model = st.EnergyModel(f=[0.3, -0.2, 0.45], g=[0.2, -0.1, 0.7])
+    grad = load_potential_gradient(mesh, state, phases, model)
+    assert st.load_potential(mesh, state, phases, model) == float(
+        np.sum(grad * state.positions))
 
 
 def test_total_energy_uniform_phase(small_mesh, uniform_phase1):

@@ -1,3 +1,5 @@
+import math
+
 from hypothesis import given, settings, strategies as hs
 import numpy as np
 import pytest
@@ -189,6 +191,9 @@ def test_config_validation():
         TopOptConfig(t_decay=1.0)
     with pytest.raises(ValueError):
         TopOptConfig(t_initial=-1.0)
+    for key in ("t_initial", "t_final"):   # infinity never cools below
+        with pytest.raises(ValueError, match="finite"):
+            TopOptConfig(**{key: math.inf})
     for key, bad in (("steps_per_temperature", 2.5),
                      ("steps_per_temperature", 0),
                      ("steps_per_temperature", True),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sharptop as st
+from sharptop.mesh import edge_keys
 from sharptop.surfaces import (cylinder_patch, cylinder_varifold, flat_patch,
                                flat_varifold, halfspace_labels, slab_labels,
                                sphere_varifold)
@@ -372,10 +373,10 @@ def test_boundary_defect_detects_deleted_triangle(small_mesh):
     phases = halfspace_labels(small_mesh, axis=0, threshold=0.5)
     V = st.extract_interface(small_mesh, st.identity_state(small_mesh),
                              phases)
-    broken = InterfaceVarifold(
+    broken = discrete_curvature_inplace(InterfaceVarifold(
         vertices=V.vertices, faces=V.faces[1:], areas=V.areas[1:],
         normals=V.normals[1:],
-        domain_boundary_edges=V.domain_boundary_edges)
+        domain_boundary_edges=V.domain_boundary_edges))
     # removing an interior-adjacent triangle exposes its off-boundary edges
     defect = st.boundary_defect(broken)
     assert defect > 0
@@ -384,6 +385,34 @@ def test_boundary_defect_detects_deleted_triangle(small_mesh):
 
 def test_boundary_defect_closed_surface():
     assert st.boundary_defect(sphere_varifold(1)) == 0
+
+
+def test_open_edges_match_an_edge_recount():
+    """The open edges the curvature pass derives are the single-triangle
+    edges of a fresh count, on extracted and on analytic surfaces."""
+    mesh = st.build_box_mesh(4, 3, 3)
+    surfaces = [flat_varifold(3, 2), cylinder_varifold(0.5, 6, 3),
+                sphere_varifold(1)]
+    for seed in range(8):
+        phases = perturbed_slab_labels(mesh, seed % 3, seed, flips=1)
+        try:
+            V = st.extract_interface(mesh, st.identity_state(mesh), phases)
+        except InterfaceError:
+            continue
+        keep = np.arange(V.n_triangles) != seed   # a hole off the boundary
+        surfaces += [V, discrete_curvature_inplace(replace(
+            V, faces=V.faces[keep], areas=V.areas[keep],
+            normals=V.normals[keep]))]
+    assert len(surfaces) == 3 + 2 * 6
+    defects = []
+    for V in surfaces:
+        keys, counts = np.unique(edge_keys(V.faces, len(V.vertices)),
+                                 return_counts=True)
+        assert np.array_equal(V.open_edges, keys[counts == 1])
+        defects.append(st.boundary_defect(V))
+        assert defects[-1] == np.count_nonzero(
+            ~np.isin(keys[counts == 1], V.domain_boundary_edges))
+    assert max(defects) > 0
 
 
 # ------------------------------------------------------------------ coupling
