@@ -2,8 +2,9 @@
 
 from .energy import EnergyModel, bulk_density, bulk_energy, bulk_stress, \
     interface_density, load_potential, stress_free_s
-from .kinematics import DeformationState, ciarlet_necas_residual, \
-    deformation_gradients, distortion, identity_state, minors
+from .kinematics import DeformationState, boundary_self_intersects, \
+    ciarlet_necas_residual, deformation_gradients, distortion, \
+    identity_state, minors
 from .mesh import DIRICHLET, FREE, NEUMANN, ReferenceMesh, build_box_mesh, \
     load_mesh, plane_tagging, save_mesh, validate_mesh
 from .solve import SolveOptions, equilibrium_gradient, equilibrium_objective, \

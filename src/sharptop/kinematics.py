@@ -2,14 +2,17 @@
 
 The deformation is piecewise affine over the tets: F = Dx (DX)^-1 with
 edge matrices of the deformed and reference tet; the mesh stores
-(DX)^-1 as `ref_inv`.  Almost-everywhere injectivity is monitored
-through the Ciarlet-Necas gap between the Jacobian integral and a Monte
-Carlo estimate of the image volume.
+(DX)^-1 as `ref_inv`.  Almost-everywhere injectivity is checked
+exactly, as the absence of self-intersections of the deformed boundary
+surface; the Ciarlet-Necas gap between the Jacobian integral and a Monte
+Carlo estimate of the image volume remains as a diagnostic.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .mesh import run_pairs
 
 
 class KinematicsError(Exception):
@@ -116,50 +119,70 @@ QUERY_CHUNK = 128  # points per point-in-tet batch; bounds the pair arrays
 INSIDE_TOL = 1e-12  # slack of the barycentric point-in-tet test
 
 
-class _TetGrid:
-    """Uniform spatial hash over deformed tets for point-in-tet queries.
+class _Grid:
+    """Uniform grid of `shape` cells over the union of item boxes.
 
-    The grid has round(nt^(1/3)) cells per axis over the deformed bounding
-    box.  Each tet is listed in every cell its box overlaps: `cell_tets`
-    holds the candidate tets grouped by flat cell id, ascending tet id
-    within a cell, and cell c's group is cell_tets[cell_start[c]:
-    cell_start[c + 1]].
+    Item i has the bounding box [box_lo[i], box_hi[i]] and is listed in
+    every cell its box overlaps.  The entries are sorted by the key
+    cell * n + item, so a cell's items are contiguous and ascending:
+    entry e lists item[e] in cell[e], and bit `axis` of low[e] is set
+    when cell[e] is the box's lowest cell on that axis.
     """
 
-    def __init__(self, positions, tets):
-        self.corners = np.asarray(positions, float)[tets]  # (nt, 4, 3)
-        self.lo = self.corners.min(axis=(0, 1))
-        self.hi = self.corners.max(axis=(0, 1))
-        n = len(tets)
-        self.res = max(1, int(round(n ** (1.0 / 3.0))))
+    def __init__(self, box_lo, box_hi, shape):
+        self.lo = box_lo.min(axis=0)
+        self.hi = box_hi.max(axis=0)
+        self.shape = np.asarray(shape)
         span = np.maximum(self.hi - self.lo, 1e-300)
-        self.inv_h = self.res / span
-        # inverse affine maps x -> barycentric-ish local coords
-        e = np.transpose(self.corners[:, 1:] - self.corners[:, :1], (0, 2, 1))
-        self.inv_e = np.linalg.inv(e)
-        self.base = self.corners[:, 0]
-        tlo = self._cell(self.corners.min(axis=1))
-        extent = self._cell(self.corners.max(axis=1)) - tlo + 1
-        # one key cell * n + tet per (tet, overlapped cell), generated per
-        # cell offset of the tet boxes (at most 27 on a box mesh)
-        keys = []
-        for offset in np.ndindex(*extent.max(axis=0)):
-            tet = np.flatnonzero((extent > offset).all(axis=1))
-            cell = self._flat(tlo[tet] + offset)
-            keys.append(cell * n + tet)
-        keys = np.sort(np.concatenate(keys))
-        self.cell_tets = (keys % n).astype(np.int32)
-        self.cell_start = np.searchsorted(
-            keys // n, np.arange(self.res**3 + 1))
+        self.inv_h = self.shape / span
+        first = self._cell(box_lo)
+        extent = self._cell(box_hi) - first + 1
+        # the r-th cell of item i's box, r < extent.prod(), in C order
+        n, count = len(box_lo), extent.prod(axis=1)
+        item = np.repeat(np.arange(n), count)
+        r = np.arange(len(item)) - np.repeat(np.cumsum(count) - count, count)
+        cells, low = first[item], 0
+        for axis in (2, 1, 0):
+            r, offset = np.divmod(r, np.take(extent[:, axis], item))
+            cells[:, axis] += offset
+            low = low | (offset == 0) << axis
+        # the low bits ride below the key, which is unique per entry
+        keys = np.sort((self._flat(cells) * n + item) * 8 + low)
+        self.cell, keys = np.divmod(keys, 8 * n)
+        self.item, self.low = np.divmod(keys, 8)
 
     def _cell(self, points):
         """Integer cell coordinates of points, clipped to the grid."""
         return np.clip(((points - self.lo) * self.inv_h).astype(int),
-                       0, self.res - 1)
+                       0, self.shape - 1)
 
     def _flat(self, cell_ids):
-        return ((cell_ids[:, 0] * self.res + cell_ids[:, 1]) * self.res
-                + cell_ids[:, 2])
+        return ((cell_ids[:, 0] * self.shape[1] + cell_ids[:, 1])
+                * self.shape[2] + cell_ids[:, 2])
+
+
+class _TetGrid(_Grid):
+    """Uniform spatial hash over deformed tets for point-in-tet queries.
+
+    The grid has round(nt^(1/3)) cells per axis over the deformed bounding
+    box.  `cell_tets` holds the candidate tets grouped by flat cell id,
+    ascending tet id within a cell, and cell c's group is
+    cell_tets[cell_start[c]:cell_start[c + 1]].
+    """
+
+    def __init__(self, positions, tets):
+        self.corners = np.asarray(positions, float)[tets]  # (nt, 4, 3)
+        n = len(tets)
+        self.res = max(1, int(round(n ** (1.0 / 3.0))))
+        super().__init__(self.corners.min(axis=1), self.corners.max(axis=1),
+                         (self.res,) * 3)
+        # inverse affine maps x -> barycentric-ish local coords
+        e = np.transpose(self.corners[:, 1:] - self.corners[:, :1], (0, 2, 1))
+        self.inv_e = np.linalg.inv(e)
+        self.base = self.corners[:, 0]
+        self.cell_tets = self.item.astype(np.int32)
+        self.cell_start = np.searchsorted(self.cell,
+                                          np.arange(self.res**3 + 1))
 
     def box_volume(self):
         return float(np.prod(self.hi - self.lo))
@@ -235,3 +258,171 @@ def ciarlet_necas_residual(mesh, state, samples=100_000, seed=0,
                               image_volume_estimate=image,
                               residual=jac - image,
                               mc_std=std, samples=int(samples))
+
+
+def _cross_of(u, v):
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape))
+    _cross(u, v, out)
+    return out
+
+
+def _dot(u, v):
+    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
+
+
+def _corners(x, rows):
+    """x (3, nv) gathered at `rows` (n, k): (3, k, n), component first."""
+    return np.take(x, rows.T, axis=1)
+
+
+def _line_crosses(p, q, a, b, c):
+    """Does the line through p and q pass strictly inside triangle abc?
+
+    It does when the orient3d signs of (p, q) against the three edges of
+    abc are equal and not zero.  With p and q strictly on opposite sides
+    of the plane of abc, that is the open segment pq piercing the open
+    triangle.  Arguments are component first, (3, n); returns (n,) bool.
+    """
+    d, ap, bp, cp = q - p, a - p, b - p, c - p
+    s0 = np.sign(_dot(d, _cross_of(ap, bp)))
+    s1 = np.sign(_dot(d, _cross_of(bp, cp)))
+    s2 = np.sign(_dot(d, _cross_of(cp, ap)))
+    return (s0 != 0) & (s0 == s1) & (s1 == s2)
+
+
+def _coplanar_overlap(A, B):
+    """Do coplanar triangles A and B, (3, 3, n) component first, share
+    interior points?
+
+    Separating-axis test on the six edge lines: an edge line separates
+    when no corner of the other triangle lies strictly on its inner side
+    (the side of the triangle's own third corner).  For the edge from
+    corner i of T with normal n, x is inside when (x - T_i) . (n x edge)
+    is positive.
+    """
+    overlap = np.ones(A.shape[2], bool)
+    for T, U in ((A, B), (B, A)):
+        normal = _cross_of(T[:, 1] - T[:, 0], T[:, 2] - T[:, 0])
+        inward = _cross_of(normal[:, None], np.roll(T, -1, axis=1) - T)
+        inner = ((inward[:, :, None] * U[:, None]).sum(axis=0)
+                 - _dot(inward, T)[:, None])            # (edge, corner, n)
+        overlap &= (inner.max(axis=1) > 0).all(axis=0)
+    return overlap
+
+
+def _disjoint_pairs_cross(A, B):
+    """Triangle pairs (3, 3, n) with no common vertex: do they cross?
+
+    Off a common plane, a pair can cross only when each triangle has
+    corners strictly on both sides of the other's plane, and then an
+    edge of one pierces the other.  An exactly coplanar pair crosses when
+    the triangles overlap in their plane.
+    """
+    nA = _cross_of(A[:, 1] - A[:, 0], A[:, 2] - A[:, 0])
+    nB = _cross_of(B[:, 1] - B[:, 0], B[:, 2] - B[:, 0])
+    sA = np.sign(_dot(nB[:, None], A - B[:, :1]))    # (corner of A, n)
+    sB = np.sign(_dot(nA[:, None], B - A[:, :1]))
+    hit = np.zeros(A.shape[2], bool)
+    k = np.flatnonzero((sA.max(axis=0) > 0) & (sA.min(axis=0) < 0)
+                       & (sB.max(axis=0) > 0) & (sB.min(axis=0) < 0))
+    for T, U, s in ((A[:, :, k], B[:, :, k], sA[:, k]),
+                    (B[:, :, k], A[:, :, k], sB[:, k])):
+        # edge i of T runs from corner i to corner i + 1; it pierces U
+        # when its ends lie strictly on opposite sides of U's plane
+        across = s * np.roll(s, -1, axis=0) < 0
+        hit[k] |= (across & _line_crosses(T, np.roll(T, -1, axis=1),
+                                          U[:, :1], U[:, 1:2], U[:, 2:])
+                   ).any(axis=0)
+    k = np.flatnonzero(~sA.any(axis=0) | ~sB.any(axis=0))
+    hit[k] = _coplanar_overlap(A[:, :, k], B[:, :, k])
+    return hit
+
+
+def _vertex_pairs_cross(P):
+    """Triangles (p, a1, a2) and (p, b1, b2) sharing only the vertex p,
+    given as rows (3, 5, n): do they cross?
+
+    Off a common plane they can meet only on a line through p, so they
+    cross exactly when the opposite edge of one pierces the other; both
+    opposite edges then cross the other triangle's plane.  In a common
+    plane they overlap exactly when their sectors at p do: each of the
+    four edge lines through p has a corner of the other triangle
+    strictly on its inner side.
+    """
+    R = P[:, 1:] - P[:, :1]                # a1, a2, b1, b2 relative to p
+    normal = _cross_of(R[:, 0::2], R[:, 1::2])          # (3, [nA, nB], n)
+    # side[t, c]: corner c of one triangle against the plane of the other
+    side = np.sign(_dot(normal[:, ::-1, None], R.reshape(3, 2, 2, -1)))
+    hit = np.zeros(P.shape[2], bool)
+    k = np.flatnonzero((side[:, 0] * side[:, 1] < 0).all(axis=0))
+    Rk = R[:, :, k].reshape(3, 2, 2, -1)
+    hit[k] = _line_crosses(Rk[:, :, 0], Rk[:, :, 1], np.zeros((3, 1, 1)),
+                           Rk[:, ::-1, 0], Rk[:, ::-1, 1]).any(axis=0)
+    k = np.flatnonzero((side == 0).all(axis=1).any(axis=0))
+    # x lies inside A's edge line along a1 when (a1 x x) . nA > 0, and
+    # inside the one along a2 when (a2 x x) . nA < 0; likewise for B,
+    # with the turns a x b below negated
+    a, b = R[:, [0, 0, 1, 1]][:, :, k], R[:, [2, 3, 2, 3]][:, :, k]
+    turn = _cross_of(a, b)
+    on_a = _dot(turn, normal[:, :1, k])
+    on_b = _dot(turn, normal[:, 1:, k])
+    hit[k] = ((on_a[:2].max(axis=0) > 0) & (on_a[2:].min(axis=0) < 0)
+              & (on_b[0::2].min(axis=0) < 0) & (on_b[1::2].max(axis=0) > 0))
+    return hit
+
+
+def _edge_pairs_fold(E):
+    """Triangles (u, v, a) and (u, v, b) sharing the edge uv, given as
+    rows (3, 4, n): do they lie in one plane on the same side of uv?"""
+    uv, ua, ub = (E[:, 1:] - E[:, :1]).swapaxes(0, 1)
+    normal = _cross_of(uv, ua)
+    return (_dot(normal, ub) == 0) & (_dot(normal, _cross_of(uv, ub)) > 0)
+
+
+def _candidate_pairs(T, faces):
+    """Pairs (i, j), i < j, of triangles with no common vertex whose
+    bounding boxes overlap, for triangles T (3, 3, m) component first.
+
+    The triangles are hashed on a uniform grid whose cell edge is their
+    mean largest box extent, coarsened so that the grid has at most 8
+    cells per triangle.  A pair is kept once, in the cell that holds the
+    low corner of the intersection of the two boxes.
+    """
+    m = T.shape[2]
+    lo, hi = T.min(axis=1), T.max(axis=1)                     # (3, m)
+    span = hi.max(axis=1) - lo.min(axis=1)
+    h = max(float((hi - lo).max(axis=0).mean()),
+            float(np.prod(span) / (8 * m)) ** (1.0 / 3.0), 1e-300)
+    grid = _Grid(lo.T, hi.T, np.maximum(1, (span / h).astype(int)))
+    i, j = run_pairs(grid.cell)
+    own = (grid.low[i] | grid.low[j]) == 7
+    a, b = grid.item[i[own]], grid.item[j[own]]
+    fa, fb = np.take(faces.T, a, axis=1), np.take(faces.T, b, axis=1)
+    keep = ~(fa[:, None] == fb[None]).any(axis=(0, 1))
+    a, b = a[keep], b[keep]
+    keep = ((np.take(lo, a, axis=1) <= np.take(hi, b, axis=1)).all(axis=0)
+            & (np.take(lo, b, axis=1) <= np.take(hi, a, axis=1)).all(axis=0))
+    return a[keep], b[keep]
+
+
+def boundary_self_intersects(mesh, positions):
+    """Does the deformed boundary surface cross itself?
+
+    By Ball's theorem (1981), a deformation with det F > 0 on a connected
+    body is injective almost everywhere exactly when its boundary surface
+    does not intersect itself.  Every pair of `topological_boundary_faces`
+    is tested by kind: pairs sharing an edge or a vertex from the mesh's
+    `boundary_edge_pairs` and `boundary_vertex_pairs`, and the pairs with
+    no common vertex that a uniform hash of the triangles' bounding boxes
+    finds.  Touching (contact) counts as no intersection.
+    """
+    x = np.asarray(positions, float).T
+    if _edge_pairs_fold(_corners(x, mesh.boundary_edge_pairs)).any():
+        return True
+    if _vertex_pairs_cross(_corners(x, mesh.boundary_vertex_pairs)).any():
+        return True
+    faces = mesh.topological_boundary_faces
+    T = _corners(x, faces)
+    a, b = _candidate_pairs(T, faces)
+    return bool(_disjoint_pairs_cross(np.take(T, a, axis=2),
+                                      np.take(T, b, axis=2)).any())

@@ -61,6 +61,13 @@ class ReferenceMesh:
     topological_boundary_faces: np.ndarray = field(init=False, repr=False)
     nonmanifold_faces: np.ndarray = field(init=False, repr=False)
     boundary_edge_keys: np.ndarray = field(init=False, repr=False)  # sorted
+    # pairs of topological boundary faces that share one vertex, as rows
+    # (p, a1, a2, b1, b2) with p the shared vertex, and that share an
+    # edge, as rows (u, v, a, b) with (u, v) the shared edge
+    boundary_vertex_pairs: np.ndarray = field(init=False, repr=False)
+    boundary_edge_pairs: np.ndarray = field(init=False, repr=False)
+    # face-connected components of the tets
+    n_components: int = field(init=False)
     # a third of each NEUMANN face's reference area, summed at its corners
     # face by face: the traction load on vertex v is traction_weights[v] g
     traction_weights: np.ndarray = field(init=False, repr=False)  # (nv,)
@@ -102,6 +109,12 @@ class ReferenceMesh:
             put(name, value)
         put("boundary_edge_keys",
             np.unique(edge_keys(self.boundary_faces, nv)))
+        for name, value in zip(("boundary_vertex_pairs",
+                                "boundary_edge_pairs"),
+                               boundary_pairs(self.topological_boundary_faces)):
+            put(name, value)
+        object.__setattr__(self, "n_components", component_count(
+            self.n_tets, self.interior_face_tets))
         faces = self.boundary_faces[self.boundary_tags == NEUMANN]
         v = self.vertices[faces]
         areas = 0.5 * np.linalg.norm(
@@ -153,6 +166,72 @@ def face_topology(tets, n_vertices):
             occ[order[start[count == 1]]], occ[order[start[count > 2]]])
 
 
+def run_pairs(ids):
+    """Index pairs (i, j), i < j, of the equal entries of sorted `ids`.
+
+    The pairs come ordered by i, then j.
+    """
+    n = len(ids)
+    start = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    end = np.r_[start[1:], n]
+    later = np.repeat(end, end - start) - np.arange(n) - 1
+    first = np.repeat(np.arange(n), later)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    return first, first + 1 + offset
+
+
+def boundary_pairs(faces):
+    """Pairs of triangles of `faces` (m, 3) that share vertices.
+
+    Returns the rows (p, a1, a2, b1, b2) of the pairs sharing one vertex
+    p, and (u, v, a, b) of the pairs sharing the edge (u, v), with the
+    other vertices of the first triangle before those of the second.
+    Pairs come in order of (first triangle, second triangle).
+    """
+    faces = np.asarray(faces, int).reshape(-1, 3)
+    corner = faces.ravel()
+    order = np.argsort(corner, kind="stable")
+    i, j = run_pairs(corner[order])
+    shared, a, b = corner[order[i]], order[i] // 3, order[j] // 3
+    by_pair = np.argsort(a * len(faces) + b, kind="stable")
+    key = (a * len(faces) + b)[by_pair]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[start, len(key)])
+    one = by_pair[start[count == 1]]
+    p, A, B = shared[one], faces[a[one]], faces[b[one]]
+    vertex_pairs = np.column_stack([
+        p, A[A != p[:, None]].reshape(-1, 2), B[B != p[:, None]].reshape(-1, 2)])
+    two = start[count == 2]
+    first, second = by_pair[two], by_pair[two + 1]
+    u, v = shared[first], shared[second]
+    edge_pairs = np.column_stack([u, v, faces[a[first]].sum(axis=1) - u - v,
+                                  faces[b[first]].sum(axis=1) - u - v])
+    return vertex_pairs, edge_pairs
+
+
+def component_count(n, pairs):
+    """Connected components of the graph on n nodes with edges `pairs`.
+
+    Each node's label is its component's smallest node, found by hooking
+    the larger of two labels joined by an edge onto the smaller and then
+    pointer jumping until every label is a root.
+    """
+    label = np.arange(n)
+    a, b = np.asarray(pairs, int).reshape(-1, 2).T
+    while True:
+        la, lb = label[a], label[b]
+        differ = la != lb
+        if not differ.any():
+            return int(np.count_nonzero(label == np.arange(n)))
+        la, lb = la[differ], lb[differ]
+        label[np.maximum(la, lb)] = np.minimum(la, lb)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
 def edge_keys(faces, n_vertices):
     """Keys lo * n_vertices + hi of the three edges of each triangle."""
     f = np.sort(np.asarray(faces, int).reshape(-1, 3), axis=1)
@@ -192,6 +271,8 @@ def validate_mesh(mesh):
             failures.append(("duplicate tet", pair))
         for f in mesh.nonmanifold_faces.tolist():
             failures.append(("face shared by more than two tets", tuple(f)))
+        if mesh.n_components > 1:
+            failures.append(("face-connected components", mesh.n_components))
         comb = set(map(tuple, mesh.topological_boundary_faces.tolist()))
         tagged = set(map(tuple, np.sort(mesh.boundary_faces, axis=1).tolist()))
         for f in sorted(tagged - comb):
@@ -248,7 +329,16 @@ def build_box_mesh(nx, ny, nz, extent=(1.0, 1.0, 1.0), tagging=None):
     corners = np.stack([vid[i:i + nx, j:j + ny, k:k + nz].ravel()
                         for i, j, k in _CUBE_CORNERS], axis=1)
     tets = orient_tets(vertices, corners[:, _KUHN_TETS].reshape(-1, 4))
-    bfaces = face_topology(tets, len(vertices))[2]
+    # a tet face is on the boundary iff its corners share a box side;
+    # sorted triples in lexicographic order, as face_topology gives them
+    ijk, side = np.indices(vid.shape).reshape(3, -1), 0
+    for axis, n in enumerate((nx, ny, nz)):
+        side = (side | (ijk[axis] == 0) << 2 * axis
+                | (ijk[axis] == n) << 2 * axis + 1)
+    faces = tets[:, _TET_FACES].reshape(-1, 3)
+    bfaces = np.sort(faces[np.bitwise_and.reduce(side[faces], axis=1) != 0],
+                     axis=1)
+    bfaces = bfaces[np.lexsort(bfaces.T[::-1])]
     centroids = vertices[bfaces].mean(axis=1)
     if tagging is None:
         tags = np.array([FREE] * len(bfaces), object)

@@ -2,10 +2,10 @@
 
 Limited-memory quasi-Newton descent with Armijo backtracking.  Steps are
 accepted only if the objective strictly decreases, every tet keeps
-det F above DET_FLOOR, and (every CN_CHECK_EVERY iterations) the
-Ciarlet-Necas residual stays within tolerance.  The interface energy is
-deliberately not part of this objective; it enters the outer topology
-objective.
+det F above DET_FLOOR, and (every INJECTIVITY_CHECK_EVERY iterations)
+the deformed boundary surface does not cross itself.  The interface
+energy is deliberately not part of this objective; it enters the outer
+topology objective.
 """
 
 from collections import deque
@@ -15,14 +15,12 @@ import numpy as np
 
 from .energy import (INFEASIBLE, bulk_energy, bulk_energy_gradient,
                      load_potential, load_potential_gradient)
-from .kinematics import ciarlet_necas_residual, deformation_minors
+from .kinematics import boundary_self_intersects, deformation_minors
 
 CONTRACTION = 0.5            # line-search backtracking factor
 SUFFICIENT_DECREASE = 1e-4   # Armijo constant
 DET_FLOOR = 1e-6             # absolute det F floor (det F = 1 at the reference)
-CN_CHECK_EVERY = 25          # iterations between Ciarlet-Necas checks
-CN_SAMPLES = 10_000
-CN_TOLERANCE_FACTOR = 1e-3   # times the Jacobian integral, plus 3 MC std
+INJECTIVITY_CHECK_EVERY = 25  # iterations between self-intersection checks
 HISTORY = 10                 # L-BFGS memory
 MAX_LINE_SEARCH = 40
 
@@ -39,7 +37,7 @@ def _check_count(name, value, minimum):
 class SolveOptions:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-6
-    seed: int = 0                      # Monte Carlo injectivity-check stream
+    seed: int = 0                      # unused; accepted for old callers
 
     def __post_init__(self):
         _check_count("max_iterations", self.max_iterations, 1)
@@ -54,10 +52,12 @@ class SolveReport:
     objective: float
     grad_norm: float
     min_det: float
-    guard_activations: int
+    guard_activations: int          # det floor plus injectivity backtracks
     guard_iterations: list          # iterations where a guard shrank a step
-    cn_residual: float
     message: str
+    det_floor_backtracks: int       # line-search backtracks, by cause
+    armijo_backtracks: int
+    injectivity_backtracks: int
     history: list = field(default_factory=list)  # (iter, obj, |g|, min_det, guards)
 
 
@@ -87,9 +87,13 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
     """Descent to an equilibrium deformation at fixed phase labeling.
 
     Returns (state, SolveReport).  The returned state always satisfies
-    min det F > 0 and preserves Dirichlet positions bit-exactly.  F and
-    its minors are built once per trial point and shared by the det
-    floor, the objective, the injectivity check and the gradient.
+    min det F > 0 and preserves Dirichlet positions bit-exactly.  Its
+    boundary surface was checked for self-intersection, unless no step
+    was taken: when the last accepted step was not checked on its
+    iteration, it is checked on return, and if it fails the last state
+    that passed is returned instead, unconverged.  F and its minors are
+    built once per trial point and shared by the det floor, the
+    objective and the gradient.
     """
     options = options or SolveOptions()
     free = ~state0.dirichlet_mask
@@ -104,25 +108,18 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
     grad = equilibrium_gradient(mesh, state, phases, model, terms)
     gnorm = float(np.linalg.norm(grad))
     pairs = deque(maxlen=HISTORY)   # (s, y, rho) for L-BFGS
-    guard_total = 0
+    det_floor = armijo = injectivity = 0   # backtracks by cause
     guard_iters = []
-    cn_res = 0.0
     log = []
     message = "iteration limit reached"
     converged = gnorm <= options.gradient_tolerance
+    passed = (state, obj, gnorm, min_det)  # the last state checked injective
+    checked = True
     it = 0
-
-    def cn_ok(positions, F_minors):
-        nonlocal cn_res
-        res = ciarlet_necas_residual(
-            mesh, state.with_positions(positions),
-            samples=CN_SAMPLES, seed=options.seed, F_minors=F_minors)
-        cn_res = res.residual
-        tol = 3.0 * res.mc_std + CN_TOLERANCE_FACTOR * res.jacobian_integral
-        return res.residual <= tol
 
     while not converged and it < options.max_iterations:
         it += 1
+        check = it % INJECTIVITY_CHECK_EVERY == 0
         direction = _lbfgs_direction(grad, pairs)
         if float(np.sum(direction * grad)) >= 0.0:
             direction = -grad  # fallback to steepest descent
@@ -136,6 +133,7 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
             terms = deformation_minors(mesh, trial)
             trial_det = _min_det(terms)
             if trial_det <= DET_FLOOR:
+                det_floor += 1
                 guards_this_iter += 1
                 step *= CONTRACTION
                 continue
@@ -143,16 +141,17 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
             trial_obj = equilibrium_objective(mesh, trial_state, phases, model,
                                               terms)
             if not (trial_obj < obj + SUFFICIENT_DECREASE * step * gd):
+                armijo += 1
                 step *= CONTRACTION
                 continue
-            if it % CN_CHECK_EVERY == 0 and not cn_ok(trial, terms):
+            if check and boundary_self_intersects(mesh, trial):
+                injectivity += 1
                 guards_this_iter += 1
                 step *= CONTRACTION
                 continue
             accepted = True
             break
         if guards_this_iter:
-            guard_total += guards_this_iter
             guard_iters.append(it)
         if not accepted:
             message = "line search exhausted; returning best feasible state"
@@ -169,12 +168,23 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
         gnorm = float(np.linalg.norm(grad))
         log.append((it, obj, gnorm, min_det, guards_this_iter))
         converged = gnorm <= options.gradient_tolerance
+        checked = check
+        if checked:
+            passed = (state, obj, gnorm, min_det)
 
+    if converged:
+        message = "converged"
+    if not checked and boundary_self_intersects(mesh, state.positions):
+        state, obj, gnorm, min_det = passed
+        converged = False
+        message = ("the boundary surface of the final state crosses "
+                   "itself; returning the last state that did not")
     report = SolveReport(
         converged=converged, iterations=it, objective=obj, grad_norm=gnorm,
-        min_det=min_det, guard_activations=guard_total,
-        guard_iterations=guard_iters, cn_residual=cn_res,
-        message="converged" if converged else message, history=log)
+        min_det=min_det, guard_activations=det_floor + injectivity,
+        guard_iterations=guard_iters, message=message,
+        det_floor_backtracks=det_floor, armijo_backtracks=armijo,
+        injectivity_backtracks=injectivity, history=log)
     return state, report
 
 

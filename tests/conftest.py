@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import sharptop as st
+from sharptop.kinematics import (_disjoint_pairs_cross, _edge_pairs_fold,
+                                 _vertex_pairs_cross)
 from sharptop.mesh import DIRICHLET, FREE, NEUMANN
 from sharptop.surfaces import slab_labels
 from sharptop.topopt import MOVE_TRIES, SWAP_VOLUME_RTOL, TopOptError
@@ -161,6 +163,70 @@ def brute_force_tet_grid(positions, tets):
                            contains=contains)
 
 
+def coiled_bar(turns, n=24, radius=5.0):
+    """An n x 2 x 2 bar of unit cells wound `turns` times round the z axis.
+
+    The bar's x axis runs along the coil and its y axis inwards, so
+    det F > 0; 2 pi radius is about the bar's length.  Past one turn the
+    end passes through the start.  Returns (mesh, positions).
+    """
+    mesh = st.build_box_mesh(n, 2, 2, extent=(n, 2.0, 2.0))
+    x, y, z = mesh.vertices.T
+    angle = 2.0 * np.pi * turns * x / n
+    r = radius - y
+    return mesh, np.stack([r * np.cos(angle), r * np.sin(angle), z], axis=1)
+
+
+def brute_force_self_intersection(mesh, positions):
+    """kinematics.boundary_self_intersects over every pair of boundary
+    triangles, with no spatial hash: each pair is classified by its
+    common vertices and tested with the same predicates."""
+    faces = mesh.topological_boundary_faces
+    i, j = np.triu_indices(len(faces), 1)
+    A, B = faces[i], faces[j]
+    a_in_b = (A[:, :, None] == B[:, None, :]).any(axis=2)
+    b_in_a = (B[:, :, None] == A[:, None, :]).any(axis=2)
+    # each triangle's common vertices first, in a consistent order
+    A = np.take_along_axis(A, np.argsort(~a_in_b, axis=1, kind="stable"), 1)
+    B = np.take_along_axis(B, np.argsort(~b_in_a, axis=1, kind="stable"), 1)
+    common = a_in_b.sum(axis=1)
+    x = np.asarray(positions, float).T
+    rows = [np.hstack([A, B])[common == 0],
+            np.hstack([A, B[:, 1:]])[common == 1],
+            np.hstack([A, B[:, 2:]])[common == 2]]
+    disjoint, vertex, edge = (np.take(x, r.T, axis=1) for r in rows)
+    return bool(_disjoint_pairs_cross(disjoint[:, :3], disjoint[:, 3:]).any()
+                or _vertex_pairs_cross(vertex).any()
+                or _edge_pairs_fold(edge).any())
+
+
+def brute_force_box_pairs(mesh, positions):
+    """Every pair (i, j), i < j, of boundary triangles with no common
+    vertex whose closed bounding boxes overlap."""
+    faces = mesh.topological_boundary_faces
+    corners = np.asarray(positions, float)[faces]
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    i, j = np.triu_indices(len(faces), 1)
+    apart = ~(faces[i][:, :, None] == faces[j][:, None, :]).any(axis=(1, 2))
+    overlap = (lo[i] <= hi[j]).all(axis=1) & (lo[j] <= hi[i]).all(axis=1)
+    keep = apart & overlap
+    return set(zip(i[keep].tolist(), j[keep].tolist()))
+
+
+def brute_force_component_count(n, pairs):
+    """Connected components by union-find, one edge at a time."""
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b in np.asarray(pairs, int).reshape(-1, 2).tolist():
+        parent[root(a)] = root(b)
+    return len({root(i) for i in range(n)})
+
+
 def perturbed_slab_labels(mesh, axis, seed, flips):
     """Half-volume slab with `flips` random 1 <-> 0 tet exchanges.
 
@@ -267,3 +333,20 @@ ZERO_VOLUME_MESH = ("tetmesh v1\n"
                     "t 0 1 2 3\n"
                     "bf 0 1 2 FREE\nbf 0 1 3 FREE\nbf 0 2 3 FREE\n"
                     "bf 1 2 3 FREE\n")
+
+
+def _two_boxes_mesh():
+    """Two unit boxes a unit apart along x, as mesh file text."""
+    box = st.build_box_mesh(1, 1, 1)
+    nv = box.n_vertices
+    lines = ["tetmesh v1"]
+    lines += ["v %.17g %.17g %.17g" % tuple(v) for v in
+              np.vstack([box.vertices, box.vertices + [2.0, 0.0, 0.0]])]
+    lines += ["t %d %d %d %d" % tuple(t) for t in
+              np.vstack([box.tets, box.tets + nv])]
+    lines += ["bf %d %d %d FREE" % tuple(f) for f in
+              np.vstack([box.boundary_faces, box.boundary_faces + nv])]
+    return "\n".join(lines) + "\n"
+
+
+TWO_BOXES_MESH = _two_boxes_mesh()

@@ -8,7 +8,7 @@ import pytest
 from sharptop.cli import main, sub_seed
 from sharptop.energy import stress_free_s
 
-from conftest import NONMANIFOLD_MESH, ZERO_VOLUME_MESH
+from conftest import NONMANIFOLD_MESH, TWO_BOXES_MESH, ZERO_VOLUME_MESH
 
 
 def write_scenario(tmp_path, name, doc):
@@ -89,6 +89,9 @@ def test_equilibrium_command(tmp_path):
     assert summary["message"] == "converged"
     assert summary["min_det"] > 0
     assert summary["seed"] == 5
+    assert summary["guard_activations"] == (
+        summary["det_floor_backtracks"] + summary["injectivity_backtracks"])
+    assert summary["armijo_backtracks"] >= 0
     with open(out / "equilibrium_log.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows
@@ -265,6 +268,8 @@ def one_tet_mesh(apex):
                  id="nan"),
     pytest.param(one_tet_mesh("0 -inf 1"), "non-finite vertices [3]",
                  id="inf"),
+    pytest.param(TWO_BOXES_MESH, "'face-connected components', 2",
+                 id="two-boxes"),
 ])
 def test_invalid_mesh_file_exit_2(tmp_path, capsys, text, needle):
     (tmp_path / "m.tet").write_text(text)

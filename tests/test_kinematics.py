@@ -4,10 +4,14 @@ import pytest
 
 import sharptop as st
 from sharptop.kinematics import (QUERY_CHUNK, KinematicsError, _TetGrid,
+                                 _candidate_pairs, _disjoint_pairs_cross,
+                                 _edge_pairs_fold, _vertex_pairs_cross,
+                                 boundary_self_intersects,
                                  deformation_gradients, jacobian_integral)
 from sharptop.surfaces import wedge_fold
 
-from conftest import brute_force_tet_grid, random_feasible_state
+from conftest import (brute_force_box_pairs, brute_force_self_intersection,
+                      brute_force_tet_grid, coiled_bar, random_feasible_state)
 
 
 def test_identity_gradient(small_mesh):
@@ -212,3 +216,104 @@ def test_random_feasible_state_feasible(clamped_mesh):
     F = deformation_gradients(clamped_mesh, state.positions)
     _, _, det = st.minors(F)
     assert det.min() > 0
+
+
+def monte_carlo_overlaps(mesh, positions, seed=0):
+    """The Monte Carlo oracle's verdict: an image-volume deficit beyond
+    three standard deviations plus 1e-3 of the Jacobian integral."""
+    state = st.DeformationState(positions=positions,
+                                dirichlet_mask=np.zeros(len(positions), bool))
+    res = st.ciarlet_necas_residual(mesh, state, samples=50_000, seed=seed)
+    return res.residual > 3 * res.mc_std + 1e-3 * res.jacobian_integral
+
+
+def stretched_box(stretch):
+    """Criterion 5's box and an affine stretch of it."""
+    box = st.build_box_mesh(2, 2, 2)
+    return box, box.vertices @ np.diag(stretch)
+
+
+@pytest.mark.parametrize("case, crosses", [
+    (lambda: wedge_fold()[:2], True),
+    (lambda: stretched_box([1.0, 1.0, 1.0]), False),
+    (lambda: stretched_box([2.0, 1.0, 0.7]), False),
+    (lambda: coiled_bar(0.9), False),
+    (lambda: coiled_bar(1.1), True),
+], ids=["wedge-fold", "identity", "stretch", "coil-0.9", "coil-1.1"])
+def test_boundary_self_intersection_named_cases(case, crosses):
+    mesh, positions = case()
+    assert st.minors(deformation_gradients(mesh, positions))[2].min() > 0
+    assert boundary_self_intersects(mesh, positions) is crosses
+    assert brute_force_self_intersection(mesh, positions) is crosses
+    assert monte_carlo_overlaps(mesh, positions) is crosses
+
+
+def _triangles(*points):
+    """The rows of one triangle pair, (3, len(points), 1) component
+    first."""
+    return np.array(points, float).T[:, :, None]
+
+
+@pytest.mark.parametrize("second, crosses", [
+    ([(0.2, 0.2, -1), (0.2, 0.2, 1), (3, 3, 0)], True),    # pierces
+    ([(0.2, 0.2, 0), (0.2, 0.2, 1), (3, 3, 1)], False),    # touches at a point
+    ([(0.1, 0.1, 0), (2, 0.1, 0), (0.1, 2, 0)], True),     # coplanar overlap
+    ([(0, 1, 0), (1, 0, 0), (1, 1, 0)], False),            # coplanar, contact
+    ([(1, 1, 0), (2, 1, 0), (1, 2, 0)], False),            # coplanar, apart
+])
+def test_disjoint_pair_predicate(second, crosses):
+    first = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    pair = _triangles(*first, *second)
+    assert _disjoint_pairs_cross(pair[:, :3], pair[:, 3:])[0] == crosses
+    assert _disjoint_pairs_cross(pair[:, 3:], pair[:, :3])[0] == crosses
+
+
+@pytest.mark.parametrize("b1, b2, crosses", [
+    ((0.3, 0.3, -1), (0.3, 0.3, 1), True),    # opposite edge pierces
+    ((0.3, 0.3, 0.1), (0.3, 0.3, 1), False),  # above the plane
+    ((1, 0.2, 0), (0.2, 1, 0), True),         # coplanar, sectors overlap
+    ((0, 1, 0), (-1, 0, 0), False),           # coplanar, sectors touch
+    ((-1, -0.1, 0), (-0.1, -1, 0), False),    # coplanar, opposite sector
+])
+def test_vertex_pair_predicate(b1, b2, crosses):
+    p, a1, a2 = (0, 0, 0), (1, 0, 0), (0, 1, 0)
+    assert _vertex_pairs_cross(_triangles(p, a1, a2, b1, b2))[0] == crosses
+    assert _vertex_pairs_cross(_triangles(p, b1, b2, a1, a2))[0] == crosses
+
+
+@pytest.mark.parametrize("b, folds", [
+    ((0.3, 0.5, 0), True), ((0.3, -0.5, 0), False), ((0.3, 0.5, 0.2), False),
+])
+def test_edge_pair_predicate(b, folds):
+    u, v, a = (0, 0, 0), (1, 0, 0), (0.5, 1, 0)
+    assert _edge_pairs_fold(_triangles(u, v, a, b))[0] == folds
+
+
+def _jittered_box(dims, scale, seed):
+    mesh = st.build_box_mesh(*dims)
+    rng = np.random.default_rng(seed)
+    return mesh, mesh.vertices + scale / max(dims) * rng.uniform(
+        -1, 1, mesh.vertices.shape)
+
+
+@settings(max_examples=40)
+@given(kind=hs.sampled_from(["box", "coil"]),
+       dims=hs.tuples(*[hs.integers(1, 3)] * 3),
+       scale=hs.floats(0.0, 0.8), turns=hs.floats(0.5, 1.5),
+       seed=hs.integers(0, 2**32 - 1))
+def test_boundary_self_intersection_matches_brute_force(kind, dims, scale,
+                                                        turns, seed):
+    """The hashed check equals the all-pairs oracle, and the hash finds
+    every vertex-disjoint pair whose bounding boxes overlap."""
+    if kind == "box":
+        mesh, positions = _jittered_box(dims, scale, seed)
+    else:
+        mesh, positions = coiled_bar(turns, n=4 * dims[0], radius=3.0)
+        positions += 0.1 * scale * np.random.default_rng(seed).uniform(
+            -1, 1, positions.shape)
+    assert boundary_self_intersects(mesh, positions) \
+        == brute_force_self_intersection(mesh, positions)
+    faces = mesh.topological_boundary_faces
+    a, b = _candidate_pairs(np.take(positions.T, faces.T, axis=1), faces)
+    assert sorted(zip(a.tolist(), b.tolist())) \
+        == sorted(brute_force_box_pairs(mesh, positions))

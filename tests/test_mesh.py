@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 import sharptop as st
-from sharptop.mesh import FREE, MeshError, ReferenceMesh, plane_tagging
+from sharptop.mesh import (FREE, MeshError, ReferenceMesh, component_count,
+                           face_topology, plane_tagging)
+from sharptop.surfaces import wedge_fold
 
-from conftest import (NONMANIFOLD_MESH, ZERO_VOLUME_MESH,
-                      brute_force_face_adjacency)
+from conftest import (NONMANIFOLD_MESH, TWO_BOXES_MESH, ZERO_VOLUME_MESH,
+                      brute_force_component_count, brute_force_face_adjacency)
 
 
 def brute_force_boundary_count(mesh):
@@ -193,3 +195,56 @@ def test_plane_tagging():
     for c, t in zip(centroids, mesh.boundary_tags):
         if t == "DIRICHLET":
             assert abs(c[2]) < 1e-9
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (3, 1, 2), (2, 4, 3)])
+def test_box_boundary_faces_equal_face_topology(dims):
+    mesh = st.build_box_mesh(*dims)
+    assert np.array_equal(mesh.boundary_faces,
+                          face_topology(mesh.tets, mesh.n_vertices)[2])
+
+
+def _pair_sets(vertex_pairs, edge_pairs):
+    """Unordered triangle pairs as sets of vertex-id sets."""
+    return ({(p, frozenset([frozenset((p, a1, a2)), frozenset((p, b1, b2))]))
+             for p, a1, a2, b1, b2 in vertex_pairs.tolist()},
+            {frozenset([frozenset((u, v, a)), frozenset((u, v, b))])
+             for u, v, a, b in edge_pairs.tolist()})
+
+
+@pytest.mark.parametrize("mesh", [
+    st.build_box_mesh(2, 3, 1), wedge_fold()[0],
+], ids=["box", "wedge-fold"])
+def test_boundary_pairs_match_brute_force(mesh):
+    faces = mesh.topological_boundary_faces.tolist()
+    vertex, edge = [], []
+    for i, a in enumerate(faces):
+        for b in faces[i + 1:]:
+            common = [v for v in a if v in b]
+            if len(common) == 1:
+                vertex.append((common[0], frozenset([frozenset(a),
+                                                     frozenset(b)])))
+            elif len(common) == 2:
+                edge.append(frozenset([frozenset(a), frozenset(b)]))
+    assert len(mesh.boundary_vertex_pairs) == len(vertex)
+    assert len(mesh.boundary_edge_pairs) == len(edge)
+    assert _pair_sets(mesh.boundary_vertex_pairs,
+                      mesh.boundary_edge_pairs) == (set(vertex), set(edge))
+
+
+@settings(max_examples=30)
+@given(n=hs.integers(0, 40), edges=hs.lists(
+    hs.tuples(hs.integers(0, 39), hs.integers(0, 39)), max_size=60))
+def test_component_count_matches_union_find(n, edges):
+    edges = [(a, b) for a, b in edges if a < n and b < n]
+    assert component_count(n, edges) == brute_force_component_count(n,
+                                                                    edges)
+
+
+def test_load_rejects_disconnected_mesh(tmp_path):
+    path = tmp_path / "boxes.tet"
+    path.write_text(TWO_BOXES_MESH)
+    with pytest.raises(MeshError) as info:
+        st.load_mesh(path)
+    assert "'face-connected components', 2" in str(info.value)
+    assert st.build_box_mesh(2, 2, 2).n_components == 1

@@ -4,7 +4,7 @@ import pytest
 import sharptop as st
 import sharptop.solve
 from sharptop.energy import stress_free_s
-from sharptop.kinematics import deformation_minors
+from sharptop.kinematics import boundary_self_intersects, deformation_minors
 from sharptop.solve import (DET_FLOOR, SolveOptions, equilibrium_gradient,
                             equilibrium_objective)
 
@@ -177,3 +177,78 @@ def test_options_validation():
         with pytest.raises(ValueError, match="max_iterations"):
             SolveOptions(max_iterations=bad)
     assert SolveOptions(max_iterations=np.int64(3)).max_iterations == 3
+
+
+def _counting_check(monkeypatch, verdicts=None):
+    """Record the positions of every injectivity check; the n-th check
+    answers verdicts[n] (default: the real check)."""
+    calls = []
+
+    def check(mesh, positions):
+        calls.append(np.array(positions))
+        if verdicts is None:
+            return boundary_self_intersects(mesh, positions)
+        return verdicts[len(calls) - 1]
+
+    monkeypatch.setattr(sharptop.solve, "boundary_self_intersects", check)
+    return calls
+
+
+def _pull(clamped_mesh, uniform_phase1, max_iterations):
+    return st.minimize_equilibrium(
+        clamped_mesh, st.identity_state(clamped_mesh),
+        uniform_phase1(clamped_mesh), st.EnergyModel(g=[0.0, 0.0, 1.0]),
+        SolveOptions(gradient_tolerance=1e-12, max_iterations=max_iterations))
+
+
+def test_zero_iteration_solve_makes_no_injectivity_check(uniform_phase1,
+                                                          monkeypatch):
+    calls = _counting_check(monkeypatch)
+    mesh = st.build_box_mesh(2, 2, 2, tagging=lambda c: "DIRICHLET")
+    _, report = st.minimize_equilibrium(
+        mesh, st.identity_state(mesh), uniform_phase1(mesh),
+        st.EnergyModel(r=4, s=stress_free_s(4)))
+    assert report.iterations == 0 and calls == []
+
+
+def test_short_solve_checks_its_returned_state_once(clamped_mesh,
+                                                    uniform_phase1,
+                                                    monkeypatch):
+    calls = _counting_check(monkeypatch)
+    state, report = _pull(clamped_mesh, uniform_phase1, 10)
+    assert report.iterations == 10 and len(report.history) == 10
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], state.positions)
+    assert report.injectivity_backtracks == 0
+
+
+def test_rejected_injectivity_checks_count_as_backtracks(clamped_mesh,
+                                                         uniform_phase1,
+                                                         monkeypatch):
+    # every check fails: iteration 25 backtracks until the line search
+    # gives up, and the unchecked state of iteration 24 fails on return
+    calls = _counting_check(monkeypatch, [True] * 100)
+    state, report = _pull(clamped_mesh, uniform_phase1, 30)
+    assert report.iterations == 25 and len(report.history) == 24
+    assert report.injectivity_backtracks == len(calls) - 1 > 0
+    assert report.guard_activations == (report.det_floor_backtracks
+                                        + report.injectivity_backtracks)
+    assert 25 in report.guard_iterations
+    assert not report.converged and "crosses itself" in report.message
+    np.testing.assert_array_equal(state.positions, clamped_mesh.vertices)
+
+
+def test_final_rejection_returns_last_checked_state(clamped_mesh,
+                                                    uniform_phase1,
+                                                    monkeypatch):
+    # the check at iteration 25 passes; the returned state's check fails
+    calls = _counting_check(monkeypatch, [False, True])
+    state, report = _pull(clamped_mesh, uniform_phase1, 30)
+    assert len(calls) == 2 and len(report.history) == 30
+    assert not report.converged and "crosses itself" in report.message
+    monkeypatch.undo()
+    at_25, report_25 = _pull(clamped_mesh, uniform_phase1, 25)
+    np.testing.assert_array_equal(state.positions, at_25.positions)
+    assert (report.objective, report.grad_norm, report.min_det) == (
+        report_25.objective, report_25.grad_norm, report_25.min_det)
+    assert report.history[24] == report_25.history[24]
