@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from .kinematics import (component_first, deformation_minors,
-                         frobenius_norm, minors)
+from .kinematics import deformation_minors, minors, squared_norm
 
 INFEASIBLE = math.inf
 
@@ -60,78 +59,79 @@ def stress_free_s(r):
     return r * 3.0 ** ((r - 2.0) / 2.0)
 
 
-def _density(norm, det, model):
-    """Unscaled W for Frobenius norm(s) `norm` and det F > 0 `det`.
+class Bulk:
+    """W and dW/dF at (F, Cof F, det F), component first as from
+    `deformation_minors` (or one (3, 3) F), from shared per-tet scalars
+    S = |F|^2, A = |F|^r, B = D^(r-1) for D = |F|^3 / det F, C = det F^(-s):
+    `energy` is sum w W, W = A + B + C (+inf if some det F <= 0), and
+    `stress()` is w dW/dF = a F + b Cof F, with
+    a = w (r A + 3 (r - 1) B) / S and b = w ((1 - r) B - s C) / det F."""
 
-    Scalars (a Python float norm, a NumPy scalar det) and arrays take the
-    same expression, so each path keeps its own `pow` bit for bit.
-    """
-    return norm**model.r + (norm**3 / det) ** (model.r - 1.0) + det ** (-model.s)
+    def __init__(self, F_minors, weights, model):
+        self.F, self.cof, self.det = F_minors
+        self.weights, self.model = weights, model
+        self.energy = INFEASIBLE
+        if self.det.min() > 0:
+            self.S = squared_norm(self.F)
+            norm = np.sqrt(self.S)
+            self.A = norm**model.r
+            self.B = (norm**3 / self.det) ** (model.r - 1.0)
+            self.C = self.det ** (-model.s)
+            self.energy = float((weights * (self.A + self.B + self.C)).sum())
 
-
-def _stress(F, cof, norm, det, model):
-    """Unscaled dW/dF; `norm` and `det` broadcast against F and cof."""
-    r, s = model.r, model.s
-    P = r * norm ** (r - 2.0) * F
-    P += (r - 1.0) * (norm**3 / det) ** (r - 2.0) * (
-        3.0 * norm / det * F - norm**3 / det**2 * cof)
-    P += -s * det ** (-s - 1.0) * cof
-    return P
+    def stress(self):
+        """a F + b Cof F; requires det F > 0."""
+        if self.energy == INFEASIBLE:
+            raise ValueError("the stress requires det F > 0")
+        r, s, w = self.model.r, self.model.s, self.weights
+        a = w * (r * self.A + 3.0 * (r - 1.0) * self.B) / self.S
+        b = w * ((1.0 - r) * self.B - s * self.C) / self.det
+        P = self.F * a
+        P += self.cof * b
+        return P
 
 
 def bulk_density(F, phase, model):
     """W_phase(F); +inf when det F <= 0."""
-    F, _, det = minors(F)
-    if det <= 0:
-        return INFEASIBLE
-    norm = float(frobenius_norm(F))
-    return model.scale(phase) * _density(norm, det, model)
+    return Bulk(minors(F), model.scale(phase), model).energy
 
 
 def bulk_stress(F, phase, model):
     """First derivative dW/dF of the model density; requires det F > 0."""
-    F, cof, det = minors(F)
-    if det <= 0:
-        raise ValueError("bulk_stress requires det F > 0")
-    norm = float(frobenius_norm(F))
-    return model.scale(phase) * _stress(F, cof, norm, det, model)
+    return Bulk(minors(F), model.scale(phase), model).stress()
 
 
-def _scale(phases, model):
+def bulk_weights(mesh, phases, model):
+    """Per-tet weights of the bulk energy: vol_ref * scale_label."""
     labels = np.asarray(phases.labels, float)
-    return model.scale0 * (1.0 - labels) + model.scale1 * labels
+    return mesh.volumes * (model.scale0 * (1.0 - labels)
+                           + model.scale1 * labels)
 
 
-def bulk_energy(mesh, state, phases, model, F_minors=None):
+def bulk_energy(mesh, state, phases, model, bulk=None):
     """Sum over tets of vol_ref * W_label(F); +inf on any inverted tet.
 
     Labels are constant per tet, so midpoint quadrature is exact in phase
-    and exact for the piecewise-affine deformation.  `F_minors` is
-    `deformation_minors` of the state, when the caller already has it.
+    and exact for the piecewise-affine deformation.  `bulk` is the state's
+    `Bulk` with `bulk_weights`, when the caller already has it.
     """
-    if F_minors is None:
-        F_minors = deformation_minors(mesh, state.positions)
-    F, _, det = F_minors
-    if np.any(det <= 0):
-        return INFEASIBLE
-    return float(np.sum(mesh.volumes * _scale(phases, model)
-                        * _density(frobenius_norm(F), det, model)))
+    if bulk is None:
+        bulk = Bulk(deformation_minors(mesh, state.positions),
+                    bulk_weights(mesh, phases, model), model)
+    return bulk.energy
 
 
-def bulk_energy_gradient(mesh, state, phases, model, F_minors=None):
-    """Nodal gradient of bulk_energy, shape (nv, 3); Dirichlet rows zeroed."""
-    if F_minors is None:
-        F_minors = deformation_minors(mesh, state.positions)
-    F, cof, det = F_minors
-    if np.any(det <= 0):
-        raise ValueError("gradient requires det F > 0 on all tets")
-    P = _stress(component_first(F), component_first(cof), frobenius_norm(F),
-                det, model)
-    P *= mesh.volumes * _scale(phases, model)
+def bulk_energy_gradient(mesh, state, phases, model, bulk=None):
+    """Nodal gradient of bulk_energy, shape (nv, 3); Dirichlet rows zeroed;
+    `bulk` as for `bulk_energy`."""
+    if bulk is None:
+        bulk = Bulk(deformation_minors(mesh, state.positions),
+                    bulk_weights(mesh, phases, model), model)
+    P = bulk.stress()
     # F = Dx G with G = ref_inv, so the force on corner c + 1 is P G[c]
     # (G[c] the c-th row of G) and corner 0 takes minus their sum;
     # forces[c, i] runs over the tets, corners in scatter_index order
-    G = component_first(mesh.ref_inv)
+    G = mesh.ref_inv_cf
     forces = np.empty((4, 3, mesh.n_tets))
     np.multiply(G[:, 0, None], P[:, 0], out=forces[:3])
     forces[:3] += G[:, 1, None] * P[:, 1]
@@ -153,7 +153,7 @@ def interface_density(a_norm, model):
     return model.c_int * (1.0 + a**model.p)
 
 
-def _load_vector(mesh, phases, model):
+def load_vector(mesh, phases, model):
     """Nodal load vector b(phi), shape (nv, 3), of the load work sum(b * y).
 
     b = t g + w f, for t = mesh.traction_weights and w a quarter of each
@@ -172,14 +172,16 @@ def _load_vector(mesh, phases, model):
     return b
 
 
-def load_potential(mesh, state, phases, model):
-    """Work of the referential loads, sum(b * y) for the load vector b;
-    equilibrium minimizes bulk - loads."""
-    return float(np.sum(_load_vector(mesh, phases, model) * state.positions))
+def load_potential(mesh, state, phases, model, loads=None):
+    """Work of the referential loads, sum(b * y) for b = `loads`, or the
+    `load_vector`; equilibrium minimizes bulk - loads."""
+    b = load_vector(mesh, phases, model) if loads is None else loads
+    return float(np.sum(b * state.positions))
 
 
-def load_potential_gradient(mesh, state, phases, model):
-    """Nodal gradient of load_potential: b with Dirichlet rows zeroed."""
-    b = _load_vector(mesh, phases, model)
+def load_potential_gradient(mesh, state, phases, model, loads=None):
+    """Nodal gradient of load_potential: a copy of b with Dirichlet rows
+    zeroed, b as for `load_potential`."""
+    b = load_vector(mesh, phases, model) if loads is None else loads.copy()
     b[state.dirichlet_mask] = 0.0
     return b

@@ -2,17 +2,17 @@
 
 The deformation is piecewise affine over the tets: F = Dx (DX)^-1 with
 edge matrices of the deformed and reference tet; the mesh stores
-(DX)^-1 as `ref_inv`.  Almost-everywhere injectivity is checked
-exactly, as the absence of self-intersections of the deformed boundary
-surface; the Ciarlet-Necas gap between the Jacobian integral and a Monte
-Carlo estimate of the image volume remains as a diagnostic.
+(DX)^-1 component first as `ref_inv_cf`.  Almost-everywhere injectivity
+is checked exactly, as the absence of self-intersections of the deformed
+boundary surface; the Ciarlet-Necas gap between the Jacobian integral
+and a Monte Carlo estimate of the image volume remains as a diagnostic.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mesh import run_pairs
+from .mesh import _cofactors, _cross, run_pairs
 
 
 class KinematicsError(Exception):
@@ -56,55 +56,39 @@ def deformation_gradients(mesh, positions):
     # np.take on (axis, vertex) rows gathers 4x faster than fancy indexing
     x = np.take(np.asarray(positions, float).T, mesh.tets.T, axis=1)
     d = x[:, 1:] - x[:, :1]                 # (axis, edge, tet)
-    G = component_first(mesh.ref_inv)
+    G = mesh.ref_inv_cf
     F = np.multiply(d[:, 0, None], G[0])
     term = np.multiply(d[:, 1, None], G[1])
     F += term
     F += np.multiply(d[:, 2, None], G[2], out=term)
-    return np.moveaxis(F, -1, 0)
+    return F.transpose(2, 0, 1)
 
 
 def deformation_minors(mesh, positions):
-    """minors() of every tet's deformation gradient: (F, Cof F, det F)."""
-    return minors(deformation_gradients(mesh, positions))
-
-
-def _cross(u, v, out):
-    """out = u x v, for 3-vectors indexed component first."""
-    out[0] = u[1] * v[2] - u[2] * v[1]
-    out[1] = u[2] * v[0] - u[0] * v[2]
-    out[2] = u[0] * v[1] - u[1] * v[0]
+    """(F, Cof F, det F) of every tet, component first: (3, 3, nt) twice
+    and (nt,), as the bulk kernel reads them."""
+    F = deformation_gradients(mesh, positions).transpose(1, 2, 0)
+    cof = np.empty_like(F)
+    return F, cof, _cofactors(F, cof)
 
 
 def minors(F):
-    """(F, Cof F, det F); batched over leading axes.
-
-    The rows of Cof F are r1 x r2, r2 x r0 and r0 x r1 for the rows r_i of
-    F, and det F = r0 . (r1 x r2).  They are written in place through
-    component-first views: np.cross took twice as long on 1296 tets.
-    """
+    """(F, Cof F, det F); batched over leading axes, Cof F in F's layout,
+    written through component-first views."""
     F = np.asarray(F, float)
-    cof = np.empty_like(F)  # in F's memory layout
-    (r0, r1, r2), rows = component_first(F), component_first(cof)
-    _cross(r1, r2, rows[0])
-    _cross(r2, r0, rows[1])
-    _cross(r0, r1, rows[2])
-    # a C-ordered product, so the three-term sum runs over whole rows
-    return F, cof, np.multiply(r0, rows[0], order="C").sum(axis=0)
+    cof = np.empty_like(F)
+    return F, cof, _cofactors(component_first(F), component_first(cof))
 
 
-def frobenius_norm(F):
-    """|F| over the last two axes, batched over the leading ones.
-
-    The nine squares q_k = F[k // 3, k % 3]^2 are summed in NumPy's
-    pairwise order for a contiguous 3x3,
-    (((q0 + q1) + (q2 + q3)) + ((q4 + q5) + (q6 + q7))) + q8, whatever
-    the layout of F: np.sum over a strided view adds in another order.
+def squared_norm(F):
+    """|F|^2 of 3x3 matrices stored component first, (3, 3, ...): the
+    squares q_k = F[k // 3, k % 3]^2 added in NumPy's pairwise order for a
+    contiguous 3x3, (((q0 + q1) + (q2 + q3)) + ((q4 + q5) + (q6 + q7))) + q8,
+    whatever the layout (np.sum over a strided view adds in another order).
     """
-    F = np.asarray(F, float)
-    q = (component_first(F) ** 2).reshape(9, *F.shape[:-2])
-    return np.sqrt((((q[0] + q[1]) + (q[2] + q[3]))
-                    + ((q[4] + q[5]) + (q[6] + q[7]))) + q[8])
+    q = (F ** 2).reshape(9, *F.shape[2:])
+    return (((q[0] + q[1]) + (q[2] + q[3]))
+            + ((q[4] + q[5]) + (q[6] + q[7]))) + q[8]
 
 
 def distortion(F):
@@ -112,7 +96,7 @@ def distortion(F):
     F, _, det = minors(F)
     if np.any(det <= 0):
         raise KinematicsError("distortion requires det F > 0")
-    return frobenius_norm(F)**3 / det
+    return np.sqrt(squared_norm(component_first(F)))**3 / det
 
 
 QUERY_CHUNK = 128  # points per point-in-tet batch; bounds the pair arrays
@@ -212,15 +196,9 @@ class _TetGrid(_Grid):
         return hit
 
 
-def jacobian_integral(mesh, positions, F_minors=None):
-    """Integral of det grad y over the reference domain (exact).
-
-    `F_minors` is `deformation_minors` of `positions`, when the caller
-    already has it.
-    """
-    if F_minors is None:
-        F_minors = deformation_minors(mesh, positions)
-    det = F_minors[2]
+def jacobian_integral(mesh, positions):
+    """Integral of det grad y over the reference domain (exact)."""
+    det = deformation_minors(mesh, positions)[2]
     if np.any(det <= 0):
         raise KinematicsError("det F <= 0 in some tet")
     return float(np.sum(mesh.volumes * det))
@@ -235,17 +213,15 @@ class CiarletNecasResult:
     samples: int
 
 
-def ciarlet_necas_residual(mesh, state, samples=100_000, seed=0,
-                           F_minors=None):
+def ciarlet_necas_residual(mesh, state, samples=100_000, seed=0):
     """Monte Carlo gap between the Jacobian integral and the image volume.
 
     Residual near zero indicates a.e. injectivity; a residual well above
-    the Monte Carlo noise indicates sheet overlap.  `F_minors` is as for
-    `jacobian_integral`.
+    the Monte Carlo noise indicates sheet overlap.
     """
     if samples <= 0:
         raise ValueError("need at least one sample")
-    jac = jacobian_integral(mesh, state.positions, F_minors)
+    jac = jacobian_integral(mesh, state.positions)
     grid = _TetGrid(state.positions, mesh.tets)
     rng = np.random.default_rng(seed)
     box = grid.box_volume()

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (INFEASIBLE, bulk_energy, bulk_energy_gradient,
-                     load_potential, load_potential_gradient)
+from .energy import (INFEASIBLE, Bulk, bulk_energy, bulk_energy_gradient,
+                     bulk_weights, load_potential, load_potential_gradient,
+                     load_vector)
 from .kinematics import boundary_self_intersects, deformation_minors
 
 CONTRACTION = 0.5            # line-search backtracking factor
@@ -61,22 +62,22 @@ class SolveReport:
     history: list = field(default_factory=list)  # (iter, obj, |g|, min_det, guards)
 
 
-def equilibrium_objective(mesh, state, phases, model, F_minors=None):
-    """bulk_energy - load_potential; +inf when infeasible.
-
-    `F_minors` is `deformation_minors` of the state, when the caller
-    already has it.
-    """
-    bulk = bulk_energy(mesh, state, phases, model, F_minors)
-    if bulk == INFEASIBLE:
+def equilibrium_objective(mesh, state, phases, model, bulk=None, loads=None):
+    """bulk_energy - load_potential; +inf when infeasible.  `bulk` (the
+    state's `Bulk`) and `loads` are passed on when the caller has them."""
+    energy = bulk_energy(mesh, state, phases, model, bulk)
+    if energy == INFEASIBLE:
         return INFEASIBLE
-    return bulk - load_potential(mesh, state, phases, model)
+    return energy - load_potential(mesh, state, phases, model, loads)
 
 
-def equilibrium_gradient(mesh, state, phases, model, F_minors=None):
-    """Nodal gradient of the equilibrium objective; Dirichlet rows zero."""
-    return (bulk_energy_gradient(mesh, state, phases, model, F_minors)
-            - load_potential_gradient(mesh, state, phases, model))
+def equilibrium_gradient(mesh, state, phases, model, bulk=None,
+                         free_loads=None):
+    """Nodal gradient of the equilibrium objective; Dirichlet rows zero.
+    `bulk` and `free_loads` (`load_potential_gradient`) are optional."""
+    if free_loads is None:
+        free_loads = load_potential_gradient(mesh, state, phases, model)
+    return bulk_energy_gradient(mesh, state, phases, model, bulk) - free_loads
 
 
 def _min_det(F_minors):
@@ -91,21 +92,25 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
     boundary surface was checked for self-intersection, unless no step
     was taken: when the last accepted step was not checked on its
     iteration, it is checked on return, and if it fails the last state
-    that passed is returned instead, unconverged.  F and its minors are
-    built once per trial point and shared by the det floor, the
-    objective and the gradient.
+    that passed is returned instead, unconverged.  The weights and the
+    loads are built once per solve; F, its minors and one `Bulk` once per
+    trial point, shared by the det floor, the objective and the gradient.
     """
     options = options or SolveOptions()
     free = ~state0.dirichlet_mask
+    weights = bulk_weights(mesh, phases, model)
+    loads = load_vector(mesh, phases, model)
+    free_loads = load_potential_gradient(mesh, state0, phases, model, loads)
 
     state = state0
     terms = deformation_minors(mesh, state.positions)
-    obj = equilibrium_objective(mesh, state, phases, model, terms)
     min_det = _min_det(terms)
+    bulk = Bulk(terms, weights, model)
+    obj = equilibrium_objective(mesh, state, phases, model, bulk, loads)
     if obj == INFEASIBLE or min_det <= DET_FLOOR:
         raise ValueError("initial state is infeasible")
 
-    grad = equilibrium_gradient(mesh, state, phases, model, terms)
+    grad = equilibrium_gradient(mesh, state, phases, model, bulk, free_loads)
     gnorm = float(np.linalg.norm(grad))
     pairs = deque(maxlen=HISTORY)   # (s, y, rho) for L-BFGS
     det_floor = armijo = injectivity = 0   # backtracks by cause
@@ -121,15 +126,15 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
         it += 1
         check = it % INJECTIVITY_CHECK_EVERY == 0
         direction = _lbfgs_direction(grad, pairs)
-        if float(np.sum(direction * grad)) >= 0.0:
-            direction = -grad  # fallback to steepest descent
-        step = 1.0
-        accepted = False
-        guards_this_iter = 0
         gd = float(np.sum(direction * grad))
+        if gd >= 0.0:
+            direction = -grad  # fallback to steepest descent
+            gd = float(np.sum(direction * grad))
+        step, accepted, guards_this_iter = 1.0, False, 0
         for _ in range(MAX_LINE_SEARCH):
             trial = state.positions + step * direction
             trial[~free] = state0.positions[~free]
+            terms = bulk = None  # free the last point's arrays first
             terms = deformation_minors(mesh, trial)
             trial_det = _min_det(terms)
             if trial_det <= DET_FLOOR:
@@ -138,26 +143,25 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
                 step *= CONTRACTION
                 continue
             trial_state = state.with_positions(trial)
+            bulk = Bulk(terms, weights, model)
             trial_obj = equilibrium_objective(mesh, trial_state, phases, model,
-                                              terms)
+                                              bulk, loads)
             if not (trial_obj < obj + SUFFICIENT_DECREASE * step * gd):
                 armijo += 1
-                step *= CONTRACTION
-                continue
-            if check and boundary_self_intersects(mesh, trial):
+            elif check and boundary_self_intersects(mesh, trial):
                 injectivity += 1
                 guards_this_iter += 1
-                step *= CONTRACTION
-                continue
-            accepted = True
-            break
+            else:
+                accepted = True
+                break
+            step *= CONTRACTION
         if guards_this_iter:
             guard_iters.append(it)
         if not accepted:
             message = "line search exhausted; returning best feasible state"
             break
         new_grad = equilibrium_gradient(mesh, trial_state, phases, model,
-                                        terms)
+                                        bulk, free_loads)
         s = (trial_state.positions - state.positions).ravel()
         y = (new_grad - grad).ravel()
         sy = float(np.dot(s, y))

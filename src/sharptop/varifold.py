@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import INFEASIBLE, bulk_energy, interface_density
-from .mesh import edge_keys
+from .mesh import _edge_cofactors, edge_keys
 from .quadrature import map_to_simplex, tet_rule, triangle_rule
 
 
@@ -336,8 +336,7 @@ def coupling_residual(mesh, state, phases, V, test_fields, quad_order=2,
     sel = np.asarray(phases.labels) == 1
     tets = mesh.tets[sel]
     corners = positions[tets]                    # (nt1, 4, 3)
-    vols = np.abs(np.linalg.det(
-        np.transpose(corners[:, 1:] - corners[:, :1], (0, 2, 1)))) / 6.0
+    vols = np.abs(_edge_cofactors(positions, tets)[1]) / 6.0
     tet_pts = map_to_simplex(corners, tq)        # (nt1, nq, 3)
     tri_pts = map_to_simplex(V.vertices[V.faces], sq)
 

@@ -1,4 +1,5 @@
-import math
+import decimal
+from decimal import Decimal
 from types import SimpleNamespace
 
 from hypothesis import settings
@@ -54,8 +55,20 @@ def random_feasible_state(mesh, scale=0.02, seed=0):
     return state.with_positions(pos)
 
 
+def jittered_box_mesh(dims, rng, jitter):
+    """A clamped, pulled box mesh with every vertex moved by up to
+    `jitter` cells."""
+    mesh = st.build_box_mesh(*dims, tagging=clamp_bottom_pull_top)
+    h = 1.0 / np.array(dims)
+    vertices = mesh.vertices + jitter * h * rng.uniform(
+        -1, 1, mesh.vertices.shape)
+    return st.ReferenceMesh(vertices=vertices, tets=mesh.tets,
+                            boundary_faces=mesh.boundary_faces,
+                            boundary_tags=mesh.boundary_tags)
+
+
 def brute_force_deformation_gradients(mesh, positions):
-    """F and |F| of every tet, one tet at a time in Python floats.
+    """F and |F|^2 of every tet, one tet at a time in Python floats.
 
     F[i][j] = (d1[i] G[0][j] + d2[i] G[1][j]) + d3[i] G[2][j] for the
     edges d_k = x_k - x_0 and G = ref_inv, and |F|^2 adds the squares q_k
@@ -63,7 +76,7 @@ def brute_force_deformation_gradients(mesh, positions):
     (q6 + q7))) + q8.  Python floats never fuse a multiply-add.
     """
     pos = np.asarray(positions, float).tolist()
-    F, norm = np.empty((mesh.n_tets, 3, 3)), np.empty(mesh.n_tets)
+    F, norm2 = np.empty((mesh.n_tets, 3, 3)), np.empty(mesh.n_tets)
     for t, tet in enumerate(mesh.tets.tolist()):
         x0 = pos[tet[0]]
         d = [[pos[v][i] - x0[i] for i in range(3)] for v in tet[1:]]
@@ -72,9 +85,69 @@ def brute_force_deformation_gradients(mesh, positions):
                for j in range(3)] for i in range(3)]
         q = [v * v for row in Ft for v in row]
         F[t] = Ft
-        norm[t] = math.sqrt((((q[0] + q[1]) + (q[2] + q[3]))
-                             + ((q[4] + q[5]) + (q[6] + q[7]))) + q[8])
-    return F, norm
+        norm2[t] = (((q[0] + q[1]) + (q[2] + q[3]))
+                    + ((q[4] + q[5]) + (q[6] + q[7]))) + q[8]
+    return F, norm2
+
+
+def density_oracle(norm, det, model):
+    """Unscaled W = |F|^r + (|F|^3 / det F)^(r-1) + det F^(-s)."""
+    r, s = model.r, model.s
+    return norm**r + (norm**3 / det) ** (r - 1.0) + det ** (-s)
+
+
+def stress_oracle(F, cof, norm, det, model):
+    """Unscaled dW/dF, term by term: r |F|^(r-2) F, (r-1) D^(r-2) dD/dF
+    for D = |F|^3 / det F, and -s det F^(-s-1) Cof F.  `norm` and `det`
+    broadcast against F and cof."""
+    r, s = model.r, model.s
+    P = r * norm ** (r - 2.0) * F
+    P += (r - 1.0) * (norm**3 / det) ** (r - 2.0) * (
+        3.0 * norm / det * F - norm**3 / det**2 * cof)
+    P += -s * det ** (-s - 1.0) * cof
+    return P
+
+
+def decimal_stress(F, weight, model, digits=50):
+    """w dW/dF at one F (3, 3) by central differences of W in `digits`
+    digit decimal arithmetic, rounded to floats; F, w, r and s are taken
+    exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        r, s = Decimal(model.r), Decimal(model.s)
+
+        def W(M):
+            norm = sum(x * x for row in M for x in row).sqrt()
+            det = (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
+                   - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+                   + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
+            return norm**r + (norm**3 / det) ** (r - 1) + det ** -s
+
+        h = Decimal(10) ** (-digits // 2)
+        P = np.empty((3, 3))
+        for i in range(3):
+            for j in range(3):
+                ends = []
+                for step in (h, -h):
+                    M = [[Decimal(x) for x in row] for row in F.tolist()]
+                    M[i][j] += step
+                    ends.append(W(M))
+                P[i, j] = float(Decimal(weight) * (ends[0] - ends[1])
+                                / (2 * h))
+    return P
+
+
+def kernel_stress_oracle(F, cof, norm2, det, weight, model):
+    """w dW/dF of F, Cof F (nt, 3, 3) as a F + b Cof F, from the per-tet
+    scalars in the bulk kernel's order: for A = |F|^r, B = D^(r-1) and
+    C = det F^(-s), a = w (r A + 3 (r-1) B) / |F|^2 and
+    b = w ((1 - r) B - s C) / det F."""
+    r, s = model.r, model.s
+    norm = np.sqrt(norm2)
+    A, B, C = norm**r, (norm**3 / det) ** (r - 1.0), det ** (-s)
+    a = weight * (r * A + 3.0 * (r - 1.0) * B) / norm2
+    b = weight * ((1.0 - r) * B - s * C) / det
+    return a[:, None, None] * F + b[:, None, None] * cof
 
 
 def brute_force_corner_scatter(mesh, P, dirichlet_mask):

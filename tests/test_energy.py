@@ -1,17 +1,17 @@
 import math
 
-from hypothesis import given, settings, strategies as hs
+from hypothesis import assume, given, settings, strategies as hs
 import numpy as np
 import pytest
 
 import sharptop as st
-from sharptop.energy import (INFEASIBLE, _density, _stress,
-                             bulk_energy_gradient, load_potential_gradient,
-                             stress_free_s)
+from sharptop.energy import (INFEASIBLE, Bulk, bulk_energy_gradient,
+                             load_potential_gradient, stress_free_s)
 
 from conftest import (brute_force_corner_scatter,
-                      brute_force_deformation_gradients,
-                      clamp_bottom_pull_top, random_feasible_state)
+                      brute_force_deformation_gradients, decimal_stress,
+                      density_oracle, jittered_box_mesh, kernel_stress_oracle,
+                      random_feasible_state, stress_oracle)
 
 
 def random_feasible_F(rng, spread=0.4):
@@ -140,6 +140,35 @@ def test_stress_free_normalization():
     assert np.max(np.abs(P)) < 1e-12
 
 
+@settings(max_examples=40)
+@given(entries=hs.lists(hs.floats(-0.6, 0.6), min_size=18, max_size=54),
+       labels=hs.lists(hs.integers(0, 1), min_size=6, max_size=6),
+       r=hs.sampled_from([4.0, 4.5]))
+def test_bulk_kernel_matches_oracles(entries, labels, r):
+    """One batched Bulk over 2-6 gradients with det F > 0 in both phases
+    gives sum w W and the stresses w (a F + b Cof F) of bulk_density, of
+    the term-by-term derivative and of 50-digit central differences, to
+    1e-12; so does bulk_stress."""
+    Fs = np.eye(3) + np.reshape(entries[:len(entries) // 9 * 9], (-1, 3, 3))
+    assume((np.linalg.det(Fs) > 0.05).all())
+    model = st.EnergyModel(r=r, s=1.5, scale0=0.3, scale1=2.0)
+    phases = labels[:len(Fs)]
+    weights = np.array([model.scale(p) for p in phases])
+    _, cof, det = st.minors(Fs)
+    bulk = Bulk((np.ascontiguousarray(Fs.transpose(1, 2, 0)),
+                 np.ascontiguousarray(cof.transpose(1, 2, 0)), det),
+                weights, model)
+    densities = [st.bulk_density(F, p, model) for F, p in zip(Fs, phases)]
+    assert bulk.energy == pytest.approx(sum(densities), rel=1e-12)
+    P = bulk.stress()
+    for k, (F, p) in enumerate(zip(Fs, phases)):
+        ref = decimal_stress(F, model.scale(p), model)
+        term_by_term = model.scale(p) * stress_oracle(
+            F, cof[k], np.sqrt(np.sum(F * F)), det[k], model)
+        for got in (P[:, :, k], st.bulk_stress(F, p, model), term_by_term):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_bulk_energy_identity_uniform(small_mesh, uniform_phase1):
     model = st.EnergyModel(r=4, s=2, scale1=1.0)
     phases = uniform_phase1(small_mesh)
@@ -214,17 +243,10 @@ def test_gradient_scatter_matches_add_at(clamped_mesh):
     phases = st.PhaseLabeling(np.arange(mesh.n_tets) % 2)
     state = random_feasible_state(mesh, seed=4)
     F, cof, det = st.minors(st.deformation_gradients(mesh, state.positions))
-    r, s = model.r, model.s
-    norm = np.sqrt(np.sum(np.ascontiguousarray(F * F),
-                          axis=(-2, -1)))[:, None, None]
-    det = det[:, None, None]
-    P = r * norm ** (r - 2.0) * F
-    P += (r - 1.0) * (norm**3 / det) ** (r - 2.0) * (
-        3.0 * norm / det * F - norm**3 / det**2 * cof)
-    P += -s * det ** (-s - 1.0) * cof
+    norm2 = np.sum(np.ascontiguousarray(F * F), axis=(-2, -1))
     labels = np.asarray(phases.labels, float)
-    P *= (mesh.volumes * (model.scale0 * (1.0 - labels)
-                          + model.scale1 * labels))[:, None, None]
+    P = kernel_stress_oracle(F, cof, norm2, det, mesh.volumes * (
+        model.scale0 * (1.0 - labels) + model.scale1 * labels), model)
     corner = P @ np.transpose(mesh.ref_inv, (0, 2, 1))
     ref = np.zeros_like(state.positions)
     for c in range(3):
@@ -281,18 +303,6 @@ def test_bulk_terms_equal_per_tet_sums(clamped_mesh):
     assert np.max(np.abs(batched - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
-def jittered_box_mesh(dims, rng, jitter):
-    """A clamped, pulled box mesh with every vertex moved by up to
-    `jitter` cells."""
-    mesh = st.build_box_mesh(*dims, tagging=clamp_bottom_pull_top)
-    h = 1.0 / np.array(dims)
-    vertices = mesh.vertices + jitter * h * rng.uniform(
-        -1, 1, mesh.vertices.shape)
-    return st.ReferenceMesh(vertices=vertices, tets=mesh.tets,
-                            boundary_faces=mesh.boundary_faces,
-                            boundary_tags=mesh.boundary_tags)
-
-
 @settings(max_examples=30)
 @given(dims=hs.tuples(*[hs.integers(1, 5)] * 3),
        seed=hs.integers(0, 2**32 - 1))
@@ -314,16 +324,16 @@ def test_bulk_kernels_match_python_float_oracle(dims, seed):
     F = st.deformation_gradients(mesh, positions)
     assert np.moveaxis(F, 0, -1).flags.c_contiguous
     assert np.moveaxis(mesh.ref_inv, 0, -1).flags.c_contiguous
-    F_oracle, norm = brute_force_deformation_gradients(mesh, positions)
+    F_oracle, norm2 = brute_force_deformation_gradients(mesh, positions)
     assert np.array_equal(F, F_oracle)
     _, cof, det = st.minors(F_oracle)
     labels = phases.labels.astype(float)
     weight = mesh.volumes * (model.scale0 * (1.0 - labels)
                              + model.scale1 * labels)
     energy = st.bulk_energy(mesh, state, phases, model)
-    assert energy == float(np.sum(weight * _density(norm, det, model)))
-    P = _stress(F_oracle, cof, norm[:, None, None], det[:, None, None], model)
-    P *= weight[:, None, None]
+    norm = np.sqrt(norm2)
+    assert energy == float(np.sum(weight * density_oracle(norm, det, model)))
+    P = kernel_stress_oracle(F_oracle, cof, norm2, det, weight, model)
     grad = bulk_energy_gradient(mesh, state, phases, model)
     assert np.array_equal(
         grad, brute_force_corner_scatter(mesh, P, state.dirichlet_mask))
@@ -335,8 +345,9 @@ def test_bulk_kernels_match_python_float_oracle(dims, seed):
     F_old, cof, det = st.minors(F_old)
     norm = np.sqrt(np.sum(F_old * F_old, axis=(-2, -1)))
     assert energy == pytest.approx(
-        float(np.sum(weight * _density(norm, det, model))), rel=1e-12)
-    P = _stress(F_old, cof, norm[:, None, None], det[:, None, None], model)
+        float(np.sum(weight * density_oracle(norm, det, model))), rel=1e-12)
+    P = stress_oracle(F_old, cof, norm[:, None, None], det[:, None, None],
+                      model)
     corner = (P * weight[:, None, None]) @ np.transpose(G, (0, 2, 1))
     grad_old = np.zeros_like(positions)
     for c in range(3):

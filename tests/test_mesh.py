@@ -8,7 +8,8 @@ from sharptop.mesh import (FREE, MeshError, ReferenceMesh, component_count,
 from sharptop.surfaces import wedge_fold
 
 from conftest import (NONMANIFOLD_MESH, TWO_BOXES_MESH, ZERO_VOLUME_MESH,
-                      brute_force_component_count, brute_force_face_adjacency)
+                      brute_force_component_count, brute_force_face_adjacency,
+                      jittered_box_mesh)
 
 
 def brute_force_boundary_count(mesh):
@@ -47,6 +48,24 @@ def test_generated_volume_matches_analytic(n):
 
 def test_all_volumes_positive(small_mesh):
     assert np.all(small_mesh.volumes > 0)
+
+
+@settings(max_examples=30)
+@given(dims=hs.tuples(*[hs.integers(1, 4)] * 3),
+       seed=hs.integers(0, 2**32 - 1), jitter=hs.floats(0.0, 0.3))
+def test_reference_geometry_matches_linalg(dims, seed, jitter):
+    """The volumes and ref_inv from the edge cofactors match np.linalg
+    to 1e-12 on jittered meshes, and ref_inv DX = I."""
+    mesh = jittered_box_mesh(dims, np.random.default_rng(seed), jitter)
+    x = mesh.vertices[mesh.tets]
+    DX = np.transpose(x[:, 1:] - x[:, :1], (0, 2, 1))   # edges as columns
+    det = np.linalg.det(DX)
+    assert np.max(np.abs(mesh.volumes - det / 6.0)) <= 1e-12 * np.max(
+        np.abs(det / 6.0))
+    residual = mesh.ref_inv @ DX - np.eye(3)
+    assert np.max(np.abs(residual)) <= 1e-12
+    inv = np.linalg.inv(DX)
+    assert np.max(np.abs(mesh.ref_inv - inv)) <= 1e-12 * np.max(np.abs(inv))
 
 
 def test_bad_counts_and_extents():

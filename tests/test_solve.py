@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import sharptop as st
+import sharptop.energy
 import sharptop.solve
 from sharptop.energy import stress_free_s
 from sharptop.kinematics import boundary_self_intersects, deformation_minors
 from sharptop.solve import (DET_FLOOR, SolveOptions, equilibrium_gradient,
                             equilibrium_objective)
 
-from conftest import random_feasible_state
+from conftest import clamp_bottom_pull_top, random_feasible_state
 
 
 def fd_gradient(mesh, state, phases, model, h=1e-6):
@@ -85,6 +86,43 @@ def test_zero_iteration_solve_builds_minors_once(uniform_phase1,
                                         uniform_phase1(mesh), model)
     assert report.iterations == 0
     assert len(calls) == 1
+
+
+def test_solve_hoists_constants_and_counts_kernel_calls(uniform_phase1,
+                                                         monkeypatch):
+    """The weights and the load vector are built once per solve; F and
+    its minors and the objective once per trial point, the gradient once
+    per accepted point."""
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (sharptop.solve, sharptop.energy):
+        counting(module, "bulk_weights")
+        counting(module, "load_vector")
+    for name in ("deformation_minors", "equilibrium_objective",
+                 "equilibrium_gradient"):
+        counting(sharptop.solve, name)
+    mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
+    model = st.EnergyModel(r=4, s=stress_free_s(4), g=[0.0, 0.0, 2.0])
+    _, report = st.minimize_equilibrium(
+        mesh, st.identity_state(mesh), uniform_phase1(mesh), model,
+        SolveOptions(gradient_tolerance=1e-5))
+    assert report.converged and report.armijo_backtracks > 0
+    accepted = len(report.history)
+    objectives = 1 + accepted + report.armijo_backtracks \
+        + report.injectivity_backtracks
+    assert calls == {"bulk_weights": 1, "load_vector": 1,
+                     "deformation_minors":
+                         objectives + report.det_floor_backtracks,
+                     "equilibrium_objective": objectives,
+                     "equilibrium_gradient": 1 + accepted}
 
 
 def test_solver_converges_and_decreases(clamped_mesh, uniform_phase1):
