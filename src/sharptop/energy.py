@@ -10,6 +10,7 @@ explicit float('inf') sentinel, never by a large finite number.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
@@ -63,21 +64,24 @@ class Bulk:
     """W and dW/dF at (F, Cof F, det F), component first as from
     `deformation_minors` (or one (3, 3) F), from shared per-tet scalars
     S = |F|^2, A = |F|^r, B = D^(r-1) for D = |F|^3 / det F, C = det F^(-s):
-    `energy` is sum w W, W = A + B + C (+inf if some det F <= 0), and
-    `stress()` is w dW/dF = a F + b Cof F, with
+    `energy`, built on first read, is sum w W, W = A + B + C (+inf if some
+    det F <= 0), and `stress()` is w dW/dF = a F + b Cof F, with
     a = w (r A + 3 (r - 1) B) / S and b = w ((1 - r) B - s C) / det F."""
 
     def __init__(self, F_minors, weights, model):
         self.F, self.cof, self.det = F_minors
         self.weights, self.model = weights, model
-        self.energy = INFEASIBLE
-        if self.det.min() > 0:
-            self.S = squared_norm(self.F)
-            norm = np.sqrt(self.S)
-            self.A = norm**model.r
-            self.B = (norm**3 / self.det) ** (model.r - 1.0)
-            self.C = self.det ** (-model.s)
-            self.energy = float((weights * (self.A + self.B + self.C)).sum())
+
+    @cached_property
+    def energy(self):
+        if not self.det.min() > 0:
+            return INFEASIBLE
+        self.S = squared_norm(self.F)
+        norm = np.sqrt(self.S)
+        self.A = norm**self.model.r
+        self.B = (norm**3 / self.det) ** (self.model.r - 1.0)
+        self.C = self.det ** (-self.model.s)
+        return float((self.weights * (self.A + self.B + self.C)).sum())
 
     def stress(self):
         """a F + b Cof F; requires det F > 0."""
@@ -113,8 +117,7 @@ def bulk_energy(mesh, state, phases, model, bulk=None):
 
     Labels are constant per tet, so midpoint quadrature is exact in phase
     and exact for the piecewise-affine deformation.  `bulk` is the state's
-    `Bulk` with `bulk_weights`, when the caller already has it.
-    """
+    `Bulk` with `bulk_weights`, when the caller already has it."""
     if bulk is None:
         bulk = Bulk(deformation_minors(mesh, state.positions),
                     bulk_weights(mesh, phases, model), model)

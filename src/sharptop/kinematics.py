@@ -42,7 +42,7 @@ def identity_state(mesh):
 
 def component_first(A):
     """A (..., 3, 3) array viewed as (3, 3, ...): A[..., i, j] is [i, j]."""
-    return np.moveaxis(A, (-2, -1), (0, 1))
+    return A.transpose(A.ndim - 2, A.ndim - 1, *range(A.ndim - 2))
 
 
 def deformation_gradients(mesh, positions):
@@ -67,9 +67,8 @@ def deformation_gradients(mesh, positions):
 def deformation_minors(mesh, positions):
     """(F, Cof F, det F) of every tet, component first: (3, 3, nt) twice
     and (nt,), as the bulk kernel reads them."""
-    F = deformation_gradients(mesh, positions).transpose(1, 2, 0)
-    cof = np.empty_like(F)
-    return F, cof, _cofactors(F, cof)
+    F, cof, det = minors(deformation_gradients(mesh, positions))
+    return component_first(F), component_first(cof), det
 
 
 def minors(F):
@@ -84,8 +83,7 @@ def squared_norm(F):
     """|F|^2 of 3x3 matrices stored component first, (3, 3, ...): the
     squares q_k = F[k // 3, k % 3]^2 added in NumPy's pairwise order for a
     contiguous 3x3, (((q0 + q1) + (q2 + q3)) + ((q4 + q5) + (q6 + q7))) + q8,
-    whatever the layout (np.sum over a strided view adds in another order).
-    """
+    whatever the layout; np.sum over a strided view adds in another order."""
     q = (F ** 2).reshape(9, *F.shape[2:])
     return (((q[0] + q[1]) + (q[2] + q[3]))
             + ((q[4] + q[5]) + (q[6] + q[7]))) + q[8]

@@ -41,9 +41,8 @@ def _cross(u, v, out):
 
 def _cofactors(A, out):
     """Write Cof A into `out` and return det A, for 3x3 matrices stored
-    component first, (3, 3, ...).  The rows of Cof A are r1 x r2, r2 x r0
-    and r0 x r1 for the rows r_i of A, and det A = r0 . (r1 x r2); in
-    place, as np.cross took twice as long on 1296 tets."""
+    component first, (3, 3, ...): rows r1 x r2, r2 x r0, r0 x r1 of the rows
+    r_i of A, and r0 . (r1 x r2); np.cross took twice as long on 1296 tets."""
     _cross(A[1], A[2], out[0])
     _cross(A[2], A[0], out[1])
     _cross(A[0], A[1], out[2])
