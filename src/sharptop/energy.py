@@ -60,6 +60,21 @@ def stress_free_s(r):
     return r * 3.0 ** ((r - 2.0) / 2.0)
 
 
+def identity_stiffness(r, s):
+    """c = tr(d^2 W / dF^2 (I)) / 9 for the unscaled density, in closed form:
+
+        c = (r (r + 7) 3^(r/2 - 1) + 10 (r - 1) 3^(3 (r - 1) / 2)
+             + 3 s (s + 1)) / 9,
+
+    534.32 at r = 4, s = stress_free_s(4).  The tangent at I is isotropic
+    for every s, so this holds also when I is not stress-free.  Each term
+    is positive for r > 3 and s > 0, so c > 0 for every valid model.
+    """
+    return (r * (r + 7.0) * 3.0 ** (r / 2.0 - 1.0)
+            + 10.0 * (r - 1.0) * 3.0 ** (1.5 * (r - 1.0))
+            + 3.0 * s * (s + 1.0)) / 9.0
+
+
 class Bulk:
     """W and dW/dF at (F, Cof F, det F), component first as from
     `deformation_minors` (or one (3, 3) F), from shared per-tet scalars
@@ -136,13 +151,14 @@ def bulk_energy_gradient(mesh, state, phases, model, bulk=None):
     # forces[c, i] runs over the tets, corners in scatter_index order
     G = mesh.ref_inv_cf
     forces = np.empty((4, 3, mesh.n_tets))
-    np.multiply(G[:, 0, None], P[:, 0], out=forces[:3])
-    forces[:3] += G[:, 1, None] * P[:, 1]
-    forces[:3] += G[:, 2, None] * P[:, 2]
+    for c in range(3):      # row by row: (3, nt) temporaries
+        np.multiply(G[c, 0], P[:, 0], out=forces[c])
+        forces[c] += G[c, 1] * P[:, 1]
+        forces[c] += G[c, 2] * P[:, 2]
     np.add(forces[0], forces[1], out=forces[3])
     forces[3] += forces[2]
     np.negative(forces[3], out=forces[3])
-    g = np.bincount(mesh.scatter_index, forces.ravel(),
+    g = np.bincount(mesh._scatter_index, forces.ravel(),
                     minlength=3 * mesh.n_vertices).reshape(-1, 3)
     g[state.dirichlet_mask] = 0.0
     return g

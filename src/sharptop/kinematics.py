@@ -56,6 +56,7 @@ def deformation_gradients(mesh, positions):
     # np.take on (axis, vertex) rows gathers 4x faster than fancy indexing
     x = np.take(np.asarray(positions, float).T, mesh.tets.T, axis=1)
     d = x[:, 1:] - x[:, :1]                 # (axis, edge, tet)
+    x = None                                # freed before F is built
     G = mesh.ref_inv_cf
     F = np.multiply(d[:, 0, None], G[0])
     term = np.multiply(d[:, 1, None], G[1])

@@ -93,8 +93,11 @@ class ReferenceMesh:
     # face by face: the traction load on vertex v is traction_weights[v] g
     traction_weights: np.ndarray = field(init=False, repr=False)  # (nv,)
     # flat np.bincount index of the bulk gradient into a nodal (nv, 3)
-    # array, in (corner, axis, tet) order over tet corners 1, 2, 3, 0
+    # array, in (corner, axis, tet) order over tet corners 1, 2, 3, 0; a
+    # read-only view of the writable `_scatter_index`, which np.bincount
+    # takes without a copy
     scatter_index: np.ndarray = field(init=False, repr=False)
+    _scatter_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         def put(name, value):
@@ -139,8 +142,10 @@ class ReferenceMesh:
             np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1)
         put("traction_weights", np.bincount(
             faces.ravel(), np.repeat(areas / 3.0, 3), minlength=nv))
-        put("scatter_index", (3 * self.tets.T[[1, 2, 3, 0], None]
-                              + np.arange(3)[:, None]).ravel())
+        object.__setattr__(self, "_scatter_index", (
+            3 * self.tets.T[[1, 2, 3, 0], None]
+            + np.arange(3)[:, None]).ravel())
+        put("scatter_index", self._scatter_index.view())
 
     @property
     def n_vertices(self):

@@ -6,6 +6,18 @@ det F above DET_FLOOR, and (every INJECTIVITY_CHECK_EVERY iterations)
 the deformed boundary surface does not cross itself.  The interface
 energy is deliberately not part of this objective; it enters the outer
 topology objective.
+
+The L-BFGS two-loop recursion starts, at every iteration, from the
+inverse of c L_w (Liu, Bouaziz and Kavan 2017): L_w is the P1 stiffness
+matrix of the reference mesh on the free vertices, weighted by the bulk
+weights vol * scale and shared by the three displacement components,
+and c = tr(d^2 W / dF^2 (I)) / 9 (`energy.identity_stiffness`).  c L_w
+is the component average of the separate-displacement-component
+preconditioner, exact for an isotropic tangent, so the solve takes
+tens of iterations where a scaled identity took hundreds.  Its
+block-tridiagonal factor (`laplacian.LaplacianFactor`, float32) is
+built on a solve's first iteration from that solve's phases, so a
+solve that takes no step builds none.
 """
 
 from collections import deque
@@ -14,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import (INFEASIBLE, Bulk, bulk_energy, bulk_energy_gradient,
-                     bulk_weights, load_potential, load_potential_gradient,
-                     load_vector)
+                     bulk_weights, identity_stiffness, load_potential,
+                     load_potential_gradient, load_vector)
 from .kinematics import boundary_self_intersects, deformation_minors
+from .laplacian import LaplacianFactor
 
 CONTRACTION = 0.5            # line-search backtracking factor
 SUFFICIENT_DECREASE = 1e-4   # Armijo constant
@@ -93,8 +106,10 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
     was taken: when the last accepted step was not checked on its
     iteration, it is checked on return, and if it fails the last state
     that passed is returned instead, unconverged.  The weights and the
-    loads are built once per solve; F, its minors and one `Bulk` once per
-    trial point, shared by the det floor, the objective and the gradient.
+    loads are built once per solve, and the preconditioner's factor at
+    most once; F, its minors and one `Bulk` once per trial point, shared
+    by the det floor, the objective and the gradient, and freed once the
+    point is rejected or its gradient is built.
     """
     options = options or SolveOptions()
     free = ~state0.dirichlet_mask
@@ -111,6 +126,7 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
         raise ValueError("initial state is infeasible")
 
     grad = equilibrium_gradient(mesh, state, phases, model, bulk, free_loads)
+    terms = bulk = None
     gnorm = float(np.linalg.norm(grad))
     pairs = deque(maxlen=HISTORY)   # (s, y, rho) for L-BFGS
     det_floor = armijo = injectivity = 0   # backtracks by cause
@@ -121,11 +137,15 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
     passed = (state, obj, gnorm, min_det)  # the last state checked injective
     checked = True
     it = 0
+    factor = None   # H0 = (c L_w)^-1, built on the first iteration
 
     while not converged and it < options.max_iterations:
         it += 1
         check = it % INJECTIVITY_CHECK_EVERY == 0
-        direction = _lbfgs_direction(grad, pairs)
+        if factor is None:
+            factor = LaplacianFactor(
+                mesh, free, identity_stiffness(model.r, model.s) * weights)
+        direction = _lbfgs_direction(grad, pairs, factor)
         gd = float(np.sum(direction * grad))
         if gd >= 0.0:
             direction = -grad  # fallback to steepest descent
@@ -162,6 +182,7 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
             break
         new_grad = equilibrium_gradient(mesh, trial_state, phases, model,
                                         bulk, free_loads)
+        terms = bulk = None
         s = (trial_state.positions - state.positions).ravel()
         y = (new_grad - grad).ravel()
         sy = float(np.dot(s, y))
@@ -192,18 +213,16 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
     return state, report
 
 
-def _lbfgs_direction(grad, pairs):
-    """Two-loop recursion; returns a descent direction candidate."""
-    q = -grad.ravel().copy()
-    if not pairs:
-        return q.reshape(grad.shape)
+def _lbfgs_direction(grad, pairs, h0):
+    """Two-loop recursion from the initial inverse Hessian `h0`, a map of
+    nodal arrays; returns a descent direction candidate."""
+    q = -grad.ravel()
     alphas = []
     for s, y, rho in reversed(pairs):
         a = rho * float(np.dot(s, q))
         alphas.append(a)
         q -= a * y
-    s, y, rho = pairs[-1]
-    q *= float(np.dot(s, y)) / float(np.dot(y, y))
+    q = h0(q.reshape(grad.shape)).ravel()
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(np.dot(y, q))
         q += (a - b) * s

@@ -6,7 +6,8 @@ import pytest
 
 import sharptop as st
 from sharptop.energy import (INFEASIBLE, Bulk, bulk_energy_gradient,
-                             load_potential_gradient, stress_free_s)
+                             identity_stiffness, load_potential_gradient,
+                             stress_free_s)
 
 from conftest import (brute_force_corner_scatter,
                       brute_force_deformation_gradients, decimal_stress,
@@ -122,6 +123,30 @@ def test_stress_at_identity_isotropic():
     np.testing.assert_allclose(P, lam * np.eye(3), atol=1e-12)
     assert lam == pytest.approx(fd_stress(np.eye(3), 1, model)[0, 0],
                                 rel=1e-6)
+
+
+@pytest.mark.parametrize("r, s", [(3.1, 0.7), (3.5, stress_free_s(3.5)),
+                                  (4.0, stress_free_s(4.0)), (4.0, 5.0),
+                                  (4.5, 2.0), (6.0, stress_free_s(6.0))])
+def test_identity_stiffness_matches_finite_differences(r, s):
+    """c = tr(d^2 W / dF^2 (I)) / 9 in closed form against nine central
+    differences of the stress at I, stress-free or not."""
+    model, h = st.EnergyModel(r=r, s=s), 1e-5
+    trace = 0.0
+    for i in range(3):
+        for j in range(3):
+            E = np.zeros((3, 3))
+            E[i, j] = h
+            plus = Bulk(st.minors(np.eye(3) + E), 1.0, model).stress()
+            minus = Bulk(st.minors(np.eye(3) - E), 1.0, model).stress()
+            trace += (plus[i, j] - minus[i, j]) / (2 * h)
+    assert identity_stiffness(r, s) == pytest.approx(trace / 9, rel=1e-7)
+    assert identity_stiffness(r, s) > 0
+
+
+def test_identity_stiffness_value():
+    assert identity_stiffness(4.0, stress_free_s(4.0)) == pytest.approx(
+        534.3203847, rel=1e-9)
 
 
 def test_stress_linear_in_scale():

@@ -1,0 +1,118 @@
+from hypothesis import given, settings, strategies as hs
+import numpy as np
+import pytest
+
+import sharptop as st
+from sharptop.energy import identity_stiffness
+from sharptop.laplacian import (REGULARISATION, LaplacianFactor,
+                                level_blocks, vertex_levels)
+from sharptop.mesh import DIRICHLET, FREE, face_topology
+from sharptop.surfaces import wedge_fold
+
+from conftest import jittered_box_mesh
+
+
+def dense_laplacian(mesh, weights):
+    """sum_t w_t Gbar_t Gbar_t^T over all vertices, by np.add.at."""
+    G = mesh.ref_inv
+    grads = np.concatenate([-G.sum(axis=1, keepdims=True), G], axis=1)
+    local = weights[:, None, None] * np.einsum("tai,tbi->tab", grads, grads)
+    L = np.zeros((mesh.n_vertices, mesh.n_vertices))
+    np.add.at(L, (mesh.tets[:, :, None], mesh.tets[:, None, :]), local)
+    return L
+
+
+def l_shape_mesh():
+    """A 3x3x2 box with the tets of its x, y > 2/3 column removed, clamped
+    at x = 0: uneven levels, and the vertices of the removed column's
+    inner edge are in no tet."""
+    box = st.build_box_mesh(3, 3, 2)
+    centroid = box.tet_centroids()
+    tets = box.tets[(centroid[:, 0] < 2 / 3) | (centroid[:, 1] < 2 / 3)]
+    faces = face_topology(tets, box.n_vertices)[2]
+    clamped = np.all(box.vertices[faces][:, :, 0] == 0.0, axis=1)
+    return st.ReferenceMesh(vertices=box.vertices, tets=tets,
+                            boundary_faces=faces,
+                            boundary_tags=np.where(clamped, DIRICHLET, FREE))
+
+
+def factored_mask(mesh):
+    used = np.zeros(mesh.n_vertices, bool)
+    used[mesh.tets] = True
+    return used & ~mesh.dirichlet_vertex_mask()
+
+
+def check_blocks(mesh, weights):
+    """The level blocks are L_w's blocks, and L_w is block tridiagonal
+    in level order."""
+    levels, _ = vertex_levels(mesh, factored_mask(mesh))
+    L = dense_laplacian(mesh, weights)
+    scale = np.abs(L).max()
+    members = [np.flatnonzero(levels == k) for k in range(levels.max() + 1)]
+    for k, (A, B) in enumerate(level_blocks(mesh, levels, weights)):
+        np.testing.assert_allclose(A, L[np.ix_(members[k], members[k])],
+                                   rtol=0, atol=1e-13 * scale)
+        if k:
+            np.testing.assert_allclose(
+                B, L[np.ix_(members[k - 1], members[k])],
+                rtol=0, atol=1e-13 * scale)
+        for far in members[k + 2:]:
+            assert not L[np.ix_(members[k], far)].any()
+
+
+def check_inverse(mesh, weights, seed=0):
+    """P (c L_w x) = x to float32 accuracy, with the diagonal raised by
+    REGULARISATION when a level had to be seeded; rows outside the
+    factored vertices come out zero."""
+    factored = factored_mask(mesh)
+    _, seeded = vertex_levels(mesh, factored)
+    c = identity_stiffness(4.0, st.stress_free_s(4.0))
+    A = c * dense_laplacian(mesh, weights)[np.ix_(factored, factored)]
+    if seeded:
+        A[np.diag_indices_from(A)] *= 1.0 + REGULARISATION
+    x = np.zeros((mesh.n_vertices, 3))
+    x[factored] = np.random.default_rng(seed).standard_normal(
+        (factored.sum(), 3))
+    Ax = np.zeros_like(x)
+    Ax[factored] = A @ x[factored]
+    P = LaplacianFactor(mesh, ~mesh.dirichlet_vertex_mask(), c * weights)
+    got = P(Ax)
+    assert not got[~factored].any()
+    assert np.abs(got - x).max() <= 1e-5 * np.abs(x).max()
+    return seeded
+
+
+@settings(max_examples=15)
+@given(dims=hs.tuples(*[hs.integers(1, 5)] * 3),
+       seed=hs.integers(0, 2**32 - 1))
+def test_factor_inverts_jittered_box_laplacian(dims, seed):
+    rng = np.random.default_rng(seed)
+    mesh = jittered_box_mesh(dims, rng, 0.1)
+    weights = mesh.volumes * rng.uniform(0.2, 2.0, mesh.n_tets)
+    check_blocks(mesh, weights)
+    assert not check_inverse(mesh, weights, seed)
+
+
+@pytest.mark.parametrize("make", [
+    l_shape_mesh,
+    lambda: wedge_fold()[0],                   # no DIRICHLET face
+    lambda: st.build_box_mesh(4, 3, 3),        # all faces FREE
+], ids=["l-shape", "wedge-fold", "free-box"])
+def test_factor_inverts_laplacian_off_box_meshes(make):
+    mesh = make()
+    weights = mesh.volumes * np.random.default_rng(1).uniform(
+        0.2, 2.0, mesh.n_tets)
+    check_blocks(mesh, weights)
+    seeded = check_inverse(mesh, weights)
+    assert seeded == (not mesh.dirichlet_vertex_mask().any())
+
+
+def test_levels_of_l_shape_are_uneven_and_skip_unused_vertices():
+    mesh = l_shape_mesh()
+    levels, seeded = vertex_levels(mesh, factored_mask(mesh))
+    assert not seeded
+    assert len(set(np.bincount(levels[levels >= 0]).tolist())) > 1
+    used = np.zeros(mesh.n_vertices, bool)
+    used[mesh.tets] = True
+    assert (~used).any() and np.all(levels[~used] == -1)
+    assert np.all(levels[mesh.dirichlet_vertex_mask()] == -1)

@@ -267,3 +267,16 @@ def test_load_rejects_disconnected_mesh(tmp_path):
         st.load_mesh(path)
     assert "'face-connected components', 2" in str(info.value)
     assert st.build_box_mesh(2, 2, 2).n_components == 1
+
+
+def test_derived_arrays_are_read_only():
+    """Every public array field is read-only; the gradient scatters
+    through a writable private copy-free alias of `scatter_index`, which
+    np.bincount would otherwise copy on every call."""
+    mesh = st.build_box_mesh(2, 2, 2)
+    for name, value in vars(mesh).items():
+        if isinstance(value, np.ndarray) and not name.startswith("_"):
+            assert not value.flags.writeable, name
+    assert mesh._scatter_index.flags.writeable
+    assert np.shares_memory(mesh.scatter_index, mesh._scatter_index)
+    assert np.array_equal(mesh.scatter_index, mesh._scatter_index)

@@ -6,6 +6,7 @@ import sharptop.energy
 import sharptop.solve
 from sharptop.energy import stress_free_s
 from sharptop.kinematics import boundary_self_intersects, deformation_minors
+from sharptop.laplacian import LaplacianFactor
 from sharptop.solve import (DET_FLOOR, SolveOptions, equilibrium_gradient,
                             equilibrium_objective)
 
@@ -88,6 +89,27 @@ def test_zero_iteration_solve_builds_minors_once(uniform_phase1,
     assert len(calls) == 1
 
 
+def test_factor_is_built_once_and_only_when_a_step_is_taken(
+        uniform_phase1, monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return LaplacianFactor(*args)
+
+    monkeypatch.setattr(sharptop.solve, "LaplacianFactor", counting)
+    mesh = st.build_box_mesh(2, 2, 2, tagging=lambda c: "DIRICHLET")
+    _, report = st.minimize_equilibrium(
+        mesh, st.identity_state(mesh), uniform_phase1(mesh),
+        st.EnergyModel(r=4, s=stress_free_s(4)))
+    assert report.iterations == 0 and built == []
+    mesh = st.build_box_mesh(2, 2, 2, tagging=clamp_bottom_pull_top)
+    _, report = st.minimize_equilibrium(
+        mesh, st.identity_state(mesh), uniform_phase1(mesh),
+        st.EnergyModel(g=[0.0, 0.0, 1.0]))
+    assert report.iterations > 1 and len(built) == 1
+
+
 def test_solve_hoists_constants_and_counts_kernel_calls(uniform_phase1,
                                                          monkeypatch):
     """The weights and the load vector are built once per solve; F and
@@ -109,8 +131,9 @@ def test_solve_hoists_constants_and_counts_kernel_calls(uniform_phase1,
     for name in ("deformation_minors", "equilibrium_objective",
                  "equilibrium_gradient"):
         counting(sharptop.solve, name)
+    # a shear load large enough that some full steps fail the Armijo test
     mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
-    model = st.EnergyModel(r=4, s=stress_free_s(4), g=[0.0, 0.0, 2.0])
+    model = st.EnergyModel(r=4, s=stress_free_s(4), g=[100.0, 0.0, 0.0])
     _, report = st.minimize_equilibrium(
         mesh, st.identity_state(mesh), uniform_phase1(mesh), model,
         SolveOptions(gradient_tolerance=1e-5))
@@ -233,9 +256,12 @@ def _counting_check(monkeypatch, verdicts=None):
 
 
 def _pull(clamped_mesh, uniform_phase1, max_iterations):
+    # a large shear: |g| is still about 3e-3 at iteration 30, and the
+    # line search first gives out at iteration 47, so the check of
+    # iteration 25 and the iteration limit are reached
     return st.minimize_equilibrium(
         clamped_mesh, st.identity_state(clamped_mesh),
-        uniform_phase1(clamped_mesh), st.EnergyModel(g=[0.0, 0.0, 1.0]),
+        uniform_phase1(clamped_mesh), st.EnergyModel(g=[300.0, 0.0, 0.0]),
         SolveOptions(gradient_tolerance=1e-12, max_iterations=max_iterations))
 
 
