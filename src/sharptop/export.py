@@ -41,6 +41,13 @@ def write_json(path, obj):
 _VTK_CELLS = {4: (10, "sharptop grid"), 3: (5, "sharptop interface")}
 
 
+def _lines(fmt, rows):
+    """One `fmt` line per row of `rows`, each ending in a newline, from a
+    single format call; no rows give the empty string."""
+    rows = np.asarray(rows)
+    return (fmt + "\n") * len(rows) % tuple(rows.ravel().tolist())
+
+
 def write_vtk_unstructured(path, points, cells, cell_data=None,
                            point_data=None):
     """VTK legacy ASCII 3.0 unstructured grid of tetrahedra or triangles.
@@ -52,27 +59,22 @@ def write_vtk_unstructured(path, points, cells, cell_data=None,
     width = cells.shape[1]
     cell_type, title = _VTK_CELLS[width]
     out = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {len(points)} double",
+        f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+        f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(points)} double\n",
+        _lines("%.17g %.17g %.17g", points),
+        f"CELLS {len(cells)} {(width + 1) * len(cells)}\n",
+        _lines(str(width) + " %d" * width, cells),
+        f"CELL_TYPES {len(cells)}\n",
+        f"{cell_type}\n" * len(cells),
     ]
-    out += ["%.17g %.17g %.17g" % tuple(p) for p in points]
-    out.append(f"CELLS {len(cells)} {(width + 1) * len(cells)}")
-    fmt = str(width) + " %d" * width
-    out += [fmt % tuple(c) for c in cells]
-    out.append(f"CELL_TYPES {len(cells)}")
-    out += [str(cell_type)] * len(cells)
     for kind, n, data in (("CELL_DATA", len(cells), cell_data),
                           ("POINT_DATA", len(points), point_data)):
         if data:
-            out.append(f"{kind} {n}")
+            out.append(f"{kind} {n}\n")
             for name, values in data.items():
-                out.append(f"SCALARS {name} double 1")
-                out.append("LOOKUP_TABLE default")
-                out += ["%.17g" % v for v in np.asarray(values, float)]
-    atomic_write_text(path, "\n".join(out) + "\n")
+                out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                out.append(_lines("%.17g", np.asarray(values, float)))
+    atomic_write_text(path, "".join(out))
 
 
 def write_vtk_surface(path, vertices, faces, point_data=None):
@@ -82,10 +84,11 @@ def write_vtk_surface(path, vertices, faces, point_data=None):
 
 def write_obj(path, vertices, faces, face_normals):
     """Wavefront OBJ triangle mesh with one normal per face."""
-    out = ["v %.17g %.17g %.17g" % tuple(v)
-           for v in np.asarray(vertices, float)]
-    out += ["vn %.17g %.17g %.17g" % tuple(n)
-            for n in np.asarray(face_normals, float)]
-    out += [f"f {a}//{i} {b}//{i} {c}//{i}"
-            for i, (a, b, c) in enumerate(np.asarray(faces, int) + 1, 1)]
-    atomic_write_text(path, "\n".join(out) + "\n")
+    faces = np.asarray(faces, int)
+    ids = np.empty((len(faces), 6), int)   # vertex, normal for each corner
+    ids[:, 0::2] = faces.reshape(-1, 3) + 1
+    ids[:, 1::2] = np.arange(1, len(faces) + 1)[:, None]
+    atomic_write_text(path, "".join([
+        _lines("v %.17g %.17g %.17g", np.asarray(vertices, float)),
+        _lines("vn %.17g %.17g %.17g", np.asarray(face_normals, float)),
+        _lines("f %d//%d %d//%d %d//%d", ids)]))

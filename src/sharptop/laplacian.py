@@ -11,19 +11,27 @@ excluded vertices (Cuthill and McKee 1969).  Two vertices of one tet lie
 in the same or in adjacent levels, so L_w is block tridiagonal in that
 order: diagonal blocks A_k and couplings B_k between levels k - 1 and k.
 The factor is built one level at a time: S_0 = A_0 and
-S_k = A_k - B_k^T S_(k-1)^-1 B_k, with each S_k^-1 from a Cholesky factor
-and stored in float32, and each B_k stored as its nonzero entries.  When
-the search runs out of levels with vertices left, it is seeded again at
-the lowest one; a component with no excluded vertex leaves L_w singular
-(constants are in its kernel), so then every diagonal entry is raised by
-the fraction REGULARISATION.  The memory is sum_k n_k^2 float32 for
-levels of n_k vertices: at 16^3 cells clamped on one face, 16 levels of
-289 vertices, 5.1 MiB.
+S_k = A_k - B_k^T S_(k-1)^-1 B_k, a product update from the float64
+S_(k-1)^-1.  Each S_k^-1 comes from a 2x2 block Schur recursion that
+does its work in matrix products: halve S = [[P, Q], [Q^T, R]], invert P,
+form X = P^-1 Q, invert T = R - Q^T X, and assemble S^-1 from X T^-1.
+Blocks of at most BASE rows are inverted through their Cholesky factor,
+which raises np.linalg.LinAlgError unless they are positive definite; a
+matrix is positive definite exactly when P and T are, so the check
+covers every level.  Each S_k^-1 is stored in float32, and each B_k as
+its nonzero entries with flat indices into (n, 3) nodal arrays, applied
+with np.bincount.  When the search runs out of levels with vertices
+left, it is seeded again at the lowest one; a component with no excluded
+vertex leaves L_w singular (constants are in its kernel), so then every
+diagonal entry is raised by the fraction REGULARISATION.  The memory is
+sum_k n_k^2 float32 for levels of n_k vertices: at 16^3 cells clamped on
+one face, 16 levels of 289 vertices, 5.1 MiB.
 """
 
 import numpy as np
 
 REGULARISATION = 1e-2
+BASE = 64   # largest block spd_inverse inverts through its Cholesky factor
 
 
 def vertex_levels(mesh, factored):
@@ -46,41 +54,83 @@ def vertex_levels(mesh, factored):
     return levels, seeded
 
 
+def _element_matrices(ref_inv, weights):
+    """w_t Gbar_t Gbar_t^T of each tet, row-major (nt, 16).  A function
+    of its own, so that `level_blocks`, a generator, holds no Gbar."""
+    Gbar = np.concatenate([-ref_inv.sum(axis=1, keepdims=True), ref_inv],
+                          axis=1)
+    K = (Gbar @ Gbar.transpose(0, 2, 1)).reshape(-1, 16)
+    K *= weights[:, None]
+    return K
+
+
 def level_blocks(mesh, levels, weights):
     """Yield (A_k, B_k) per level k: A_k (n_k, n_k) and B_k
     (n_(k-1), n_k) of L_w, rows and columns in ascending vertex order
-    within each level; B_0 is None."""
+    within each level; B_0 is None.
+
+    The element matrices K_t = w_t Gbar_t Gbar_t^T are built once, with
+    the tets sorted by their top level; each entry of a block sums its
+    terms in that tet order."""
     count = np.bincount(levels[levels >= 0])
     order = np.argsort(levels, kind="stable")
     pos = np.empty(mesh.n_vertices, np.int32)   # index within its level
     pos[order] = np.arange(mesh.n_vertices) - np.searchsorted(
         levels[order], levels[order])
-    top = levels[mesh.tets].max(axis=1)   # a tet spans levels top - 1, top
+    tet_levels = levels[mesh.tets]
+    top = tet_levels.max(axis=1)   # a tet spans levels top - 1, top
     by_top = np.argsort(top, kind="stable")
     start = np.searchsorted(top[by_top], np.arange(len(count) + 2))
+    K = _element_matrices(mesh.ref_inv[by_top], weights[by_top])
+    tet_levels, tet_pos = tet_levels[by_top], pos[mesh.tets[by_top]]
+    a, b = np.divmod(np.arange(16), 4)   # the entries of a K_t, row-major
     for k, n in enumerate(count):
-        sel = by_top[start[k]:start[k + 2]]
-        tets = mesh.tets[sel]
-        G = mesh.ref_inv[sel]
-        Gbar = np.concatenate([-G.sum(axis=1, keepdims=True), G], axis=1)
-        K = weights[sel, None, None] * (Gbar @ Gbar.transpose(0, 2, 1))
-        lv, p = levels[tets], pos[tets]
-        flat = p[:, :, None] * n + p[:, None, :]
-        col = lv[:, None, :] == k
-        same = (lv[:, :, None] == k) & col
-        A = np.bincount(flat[same], K[same], minlength=n * n).reshape(n, n)
+        window = slice(start[k], start[k + 2])   # tops k and k + 1
+        lv, p = tet_levels[window], tet_pos[window]
+        row, col = lv[:, a], lv[:, b]
+        flat = p[:, a] * n + p[:, b]
+        same = (row == k) & (col == k)
+        A = np.bincount(flat[same], K[window][same],
+                        minlength=n * n).reshape(n, n)
         B = None
         if k:
-            prev = (lv[:, :, None] == k - 1) & col
-            B = np.bincount(flat[prev], K[prev],
+            prev = (row == k - 1) & (col == k)
+            B = np.bincount(flat[prev], K[window][prev],
                             minlength=count[k - 1] * n).reshape(-1, n)
         yield A, B
 
 
-def _couple(index, gather, values, x, n):
-    """Sum of values * x[gather] into rows `index` of an (n, 3) result."""
-    flat = (3 * index[:, None] + np.arange(3)).ravel()
-    return np.bincount(flat, (values[:, None] * x[gather]).ravel(),
+def spd_inverse(A):
+    """A^-1 of a symmetric positive definite A (n, n) by the 2x2 block
+    Schur recursion; raises np.linalg.LinAlgError if A is not positive
+    definite."""
+    n = len(A)
+    if n <= BASE:
+        root = np.linalg.inv(np.linalg.cholesky(A))   # C^-1, A = C C^T
+        return root.T @ root
+    h = n // 2
+    P, Q, R = A[:h, :h], A[:h, h:], A[h:, h:]
+    P_inv = spd_inverse(P)
+    X = P_inv @ Q
+    T_inv = spd_inverse(R - Q.T @ X)
+    Y = X @ T_inv
+    inverse = np.empty_like(A)
+    inverse[:h, :h] = P_inv + Y @ X.T
+    inverse[:h, h:] = -Y
+    inverse[h:, :h] = -Y.T
+    inverse[h:, h:] = T_inv
+    return inverse
+
+
+def _flat(index):
+    """Flat indices of rows `index` of a C-ordered (n, 3) array."""
+    return (3 * index[:, None] + np.arange(3)).ravel()
+
+
+def _couple(to, take, values, x, n):
+    """Sum of values * x.flat[take] into the flat entries `to` of an
+    (n, 3) result; x is C-ordered (m, 3)."""
+    return np.bincount(to, values * x.ravel()[take],
                        minlength=3 * n).reshape(n, 3)
 
 
@@ -101,13 +151,12 @@ class LaplacianFactor:
             if seeded:
                 A[np.diag_indices_from(A)] *= 1.0 + REGULARISATION
             if B is not None:
-                W = root @ B                    # S = A - (C^-1 B)^T (C^-1 B)
-                A -= W.T @ W
+                A -= B.T @ (inverse @ B)     # S_k = A_k - B_k^T S^-1 B_k
                 rows, cols = np.nonzero(B)
-                self.couplings.append((rows.astype(np.int32),
-                                       cols.astype(np.int32), B[rows, cols]))
-            root = np.linalg.inv(np.linalg.cholesky(A))   # C^-1, S = C C^T
-            self.inverses.append((root.T @ root).astype(np.float32))
+                self.couplings.append((_flat(rows), _flat(cols),
+                                       np.repeat(B[rows, cols], 3)))
+            inverse = spd_inverse(A)
+            self.inverses.append(inverse.astype(np.float32))
 
     def __call__(self, v):
         y = np.asarray(v, float)[self.order]

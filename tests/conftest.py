@@ -9,6 +9,7 @@ import pytest
 import sharptop as st
 from sharptop.kinematics import (_disjoint_pairs_cross, _edge_pairs_fold,
                                  _vertex_pairs_cross)
+from sharptop.laplacian import REGULARISATION, vertex_levels
 from sharptop.mesh import DIRICHLET, FREE, NEUMANN
 from sharptop.surfaces import slab_labels
 from sharptop.topopt import MOVE_TRIES, SWAP_VOLUME_RTOL, TopOptError
@@ -174,6 +175,90 @@ def brute_force_corner_scatter(mesh, P, dirichlet_mask):
     grad = np.array(grad)
     grad[dirichlet_mask] = 0.0
     return grad
+
+
+def cholesky_factor_oracle(mesh, free, weights):
+    """The level blocks, inverses and couplings of laplacian.LaplacianFactor,
+    built level by level: each level's element matrices from its own tets,
+    S_k^-1 = C^-T C^-1 from the inverse of the Cholesky factor C of S_k,
+    and S_k = A_k - W^T W for W = C_(k-1)^-1 B_k.  Returns (blocks
+    [(A_k, B_k)] as assembled, float32 inverses, couplings [(rows, cols,
+    values)] of the nonzero entries of each B_k)."""
+    used = np.zeros(mesh.n_vertices, bool)
+    used[mesh.tets] = True
+    levels, seeded = vertex_levels(mesh, free & used)
+    count = np.bincount(levels[levels >= 0])
+    order = np.argsort(levels, kind="stable")
+    pos = np.empty(mesh.n_vertices, np.int32)
+    pos[order] = np.arange(mesh.n_vertices) - np.searchsorted(
+        levels[order], levels[order])
+    top = levels[mesh.tets].max(axis=1)
+    by_top = np.argsort(top, kind="stable")
+    start = np.searchsorted(top[by_top], np.arange(len(count) + 2))
+    blocks, inverses, couplings = [], [], []
+    for k, n in enumerate(count):
+        sel = by_top[start[k]:start[k + 2]]
+        tets = mesh.tets[sel]
+        G = mesh.ref_inv[sel]
+        Gbar = np.concatenate([-G.sum(axis=1, keepdims=True), G], axis=1)
+        K = weights[sel, None, None] * (Gbar @ Gbar.transpose(0, 2, 1))
+        lv, p = levels[tets], pos[tets]
+        flat = p[:, :, None] * n + p[:, None, :]
+        col = lv[:, None, :] == k
+        same = (lv[:, :, None] == k) & col
+        A = np.bincount(flat[same], K[same], minlength=n * n).reshape(n, n)
+        B = None
+        if k:
+            prev = (lv[:, :, None] == k - 1) & col
+            B = np.bincount(flat[prev], K[prev],
+                            minlength=count[k - 1] * n).reshape(-1, n)
+        blocks.append((A.copy(), B))
+        if seeded:
+            A[np.diag_indices_from(A)] *= 1.0 + REGULARISATION
+        if B is not None:
+            W = root @ B
+            A -= W.T @ W
+            rows, cols = np.nonzero(B)
+            couplings.append((rows, cols, B[rows, cols]))
+        root = np.linalg.inv(np.linalg.cholesky(A))
+        inverses.append((root.T @ root).astype(np.float32))
+    return blocks, inverses, couplings
+
+
+def vtk_text_oracle(points, cells, cell_data=None, point_data=None):
+    """export.write_vtk_unstructured's file text, one line at a time."""
+    points = np.asarray(points, float)
+    cells = np.asarray(cells, int)
+    width = cells.shape[1]
+    out = ["# vtk DataFile Version 3.0",
+           {4: "sharptop grid", 3: "sharptop interface"}[width],
+           "ASCII", "DATASET UNSTRUCTURED_GRID",
+           f"POINTS {len(points)} double"]
+    out += ["%.17g %.17g %.17g" % tuple(p) for p in points]
+    out.append(f"CELLS {len(cells)} {(width + 1) * len(cells)}")
+    out += [str(width) + " %d" * width % tuple(c) for c in cells]
+    out.append(f"CELL_TYPES {len(cells)}")
+    out += [str({4: 10, 3: 5}[width])] * len(cells)
+    for kind, n, data in (("CELL_DATA", len(cells), cell_data),
+                          ("POINT_DATA", len(points), point_data)):
+        if data:
+            out.append(f"{kind} {n}")
+            for name, values in data.items():
+                out.append(f"SCALARS {name} double 1")
+                out.append("LOOKUP_TABLE default")
+                out += ["%.17g" % v for v in np.asarray(values, float)]
+    return "\n".join(out) + "\n"
+
+
+def obj_text_oracle(vertices, faces, face_normals):
+    """export.write_obj's file text, one line at a time."""
+    out = ["v %.17g %.17g %.17g" % tuple(v)
+           for v in np.asarray(vertices, float)]
+    out += ["vn %.17g %.17g %.17g" % tuple(n)
+            for n in np.asarray(face_normals, float)]
+    out += [f"f {a}//{i} {b}//{i} {c}//{i}"
+            for i, (a, b, c) in enumerate(np.asarray(faces, int) + 1, 1)]
+    return "\n".join(out) + "\n"
 
 
 def brute_force_face_adjacency(tets):

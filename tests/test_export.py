@@ -1,7 +1,11 @@
 import numpy as np
 
+import sharptop as st
 from sharptop.export import write_obj, write_vtk_surface, \
     write_vtk_unstructured
+from sharptop.surfaces import icosphere
+
+from conftest import jittered_box_mesh, obj_text_oracle, vtk_text_oracle
 
 HEADER = ["# vtk DataFile Version 3.0", None, "ASCII",
           "DATASET UNSTRUCTURED_GRID"]
@@ -39,3 +43,27 @@ def test_obj_with_face_normals(tmp_path):
     write_obj(tmp_path / "i.obj", POINTS[:3], [[0, 1, 2]], [[0, 0, 1.0]])
     assert lines(tmp_path / "i.obj") == [
         "v 0 0 0", "v 1 0 0", "v 0 1 0", "vn 0 0 1", "f 1//1 2//1 3//1"]
+
+
+def test_vtk_and_obj_bytes_match_line_by_line_oracle(tmp_path):
+    rng = np.random.default_rng(4)
+    grid = jittered_box_mesh((3, 2, 2), rng, 0.2)
+    grid_data = dict(cell_data={"phase": rng.integers(0, 2, grid.n_tets)},
+                     point_data={"u": rng.standard_normal(grid.n_vertices)})
+    vertices, faces = icosphere(1)
+    normals = rng.standard_normal((len(faces), 3))
+    surface_data = {"H": rng.standard_normal(len(vertices)),
+                    "K": np.arange(len(vertices))}
+    cases = [
+        (write_vtk_unstructured, vtk_text_oracle,
+         (grid.vertices, grid.tets), grid_data),
+        (write_vtk_surface, vtk_text_oracle,
+         (vertices, faces), dict(point_data=surface_data)),
+        (write_obj, obj_text_oracle, (vertices, faces, normals), {}),
+        (write_vtk_unstructured, vtk_text_oracle,
+         (st.build_box_mesh(1, 1, 1).vertices, np.zeros((0, 4), int)), {}),
+    ]
+    for i, (write, oracle, args, kwargs) in enumerate(cases):
+        path = tmp_path / f"out{i}"
+        write(path, *args, **kwargs)
+        assert path.read_bytes() == oracle(*args, **kwargs).encode()
