@@ -231,6 +231,12 @@ def _write_topopt_outputs(out, mesh, eta, result: TopOptResult, seed):
         "final_interface_mass": result.final_mass,
         "accepted_moves": result.accepted_moves,
         "rejected_moves": result.rejected_moves,
+        "rejected_no_move": result.rejected_no_move,
+        "rejected_interface": result.rejected_interface,
+        "rejected_solve": result.rejected_solve,
+        "rejected_metropolis": result.rejected_metropolis,
+        "nonmanifold_draws": result.nonmanifold_draws,
+        "skipped_solves": result.skipped_solves,
         "mass_constraint_residual":
             result.best_phases.phase1_volume(mesh)
             - eta * mesh.total_volume(),

@@ -145,12 +145,22 @@ def bulk_energy_gradient(mesh, state, phases, model, bulk=None):
     if bulk is None:
         bulk = Bulk(deformation_minors(mesh, state.positions),
                     bulk_weights(mesh, phases, model), model)
-    P = bulk.stress()
-    # F = Dx G with G = ref_inv, so the force on corner c + 1 is P G[c]
-    # (G[c] the c-th row of G) and corner 0 takes minus their sum;
-    # forces[c, i] runs over the tets, corners in scatter_index order
-    G = mesh.ref_inv_cf
-    forces = np.empty((4, 3, mesh.n_tets))
+    forces = corner_forces(mesh, bulk.stress())
+    g = np.bincount(mesh._scatter_index, forces.ravel(),
+                    minlength=3 * mesh.n_vertices).reshape(-1, 3)
+    g[state.dirichlet_mask] = 0.0
+    return g
+
+
+def corner_forces(mesh, P, tets=None):
+    """Forces (4, 3, nt) of the stresses P (3, 3, nt) of every tet, or of
+    the tets `tets`, on their corners 1, 2, 3, 0 (scatter_index order).
+
+    F = Dx G with G = ref_inv, so the force on corner c + 1 is P G[c]
+    (G[c] the c-th row of G) and corner 0 takes minus their sum.
+    """
+    G = mesh.ref_inv_cf if tets is None else mesh.ref_inv_cf[:, :, tets]
+    forces = np.empty((4, 3, G.shape[2]))
     for c in range(3):      # row by row: (3, nt) temporaries
         np.multiply(G[c, 0], P[:, 0], out=forces[c])
         forces[c] += G[c, 1] * P[:, 1]
@@ -158,10 +168,7 @@ def bulk_energy_gradient(mesh, state, phases, model, bulk=None):
     np.add(forces[0], forces[1], out=forces[3])
     forces[3] += forces[2]
     np.negative(forces[3], out=forces[3])
-    g = np.bincount(mesh._scatter_index, forces.ravel(),
-                    minlength=3 * mesh.n_vertices).reshape(-1, 3)
-    g[state.dirichlet_mask] = 0.0
-    return g
+    return forces
 
 
 def interface_density(a_norm, model):

@@ -11,21 +11,24 @@ excluded vertices (Cuthill and McKee 1969).  Two vertices of one tet lie
 in the same or in adjacent levels, so L_w is block tridiagonal in that
 order: diagonal blocks A_k and couplings B_k between levels k - 1 and k.
 The factor is built one level at a time: S_0 = A_0 and
-S_k = A_k - B_k^T S_(k-1)^-1 B_k, a product update from the float64
-S_(k-1)^-1.  Each S_k^-1 comes from a 2x2 block Schur recursion that
-does its work in matrix products: halve S = [[P, Q], [Q^T, R]], invert P,
-form X = P^-1 Q, invert T = R - Q^T X, and assemble S^-1 from X T^-1.
-Blocks of at most BASE rows are inverted through their Cholesky factor,
-which raises np.linalg.LinAlgError unless they are positive definite; a
-matrix is positive definite exactly when P and T are, so the check
-covers every level.  Each S_k^-1 is stored in float32, and each B_k as
-its nonzero entries with flat indices into (n, 3) nodal arrays, applied
-with np.bincount.  When the search runs out of levels with vertices
-left, it is seeded again at the lowest one; a component with no excluded
-vertex leaves L_w singular (constants are in its kernel), so then every
-diagonal entry is raised by the fraction REGULARISATION.  The memory is
-sum_k n_k^2 float32 for levels of n_k vertices: at 16^3 cells clamped on
-one face, 16 levels of 289 vertices, 5.1 MiB.
+S_k = A_k - B_k^T S_(k-1)^-1 B_k, an update from the float64
+S_(k-1)^-1 and the nonzero entries of B_k, gathered, scaled and summed
+with np.bincount; no dense B_k is formed.  Each S_k^-1 comes from a 2x2
+block Schur recursion that does its work in matrix products: halve
+S = [[P, Q], [Q^T, R]], invert P, form X = P^-1 Q, invert T = R - Q^T X,
+and assemble S^-1 from X T^-1.  Blocks of at most BASE rows are
+inverted through their Cholesky factor, which raises
+np.linalg.LinAlgError unless they are positive definite; a matrix is
+positive definite exactly when P and T are, so the check covers every
+level.  Each S_k^-1 is stored in float32, and each B_k as its nonzero
+entries with flat indices into (n, 3) nodal arrays, applied with
+np.bincount.  The levels come from a breadth-first walk of the mesh's
+vertex-to-tet adjacency; when the search runs out of levels with
+vertices left, it is seeded again at the lowest one.  A component with
+no excluded vertex leaves L_w singular (constants are in its kernel), so
+then every diagonal entry is raised by the fraction REGULARISATION.  The
+memory is sum_k n_k^2 float32 for levels of n_k vertices: at 16^3 cells
+clamped on one face, 16 levels of 289 vertices, 5.1 MiB.
 """
 
 import numpy as np
@@ -38,18 +41,30 @@ def vertex_levels(mesh, factored):
     """Breadth-first level of each vertex over the tets, -1 where not
     `factored`: level 0 is the factored vertices that share a tet with
     an excluded vertex, or else the lowest factored vertex not yet
-    reached.  Returns (levels (nv,) int32, whether a level was seeded)."""
+    reached.  Returns (levels (nv,) int32, whether a level was seeded).
+
+    Each step walks the vertex-to-tet adjacency from the front only, and
+    keeps one occurrence of each vertex it reaches: the one whose
+    position the scatter into `slot` kept."""
     levels = np.full(mesh.n_vertices, -1, np.int32)
     reached = ~factored
-    front, seeded, k = ~factored, False, 0
-    while not reached.all():
-        near = np.zeros(mesh.n_vertices, bool)
-        near[mesh.tets[front[mesh.tets].any(axis=1)]] = True
-        front = near & ~reached
-        if not front.any():
-            front[np.argmin(reached)] = seeded = True
+    front, left = np.flatnonzero(reached), np.count_nonzero(factored)
+    start, tets = mesh.vertex_tet_start, mesh.vertex_tets
+    slot = np.empty(mesh.n_vertices, np.intp)
+    seeded, k = False, 0
+    while left:
+        lo, hi = start[front], start[front + 1]
+        runs = np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)
+        near = np.take(mesh.tets, tets[runs + np.arange(len(runs))],
+                       axis=0).ravel()
+        near = near[~reached[near]]
+        slot[near] = np.arange(len(near))
+        front = near[slot[near] == np.arange(len(near))]
+        if not front.size:
+            front, seeded = np.array([np.argmin(reached)]), True
         levels[front] = k
-        reached |= front
+        reached[front] = True
+        left -= front.size
         k += 1
     return levels, seeded
 
@@ -67,7 +82,23 @@ def _element_matrices(ref_inv, weights):
 def level_blocks(mesh, levels, weights):
     """Yield (A_k, B_k) per level k: A_k (n_k, n_k) and B_k
     (n_(k-1), n_k) of L_w, rows and columns in ascending vertex order
-    within each level; B_0 is None.
+    within each level; B_0 is None.  The dense form of
+    `level_couplings`, for inspection; the factor reads the latter."""
+    count = np.bincount(levels[levels >= 0])
+    for k, (A, coupling) in enumerate(level_couplings(mesh, levels,
+                                                      weights)):
+        B = None
+        if k:
+            rows, cols, values = coupling
+            B = np.zeros((count[k - 1], count[k]))
+            B[rows, cols] = values
+        yield A, B
+
+
+def level_couplings(mesh, levels, weights):
+    """Yield (A_k, C_k) per level k: A_k as in `level_blocks`, and C_k
+    the nonzero entries (rows, cols, values) of B_k in row-major order;
+    C_0 is None.
 
     The element matrices K_t = w_t Gbar_t Gbar_t^T are built once, with
     the tets sorted by their top level; each entry of a block sums its
@@ -92,12 +123,15 @@ def level_blocks(mesh, levels, weights):
         same = (row == k) & (col == k)
         A = np.bincount(flat[same], K[window][same],
                         minlength=n * n).reshape(n, n)
-        B = None
+        coupling = None
         if k:
             prev = (row == k - 1) & (col == k)
-            B = np.bincount(flat[prev], K[window][prev],
-                            minlength=count[k - 1] * n).reshape(-1, n)
-        yield A, B
+            entries, terms = np.unique(flat[prev], return_inverse=True)
+            values = np.bincount(terms, K[window][prev])
+            nonzero = values != 0.0
+            rows, cols = np.divmod(entries[nonzero], n)
+            coupling = rows, cols, values[nonzero]
+        yield A, coupling
 
 
 def spd_inverse(A):
@@ -120,6 +154,23 @@ def spd_inverse(A):
     inverse[h:, :h] = -Y.T
     inverse[h:, h:] = T_inv
     return inverse
+
+
+def _coupled_schur(inverse, rows, cols, values, n):
+    """B^T (S^-1 B) for the (m, n) matrix B with nonzero entries `values`
+    at (rows, cols), and S^-1 = `inverse` (m, m).
+
+    Each sum runs over B's entries in their order, from 0.0: on a box
+    mesh B has one nonzero per column, so every sum has one term and the
+    result equals the dense products bit for bit."""
+    m = len(inverse)
+    columns = np.bincount(                       # S^-1 B, (m, n)
+        (np.arange(m)[:, None] * n + cols).ravel(),
+        (inverse[:, rows] * values).ravel(), minlength=m * n).reshape(m, n)
+    return np.bincount(                          # B^T S^-1 B, (n, n)
+        (cols[:, None] * n + np.arange(n)).ravel(),
+        (values[:, None] * columns[rows]).ravel(),
+        minlength=n * n).reshape(n, n)
 
 
 def _flat(index):
@@ -147,14 +198,15 @@ class LaplacianFactor:
             np.count_nonzero(levels < 0):]
         self.bounds = np.cumsum(np.r_[0, np.bincount(levels[self.order])])
         self.inverses, self.couplings = [], []
-        for A, B in level_blocks(mesh, levels, weights):
+        for A, coupling in level_couplings(mesh, levels, weights):
             if seeded:
                 A[np.diag_indices_from(A)] *= 1.0 + REGULARISATION
-            if B is not None:
-                A -= B.T @ (inverse @ B)     # S_k = A_k - B_k^T S^-1 B_k
-                rows, cols = np.nonzero(B)
+            if coupling is not None:
+                rows, cols, values = coupling
+                # S_k = A_k - B_k^T S^-1 B_k
+                A -= _coupled_schur(inverse, rows, cols, values, len(A))
                 self.couplings.append((_flat(rows), _flat(cols),
-                                       np.repeat(B[rows, cols], 3)))
+                                       np.repeat(values, 3)))
             inverse = spd_inverse(A)
             self.inverses.append(inverse.astype(np.float32))
 

@@ -13,6 +13,7 @@ with 0-based indices and TAG one of DIRICHLET / NEUMANN / FREE.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -50,6 +51,11 @@ def _cofactors(A, out):
     return np.multiply(A[0], out[0], order="C").sum(axis=0)
 
 
+def _read_only(value):
+    value.setflags(write=False)
+    return value
+
+
 def _edge_cofactors(vertices, tets):
     """Cof M, component first (3, 3, nt), and det M of each tet's edge
     matrix M with the rows x_k - x_0.  M = DX^T, so det M is six times
@@ -64,7 +70,9 @@ class ReferenceMesh:
     """Tet mesh plus every array that depends only on the reference.
 
     The derived fields are built once, at construction, and are read-only.
-    Face triples are sorted vertex ids; edge keys are lo * nv + hi.
+    Face triples are sorted vertex ids; edge keys are lo * nv + hi.  The
+    edge and adjacency maps below the fields are built on first use,
+    so a mesh that never needs them does not pay for them.
     """
     vertices: np.ndarray          # (nv, 3) float
     tets: np.ndarray              # (nt, 4) int, positively oriented
@@ -101,8 +109,7 @@ class ReferenceMesh:
 
     def __post_init__(self):
         def put(name, value):
-            object.__setattr__(self, name, value)
-            value.setflags(write=False)
+            object.__setattr__(self, name, _read_only(value))
 
         put("vertices", np.asarray(self.vertices, float))
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
@@ -166,6 +173,56 @@ class ReferenceMesh:
         sel = self.boundary_tags == DIRICHLET
         mask[self.boundary_faces[sel].ravel()] = True
         return mask
+
+    @cached_property
+    def _interior_edges(self):
+        keys, ids = np.unique(edge_keys(self.interior_faces, self.n_vertices),
+                              return_inverse=True)
+        return _read_only(keys), _read_only(
+            np.ascontiguousarray(ids.reshape(3, -1).T))
+
+    @property
+    def interior_edge_keys(self):
+        """Sorted keys of the edges of the interior faces, (ne,)."""
+        return self._interior_edges[0]
+
+    @property
+    def interior_face_edges(self):
+        """Ids into `interior_edge_keys` of each interior face's edges
+        lo-mid, mid-hi and lo-hi, (ni, 3)."""
+        return self._interior_edges[1]
+
+    @cached_property
+    def interior_edge_on_boundary(self):
+        """Whether each of `interior_edge_keys` is an edge of a tagged
+        boundary face, (ne,) bool."""
+        return _read_only(np.isin(self.interior_edge_keys,
+                                  self.boundary_edge_keys))
+
+    @cached_property
+    def tet_interior_faces(self):
+        """Ids into `interior_faces` of each tet's interior faces,
+        ascending, then -1 for each face on the boundary, (nt, 4)."""
+        tet = self.interior_face_tets.ravel()    # face i at 2 i, 2 i + 1
+        order = np.argsort(tet, kind="stable")
+        count = np.bincount(tet, minlength=self.n_tets)
+        tet = tet[order]
+        faces = np.full((self.n_tets, 4), -1)
+        faces[tet, np.arange(len(tet)) - (np.cumsum(count) - count)[tet]] = \
+            order // 2
+        return _read_only(faces)
+
+    @cached_property
+    def vertex_tet_start(self):
+        """Offsets of each vertex's run in `vertex_tets`, (nv + 1,)."""
+        return _read_only(np.r_[0, np.cumsum(np.bincount(
+            self.tets.ravel(), minlength=self.n_vertices))])
+
+    @cached_property
+    def vertex_tets(self):
+        """The tets of vertex v, ascending, at vertex_tets[vertex_tet_start[v]:
+        vertex_tet_start[v + 1]]: a CSR vertex-to-tet adjacency, (4 nt,)."""
+        return _read_only(np.argsort(self.tets.ravel(), kind="stable") // 4)
 
 
 def face_topology(tets, n_vertices):

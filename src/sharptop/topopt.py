@@ -5,18 +5,36 @@ mass-preserving label swaps (biased toward the current interface) with
 Metropolis acceptance on compliance + interface energy.  Each proposal is
 re-equilibrated by the inner solver, warm started from the previous
 equilibrium.
+
+A proposal costs work in the two swapped tets, not in the mesh, where
+it can.  The annealer keeps the labeling's `InterfaceTopology` and
+updates it per swap, so drawing a candidate and checking it for
+non-manifold edges visit only the swapped tets' faces and edges, and
+extraction reads its cut faces and edge counts from it.  The annealer
+also keeps the equilibrium gradient at its state and labels, and
+updates it by the two tets' change of weight (and of body load): a
+swap leaves the positions alone.  When the updated norm is at most half
+the solver's gradient tolerance, the warm state is already converged,
+and it is returned as a solve that takes no step would return it,
+without the solve.  The half margin absorbs the rounding of the
+updates, so every decision is the one a full recompute would make; a
+full `equilibrium_gradient` clears the rounding at the start and after
+every accepted move whose solve returned a new state, cold restarts
+included.  Still run over the whole interface: the curvature pass of
+each extraction.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import load_potential
-from .kinematics import identity_state
-from .solve import SolveOptions, _check_count, minimize_equilibrium
-from .varifold import (InterfaceError, PhaseLabeling, _cut_faces,
-                       _interface_faces, boundary_defect, extract_interface,
-                       interface_energy, varifold_mass)
+from .energy import Bulk, corner_forces, load_potential
+from .kinematics import deformation_minors, identity_state
+from .solve import (SolveOptions, _check_count, equilibrium_gradient,
+                    minimize_equilibrium)
+from .varifold import (InterfaceError, InterfaceTopology, PhaseLabeling,
+                       boundary_defect, extract_interface, interface_energy,
+                       varifold_mass)
 
 EULERIAN = "EULERIAN"
 REFERENTIAL = "REFERENTIAL"
@@ -60,10 +78,11 @@ def compliance(mesh, state, phases, model):
     return load_potential(mesh, state, phases, model)
 
 
-def _mode_interface(mesh, state, phases, mode):
+def _mode_interface(mesh, state, phases, mode, topology=None):
     """The interface placed where `mode` measures it."""
     positions = mesh.vertices if mode == REFERENTIAL else state.positions
-    return extract_interface(mesh, state, phases, positions=positions)
+    return extract_interface(mesh, state, phases, positions=positions,
+                             topology=topology)
 
 
 def objective(mesh, state, phases, model, mode=EULERIAN):
@@ -76,28 +95,27 @@ def objective(mesh, state, phases, model, mode=EULERIAN):
     return compliance(mesh, state, phases, model) + interface_energy(V, model)
 
 
-def _interface_adjacent_tets(mesh, phases):
-    """Tets incident to at least one interface face, per phase (sorted)."""
-    _, pairs = _cut_faces(mesh, phases)
-    return np.unique(pairs[:, 1]), np.unique(pairs[:, 0])
-
-
 def mass_preserving_move(mesh, phases, rng,
-                         interface_bias=INTERFACE_MOVE_BIAS):
+                         interface_bias=INTERFACE_MOVE_BIAS, topology=None):
     """Propose a label swap keeping the phase-1 volume fixed.
 
     Swaps one phase-1 tet to 0 and one phase-0 tet to 1, biased toward
     interface-adjacent tets; candidates must be volume-matched within
-    SWAP_VOLUME_RTOL (exact for uniform meshes).  Proposals creating
+    SWAP_VOLUME_RTOL (exact for uniform meshes).  Proposals leaving
     non-manifold interface edges are rejected and retried; that topology
     check is all a reference-position extraction could reject.
+    `topology` is the `InterfaceTopology` of `phases`, built here when
+    not given; the accepted swap is applied to it (`topology.undo()`
+    reverses it).
     """
     labels = phases.labels
     ones = np.where(labels == 1)[0]
     zeros = np.where(labels == 0)[0]
     if len(ones) == 0 or len(zeros) == 0:
         raise TopOptError("no admissible move: a phase is empty")
-    near1, near0 = _interface_adjacent_tets(mesh, phases)
+    if topology is None:
+        topology = InterfaceTopology(mesh, phases)
+    near1, near0 = topology.near()
     for _ in range(MOVE_TRIES):
         local = rng.random() < interface_bias and len(near1) and len(near0)
         src = rng.choice(near1 if local else ones)
@@ -105,13 +123,30 @@ def mass_preserving_move(mesh, phases, rng,
         va, vb = mesh.volumes[src], mesh.volumes[dst]
         if abs(va - vb) > SWAP_VOLUME_RTOL * max(va, vb):
             continue
-        candidate = phases.with_swap(tet_to_0=src, tet_to_1=dst)
-        try:
-            _interface_faces(mesh, candidate)
-        except InterfaceError:
-            continue
-        return candidate
+        if topology.try_swap(src, dst):
+            return phases.with_swap(tet_to_0=src, tet_to_1=dst)
     raise TopOptError("no admissible move found (frozen configuration)")
+
+
+def _swapped_gradient(mesh, state, model, grad, swap):
+    """The equilibrium gradient `grad` at `state` after the swap (tet to
+    0, tet to 1), from the change of the two tets' bulk weights and body
+    loads; the positions, and with them F, do not change."""
+    tets = np.array(swap)
+    volumes = mesh.volumes[tets]
+    scales = np.array([model.scale0, model.scale1])
+    forces = corner_forces(mesh, Bulk(
+        deformation_minors(mesh, state.positions, tets),
+        volumes * scales - volumes * scales[::-1], model).stress(), tets)
+    corners = mesh.tets[tets]
+    grad = grad.copy()
+    np.add.at(grad, corners.T[[1, 2, 3, 0]], forces.transpose(0, 2, 1))
+    if np.any(model.f):   # b gains a quarter of each volume at its corners
+        loads = volumes * np.array([-0.25, 0.25])
+        np.add.at(grad, corners, -loads[:, None, None] * model.f)
+    corners = corners.ravel()
+    grad[corners[state.dirichlet_mask[corners]]] = 0.0
+    return grad
 
 
 @dataclass
@@ -136,25 +171,40 @@ class TopOptResult:
     final_mass: float
     accepted_moves: int
     rejected_moves: int
+    # rejected moves by cause; the four add up to rejected_moves
+    rejected_no_move: int = 0       # MOVE_TRIES draws found no candidate
+    rejected_interface: int = 0     # the candidate's interface failed
+    rejected_solve: int = 0         # its inner solve did not converge
+    rejected_metropolis: int = 0
+    nonmanifold_draws: int = 0      # drawn swaps dropped as non-manifold
+    skipped_solves: int = 0         # candidates converged at their start
 
 
-def _evaluate(mesh, phases, model, config, warm_state):
-    state, report = minimize_equilibrium(mesh, warm_state, phases, model,
-                                         config.solve_options)
-    if not report.converged:
-        # one retry from a cold start before counting the move as failed
-        state, report = minimize_equilibrium(mesh, identity_state(mesh),
-                                             phases, model,
+def _evaluate(mesh, phases, model, config, warm_state, topology=None,
+              converged=False):
+    """A candidate's state, compliance, interface energy and mass.
+
+    `converged` says that `warm_state` already meets the gradient
+    tolerance for `phases`, so the solve, which would take no step, is
+    skipped."""
+    if not converged:
+        state, report = minimize_equilibrium(mesh, warm_state, phases, model,
                                              config.solve_options)
         if not report.converged:
-            raise TopOptError("inner equilibrium solve did not converge")
-    V = _mode_interface(mesh, state, phases, config.mode)
+            # one retry from a cold start before counting the move as failed
+            state, report = minimize_equilibrium(mesh, identity_state(mesh),
+                                                 phases, model,
+                                                 config.solve_options)
+            if not report.converged:
+                raise TopOptError("inner equilibrium solve did not converge")
+        warm_state = state
+    V = _mode_interface(mesh, warm_state, phases, config.mode, topology)
     defect = boundary_defect(V)
     if defect:
         raise InterfaceError(f"interface has {defect} dangling edges")
-    comp = compliance(mesh, state, phases, model)
+    comp = compliance(mesh, warm_state, phases, model)
     eint = interface_energy(V, model)
-    return state, comp, eint, varifold_mass(V), report
+    return warm_state, comp, eint, varifold_mass(V)
 
 
 def optimize_topology(mesh, init_phases, model, config, state0=None,
@@ -168,30 +218,54 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
 
     state = state0 or identity_state(mesh)
     phases = init_phases
-    state, comp, eint, mu, _ = _evaluate(mesh, phases, model, config, state)
+    topology = InterfaceTopology(mesh, phases)
+    state, comp, eint, mu = _evaluate(mesh, phases, model, config, state,
+                                      topology)
+    grad = equilibrium_gradient(mesh, state, phases, model)
+    skip_below = 0.5 * config.solve_options.gradient_tolerance
     obj = comp + eint
     best = (state, phases, obj)
     initial_obj, initial_mu = obj, mu
 
     trace = []
     accepted_total = 0
-    rejected_total = 0
+    rejected = dict.fromkeys(("no_move", "interface", "solve", "metropolis"),
+                             0)
+    skipped = 0
     step = 0
     temperature = config.t_initial
     while temperature > config.t_final:
         failures = 0
         for _ in range(config.steps_per_temperature):
             step += 1
+            cause = None
             try:
-                candidate = mass_preserving_move(mesh, phases, rng)
-                warm = state
-                if accepted_total and accepted_total % COLD_SOLVE_EVERY == 0:
-                    warm = identity_state(mesh)
-                cand_state, c_comp, c_eint, c_mu, report = _evaluate(
-                    mesh, candidate, model, config, warm)
-            except (InterfaceError, TopOptError):
+                candidate = mass_preserving_move(mesh, phases, rng,
+                                                 topology=topology)
+            except TopOptError:
+                cause = "no_move"
+            if cause is None:
+                cold = (accepted_total
+                        and accepted_total % COLD_SOLVE_EVERY == 0)
+                cand_grad = None if cold else _swapped_gradient(
+                    mesh, state, model, grad, topology.last_swap)
+                converged = (cand_grad is not None and float(
+                    np.linalg.norm(cand_grad)) <= skip_below)
+                skipped += converged
+                try:
+                    cand_state, c_comp, c_eint, c_mu = _evaluate(
+                        mesh, candidate, model, config,
+                        identity_state(mesh) if cold else state, topology,
+                        converged)
+                except InterfaceError:
+                    cause = "interface"
+                except TopOptError:
+                    cause = "solve"
+            if cause is not None:
+                if cause != "no_move":
+                    topology.undo()
                 failures += 1
-                rejected_total += 1
+                rejected[cause] += 1
                 trace.append(TraceRow(step, temperature, obj, comp, eint,
                                       mu, False))
                 continue
@@ -199,7 +273,10 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
             delta = cand_obj - obj
             accept = delta < 0 or rng.random() < np.exp(-delta / temperature)
             if accept:
-                state, phases = cand_state, candidate
+                if cand_state is not state:
+                    cand_grad = equilibrium_gradient(mesh, cand_state,
+                                                     candidate, model)
+                state, phases, grad = cand_state, candidate, cand_grad
                 obj, comp, eint, mu = cand_obj, c_comp, c_eint, c_mu
                 accepted_total += 1
                 if obj < best[2]:
@@ -208,7 +285,8 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                         and accepted_total % config.snapshot_every == 0):
                     snapshot_callback(step, state, phases)
             else:
-                rejected_total += 1
+                topology.undo()
+                rejected["metropolis"] += 1
             trace.append(TraceRow(step, temperature,
                                   cand_obj if accept else obj,
                                   comp, eint, mu, accept))
@@ -221,4 +299,10 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                         best_objective=best[2], trace=trace,
                         initial_objective=initial_obj, initial_mass=initial_mu,
                         final_mass=mu, accepted_moves=accepted_total,
-                        rejected_moves=rejected_total)
+                        rejected_moves=sum(rejected.values()),
+                        rejected_no_move=rejected["no_move"],
+                        rejected_interface=rejected["interface"],
+                        rejected_solve=rejected["solve"],
+                        rejected_metropolis=rejected["metropolis"],
+                        nonmanifold_draws=topology.rejected_swaps,
+                        skipped_solves=skipped)

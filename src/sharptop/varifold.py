@@ -27,7 +27,7 @@ class PhaseLabeling:
 
     def __post_init__(self):
         labels = np.asarray(self.labels, np.int8)
-        if labels.size and not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be binary")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -59,8 +59,10 @@ class InterfaceVarifold:
     a_norm: np.ndarray = None           # (nv,)
     mixed_area: np.ndarray = None       # (nv,)
     interior_vertex: np.ndarray = None  # (nv,) bool
-    # sorted keys lo * nv + hi of the edges of a single triangle
+    # sorted keys lo * nv + hi of the edges of a single triangle, and of
+    # those of them off the domain boundary
     open_edges: np.ndarray = None
+    dangling_edges: np.ndarray = None
     clip_count: int = 0
 
     @property
@@ -73,35 +75,107 @@ def _edge_counts(faces, n_vertices):
     return np.unique(edge_keys(faces, n_vertices), return_counts=True)
 
 
-def _cut_faces(mesh, phases):
-    """Interior faces between the phases, and their tets as (phase 0, 1)."""
-    labels = phases.labels[mesh.interior_face_tets]
-    cut = labels[:, 0] != labels[:, 1]
-    pairs = mesh.interior_face_tets[cut]
-    swap = labels[cut, 0] == 1
-    pairs[swap] = pairs[swap, ::-1]
-    return mesh.interior_faces[cut], pairs
+def _unique(ids):
+    """Sorted distinct entries of an integer array; np.unique took three
+    times as long on interface-sized arrays."""
+    ids = np.sort(ids, axis=None)
+    first = np.ones(len(ids), bool)
+    first[1:] = ids[1:] != ids[:-1]
+    return ids[first]
 
 
-def _interface_faces(mesh, phases):
-    """Interface triangles of a labeling, checked for manifold edges.
+class InterfaceTopology:
+    """Which interior faces a labeling cuts, kept up to date across swaps.
 
-    Returns the triangles (mesh vertex ids), their tet pairs (phase 0,
-    phase 1), and the sorted edge keys lo * nv + hi with their triangle
-    counts.  Raises when an edge bounds more than two triangles; at the
-    reference positions this is the only way a labeling can fail
-    extraction, since faces of non-degenerate tets have positive area.
+    Holds a copy of the labels, the cut mask over `mesh.interior_faces`,
+    the number of cut faces on each edge of `mesh.interior_edge_keys`
+    (`edge_count`) and on each tet (`tet_count`), and
+    `nonmanifold_edges`, the number of edges with more than two.  A swap
+    relabels two tets, so `swap` revisits only their at most eight
+    interior faces and the at most twelve edges of the two tets;
+    `rejected_swaps` counts the swaps `try_swap` undid.
     """
-    tris, pairs = _cut_faces(mesh, phases)
-    n = mesh.n_vertices
-    keys, counts = _edge_counts(tris, n)
-    bad = keys[counts > 2]
-    if bad.size:
-        raise InterfaceError(
-            "non-manifold interface edges: "
-            f"{np.stack([bad // n, bad % n], axis=1)[:5].tolist()}"
-            f" ({bad.size} total)")
-    return tris, pairs, keys, counts
+
+    def __init__(self, mesh, phases):
+        self.mesh = mesh
+        self.labels = np.array(phases.labels)
+        tets = mesh.interior_face_tets
+        self.cut = self.labels[tets[:, 0]] != self.labels[tets[:, 1]]
+        self.edge_count = np.bincount(
+            mesh.interior_face_edges[self.cut].ravel(),
+            minlength=len(mesh.interior_edge_keys))
+        self.tet_count = np.bincount(tets[self.cut].ravel(),
+                                     minlength=mesh.n_tets)
+        self.nonmanifold_edges = int(np.count_nonzero(self.edge_count > 2))
+        self.last_swap = None
+        self.rejected_swaps = 0
+
+    def swap(self, tet_to_0, tet_to_1):
+        """Relabel phase-1 `tet_to_0` to 0 and phase-0 `tet_to_1` to 1."""
+        mesh, labels = self.mesh, self.labels
+        labels[tet_to_0], labels[tet_to_1] = 0, 1
+        faces = mesh.tet_interior_faces[[tet_to_0, tet_to_1]].ravel()
+        faces = faces[faces >= 0]
+        tets = mesh.interior_face_tets[faces]
+        cut = labels[tets[:, 0]] != labels[tets[:, 1]]
+        flip = cut != self.cut[faces]   # a face of both tets stays cut
+        faces, tets, cut = faces[flip], tets[flip], cut[flip]
+        self.cut[faces] = cut
+        sign = np.where(cut, 1, -1)[:, None]
+        np.add.at(self.tet_count, tets, sign)
+        edges = mesh.interior_face_edges[faces]
+        touched = _unique(edges)
+        before = np.count_nonzero(self.edge_count[touched] > 2)
+        np.add.at(self.edge_count, edges, sign)
+        self.nonmanifold_edges += int(
+            np.count_nonzero(self.edge_count[touched] > 2) - before)
+        self.last_swap = (tet_to_0, tet_to_1)
+
+    def undo(self):
+        """Reverse the last swap."""
+        tet_to_0, tet_to_1 = self.last_swap
+        self.swap(tet_to_1, tet_to_0)
+
+    def try_swap(self, tet_to_0, tet_to_1):
+        """Swap if no interface edge is left with more than two triangles;
+        otherwise leave the labeling as it was.  Returns whether it did."""
+        self.swap(tet_to_0, tet_to_1)
+        if self.nonmanifold_edges:
+            self.undo()
+            self.rejected_swaps += 1
+            return False
+        return True
+
+    def near(self):
+        """Tets with a cut face, per phase, sorted: (phase 1, phase 0)."""
+        near = self.tet_count > 0
+        one = self.labels == 1
+        return np.flatnonzero(near & one), np.flatnonzero(near & ~one)
+
+    def triangles(self):
+        """The interface triangles (mesh vertex ids), their tet pairs
+        (phase 0, phase 1), and the ids of their edges in
+        `mesh.interior_edge_keys` with their triangle counts.
+
+        Raises when an edge bounds more than two triangles; at the
+        reference positions this is the only way a labeling can fail
+        extraction, since faces of non-degenerate tets have positive area.
+        """
+        mesh = self.mesh
+        if self.nonmanifold_edges:
+            bad, n = mesh.interior_edge_keys[self.edge_count > 2], \
+                mesh.n_vertices
+            raise InterfaceError(
+                "non-manifold interface edges: "
+                f"{np.stack([bad // n, bad % n], axis=1)[:5].tolist()}"
+                f" ({bad.size} total)")
+        faces = np.flatnonzero(self.cut)
+        pairs = mesh.interior_face_tets[faces]
+        swap = self.labels[pairs[:, 0]] == 1
+        pairs[swap] = pairs[swap, ::-1]
+        edges = _unique(mesh.interior_face_edges[faces])
+        return (mesh.interior_faces[faces], pairs, edges,
+                self.edge_count[edges])
 
 
 def _areas_normals(vertices, faces):
@@ -127,37 +201,44 @@ def varifold_from_triangles(vertices, faces):
         vertices=vertices, faces=faces, areas=areas, normals=normals))
 
 
-def extract_interface(mesh, state, phases, positions=None):
+def extract_interface(mesh, state, phases, positions=None, topology=None):
     """Interface varifold of a labeled, deformed mesh.
 
     `positions` overrides the deformed coordinates (pass mesh.vertices for
-    the referential interface).  Raises on non-manifold interface edges
-    interior to the domain.
+    the referential interface); `topology` is the labeling's
+    `InterfaceTopology`, when the caller keeps one.  Raises on
+    non-manifold interface edges interior to the domain.
     """
     if positions is None:
         positions = state.positions
     positions = np.asarray(positions, float)
-    tris, pairs, keys, counts = _interface_faces(mesh, phases)
-    used = np.unique(tris)
+    if topology is None:
+        topology = InterfaceTopology(mesh, phases)
+    tris, pairs, edges, counts = topology.triangles()
+    used = _unique(tris)
     remap = np.full(mesh.n_vertices, -1, int)
     remap[used] = np.arange(len(used))
     faces = remap[tris]
     vertices = positions[used]
 
     areas, normals = _areas_normals(vertices, faces)
-    centroids = positions[mesh.tets[pairs]].mean(axis=2)
+    # four times the centroids, summed in np.mean's order
+    x = np.take(positions, mesh.tets[pairs], axis=0)
+    centroids = ((x[:, :, 0] + x[:, :, 1]) + x[:, :, 2]) + x[:, :, 3]
     toward1 = centroids[:, 1] - centroids[:, 0]
     flip = np.sum(normals * toward1, axis=1) < 0
     faces[flip, 1], faces[flip, 2] = faces[flip, 2].copy(), faces[flip, 1].copy()
     normals[flip] *= -1.0
 
     # the remap is monotone, so the renumbered edge keys stay sorted
-    nv = mesh.n_vertices
+    nv, keys = mesh.n_vertices, mesh.interior_edge_keys[edges]
     local = remap[keys // nv] * len(used) + remap[keys % nv]
+    on_boundary = mesh.interior_edge_on_boundary[edges]
     V = InterfaceVarifold(
         vertices=vertices, faces=faces, areas=areas, normals=normals,
-        domain_boundary_edges=local[np.isin(keys, mesh.boundary_edge_keys)])
-    return discrete_curvature_inplace(V, edge_counts=(local, counts))
+        domain_boundary_edges=local[on_boundary])
+    return discrete_curvature_inplace(
+        V, edge_counts=(local, counts, on_boundary))
 
 
 def varifold_mass(V):
@@ -182,7 +263,8 @@ def discrete_curvature_inplace(V, edge_counts=None):
     the area.  Interface-boundary vertices (incident to a single-triangle
     edge) carry a_norm = 0 and are excluded from curvature quadrature;
     their area weight still counts toward the mass.  `edge_counts` is
-    `_edge_counts(V.faces, nv)`, when the caller already has it.
+    `_edge_counts(V.faces, nv)` and whether each edge is one of
+    `V.domain_boundary_edges`, when the caller already has them.
 
     Each per-vertex sum is one np.bincount over all faces per corner in
     turn: corners 0, 1, 2, or for the cotangent Laplacian the ends c+1,
@@ -215,9 +297,11 @@ def discrete_curvature_inplace(V, edge_counts=None):
          ) / mixed
 
     if edge_counts is None:
-        edge_counts = _edge_counts(V.faces, nv)
-    keys, counts = edge_counts
-    open_edges = keys[counts == 1]
+        keys, counts = _edge_counts(V.faces, nv)
+        edge_counts = keys, counts, np.isin(keys, V.domain_boundary_edges)
+    keys, counts, on_boundary = edge_counts
+    single = counts == 1
+    open_edges = keys[single]
     interior = np.ones(nv, bool)
     interior[open_edges // nv] = False
     interior[open_edges % nv] = False
@@ -231,7 +315,9 @@ def discrete_curvature_inplace(V, edge_counts=None):
     K[~interior] = 0.0
     return replace(V, mean_curvature=H, gauss_curvature=K, a_norm=a_norm,
                    mixed_area=mixed, interior_vertex=interior,
-                   open_edges=open_edges, clip_count=clip_count)
+                   open_edges=open_edges,
+                   dangling_edges=keys[single & ~on_boundary],
+                   clip_count=clip_count)
 
 
 def curvature_integral(V):
@@ -260,11 +346,10 @@ def boundary_defect(V):
     """Count of single-incidence interface edges off the domain boundary.
 
     Zero is required for admissibility (the interface current has no
-    boundary inside the deformed domain).  Reads the open edges that
+    boundary inside the deformed domain).  Reads the dangling edges that
     discrete_curvature_inplace found.
     """
-    return int(np.count_nonzero(~np.isin(V.open_edges,
-                                         V.domain_boundary_edges)))
+    return len(V.dangling_edges)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ import sharptop as st
 from sharptop.kinematics import (_disjoint_pairs_cross, _edge_pairs_fold,
                                  _vertex_pairs_cross)
 from sharptop.laplacian import REGULARISATION, vertex_levels
-from sharptop.mesh import DIRICHLET, FREE, NEUMANN
+from sharptop.mesh import DIRICHLET, FREE, NEUMANN, face_topology
 from sharptop.surfaces import slab_labels
-from sharptop.topopt import MOVE_TRIES, SWAP_VOLUME_RTOL, TopOptError
+from sharptop.topopt import (COLD_SOLVE_EVERY, MOVE_TRIES, SWAP_VOLUME_RTOL,
+                             TopOptError, TraceRow)
 from sharptop.varifold import InterfaceError
 
 # Property tests draw the same examples on every run and keep no example
@@ -66,6 +67,20 @@ def jittered_box_mesh(dims, rng, jitter):
     return st.ReferenceMesh(vertices=vertices, tets=mesh.tets,
                             boundary_faces=mesh.boundary_faces,
                             boundary_tags=mesh.boundary_tags)
+
+
+def l_shape_mesh():
+    """A 3x3x2 box with the tets of its x, y > 2/3 column removed, clamped
+    at x = 0: uneven levels, and the vertices of the removed column's
+    inner edge are in no tet."""
+    box = st.build_box_mesh(3, 3, 2)
+    centroid = box.tet_centroids()
+    tets = box.tets[(centroid[:, 0] < 2 / 3) | (centroid[:, 1] < 2 / 3)]
+    faces = face_topology(tets, box.n_vertices)[2]
+    clamped = np.all(box.vertices[faces][:, :, 0] == 0.0, axis=1)
+    return st.ReferenceMesh(vertices=box.vertices, tets=tets,
+                            boundary_faces=faces,
+                            boundary_tags=np.where(clamped, DIRICHLET, FREE))
 
 
 def brute_force_deformation_gradients(mesh, positions):
@@ -223,6 +238,25 @@ def cholesky_factor_oracle(mesh, free, weights):
         root = np.linalg.inv(np.linalg.cholesky(A))
         inverses.append((root.T @ root).astype(np.float32))
     return blocks, inverses, couplings
+
+
+def vertex_levels_oracle(mesh, factored):
+    """laplacian.vertex_levels by scanning every tet at every level: the
+    next front is every unreached vertex of a tet that has a vertex in
+    the current front."""
+    levels = np.full(mesh.n_vertices, -1, np.int32)
+    reached = ~factored
+    front, seeded, k = ~factored, False, 0
+    while not reached.all():
+        near = np.zeros(mesh.n_vertices, bool)
+        near[mesh.tets[front[mesh.tets].any(axis=1)]] = True
+        front = near & ~reached
+        if not front.any():
+            front[np.argmin(reached)] = seeded = True
+        levels[front] = k
+        reached |= front
+        k += 1
+    return levels, seeded
 
 
 def vtk_text_oracle(points, cells, cell_data=None, point_data=None):
@@ -434,6 +468,69 @@ def brute_force_mass_preserving_move(mesh, phases, rng, interface_bias=0.9,
             continue
         return candidate
     raise TopOptError("no admissible move found (frozen configuration)")
+
+
+def brute_force_annealing(mesh, init_phases, model, config, state0=None):
+    """topopt.optimize_topology with no kept state: every proposal runs a
+    full extraction per candidate draw (brute_force_mass_preserving_move),
+    a full inner solve and a full extraction of the candidate.
+
+    Returns (trace rows, accepted, rejected, best labels)."""
+    rng = np.random.default_rng(config.seed)
+
+    def evaluate(phases, warm):
+        state, report = st.minimize_equilibrium(mesh, warm, phases, model,
+                                                config.solve_options)
+        if not report.converged:
+            state, report = st.minimize_equilibrium(
+                mesh, st.identity_state(mesh), phases, model,
+                config.solve_options)
+            if not report.converged:
+                raise TopOptError("inner equilibrium solve did not converge")
+        positions = (mesh.vertices if config.mode == "REFERENTIAL"
+                     else state.positions)
+        V = st.extract_interface(mesh, state, phases, positions=positions)
+        if st.boundary_defect(V):
+            raise InterfaceError("dangling edges")
+        return (state, st.compliance(mesh, state, phases, model),
+                st.interface_energy(V, model), st.varifold_mass(V))
+
+    state, phases = state0 or st.identity_state(mesh), init_phases
+    state, comp, eint, mu = evaluate(phases, state)
+    obj = comp + eint
+    best = (phases, obj)
+    trace, accepted, rejected, step = [], 0, 0, 0
+    temperature = config.t_initial
+    while temperature > config.t_final:
+        for _ in range(config.steps_per_temperature):
+            step += 1
+            try:
+                candidate = brute_force_mass_preserving_move(mesh, phases,
+                                                             rng)
+                warm = state
+                if accepted and accepted % COLD_SOLVE_EVERY == 0:
+                    warm = st.identity_state(mesh)
+                c_state, c_comp, c_eint, c_mu = evaluate(candidate, warm)
+            except (InterfaceError, TopOptError):
+                rejected += 1
+                trace.append(TraceRow(step, temperature, obj, comp, eint, mu,
+                                      False))
+                continue
+            c_obj = c_comp + c_eint
+            delta = c_obj - obj
+            accept = delta < 0 or rng.random() < np.exp(-delta / temperature)
+            if accept:
+                state, phases = c_state, candidate
+                obj, comp, eint, mu = c_obj, c_comp, c_eint, c_mu
+                accepted += 1
+                if obj < best[1]:
+                    best = (phases, obj)
+            else:
+                rejected += 1
+            trace.append(TraceRow(step, temperature, c_obj if accept else obj,
+                                  comp, eint, mu, accept))
+        temperature *= config.t_decay
+    return trace, accepted, rejected, best[0].labels
 
 
 def brute_force_curvature_sums(V):

@@ -142,6 +142,13 @@ def test_topopt_command_outputs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["best_objective"] <= summary["initial_objective"] + 1e-12
     assert abs(summary["mass_constraint_residual"]) < 1e-9
+    causes = ("rejected_no_move", "rejected_interface", "rejected_solve",
+              "rejected_metropolis")
+    assert sum(summary[c] for c in causes) == summary["rejected_moves"]
+    assert summary["nonmanifold_draws"] >= 0
+    # unloaded and stress free: every candidate is converged at its start
+    assert summary["skipped_solves"] == 12 - summary["rejected_no_move"] \
+        - summary["rejected_interface"]
     with open(out / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 12  # 3 temperatures x 4 steps

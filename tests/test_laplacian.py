@@ -7,11 +7,10 @@ from sharptop.energy import identity_stiffness
 from sharptop.laplacian import (BASE, REGULARISATION, LaplacianFactor,
                                 _flat, level_blocks, spd_inverse,
                                 vertex_levels)
-from sharptop.mesh import DIRICHLET, FREE, face_topology
 from sharptop.surfaces import wedge_fold
 
 from conftest import (clamp_bottom_pull_top, cholesky_factor_oracle,
-                      jittered_box_mesh)
+                      jittered_box_mesh, l_shape_mesh, vertex_levels_oracle)
 
 
 def dense_laplacian(mesh, weights):
@@ -22,20 +21,6 @@ def dense_laplacian(mesh, weights):
     L = np.zeros((mesh.n_vertices, mesh.n_vertices))
     np.add.at(L, (mesh.tets[:, :, None], mesh.tets[:, None, :]), local)
     return L
-
-
-def l_shape_mesh():
-    """A 3x3x2 box with the tets of its x, y > 2/3 column removed, clamped
-    at x = 0: uneven levels, and the vertices of the removed column's
-    inner edge are in no tet."""
-    box = st.build_box_mesh(3, 3, 2)
-    centroid = box.tet_centroids()
-    tets = box.tets[(centroid[:, 0] < 2 / 3) | (centroid[:, 1] < 2 / 3)]
-    faces = face_topology(tets, box.n_vertices)[2]
-    clamped = np.all(box.vertices[faces][:, :, 0] == 0.0, axis=1)
-    return st.ReferenceMesh(vertices=box.vertices, tets=tets,
-                            boundary_faces=faces,
-                            boundary_tags=np.where(clamped, DIRICHLET, FREE))
 
 
 def factored_mask(mesh):
@@ -118,6 +103,23 @@ def test_levels_of_l_shape_are_uneven_and_skip_unused_vertices():
     used[mesh.tets] = True
     assert (~used).any() and np.all(levels[~used] == -1)
     assert np.all(levels[mesh.dirichlet_vertex_mask()] == -1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: st.build_box_mesh(5, 4, 3, tagging=clamp_bottom_pull_top),
+    l_shape_mesh,
+    lambda: wedge_fold()[0],                   # seeded levels
+    lambda: st.build_box_mesh(4, 3, 3),        # all faces FREE: seeded
+], ids=["box", "l-shape", "wedge-fold", "free-box"])
+def test_levels_match_the_all_tet_scan(make):
+    """The front-only walk gives the levels and the seeded flag of a
+    scan over every tet at every level."""
+    mesh = make()
+    levels, seeded = vertex_levels(mesh, factored_mask(mesh))
+    want, want_seeded = vertex_levels_oracle(mesh, factored_mask(mesh))
+    assert levels.dtype == want.dtype
+    assert np.array_equal(levels, want)
+    assert seeded == want_seeded
 
 
 def random_spd(n, rng):

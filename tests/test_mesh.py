@@ -280,3 +280,38 @@ def test_derived_arrays_are_read_only():
     assert mesh._scatter_index.flags.writeable
     assert np.shares_memory(mesh.scatter_index, mesh._scatter_index)
     assert np.array_equal(mesh.scatter_index, mesh._scatter_index)
+
+
+LAZY_MAPS = ("interior_edge_keys", "interior_face_edges",
+             "interior_edge_on_boundary", "tet_interior_faces",
+             "vertex_tet_start", "vertex_tets")
+
+
+@pytest.mark.parametrize("tagging", [None, lambda c: (
+    "DIRICHLET" if c[2] == 0.0 else "FREE")])
+def test_edge_and_adjacency_maps_are_built_on_first_use(tagging):
+    """The maps the annealer and the preconditioner walk are not built at
+    construction; once read they are read-only and agree with a scan of
+    the faces and tets."""
+    mesh = st.build_box_mesh(3, 2, 2, tagging=tagging)
+    assert not {"_interior_edges", *LAZY_MAPS} & set(vars(mesh))
+    for name in LAZY_MAPS:
+        assert not getattr(mesh, name).flags.writeable, name
+    nv, keys = mesh.n_vertices, mesh.interior_edge_keys
+    for face, edges in zip(mesh.interior_faces.tolist(),
+                           mesh.interior_face_edges.tolist()):
+        a, b, c = face
+        assert keys[edges].tolist() == [a * nv + b, b * nv + c, a * nv + c]
+    boundary = {tuple(sorted(e)) for f in mesh.boundary_faces.tolist()
+                for e in ((f[0], f[1]), (f[1], f[2]), (f[0], f[2]))}
+    assert mesh.interior_edge_on_boundary.tolist() == [
+        (k // nv, k % nv) in boundary for k in keys.tolist()]
+    for t, faces in enumerate(mesh.tet_interior_faces.tolist()):
+        own = [i for i, pair in enumerate(mesh.interior_face_tets.tolist())
+               if t in pair]
+        assert faces == own + [-1] * (4 - len(own))
+    for v in range(nv):
+        run = mesh.vertex_tets[mesh.vertex_tet_start[v]:
+                               mesh.vertex_tet_start[v + 1]]
+        assert run.tolist() == np.flatnonzero((mesh.tets == v).any(axis=1)
+                                              ).tolist()

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 from hypothesis import given, settings, strategies as hs
@@ -8,11 +9,14 @@ import sharptop as st
 from sharptop.energy import stress_free_s
 from sharptop.solve import SolveOptions
 from sharptop.surfaces import slab_labels
-from sharptop.topopt import (EULERIAN, REFERENTIAL, TopOptConfig, TopOptError,
-                             compliance, mass_preserving_move, objective,
+from sharptop.topopt import (COLD_SOLVE_EVERY, EULERIAN, REFERENTIAL,
+                             TopOptConfig, TopOptError, compliance,
+                             mass_preserving_move, objective,
                              optimize_topology)
 
-from conftest import brute_force_mass_preserving_move, perturbed_slab_labels
+from conftest import (brute_force_annealing, brute_force_mass_preserving_move,
+                      clamp_bottom_pull_top, perturbed_slab_labels,
+                      random_feasible_state)
 
 
 def pinned_mesh(n=4):
@@ -226,8 +230,133 @@ def test_programming_error_in_inner_solve_propagates(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(topopt, "minimize_equilibrium", broken_after_first)
-    mesh = pinned_mesh(3)
+    # two phases under a traction: a swap moves the equilibrium, so the
+    # candidate's solve runs (a stress-free pinned cube would skip it)
+    mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
+    model = st.EnergyModel(r=4, s=stress_free_s(4), scale0=0.2,
+                           g=[0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="bug in the inner solve"):
-        optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
-                          annealing_model(), fast_config(seed=3))
+        optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0), model,
+                          fast_config(seed=3))
     assert len(calls) == 2
+
+
+ORACLE_CASES = {
+    # zero load: every candidate but the cold restarts' is converged at
+    # its start; 25 steps per temperature pass a cold restart
+    "referential-3": (3, REFERENTIAL, {}, 11, 25),
+    "referential-5": (5, REFERENTIAL, {}, 16, 5),
+    # a traction and a stiff phase 1: candidates take steps
+    "loaded-3": (3, EULERIAN, {"scale0": 0.2, "g": [0.0, 0.0, 1.0]}, 13, 5),
+    # equal phases under a body load that puts the gradient of the start
+    # near half the tolerance: swaps move it across, so some candidates
+    # are skipped and some are solved
+    "body-load-4": (4, EULERIAN, {"f": [0.0, 0.0, 7.9e-5]}, 14, 5),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_annealing_matches_full_recompute_oracle(case):
+    """From equal seeds the annealer, with its kept interface topology and
+    converged-at-start shortcut, gives the trace, counts and best labels
+    of one that extracts in full and solves in full on every proposal."""
+    n, mode, loads, seed, steps = ORACLE_CASES[case]
+    if mode == REFERENTIAL:
+        mesh, model = pinned_mesh(n), annealing_model()
+    else:
+        mesh = st.build_box_mesh(n, n, n, tagging=clamp_bottom_pull_top)
+        model = st.EnergyModel(r=4, s=stress_free_s(4), **loads)
+    phases = perturbed_slab_labels(mesh, 0, seed, flips=1)
+    # hot enough that most moves are accepted
+    config = replace(fast_config(mode=mode, seed=seed), t_initial=100.0,
+                     t_final=20.0, steps_per_temperature=steps)
+    result = optimize_topology(mesh, phases, model, config)
+    trace, accepted, rejected, best = brute_force_annealing(
+        mesh, phases, model, config)
+    assert result.trace == trace
+    assert (result.accepted_moves, result.rejected_moves) == (accepted,
+                                                              rejected)
+    assert accepted > 0
+    assert np.array_equal(result.best_phases.labels, best)
+    proposals = len(trace) - result.rejected_no_move
+    if case == "referential-3":
+        assert accepted > COLD_SOLVE_EVERY
+        assert result.skipped_solves == proposals - 1
+    elif case == "referential-5":
+        assert result.skipped_solves == proposals
+    elif case == "loaded-3":
+        assert result.skipped_solves == 0
+    else:
+        assert 0 < result.skipped_solves < proposals
+
+
+def test_rejections_add_up_by_cause():
+    mesh = pinned_mesh(4)
+    result = optimize_topology(mesh, perturbed_slab_labels(mesh, 1, 6, 2),
+                               annealing_model(), fast_config(seed=5))
+    causes = (result.rejected_no_move, result.rejected_interface,
+              result.rejected_solve, result.rejected_metropolis)
+    assert sum(causes) == result.rejected_moves
+    assert result.rejected_metropolis > 0
+    assert result.nonmanifold_draws > 0
+
+
+def test_skipped_solve_touches_only_the_swapped_tets(monkeypatch):
+    """A candidate converged at its start runs the kinematics, the
+    constitutive kernel and the corner forces on its two swapped tets
+    only, and neither the inner solve nor a full gradient."""
+    import sharptop.topopt as topopt
+    sizes, calls = [], {"minimize_equilibrium": 0, "equilibrium_gradient": 0}
+
+    def sized(kernel, size):
+        def wrapper(*args, **kwargs):
+            sizes.append(size(*args, **kwargs))
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    def counted(name):
+        real = getattr(topopt, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(topopt, "deformation_minors", sized(
+        topopt.deformation_minors, lambda mesh, x, tets: len(tets)))
+    monkeypatch.setattr(topopt, "Bulk", sized(
+        topopt.Bulk, lambda terms, weights, model: len(weights)))
+    monkeypatch.setattr(topopt, "corner_forces", sized(
+        topopt.corner_forces, lambda mesh, P, tets: P.shape[2]))
+    for name in calls:
+        monkeypatch.setattr(topopt, name, counted(name))
+    mesh = pinned_mesh(4)
+    result = optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
+                               annealing_model(), fast_config(seed=3))
+    proposals = len(result.trace) - result.rejected_no_move
+    assert result.skipped_solves == proposals > 0
+    assert calls == {"minimize_equilibrium": 1, "equilibrium_gradient": 1}
+    assert sizes == [2] * (3 * proposals)
+
+
+@pytest.mark.parametrize("f", [[0.0, 0.0, 0.0], [0.3, -0.2, 1.0]])
+def test_swapped_gradient_matches_full_recompute(f):
+    """The gradient updated by two tets' weights and body loads equals a
+    full recompute at the swapped labels, to 1e-12 relative."""
+    from sharptop.topopt import _swapped_gradient
+    mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
+    model = st.EnergyModel(r=4, s=3.0, scale0=0.2, scale1=1.5, f=f,
+                           g=[0.1, 0.0, 1.0])
+    state = random_feasible_state(mesh, scale=0.03, seed=4)
+    phases = slab_labels(mesh, 0.5, axis=1)
+    grad = st.equilibrium_gradient(mesh, state, phases, model)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        src = rng.choice(np.flatnonzero(phases.labels == 1))
+        dst = rng.choice(np.flatnonzero(phases.labels == 0))
+        swapped = phases.with_swap(tet_to_0=src, tet_to_1=dst)
+        got = _swapped_gradient(mesh, state, model, grad, (src, dst))
+        want = st.equilibrium_gradient(mesh, state, swapped, model)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert not got[state.dirichlet_mask].any()
+        phases, grad = swapped, got

@@ -10,13 +10,13 @@ from sharptop.mesh import edge_keys
 from sharptop.surfaces import (cylinder_patch, cylinder_varifold, flat_patch,
                                flat_varifold, halfspace_labels, slab_labels,
                                sphere_varifold)
-from sharptop.varifold import (InterfaceError, InterfaceVarifold,
-                               _interface_faces, curvature_integral,
+from sharptop.varifold import (InterfaceError, InterfaceTopology,
+                               InterfaceVarifold, curvature_integral,
                                discrete_curvature_inplace, random_bump_fields,
                                varifold_from_triangles)
 
 from conftest import (brute_force_curvature_sums, brute_force_face_adjacency,
-                      perturbed_slab_labels)
+                      jittered_box_mesh, l_shape_mesh, perturbed_slab_labels)
 
 CURVATURE_FIELDS = ("mean_curvature", "gauss_curvature", "a_norm",
                     "mixed_area", "interior_vertex")
@@ -151,11 +151,7 @@ def test_topology_check_rejects_exactly_when_extraction_raises():
         else:
             rng = np.random.default_rng(seed)
             phases = st.PhaseLabeling(rng.random(mesh.n_tets) < bernoulli)
-        try:
-            _interface_faces(mesh, phases)
-            rejected = False
-        except InterfaceError:
-            rejected = True
+        rejected = InterfaceTopology(mesh, phases).nonmanifold_edges > 0
         try:
             V = st.extract_interface(mesh, None, phases,
                                      positions=mesh.vertices)
@@ -173,6 +169,125 @@ def test_topology_check_rejects_exactly_when_extraction_raises():
 
     check()
     assert True in outcomes and False in outcomes
+
+
+def test_phase_labels_must_be_binary():
+    for bad in ([0, 1, 2], [-1, 0], [3]):
+        with pytest.raises(ValueError, match="binary"):
+            st.PhaseLabeling(np.array(bad))
+    for good in (np.zeros(0, int), np.array([0, 1, 1]),
+                 np.array([True, False])):
+        assert np.array_equal(st.PhaseLabeling(good).labels, good)
+
+
+def unique_interface_topology(mesh, labels):
+    """A labeling's cut mask, interface edge keys with their triangle
+    counts, and phase-1 and phase-0 tets with a cut face, by np.unique
+    over the cut faces."""
+    face_labels = labels[mesh.interior_face_tets]
+    cut = face_labels[:, 0] != face_labels[:, 1]
+    keys, counts = np.unique(edge_keys(mesh.interior_faces[cut],
+                                       mesh.n_vertices), return_counts=True)
+    tets, is1 = mesh.interior_face_tets[cut], face_labels[cut] == 1
+    return cut, keys, counts, np.unique(tets[is1]), np.unique(tets[~is1])
+
+
+def test_interface_topology_after_swaps_matches_a_rebuild():
+    """After k swaps of random phase-1 and phase-0 tets, the kept state
+    equals one built from the final labels, and its edge counts and
+    near-interface tets equal an np.unique recount, from manifold and
+    from non-manifold starts; undoing the last swap restores the state
+    before it."""
+    starts = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=hs.integers(2, 4), axis=hs.integers(0, 2),
+           seed=hs.integers(0, 2**16), flips=hs.integers(0, 8),
+           swaps=hs.integers(1, 12))
+    def check(n, axis, seed, flips, swaps):
+        mesh = st.build_box_mesh(n, n, n)
+        phases = perturbed_slab_labels(mesh, axis, seed, flips)
+        kept = InterfaceTopology(mesh, phases)
+        starts.append(kept.nonmanifold_edges)
+        rng = np.random.default_rng(seed)
+        labels = np.array(phases.labels)
+        for _ in range(swaps):
+            src = rng.choice(np.flatnonzero(labels == 1))
+            dst = rng.choice(np.flatnonzero(labels == 0))
+            before = kept.cut.copy(), kept.edge_count.copy()
+            kept.swap(src, dst)
+            labels[src], labels[dst] = 0, 1
+        fresh = InterfaceTopology(mesh, st.PhaseLabeling(labels))
+        for name in ("labels", "cut", "edge_count", "tet_count"):
+            assert np.array_equal(getattr(kept, name), getattr(fresh, name))
+        assert kept.nonmanifold_edges == fresh.nonmanifold_edges
+        cut, keys, counts, near1, near0 = unique_interface_topology(
+            mesh, labels)
+        edges = np.flatnonzero(kept.edge_count)
+        assert np.array_equal(kept.cut, cut)
+        assert np.array_equal(mesh.interior_edge_keys[edges], keys)
+        assert np.array_equal(kept.edge_count[edges], counts)
+        assert kept.nonmanifold_edges == np.count_nonzero(counts > 2)
+        for got, want in zip(kept.near(), (near1, near0), strict=True):
+            assert np.array_equal(got, want)
+        kept.undo()
+        assert np.array_equal(kept.cut, before[0])
+        assert np.array_equal(kept.edge_count, before[1])
+
+    check()
+    assert min(starts) == 0 < max(starts)
+
+
+def tagged_subset_mesh():
+    """A 3x3x3 box whose tagged boundary is only its z = 0 side: a strict
+    subset of the faces of a single tet."""
+    box = st.build_box_mesh(3, 3, 3)
+    bottom = np.all(box.vertices[box.boundary_faces][:, :, 2] == 0.0, axis=1)
+    return st.ReferenceMesh(vertices=box.vertices, tets=box.tets,
+                            boundary_faces=box.boundary_faces[bottom],
+                            boundary_tags=box.boundary_tags[bottom])
+
+
+def test_domain_boundary_edges_match_an_isin_lookup():
+    """The domain-boundary edges, open edges and boundary defect that
+    extraction takes from the per-edge boundary flag equal the ones an
+    np.isin lookup of the edge keys in `boundary_edge_keys` gives."""
+    meshes = {"l-shape": l_shape_mesh(), "wedge": st.surfaces.wedge_fold()[0],
+              "subset": tagged_subset_mesh()}
+    defects = {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=hs.sampled_from(["jittered", "l-shape", "wedge", "subset"]),
+           axis=hs.integers(0, 2), seed=hs.integers(0, 2**16),
+           flips=hs.integers(0, 2))
+    def check(kind, axis, seed, flips):
+        if kind == "jittered":
+            rng = np.random.default_rng(seed)
+            mesh = jittered_box_mesh(tuple(rng.integers(2, 5, 3)), rng, 0.2)
+        else:
+            mesh = meshes[kind]
+        phases = perturbed_slab_labels(mesh, axis, seed, flips)
+        if InterfaceTopology(mesh, phases).nonmanifold_edges:
+            return
+        V = st.extract_interface(mesh, None, phases, positions=mesh.vertices)
+        cut, keys, counts, _, _ = unique_interface_topology(mesh,
+                                                            phases.labels)
+        used = np.unique(mesh.interior_faces[cut])
+        remap = np.full(mesh.n_vertices, -1)
+        remap[used] = np.arange(len(used))
+        nv = mesh.n_vertices
+        local = remap[keys // nv] * len(used) + remap[keys % nv]
+        on_boundary = local[np.isin(keys, mesh.boundary_edge_keys)]
+        open_edges = local[counts == 1]
+        assert np.array_equal(V.domain_boundary_edges, on_boundary)
+        assert np.array_equal(V.open_edges, open_edges)
+        defect = np.count_nonzero(~np.isin(open_edges, on_boundary))
+        assert st.boundary_defect(V) == defect
+        defects.setdefault(kind, []).append(defect)
+
+    check()
+    assert set(defects) == {"jittered", "l-shape", "wedge", "subset"}
+    assert max(defects["subset"]) > 0
 
 
 # ---------------------------------------------------------------- curvature
