@@ -54,7 +54,8 @@ def load_scenario(path):
         raise ScenarioError(f"{path}: invalid JSON: {exc}")
     if not isinstance(scenario, dict):
         raise ScenarioError(f"{path}: the scenario must be a JSON object")
-    return scenario
+    return _object("scenario", scenario, {"seed", "output", "mesh", "model",
+                                          "labels", "solve", "topopt"})
 
 
 def check_seed(seed):
@@ -318,10 +319,17 @@ def main(argv=None):
 
     try:
         scenario = load_scenario(args.scenario) if args.scenario else {}
-        out = args.out or scenario.get("output", "out")
         seed = check_seed(args.seed if args.seed is not None
                           else scenario.get("seed", 0))
-        os.makedirs(out, exist_ok=True)
+        out = args.out or scenario.get("output", "out")
+        if not isinstance(out, str) or not out:
+            raise ScenarioError(f"output: expected a non-empty path, "
+                                f"got {out!r}")
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ScenarioError(f"{out}: cannot create the output "
+                                f"directory: {exc}") from exc
         return COMMANDS[args.command](scenario, out, seed)
     except (ScenarioError, meshmod.MeshError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

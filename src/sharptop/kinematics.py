@@ -4,15 +4,16 @@ The deformation is piecewise affine over the tets: F = Dx (DX)^-1 with
 edge matrices of the deformed and reference tet; the mesh stores
 (DX)^-1 component first as `ref_inv_cf`.  Almost-everywhere injectivity
 is checked exactly, as the absence of self-intersections of the deformed
-boundary surface; the Ciarlet-Necas gap between the Jacobian integral
-and a Monte Carlo estimate of the image volume remains as a diagnostic.
+boundary surface (with `mesh._cross` and `mesh._dot`, the package's 3-vector
+kernels); the Ciarlet-Necas gap between the Jacobian integral and a Monte
+Carlo estimate of the image volume remains as a diagnostic.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mesh import _cofactors, _cross, run_pairs
+from .mesh import _cofactors, _cross, _dot, run_pairs
 
 
 class KinematicsError(Exception):
@@ -238,16 +239,6 @@ def ciarlet_necas_residual(mesh, state, samples=100_000, seed=0):
                               mc_std=std, samples=int(samples))
 
 
-def _cross_of(u, v):
-    out = np.empty(np.broadcast_shapes(u.shape, v.shape))
-    _cross(u, v, out)
-    return out
-
-
-def _dot(u, v):
-    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
-
-
 def _corners(x, rows):
     """x (3, nv) gathered at `rows` (n, k): (3, k, n), component first."""
     return np.take(x, rows.T, axis=1)
@@ -262,9 +253,9 @@ def _line_crosses(p, q, a, b, c):
     triangle.  Arguments are component first, (3, n); returns (n,) bool.
     """
     d, ap, bp, cp = q - p, a - p, b - p, c - p
-    s0 = np.sign(_dot(d, _cross_of(ap, bp)))
-    s1 = np.sign(_dot(d, _cross_of(bp, cp)))
-    s2 = np.sign(_dot(d, _cross_of(cp, ap)))
+    s0 = np.sign(_dot(d, _cross(ap, bp)))
+    s1 = np.sign(_dot(d, _cross(bp, cp)))
+    s2 = np.sign(_dot(d, _cross(cp, ap)))
     return (s0 != 0) & (s0 == s1) & (s1 == s2)
 
 
@@ -280,8 +271,8 @@ def _coplanar_overlap(A, B):
     """
     overlap = np.ones(A.shape[2], bool)
     for T, U in ((A, B), (B, A)):
-        normal = _cross_of(T[:, 1] - T[:, 0], T[:, 2] - T[:, 0])
-        inward = _cross_of(normal[:, None], np.roll(T, -1, axis=1) - T)
+        normal = _cross(T[:, 1] - T[:, 0], T[:, 2] - T[:, 0])
+        inward = _cross(normal[:, None], np.roll(T, -1, axis=1) - T)
         inner = ((inward[:, :, None] * U[:, None]).sum(axis=0)
                  - _dot(inward, T)[:, None])            # (edge, corner, n)
         overlap &= (inner.max(axis=1) > 0).all(axis=0)
@@ -296,8 +287,8 @@ def _disjoint_pairs_cross(A, B):
     edge of one pierces the other.  An exactly coplanar pair crosses when
     the triangles overlap in their plane.
     """
-    nA = _cross_of(A[:, 1] - A[:, 0], A[:, 2] - A[:, 0])
-    nB = _cross_of(B[:, 1] - B[:, 0], B[:, 2] - B[:, 0])
+    nA = _cross(A[:, 1] - A[:, 0], A[:, 2] - A[:, 0])
+    nB = _cross(B[:, 1] - B[:, 0], B[:, 2] - B[:, 0])
     sA = np.sign(_dot(nB[:, None], A - B[:, :1]))    # (corner of A, n)
     sB = np.sign(_dot(nA[:, None], B - A[:, :1]))
     hit = np.zeros(A.shape[2], bool)
@@ -328,7 +319,7 @@ def _vertex_pairs_cross(P):
     strictly on its inner side.
     """
     R = P[:, 1:] - P[:, :1]                # a1, a2, b1, b2 relative to p
-    normal = _cross_of(R[:, 0::2], R[:, 1::2])          # (3, [nA, nB], n)
+    normal = _cross(R[:, 0::2], R[:, 1::2])             # (3, [nA, nB], n)
     # side[t, c]: corner c of one triangle against the plane of the other
     side = np.sign(_dot(normal[:, ::-1, None], R.reshape(3, 2, 2, -1)))
     hit = np.zeros(P.shape[2], bool)
@@ -341,7 +332,7 @@ def _vertex_pairs_cross(P):
     # inside the one along a2 when (a2 x x) . nA < 0; likewise for B,
     # with the turns a x b below negated
     a, b = R[:, [0, 0, 1, 1]][:, :, k], R[:, [2, 3, 2, 3]][:, :, k]
-    turn = _cross_of(a, b)
+    turn = _cross(a, b)
     on_a = _dot(turn, normal[:, :1, k])
     on_b = _dot(turn, normal[:, 1:, k])
     hit[k] = ((on_a[:2].max(axis=0) > 0) & (on_a[2:].min(axis=0) < 0)
@@ -353,8 +344,8 @@ def _edge_pairs_fold(E):
     """Triangles (u, v, a) and (u, v, b) sharing the edge uv, given as
     rows (3, 4, n): do they lie in one plane on the same side of uv?"""
     uv, ua, ub = (E[:, 1:] - E[:, :1]).swapaxes(0, 1)
-    normal = _cross_of(uv, ua)
-    return (_dot(normal, ub) == 0) & (_dot(normal, _cross_of(uv, ub)) > 0)
+    normal = _cross(uv, ua)
+    return (_dot(normal, ub) == 0) & (_dot(normal, _cross(uv, ub)) > 0)
 
 
 def _candidate_pairs(T, faces):

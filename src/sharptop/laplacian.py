@@ -71,7 +71,7 @@ def vertex_levels(mesh, factored):
 
 def _element_matrices(ref_inv, weights):
     """w_t Gbar_t Gbar_t^T of each tet, row-major (nt, 16).  A function
-    of its own, so that `level_blocks`, a generator, holds no Gbar."""
+    of its own, so that `level_couplings`, a generator, holds no Gbar."""
     Gbar = np.concatenate([-ref_inv.sum(axis=1, keepdims=True), ref_inv],
                           axis=1)
     K = (Gbar @ Gbar.transpose(0, 2, 1)).reshape(-1, 16)
@@ -79,26 +79,11 @@ def _element_matrices(ref_inv, weights):
     return K
 
 
-def level_blocks(mesh, levels, weights):
-    """Yield (A_k, B_k) per level k: A_k (n_k, n_k) and B_k
-    (n_(k-1), n_k) of L_w, rows and columns in ascending vertex order
-    within each level; B_0 is None.  The dense form of
-    `level_couplings`, for inspection; the factor reads the latter."""
-    count = np.bincount(levels[levels >= 0])
-    for k, (A, coupling) in enumerate(level_couplings(mesh, levels,
-                                                      weights)):
-        B = None
-        if k:
-            rows, cols, values = coupling
-            B = np.zeros((count[k - 1], count[k]))
-            B[rows, cols] = values
-        yield A, B
-
-
 def level_couplings(mesh, levels, weights):
-    """Yield (A_k, C_k) per level k: A_k as in `level_blocks`, and C_k
-    the nonzero entries (rows, cols, values) of B_k in row-major order;
-    C_0 is None.
+    """Yield (A_k, C_k) per level k of L_w: the diagonal block A_k
+    (n_k, n_k) and C_k, the nonzero entries (rows, cols, values) of the
+    coupling B_k (n_(k-1), n_k) in row-major order, rows and columns in
+    ascending vertex order within each level; C_0 is None.
 
     The element matrices K_t = w_t Gbar_t Gbar_t^T are built once, with
     the tets sorted by their top level; each entry of a block sums its

@@ -10,8 +10,8 @@ A proposal costs work in the two swapped tets, not in the mesh, where
 it can.  The annealer keeps the labeling's `InterfaceTopology` and
 updates it per swap, so drawing a candidate and checking it for
 non-manifold edges visit only the swapped tets' faces and edges, and
-extraction reads its cut faces and edge counts from it.  The annealer
-also keeps the equilibrium gradient at its state and labels, and
+extraction reads its cut faces, flips and edge counts from it.  The
+annealer also keeps the equilibrium gradient at its state and labels, and
 updates it by the two tets' change of weight (and of body load): a
 swap leaves the positions alone.  When the updated norm is at most half
 the solver's gradient tolerance, the warm state is already converged,
@@ -20,8 +20,10 @@ without the solve.  The half margin absorbs the rounding of the
 updates, so every decision is the one a full recompute would make; a
 full `equilibrium_gradient` clears the rounding at the start and after
 every accepted move whose solve returned a new state, cold restarts
-included.  Still run over the whole interface: the curvature pass of
-each extraction.
+included.  Still run over the whole interface: each extraction's
+areas, normals and curvature.  While the accepted-move count is a
+positive multiple of `COLD_SOLVE_EVERY`, every proposal is solved from
+the identity (a cold start) until one of them is accepted.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +43,7 @@ REFERENTIAL = "REFERENTIAL"
 SWAP_VOLUME_RTOL = 0.01    # relative volume mismatch a swap may carry
 MOVE_TRIES = 50             # candidates drawn before a move gives up
 INTERFACE_MOVE_BIAS = 0.9   # probability of interface-local swaps
-COLD_SOLVE_EVERY = 50       # accepted moves between cold restarts
+COLD_SOLVE_EVERY = 50       # proposals start cold at accepted counts k * this
 
 
 @dataclass(frozen=True)

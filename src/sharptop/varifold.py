@@ -2,10 +2,13 @@
 
 The interface between the two phases is the set of deformed interior faces
 whose incident tets carry different labels, oriented from phase 0 into
-phase 1.  Discrete curvature per vertex combines the cotangent
-mean-curvature vector with angle-defect Gaussian curvature; the
-full-curvature magnitude is recovered through a_norm^2 = 2 * |II|^2 with
-|II|^2 estimated as 4|H|^2 - 2K.
+phase 1 by the mesh's face orientation and the labels, which is the
+geometric orientation wherever det F > 0, as in every solver state.
+One set of corner crosses gives the areas, normals and corner angles.
+Discrete curvature per vertex combines the cotangent mean-curvature
+vector with angle-defect Gaussian curvature; the full-curvature
+magnitude is recovered through a_norm^2 = 2 * |II|^2 with |II|^2
+estimated as 4|H|^2 - 2K.
 """
 
 from dataclasses import dataclass, field, replace
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import INFEASIBLE, bulk_energy, interface_density
-from .mesh import _edge_cofactors, edge_keys
+from .mesh import _cross, _dot, _edge_cofactors, edge_keys
 from .quadrature import map_to_simplex, tet_rule, triangle_rule
 
 
@@ -48,12 +51,12 @@ class InterfaceVarifold:
 
     vertices: np.ndarray              # (nv, 3) deformed positions
     faces: np.ndarray                 # (nf, 3) into vertices, oriented
-    areas: np.ndarray                 # (nf,)
-    normals: np.ndarray               # (nf, 3), phase-0 side -> phase-1 side
+    # set by discrete_curvature_inplace, as the curvature samples below are
+    areas: np.ndarray = None          # (nf,)
+    normals: np.ndarray = None        # (nf, 3), phase-0 side -> phase-1 side
     # sorted keys lo * nv + hi of the edges on the domain boundary
     domain_boundary_edges: np.ndarray = field(
         default_factory=lambda: np.zeros(0, int))
-    # curvature samples (filled by discrete_curvature_inplace)
     mean_curvature: np.ndarray = None   # (nv, 3) vector H
     gauss_curvature: np.ndarray = None  # (nv,)
     a_norm: np.ndarray = None           # (nv,)
@@ -153,9 +156,11 @@ class InterfaceTopology:
         return np.flatnonzero(near & one), np.flatnonzero(near & ~one)
 
     def triangles(self):
-        """The interface triangles (mesh vertex ids), their tet pairs
-        (phase 0, phase 1), and the ids of their edges in
-        `mesh.interior_edge_keys` with their triangle counts.
+        """The interface triangles as sorted triples of mesh vertex ids,
+        whether each must be flipped to point into phase 1 (it points out
+        of its first tet, and that tet is phase 1, or into a phase-0
+        one), and the ids of their edges in `mesh.interior_edge_keys`
+        with their triangle counts.
 
         Raises when an edge bounds more than two triangles; at the
         reference positions this is the only way a labeling can fail
@@ -170,22 +175,11 @@ class InterfaceTopology:
                 f"{np.stack([bad // n, bad % n], axis=1)[:5].tolist()}"
                 f" ({bad.size} total)")
         faces = np.flatnonzero(self.cut)
-        pairs = mesh.interior_face_tets[faces]
-        swap = self.labels[pairs[:, 0]] == 1
-        pairs[swap] = pairs[swap, ::-1]
+        first_is_1 = self.labels[mesh.interior_face_tets[faces, 0]] == 1
         edges = _unique(mesh.interior_face_edges[faces])
-        return (mesh.interior_faces[faces], pairs, edges,
+        return (mesh.interior_faces[faces],
+                first_is_1 == mesh.interior_face_outward[faces], edges,
                 self.edge_count[edges])
-
-
-def _areas_normals(vertices, faces):
-    """Triangle areas and unit normals (right-hand rule)."""
-    v = vertices[faces]
-    cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    if np.any(areas <= 0):
-        raise InterfaceError("degenerate interface triangle")
-    return areas, cross / (2.0 * areas[:, None])
 
 
 def varifold_from_triangles(vertices, faces):
@@ -194,11 +188,8 @@ def varifold_from_triangles(vertices, faces):
     Face winding defines the normal (right-hand rule, pointing into the
     phase-1 side).
     """
-    vertices = np.asarray(vertices, float)
-    faces = np.asarray(faces, int)
-    areas, normals = _areas_normals(vertices, faces)
     return discrete_curvature_inplace(InterfaceVarifold(
-        vertices=vertices, faces=faces, areas=areas, normals=normals))
+        vertices=np.asarray(vertices, float), faces=np.asarray(faces, int)))
 
 
 def extract_interface(mesh, state, phases, positions=None, topology=None):
@@ -211,31 +202,20 @@ def extract_interface(mesh, state, phases, positions=None, topology=None):
     """
     if positions is None:
         positions = state.positions
-    positions = np.asarray(positions, float)
     if topology is None:
         topology = InterfaceTopology(mesh, phases)
-    tris, pairs, edges, counts = topology.triangles()
+    tris, flip, edges, counts = topology.triangles()
+    tris[flip] = tris[flip][:, [0, 2, 1]]
     used = _unique(tris)
     remap = np.full(mesh.n_vertices, -1, int)
     remap[used] = np.arange(len(used))
-    faces = remap[tris]
-    vertices = positions[used]
-
-    areas, normals = _areas_normals(vertices, faces)
-    # four times the centroids, summed in np.mean's order
-    x = np.take(positions, mesh.tets[pairs], axis=0)
-    centroids = ((x[:, :, 0] + x[:, :, 1]) + x[:, :, 2]) + x[:, :, 3]
-    toward1 = centroids[:, 1] - centroids[:, 0]
-    flip = np.sum(normals * toward1, axis=1) < 0
-    faces[flip, 1], faces[flip, 2] = faces[flip, 2].copy(), faces[flip, 1].copy()
-    normals[flip] *= -1.0
 
     # the remap is monotone, so the renumbered edge keys stay sorted
     nv, keys = mesh.n_vertices, mesh.interior_edge_keys[edges]
     local = remap[keys // nv] * len(used) + remap[keys % nv]
     on_boundary = mesh.interior_edge_on_boundary[edges]
     V = InterfaceVarifold(
-        vertices=vertices, faces=faces, areas=areas, normals=normals,
+        vertices=np.asarray(positions, float)[used], faces=remap[tris],
         domain_boundary_edges=local[on_boundary])
     return discrete_curvature_inplace(
         V, edge_counts=(local, counts, on_boundary))
@@ -246,18 +226,10 @@ def varifold_mass(V):
     return float(np.sum(V.areas))
 
 
-def _dot(a, b):
-    """a . b over a last axis of length 3, in np.sum's order.
-
-    Explicit adds: np.sum and np.linalg.norm over a length-3 axis cost
-    about ten times as much.
-    """
-    return ((a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
-            + a[..., 2] * b[..., 2])
-
-
 def discrete_curvature_inplace(V, edge_counts=None):
-    """Attach per-vertex (H, K, a_norm, mixed area) samples to a varifold.
+    """Attach triangle areas and unit normals (right-hand rule) and
+    per-vertex (H, K, a_norm, mixed area) samples to a varifold.  Corner
+    0's cross gives the area and normal, all three the corner angles.
 
     Mixed areas are Meyer's Voronoi-safe vertex areas, which partition
     the area.  Interface-boundary vertices (incident to a single-triangle
@@ -271,26 +243,32 @@ def discrete_curvature_inplace(V, edge_counts=None):
     c+2 of the edge opposite corner c, for c = 0, 1, 2.
     """
     nv = len(V.vertices)
-    p = V.vertices[V.faces.T]               # (corner, face, xyz)
+    p = np.take(V.vertices.T, V.faces.T, axis=1)    # (xyz, corner, face)
     nxt, prv = [1, 2, 0], [2, 0, 1]
-    e1, e2 = p[nxt] - p, p[prv] - p         # edges leaving each corner
-    cross = np.cross(e1, e2)
-    angles = np.arctan2(np.sqrt(_dot(cross, cross)), _dot(e1, e2))
+    e1, e2 = p[:, nxt] - p, p[:, prv] - p   # edges leaving each corner
+    cross = _cross(e1, e2)
+    twice_area = np.sqrt(_dot(cross, cross))    # (corner, face)
+    areas = 0.5 * twice_area[0]
+    if np.any(areas <= 0):
+        raise InterfaceError("degenerate interface triangle")
+    normals = (cross[:, 0] / (2.0 * areas)).T
+    angles = np.arctan2(twice_area, _dot(e1, e2))
     cot = 1.0 / np.tan(angles)
     corners = V.faces.T.ravel()
 
     obtuse = angles > 0.5 * np.pi
     voronoi = (_dot(e2, e2) * cot[nxt] + _dot(e1, e1) * cot[prv]) / 8.0
     share = np.where(obtuse.any(axis=0),
-                     np.where(obtuse, V.areas / 2.0, V.areas / 4.0), voronoi)
+                     np.where(obtuse, areas / 2.0, areas / 4.0), voronoi)
     mixed = np.bincount(corners, share.ravel(), minlength=nv)
     if np.any(mixed <= 0):
         raise InterfaceError("zero mixed area (degenerate triangle fan)")
 
+    # terms (xyz, corner, end, face): corner by corner within each sum
     ends = np.stack([V.faces.T[nxt], V.faces.T[prv]], axis=1)
-    terms = cot[:, None, :, None] * np.stack([p[nxt] - p[prv],
-                                              p[prv] - p[nxt]], axis=1)
-    lap = np.bincount((3 * ends[..., None] + np.arange(3)).ravel(),
+    terms = cot[:, None] * np.stack([p[:, nxt] - p[:, prv],
+                                     p[:, prv] - p[:, nxt]], axis=2)
+    lap = np.bincount((3 * ends + np.arange(3)[:, None, None, None]).ravel(),
                       terms.ravel(), minlength=3 * nv).reshape(nv, 3)
     H = lap / (4.0 * mixed[:, None])
     K = (2.0 * np.pi - np.bincount(corners, angles.ravel(), minlength=nv)
@@ -306,14 +284,15 @@ def discrete_curvature_inplace(V, edge_counts=None):
     interior[open_edges // nv] = False
     interior[open_edges % nv] = False
 
-    h2 = _dot(H, H)
+    h2 = _dot(H.T, H.T)
     ii2 = 4.0 * h2 - 2.0 * K
     clip_count = int(np.count_nonzero(interior & (ii2 < 0)))
     a_norm = np.sqrt(2.0 * np.maximum(ii2, 0.0))
     a_norm[~interior] = 0.0
     H[~interior] = 0.0
     K[~interior] = 0.0
-    return replace(V, mean_curvature=H, gauss_curvature=K, a_norm=a_norm,
+    return replace(V, areas=areas, normals=normals,
+                   mean_curvature=H, gauss_curvature=K, a_norm=a_norm,
                    mixed_area=mixed, interior_vertex=interior,
                    open_edges=open_edges,
                    dangling_edges=keys[single & ~on_boundary],

@@ -9,8 +9,9 @@ import pytest
 import sharptop as st
 from sharptop.kinematics import (_disjoint_pairs_cross, _edge_pairs_fold,
                                  _vertex_pairs_cross)
-from sharptop.laplacian import REGULARISATION, vertex_levels
-from sharptop.mesh import DIRICHLET, FREE, NEUMANN, face_topology
+from sharptop.laplacian import (REGULARISATION, level_couplings,
+                                vertex_levels)
+from sharptop.mesh import DIRICHLET, FREE, NEUMANN, edge_keys, face_topology
 from sharptop.surfaces import slab_labels
 from sharptop.topopt import (COLD_SOLVE_EVERY, MOVE_TRIES, SWAP_VOLUME_RTOL,
                              TopOptError, TraceRow)
@@ -238,6 +239,23 @@ def cholesky_factor_oracle(mesh, free, weights):
         root = np.linalg.inv(np.linalg.cholesky(A))
         inverses.append((root.T @ root).astype(np.float32))
     return blocks, inverses, couplings
+
+
+def dense_level_blocks(mesh, levels, weights):
+    """(A_k, B_k) per level of laplacian.level_couplings, with each
+    coupling B_k (n_(k-1), n_k) densified from its nonzero entries;
+    B_0 is None."""
+    count = np.bincount(levels[levels >= 0])
+    blocks = []
+    for k, (A, coupling) in enumerate(level_couplings(mesh, levels,
+                                                      weights)):
+        B = None
+        if k:
+            rows, cols, values = coupling
+            B = np.zeros((count[k - 1], count[k]))
+            B[rows, cols] = values
+        blocks.append((A, B))
+    return blocks
 
 
 def vertex_levels_oracle(mesh, factored):
@@ -605,3 +623,132 @@ def _two_boxes_mesh():
 
 
 TWO_BOXES_MESH = _two_boxes_mesh()
+
+
+def _dot_last(a, b):
+    return ((a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
+            + a[..., 2] * b[..., 2])
+
+
+def centroid_flips(mesh, labels, positions):
+    """The cut interior faces of a labeling and whether each sorted triple
+    must be flipped to point into phase 1, by the centroid rule: its
+    normal points away from the centroid of its phase-1 tet minus that
+    of its phase-0 tet."""
+    face_labels = labels[mesh.interior_face_tets]
+    cut = np.flatnonzero(face_labels[:, 0] != face_labels[:, 1])
+    pairs = mesh.interior_face_tets[cut]
+    swap = labels[pairs[:, 0]] == 1
+    pairs[swap] = pairs[swap, ::-1]
+    normals = _areas_normals_oracle(positions, mesh.interior_faces[cut])[1]
+    # four times the centroids, summed in np.mean's order
+    x = np.take(positions, mesh.tets[pairs], axis=0)
+    centroids = ((x[:, :, 0] + x[:, :, 1]) + x[:, :, 2]) + x[:, :, 3]
+    toward1 = centroids[:, 1] - centroids[:, 0]
+    return cut, np.sum(normals * toward1, axis=1) < 0
+
+
+def _areas_normals_oracle(vertices, faces):
+    """Triangle areas and unit normals from np.cross and np.linalg.norm."""
+    v = vertices[faces]
+    cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    if np.any(areas <= 0):
+        raise InterfaceError("degenerate interface triangle")
+    return areas, cross / (2.0 * areas[:, None])
+
+
+def _curvature_oracle(vertices, faces, areas, normals,
+                      domain_boundary_edges):
+    """A varifold's fields from the curvature pass as it was before it
+    shared its corner crosses with the areas and normals: coordinates
+    last, np.cross, and np.unique edge counts."""
+    nv = len(vertices)
+    p = vertices[faces.T]                   # (corner, face, xyz)
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    e1, e2 = p[nxt] - p, p[prv] - p
+    cross = np.cross(e1, e2)
+    angles = np.arctan2(np.sqrt(_dot_last(cross, cross)), _dot_last(e1, e2))
+    cot = 1.0 / np.tan(angles)
+    corners = faces.T.ravel()
+    obtuse = angles > 0.5 * np.pi
+    voronoi = (_dot_last(e2, e2) * cot[nxt]
+               + _dot_last(e1, e1) * cot[prv]) / 8.0
+    share = np.where(obtuse.any(axis=0),
+                     np.where(obtuse, areas / 2.0, areas / 4.0), voronoi)
+    mixed = np.bincount(corners, share.ravel(), minlength=nv)
+    if np.any(mixed <= 0):
+        raise InterfaceError("zero mixed area (degenerate triangle fan)")
+    ends = np.stack([faces.T[nxt], faces.T[prv]], axis=1)
+    terms = cot[:, None, :, None] * np.stack([p[nxt] - p[prv],
+                                              p[prv] - p[nxt]], axis=1)
+    lap = np.bincount((3 * ends[..., None] + np.arange(3)).ravel(),
+                      terms.ravel(), minlength=3 * nv).reshape(nv, 3)
+    H = lap / (4.0 * mixed[:, None])
+    K = (2.0 * np.pi - np.bincount(corners, angles.ravel(), minlength=nv)
+         ) / mixed
+    keys, counts = np.unique(edge_keys(faces, nv), return_counts=True)
+    single = counts == 1
+    interior = np.ones(nv, bool)
+    interior[keys[single] // nv] = False
+    interior[keys[single] % nv] = False
+    ii2 = 4.0 * _dot_last(H, H) - 2.0 * K
+    a_norm = np.sqrt(2.0 * np.maximum(ii2, 0.0))
+    a_norm[~interior] = 0.0
+    H[~interior] = 0.0
+    K[~interior] = 0.0
+    return SimpleNamespace(
+        vertices=vertices, faces=faces, areas=areas, normals=normals,
+        domain_boundary_edges=domain_boundary_edges, mean_curvature=H,
+        gauss_curvature=K, a_norm=a_norm, mixed_area=mixed,
+        interior_vertex=interior, open_edges=keys[single],
+        dangling_edges=keys[single & ~np.isin(keys, domain_boundary_edges)],
+        clip_count=int(np.count_nonzero(interior & (ii2 < 0))))
+
+
+def triangles_oracle(vertices, faces):
+    """varifold.varifold_from_triangles as it was before the areas and
+    normals came from the curvature pass's crosses."""
+    vertices, faces = np.asarray(vertices, float), np.asarray(faces, int)
+    return _curvature_oracle(vertices, faces,
+                             *_areas_normals_oracle(vertices, faces),
+                             np.zeros(0, int))
+
+
+def extraction_oracle(mesh, labels, positions):
+    """varifold.extract_interface as it was before orientation came from
+    the mesh: cut faces and edge counts by np.unique, areas and normals
+    of the sorted triples, each triangle then flipped by the centroid
+    rule (`centroid_flips`), and the curvature of the flipped faces."""
+    nv = mesh.n_vertices
+    positions = np.asarray(positions, float)
+    face_labels = labels[mesh.interior_face_tets]
+    tris = mesh.interior_faces[face_labels[:, 0] != face_labels[:, 1]]
+    keys, counts = np.unique(edge_keys(tris, nv), return_counts=True)
+    if np.any(counts > 2):
+        raise InterfaceError("non-manifold interface edges")
+    flip = centroid_flips(mesh, labels, positions)[1]
+    used = np.unique(tris)
+    remap = np.full(nv, -1)
+    remap[used] = np.arange(len(used))
+    faces, vertices = remap[tris], positions[used]
+    areas, normals = _areas_normals_oracle(vertices, faces)
+    faces[flip, 1], faces[flip, 2] = faces[flip, 2].copy(), \
+        faces[flip, 1].copy()
+    normals[flip] *= -1.0
+    local = remap[keys // nv] * len(used) + remap[keys % nv]
+    return _curvature_oracle(vertices, faces, areas, normals,
+                             local[np.isin(keys, mesh.boundary_edge_keys)])
+
+
+def assert_varifold_equals_oracle(V, oracle):
+    """Every field of an InterfaceVarifold equal to the oracle's, bit for
+    bit up to the sign of zero, with equal shapes and dtypes."""
+    for name in ("vertices", "faces", "areas", "normals",
+                 "domain_boundary_edges", "mean_curvature",
+                 "gauss_curvature", "a_norm", "mixed_area",
+                 "interior_vertex", "open_edges", "dangling_edges"):
+        got, want = getattr(V, name), getattr(oracle, name)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert V.clip_count == oracle.clip_count

@@ -251,6 +251,30 @@ def test_bad_scenario_section_exit_2(tmp_path, capsys, section, spec, needle):
     assert needle in err["message"]
 
 
+@pytest.mark.parametrize("doc, out, needle", [
+    ({"modle": {"r": 2}}, "o", "scenario: unknown key 'modle'"),
+    ({"output": 5}, None, "output: expected a non-empty path, got 5"),
+    ({"output": ""}, None, "output: expected a non-empty path, got ''"),
+    ({}, "file", "cannot create the output directory"),
+])
+def test_bad_scenario_key_or_output_exit_2(tmp_path, capsys, doc, out,
+                                           needle):
+    """An unknown top-level key, and an output directory that is not a
+    path or cannot be created, exit 2 with a message naming the key or
+    the path."""
+    (tmp_path / "file").write_text("a file, not a directory")
+    scenario = write_scenario(tmp_path, "bad.json", {
+        "mesh": {"type": "box", "nx": 1, "ny": 1, "nz": 1}, **doc})
+    flags = ["--out", str(tmp_path / out)] if out else []
+    code = main(["validate", "--scenario", scenario, *flags])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert needle in message
+    if out == "file":
+        assert message.startswith(str(tmp_path / "file") + ":")
+    assert not (tmp_path / "o").exists()
+
+
 def test_mass_residual_uses_annealing_eta(tmp_path):
     scenario = json.loads(Path(topopt_scenario(tmp_path)).read_text())
     scenario["model"]["eta"] = 0.3      # the annealer targets topopt.eta

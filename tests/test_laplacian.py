@@ -5,12 +5,12 @@ import pytest
 import sharptop as st
 from sharptop.energy import identity_stiffness
 from sharptop.laplacian import (BASE, REGULARISATION, LaplacianFactor,
-                                _flat, level_blocks, spd_inverse,
-                                vertex_levels)
+                                _flat, spd_inverse, vertex_levels)
 from sharptop.surfaces import wedge_fold
 
 from conftest import (clamp_bottom_pull_top, cholesky_factor_oracle,
-                      jittered_box_mesh, l_shape_mesh, vertex_levels_oracle)
+                      dense_level_blocks, jittered_box_mesh, l_shape_mesh,
+                      vertex_levels_oracle)
 
 
 def dense_laplacian(mesh, weights):
@@ -36,7 +36,7 @@ def check_blocks(mesh, weights):
     L = dense_laplacian(mesh, weights)
     scale = np.abs(L).max()
     members = [np.flatnonzero(levels == k) for k in range(levels.max() + 1)]
-    for k, (A, B) in enumerate(level_blocks(mesh, levels, weights)):
+    for k, (A, B) in enumerate(dense_level_blocks(mesh, levels, weights)):
         np.testing.assert_allclose(A, L[np.ix_(members[k], members[k])],
                                    rtol=0, atol=1e-13 * scale)
         if k:
@@ -169,8 +169,8 @@ def test_factor_matches_cholesky_oracle(make):
     used = np.zeros(mesh.n_vertices, bool)
     used[mesh.tets] = True
     levels, _ = vertex_levels(mesh, free & used)
-    for (A, B), (A0, B0) in zip(level_blocks(mesh, levels, weights), blocks,
-                                strict=True):
+    for (A, B), (A0, B0) in zip(dense_level_blocks(mesh, levels, weights),
+                                blocks, strict=True):
         assert np.array_equal(A, A0)
         assert (B is None) == (B0 is None)
         assert B is None or np.array_equal(B, B0)

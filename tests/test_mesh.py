@@ -1,15 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
 import sharptop as st
-from sharptop.mesh import (FREE, MeshError, ReferenceMesh, component_count,
-                           face_topology, plane_tagging)
+from sharptop.mesh import (_TET_FACES, FREE, MeshError, ReferenceMesh,
+                           component_count, face_topology, plane_tagging)
 from sharptop.surfaces import wedge_fold
 
 from conftest import (NONMANIFOLD_MESH, TWO_BOXES_MESH, ZERO_VOLUME_MESH,
                       brute_force_component_count, brute_force_face_adjacency,
-                      jittered_box_mesh)
+                      jittered_box_mesh, l_shape_mesh)
 
 
 def brute_force_boundary_count(mesh):
@@ -283,8 +285,8 @@ def test_derived_arrays_are_read_only():
 
 
 LAZY_MAPS = ("interior_edge_keys", "interior_face_edges",
-             "interior_edge_on_boundary", "tet_interior_faces",
-             "vertex_tet_start", "vertex_tets")
+             "interior_edge_on_boundary", "interior_face_outward",
+             "tet_interior_faces", "vertex_tet_start", "vertex_tets")
 
 
 @pytest.mark.parametrize("tagging", [None, lambda c: (
@@ -315,3 +317,38 @@ def test_edge_and_adjacency_maps_are_built_on_first_use(tagging):
                                mesh.vertex_tet_start[v + 1]]
         assert run.tolist() == np.flatnonzero((mesh.tets == v).any(axis=1)
                                               ).tolist()
+
+
+def even_corner_shuffle(mesh, seed):
+    """The mesh with each tet's corners in a random even permutation,
+    which keeps every tet's orientation."""
+    rng = np.random.default_rng(seed)
+    even = [p for p in itertools.permutations(range(4))
+            if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
+    order = np.array(even)[rng.integers(len(even), size=mesh.n_tets)]
+    return ReferenceMesh(vertices=mesh.vertices,
+                         tets=np.take_along_axis(mesh.tets, order, axis=1),
+                         boundary_faces=mesh.boundary_faces,
+                         boundary_tags=mesh.boundary_tags)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: st.build_box_mesh(3, 2, 2),
+    lambda: jittered_box_mesh((2, 3, 2), np.random.default_rng(3), 0.2),
+    l_shape_mesh,
+    lambda: wedge_fold()[0],
+    lambda: even_corner_shuffle(st.build_box_mesh(2, 3, 2), 4),
+], ids=["box", "jittered", "l-shape", "wedge", "shuffled"])
+def test_interior_face_outward_matches_local_faces(make):
+    """A sorted interior face points out of its first tet exactly when it
+    is a rotation of that tet's local face on the same corners, as
+    _TET_FACES orders them."""
+    mesh = make()
+    for face, tet, outward in zip(mesh.interior_faces.tolist(),
+                                  mesh.interior_face_tets[:, 0].tolist(),
+                                  mesh.interior_face_outward.tolist()):
+        corners = mesh.tets[tet].tolist()
+        local = next([corners[i] for i in f] for f in _TET_FACES
+                     if sorted(corners[i] for i in f) == face)
+        rotations = [local[k:] + local[:k] for k in range(3)]
+        assert (face in rotations) == outward

@@ -8,15 +8,18 @@ import pytest
 import sharptop as st
 from sharptop.mesh import edge_keys
 from sharptop.surfaces import (cylinder_patch, cylinder_varifold, flat_patch,
-                               flat_varifold, halfspace_labels, slab_labels,
-                               sphere_varifold)
+                               flat_varifold, halfspace_labels, icosphere,
+                               slab_labels, sphere_varifold)
 from sharptop.varifold import (InterfaceError, InterfaceTopology,
                                InterfaceVarifold, curvature_integral,
                                discrete_curvature_inplace, random_bump_fields,
                                varifold_from_triangles)
 
-from conftest import (brute_force_curvature_sums, brute_force_face_adjacency,
-                      jittered_box_mesh, l_shape_mesh, perturbed_slab_labels)
+from conftest import (assert_varifold_equals_oracle,
+                      brute_force_curvature_sums, brute_force_face_adjacency,
+                      centroid_flips, clamp_bottom_pull_top,
+                      extraction_oracle, jittered_box_mesh, l_shape_mesh,
+                      perturbed_slab_labels, triangles_oracle)
 
 CURVATURE_FIELDS = ("mean_curvature", "gauss_curvature", "a_norm",
                     "mixed_area", "interior_vertex")
@@ -169,6 +172,122 @@ def test_topology_check_rejects_exactly_when_extraction_raises():
 
     check()
     assert True in outcomes and False in outcomes
+
+
+@pytest.fixture(scope="module")
+def interface_meshes():
+    """Named (mesh, positions) samplers for the extraction properties:
+    each takes a random generator and gives a mesh and vertex positions
+    with det F > 0.  "solved" states are equilibria under traction and
+    body load of a clamped, pulled box and of the L shape (clamped at
+    x = 0), each with its slab labels."""
+    model = st.EnergyModel(f=[0.0, 0.5, -1.0], g=[0.0, 0.3, 1.0])
+    solved = []
+    for mesh in (st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top),
+                 l_shape_mesh()):
+        state, report = st.minimize_equilibrium(
+            mesh, st.identity_state(mesh), slab_labels(mesh, 0.5, 2), model,
+            st.SolveOptions(gradient_tolerance=1e-5))
+        assert report.converged and report.min_det > 1e-6
+        assert np.abs(state.positions - mesh.vertices).max() > 0.05
+        solved.append((mesh, state.positions))
+    wedge = st.surfaces.wedge_fold()[0]
+    l_shape = l_shape_mesh()
+
+    def jittered(rng):
+        mesh = jittered_box_mesh(tuple(rng.integers(2, 5, 3)), rng, 0.2)
+        return mesh, mesh.vertices
+
+    return {"jittered": jittered,
+            "l-shape": lambda rng: (l_shape, l_shape.vertices),
+            "wedge": lambda rng: (wedge, wedge.vertices),
+            "solved": lambda rng: solved[rng.integers(len(solved))]}
+
+
+def test_interface_orientation_is_topological(interface_meshes):
+    """The flips that `InterfaceTopology.triangles` reads from the mesh's
+    orientation equal the centroid rule at the reference and at
+    equilibrium states (det F > 0), and the extracted surface is
+    consistently oriented: no directed edge occurs twice, so an edge of
+    two triangles is traversed once in each direction."""
+    seen = set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=hs.sampled_from(sorted(interface_meshes)),
+           axis=hs.integers(0, 2), seed=hs.integers(0, 2**16),
+           flips=hs.integers(0, 3))
+    def check(kind, axis, seed, flips):
+        rng = np.random.default_rng(seed)
+        mesh, positions = interface_meshes[kind](rng)
+        phases = perturbed_slab_labels(mesh, axis, seed, flips)
+        topology = InterfaceTopology(mesh, phases)
+        if topology.nonmanifold_edges:
+            return
+        tris, flip, _, _ = topology.triangles()
+        cut, want = centroid_flips(mesh, phases.labels, positions)
+        assert np.array_equal(tris, mesh.interior_faces[cut])
+        assert np.array_equal(flip, want)
+        V = st.extract_interface(mesh, None, phases, positions=positions,
+                                 topology=topology)
+        directed = (V.faces * len(V.vertices)
+                    + np.roll(V.faces, -1, axis=1)).ravel()
+        assert np.unique(directed).size == directed.size
+        seen.add((kind, bool(flip.any() and not flip.all())))
+
+    check()
+    assert {kind for kind, mixed in seen if mixed} == set(interface_meshes)
+
+
+def test_extraction_equals_oracle(interface_meshes):
+    """Every field of every extracted varifold equals the extraction that
+    oriented by tet centroids and took areas and normals from crosses of
+    their own, or both raise: box, jittered, L-shape, wedge and solved
+    states, at their positions and jittered off them."""
+    def box(rng):
+        mesh = st.build_box_mesh(*rng.integers(2, 5, 3))
+        return mesh, mesh.vertices
+
+    meshes = dict(interface_meshes, box=box)
+    outcomes = set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=hs.sampled_from(sorted(meshes)), axis=hs.integers(0, 2),
+           seed=hs.integers(0, 2**16), flips=hs.integers(0, 4),
+           jitter=hs.sampled_from([0.0, 0.02]))
+    def check(kind, axis, seed, flips, jitter):
+        rng = np.random.default_rng(seed)
+        mesh, positions = meshes[kind](rng)
+        positions = positions + jitter * rng.standard_normal(positions.shape)
+        phases = perturbed_slab_labels(mesh, axis, seed, flips)
+        try:
+            want = extraction_oracle(mesh, phases.labels, positions)
+        except InterfaceError as exc:
+            with pytest.raises(InterfaceError, match=str(exc)[:12]):
+                st.extract_interface(mesh, None, phases, positions=positions)
+            outcomes.add("raised")
+            return
+        got = st.extract_interface(mesh, None, phases, positions=positions)
+        assert_varifold_equals_oracle(got, want)
+        outcomes.add(kind)
+
+    check()
+    assert outcomes == set(meshes) | {"raised"}
+
+
+def test_analytic_and_empty_varifolds_equal_oracle(small_mesh,
+                                                   uniform_phase1):
+    """Spheres, cylinders, a flat patch and the empty interface: every
+    field as the areas and normals of crosses of their own gave it."""
+    for verts, faces in ([icosphere(level, 0.7) for level in range(4)]
+                         + [cylinder_patch(0.5, 16, 8),
+                            cylinder_patch(1.0, 5, 3), flat_patch(6, 4)]):
+        assert_varifold_equals_oracle(varifold_from_triangles(verts, faces),
+                                      triangles_oracle(verts, faces))
+    empty = uniform_phase1(small_mesh)
+    assert_varifold_equals_oracle(
+        st.extract_interface(small_mesh, None, empty,
+                             positions=small_mesh.vertices),
+        extraction_oracle(small_mesh, empty.labels, small_mesh.vertices))
 
 
 def test_phase_labels_must_be_binary():
@@ -432,7 +551,6 @@ def test_patches_equal_quad_loops(n_theta, n_z):
 
 def test_clip_count_reported():
     # a noisy sphere produces vertices where 4|H|^2 - 2K < 0
-    from sharptop.surfaces import icosphere
     verts, faces = icosphere(2, radius=1.0)
     rng = np.random.default_rng(0)
     verts = verts + 0.02 * rng.standard_normal(verts.shape)
