@@ -1,7 +1,8 @@
 """Tetrahedral reference meshes with tagged boundary faces.
 
-Meshes are immutable after construction.  The on-disk format is a
-line-oriented ASCII format::
+Constructing a `ReferenceMesh` is the one gate for mesh input: it checks
+the arrays and orients the tets, and the mesh is immutable after it.
+The on-disk format is a line-oriented ASCII format::
 
     tetmesh v1
     # comment
@@ -66,6 +67,13 @@ def _read_only(value):
     return value
 
 
+def _raise_if_any(bad, what):
+    """Raise MeshError naming the first entries where `bad` holds."""
+    bad = np.flatnonzero(bad)
+    if bad.size:
+        raise MeshError(f"{what} {bad[:5].tolist()} ({bad.size} total)")
+
+
 def _edge_cofactors(vertices, tets):
     """Cof M, component first (3, 3, nt), and det M of each tet's edge
     matrix M with the rows x_k - x_0.  M = DX^T, so det M is six times
@@ -79,7 +87,11 @@ def _edge_cofactors(vertices, tets):
 class ReferenceMesh:
     """Tet mesh plus every array that depends only on the reference.
 
-    The derived fields are built once, at construction, and are read-only.
+    Construction raises MeshError, naming the first offending entries,
+    on malformed input (checked before any gather: the shapes, finite
+    vertices, indices in [0, nv), tags in TAGS) and on zero-volume tets,
+    and swaps corners 0 and 1 of each negative tet, so every tet is
+    positive.  The derived fields are built once, then, and are read-only.
     Face triples are sorted vertex ids; edge keys are lo * nv + hi.  The
     edge and adjacency maps below the fields are built on first use,
     so a mesh that never needs them does not pay for them.
@@ -105,8 +117,6 @@ class ReferenceMesh:
     # edge, as rows (u, v, a, b) with (u, v) the shared edge
     boundary_vertex_pairs: np.ndarray = field(init=False, repr=False)
     boundary_edge_pairs: np.ndarray = field(init=False, repr=False)
-    # face-connected components of the tets
-    n_components: int = field(init=False)
     # a third of each NEUMANN face's reference area, summed at its corners
     # face by face: the traction load on vertex v is traction_weights[v] g
     traction_weights: np.ndarray = field(init=False, repr=False)  # (nv,)
@@ -122,22 +132,36 @@ class ReferenceMesh:
             object.__setattr__(self, name, _read_only(value))
 
         put("vertices", np.asarray(self.vertices, float))
-        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
-        if bad.size:
-            raise MeshError(f"non-finite vertices {bad[:5].tolist()} "
-                            f"({bad.size} total)")
         put("tets", np.asarray(self.tets, int))
-        put("boundary_faces",
-            np.asarray(self.boundary_faces, int).reshape(-1, 3))
-        put("boundary_tags",
-            np.asarray(self.boundary_tags, object).reshape(-1))
-        nv = self.n_vertices
-        cof, det = _edge_cofactors(self.vertices, self.tets)
+        put("boundary_faces", np.asarray(self.boundary_faces, int))
+        put("boundary_tags", np.asarray(self.boundary_tags, object))
+        x, tets = self.vertices, self.tets
+        faces, tags, nv = self.boundary_faces, self.boundary_tags, len(x)
+        for name, a, ok, want in (   # shape[1:] == (k,) iff a is (n, k)
+                ("vertices", x, x.shape[1:] == (3,), "(nv, 3)"),
+                ("tets", tets, tets.shape[1:] == (4,) and len(tets),
+                 "(nt, 4), nt >= 1"),
+                ("boundary faces", faces, faces.shape[1:] == (3,), "(nb, 3)"),
+                ("boundary tags", tags, tags.shape == faces.shape[:1],
+                 f"({len(faces)},), one per boundary face")):
+            if not ok:
+                raise MeshError(f"{name}: expected shape {want}, got {a.shape}")
+        _raise_if_any(~np.isfinite(x).all(axis=1), "non-finite vertices")
+        for name, ids in (("tets", tets), ("boundary faces", faces)):
+            _raise_if_any(((ids < 0) | (ids >= nv)).any(axis=1),
+                          f"{name} with vertex indices outside [0, {nv})")
+        unknown = ~((tags == DIRICHLET) | (tags == NEUMANN) | (tags == FREE))
+        names = sorted(set(map(str, tags[unknown])))
+        _raise_if_any(unknown, f"unknown tags {names} on boundary faces")
+        cof, det = _edge_cofactors(x, tets)
+        _raise_if_any(np.abs(det) / 6.0 < 1e-300, "zero-volume tets")
+        flip = np.flatnonzero(det < 0)
+        if flip.size:   # swap corners 0 and 1, and recompute those tets
+            tets = tets.copy()
+            tets[flip, :2] = tets[flip, 1::-1]
+            put("tets", tets)
+            cof[:, :, flip], det[flip] = _edge_cofactors(x, tets[flip])
         put("volumes", det / 6.0)
-        degenerate = np.flatnonzero(np.abs(self.volumes) < 1e-300)
-        if degenerate.size:
-            raise MeshError(f"zero-volume tets {degenerate[:5].tolist()} "
-                            f"({degenerate.size} total)")
         put("ref_inv_cf", np.divide(cof, det, out=cof))
         put("ref_inv", self.ref_inv_cf.transpose(2, 0, 1))
         for name, value in zip(("interior_faces", "interior_face_tets",
@@ -151,8 +175,6 @@ class ReferenceMesh:
                                 "boundary_edge_pairs"),
                                boundary_pairs(self.topological_boundary_faces)):
             put(name, value)
-        object.__setattr__(self, "n_components", component_count(
-            self.n_tets, self.interior_face_tets))
         faces = self.boundary_faces[self.boundary_tags == NEUMANN]
         x = np.take(self.vertices.T, faces.T, axis=1)   # (axis, corner, face)
         cross = _cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
@@ -355,52 +377,28 @@ class ValidationReport:
 
 
 def validate_mesh(mesh):
-    """Check all mesh invariants; never raises, returns a report."""
+    """Check what construction does not: duplicate tets, faces of more
+    than two tets, face connectivity, and the tags against the faces of
+    one tet.  Never raises; returns a report."""
     failures = []
-    nv = mesh.n_vertices
-    if mesh.tets.size and (mesh.tets.min() < 0 or mesh.tets.max() >= nv):
-        bad = np.where((mesh.tets < 0) | (mesh.tets >= nv))[0]
-        failures.append(("index out of range", sorted(set(bad.tolist()))))
-    if mesh.boundary_faces.size and (mesh.boundary_faces.min() < 0
-                                     or mesh.boundary_faces.max() >= nv):
-        failures.append(("boundary face index out of range", None))
-    if not failures:
-        neg = np.where(mesh.volumes <= 0)[0]
-        if neg.size:
-            failures.append(("negative volume", neg.tolist()))
-        keys = np.sort(mesh.tets, axis=1)
-        order = np.lexsort(keys.T[::-1])
-        same = np.all(keys[order[1:]] == keys[order[:-1]], axis=1)
-        for pair in sorted(zip(order[:-1][same].tolist(),
-                               order[1:][same].tolist()), key=lambda p: p[1]):
-            failures.append(("duplicate tet", pair))
-        for f in mesh.nonmanifold_faces.tolist():
-            failures.append(("face shared by more than two tets", tuple(f)))
-        if mesh.n_components > 1:
-            failures.append(("face-connected components", mesh.n_components))
-        comb = set(map(tuple, mesh.topological_boundary_faces.tolist()))
-        tagged = set(map(tuple, np.sort(mesh.boundary_faces, axis=1).tolist()))
-        for f in sorted(tagged - comb):
-            failures.append(("tag on non-boundary face", f))
-        for f in sorted(comb - tagged):
-            failures.append(("untagged boundary face", f))
-        for tag in set(mesh.boundary_tags.tolist()) - set(TAGS):
-            failures.append(("unknown tag", tag))
+    keys = np.sort(mesh.tets, axis=1)
+    order = np.lexsort(keys.T[::-1])
+    same = np.all(keys[order[1:]] == keys[order[:-1]], axis=1)
+    for pair in sorted(zip(order[:-1][same].tolist(),
+                           order[1:][same].tolist()), key=lambda p: p[1]):
+        failures.append(("duplicate tet", pair))
+    for f in mesh.nonmanifold_faces.tolist():
+        failures.append(("face shared by more than two tets", tuple(f)))
+    components = component_count(mesh.n_tets, mesh.interior_face_tets)
+    if components > 1:
+        failures.append(("face-connected components", components))
+    comb = set(map(tuple, mesh.topological_boundary_faces.tolist()))
+    tagged = set(map(tuple, np.sort(mesh.boundary_faces, axis=1).tolist()))
+    for f in sorted(tagged - comb):
+        failures.append(("tag on non-boundary face", f))
+    for f in sorted(comb - tagged):
+        failures.append(("untagged boundary face", f))
     return ValidationReport(passed=not failures, failures=failures)
-
-
-def orient_tets(vertices, tets):
-    """Swap two vertices of every negatively oriented tet.
-
-    Zero-volume tets and non-finite vertices are left for ReferenceMesh
-    to reject.
-    """
-    tets = np.array(tets, int)
-    with np.errstate(invalid="ignore"):
-        det = _edge_cofactors(np.asarray(vertices, float), tets)[1]
-    fixed = np.where(det < 0)[0]
-    tets[fixed, 0], tets[fixed, 1] = tets[fixed, 1].copy(), tets[fixed, 0].copy()
-    return tets
 
 
 # Kuhn split of the unit cube into 6 tets, conforming across cells.  Each
@@ -409,6 +407,9 @@ def orient_tets(vertices, tets):
 _CUBE_CORNERS = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
 _KUHN_TETS = np.cumsum([[0] + [(4, 2, 1)[axis] for axis in perm]
                         for perm in permutations(range(3))], axis=1)
+# the walks along the odd permutations (rows 1, 2, 5) are negatively
+# oriented; swapping their first two corners makes every tet positive
+_KUHN_TETS[[1, 2, 5], :2] = _KUHN_TETS[[1, 2, 5], 1::-1]
 
 
 def build_box_mesh(nx, ny, nz, extent=(1.0, 1.0, 1.0), tagging=None):
@@ -433,7 +434,7 @@ def build_box_mesh(nx, ny, nz, extent=(1.0, 1.0, 1.0), tagging=None):
     vid = np.arange(len(vertices)).reshape(nx + 1, ny + 1, nz + 1)
     corners = np.stack([vid[i:i + nx, j:j + ny, k:k + nz].ravel()
                         for i, j, k in _CUBE_CORNERS], axis=1)
-    tets = orient_tets(vertices, corners[:, _KUHN_TETS].reshape(-1, 4))
+    tets = corners[:, _KUHN_TETS].reshape(-1, 4)
     # a tet face is on the boundary iff its corners share a box side;
     # sorted triples in lexicographic order, as face_topology gives them
     ijk, side = np.indices(vid.shape).reshape(3, -1), 0
@@ -506,17 +507,12 @@ def load_mesh(path):
                 raise ValueError("unrecognized record")
         except ValueError as exc:
             raise MeshError(f"{path}:{ln}: parse error: {exc}") from exc
-    vertices = np.array(vertices, float).reshape(-1, 3)
-    tets = np.array(tets, int).reshape(-1, 4)
-    indices = [tets.ravel(), np.array(bfaces, int).ravel()]
-    for idx in indices:
-        if idx.size and (idx.min() < 0 or idx.max() >= len(vertices)):
-            raise MeshError(f"{path}: validation error: index out of range")
-    tets = orient_tets(vertices, tets)
     try:
-        mesh = ReferenceMesh(vertices=vertices, tets=tets,
-                             boundary_faces=np.array(bfaces, int),
-                             boundary_tags=np.array(btags, object))
+        mesh = ReferenceMesh(
+            vertices=np.array(vertices, float).reshape(-1, 3),
+            tets=np.array(tets, int).reshape(-1, 4),
+            boundary_faces=np.array(bfaces, int).reshape(-1, 3),
+            boundary_tags=np.array(btags, object))
     except MeshError as exc:
         raise MeshError(f"{path}: invalid mesh: {exc}") from exc
     report = validate_mesh(mesh)

@@ -72,6 +72,8 @@ class SolveReport:
     det_floor_backtracks: int       # line-search backtracks, by cause
     armijo_backtracks: int
     injectivity_backtracks: int
+    # the equilibrium gradient at the returned state, (nv, 3)
+    gradient: np.ndarray = field(repr=False)
     history: list = field(default_factory=list)  # (iter, obj, |g|, min_det, guards)
 
 
@@ -100,7 +102,8 @@ def _min_det(F_minors):
 def minimize_equilibrium(mesh, state0, phases, model, options=None):
     """Descent to an equilibrium deformation at fixed phase labeling.
 
-    Returns (state, SolveReport).  The returned state always satisfies
+    Returns (state, SolveReport); the report's `gradient` is the
+    equilibrium gradient at the returned state.  That state always satisfies
     min det F > 0 and preserves Dirichlet positions bit-exactly.  Its
     boundary surface was checked for self-intersection, unless no step
     was taken: when the last accepted step was not checked on its
@@ -134,7 +137,7 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
     log = []
     message = "iteration limit reached"
     converged = gnorm <= options.gradient_tolerance
-    passed = (state, obj, gnorm, min_det)  # the last state checked injective
+    passed = (state, obj, gnorm, min_det, grad)  # last checked injective
     checked = True
     it = 0
     factor = None   # H0 = (c L_w)^-1, built on the first iteration
@@ -195,12 +198,12 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
         converged = gnorm <= options.gradient_tolerance
         checked = check
         if checked:
-            passed = (state, obj, gnorm, min_det)
+            passed = (state, obj, gnorm, min_det, grad)
 
     if converged:
         message = "converged"
     if not checked and boundary_self_intersects(mesh, state.positions):
-        state, obj, gnorm, min_det = passed
+        state, obj, gnorm, min_det, grad = passed
         converged = False
         message = ("the boundary surface of the final state crosses "
                    "itself; returning the last state that did not")
@@ -209,7 +212,7 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
         min_det=min_det, guard_activations=det_floor + injectivity,
         guard_iterations=guard_iters, message=message,
         det_floor_backtracks=det_floor, armijo_backtracks=armijo,
-        injectivity_backtracks=injectivity, history=log)
+        injectivity_backtracks=injectivity, gradient=grad, history=log)
     return state, report
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .mesh import ReferenceMesh, face_topology, orient_tets
+from .mesh import ReferenceMesh, face_topology
 from .varifold import PhaseLabeling, varifold_from_triangles
 
 
@@ -105,7 +105,6 @@ def wedge_fold():
     axis0, axis1 = np.zeros_like(b), np.ones_like(b)
     tets = np.stack([axis0, b, b + 2, b + 3, axis0, b, b + 3, b + 1,
                      axis0, b + 1, b + 3, axis1], axis=1).reshape(-1, 4)
-    tets = orient_tets(domain, tets)
     bfaces = face_topology(tets, len(domain))[2]
     mesh = ReferenceMesh(vertices=domain, tets=tets, boundary_faces=bfaces,
                          boundary_tags=np.array(["FREE"] * len(bfaces),

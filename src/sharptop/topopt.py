@@ -17,9 +17,9 @@ swap leaves the positions alone.  When the updated norm is at most half
 the solver's gradient tolerance, the warm state is already converged,
 and it is returned as a solve that takes no step would return it,
 without the solve.  The half margin absorbs the rounding of the
-updates, so every decision is the one a full recompute would make; a
-full `equilibrium_gradient` clears the rounding at the start and after
-every accepted move whose solve returned a new state, cold restarts
+updates, so every decision is the one a full recompute would make; the
+solve's own gradient (`SolveReport.gradient`) clears the rounding at
+the start and after every accepted move that was solved, cold restarts
 included.  Still run over the whole interface: each extraction's
 areas, normals and curvature.  While the accepted-move count is a
 positive multiple of `COLD_SOLVE_EVERY`, every proposal is solved from
@@ -32,8 +32,7 @@ import numpy as np
 
 from .energy import Bulk, corner_forces, load_potential
 from .kinematics import deformation_minors, identity_state
-from .solve import (SolveOptions, _check_count, equilibrium_gradient,
-                    minimize_equilibrium)
+from .solve import SolveOptions, _check_count, minimize_equilibrium
 from .varifold import (InterfaceError, InterfaceTopology, PhaseLabeling,
                        boundary_defect, extract_interface, interface_energy,
                        varifold_mass)
@@ -183,13 +182,14 @@ class TopOptResult:
 
 
 def _evaluate(mesh, phases, model, config, warm_state, topology=None,
-              converged=False):
-    """A candidate's state, compliance, interface energy and mass.
+              gradient=None):
+    """A candidate's state, equilibrium gradient, compliance, interface
+    energy and mass.
 
-    `converged` says that `warm_state` already meets the gradient
-    tolerance for `phases`, so the solve, which would take no step, is
-    skipped."""
-    if not converged:
+    `gradient`, when given, is the equilibrium gradient at `warm_state`
+    for `phases` and meets the gradient tolerance, so the solve, which
+    would take no step, is skipped and `gradient` returned."""
+    if gradient is None:
         state, report = minimize_equilibrium(mesh, warm_state, phases, model,
                                              config.solve_options)
         if not report.converged:
@@ -199,14 +199,14 @@ def _evaluate(mesh, phases, model, config, warm_state, topology=None,
                                                  config.solve_options)
             if not report.converged:
                 raise TopOptError("inner equilibrium solve did not converge")
-        warm_state = state
+        warm_state, gradient = state, report.gradient
     V = _mode_interface(mesh, warm_state, phases, config.mode, topology)
     defect = boundary_defect(V)
     if defect:
         raise InterfaceError(f"interface has {defect} dangling edges")
     comp = compliance(mesh, warm_state, phases, model)
     eint = interface_energy(V, model)
-    return warm_state, comp, eint, varifold_mass(V)
+    return warm_state, gradient, comp, eint, varifold_mass(V)
 
 
 def optimize_topology(mesh, init_phases, model, config, state0=None,
@@ -221,9 +221,8 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
     state = state0 or identity_state(mesh)
     phases = init_phases
     topology = InterfaceTopology(mesh, phases)
-    state, comp, eint, mu = _evaluate(mesh, phases, model, config, state,
-                                      topology)
-    grad = equilibrium_gradient(mesh, state, phases, model)
+    state, grad, comp, eint, mu = _evaluate(mesh, phases, model, config,
+                                            state, topology)
     skip_below = 0.5 * config.solve_options.gradient_tolerance
     obj = comp + eint
     best = (state, phases, obj)
@@ -255,10 +254,10 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                     np.linalg.norm(cand_grad)) <= skip_below)
                 skipped += converged
                 try:
-                    cand_state, c_comp, c_eint, c_mu = _evaluate(
+                    cand_state, cand_grad, c_comp, c_eint, c_mu = _evaluate(
                         mesh, candidate, model, config,
                         identity_state(mesh) if cold else state, topology,
-                        converged)
+                        cand_grad if converged else None)
                 except InterfaceError:
                     cause = "interface"
                 except TopOptError:
@@ -275,9 +274,6 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
             delta = cand_obj - obj
             accept = delta < 0 or rng.random() < np.exp(-delta / temperature)
             if accept:
-                if cand_state is not state:
-                    cand_grad = equilibrium_gradient(mesh, cand_state,
-                                                     candidate, model)
                 state, phases, grad = cand_state, candidate, cand_grad
                 obj, comp, eint, mu = cand_obj, c_comp, c_eint, c_mu
                 accepted_total += 1

@@ -285,11 +285,12 @@ def test_mass_residual_uses_annealing_eta(tmp_path):
     assert abs(summary["mass_constraint_residual"]) < 1e-9
 
 
-def one_tet_mesh(apex):
-    """A one-tet mesh file whose fourth vertex is the line `v {apex}`."""
+def one_tet_mesh(apex="0 0 1", tet="t 0 1 2 3", tag="FREE"):
+    """A one-tet mesh file whose fourth vertex is the line `v {apex}`, its
+    tet the line `tet` and its last boundary face's tag `tag`."""
     return ("tetmesh v1\nv 0 0 0\nv 1 0 0\nv 0 1 0\n"
-            f"v {apex}\nt 0 1 2 3\n"
-            "bf 0 2 1 FREE\nbf 0 1 3 FREE\nbf 0 3 2 FREE\nbf 1 2 3 FREE\n")
+            f"v {apex}\n{tet}\n"
+            f"bf 0 2 1 FREE\nbf 0 1 3 FREE\nbf 0 3 2 FREE\nbf 1 2 3 {tag}\n")
 
 
 @pytest.mark.parametrize("text, needle", [
@@ -301,17 +302,28 @@ def one_tet_mesh(apex):
                  id="inf"),
     pytest.param(TWO_BOXES_MESH, "'face-connected components', 2",
                  id="two-boxes"),
+    pytest.param(one_tet_mesh(tet=""), "tets: expected shape (nt, 4)",
+                 id="no-tets"),
+    pytest.param(one_tet_mesh(tet="t 0 1 2 -1"),
+                 "tets with vertex indices outside [0, 4) [0]",
+                 id="negative-index"),
+    pytest.param(one_tet_mesh(tet="t 0 1 2 4"),
+                 "tets with vertex indices outside [0, 4) [0]", id="index-nv"),
+    pytest.param(one_tet_mesh(tag="ROLLER"),
+                 "unknown tags ['ROLLER'] on boundary faces [3]",
+                 id="unknown-tag"),
 ])
 def test_invalid_mesh_file_exit_2(tmp_path, capsys, text, needle):
     (tmp_path / "m.tet").write_text(text)
     scenario = write_scenario(tmp_path, "s.json", {
         "mesh": {"type": "file", "path": str(tmp_path / "m.tet")}})
-    code = main(["validate", "--scenario", scenario,
-                 "--out", str(tmp_path / "o")])
-    assert code == 2
-    message = json.loads(capsys.readouterr().err)["message"]
-    assert str(tmp_path / "m.tet") in message
-    assert needle in message
+    for command in ("validate", "equilibrium", "topopt"):
+        code = main([command, "--scenario", scenario,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert str(tmp_path / "m.tet") in message
+        assert needle in message
 
 
 @pytest.mark.parametrize("make", [

@@ -83,15 +83,81 @@ def test_validate_well_formed(small_mesh):
 
 
 def test_validate_inverted_tet(small_mesh):
+    """Construction orients a negative tet by swapping its corners 0 and
+    1, so the mesh equals the one built from the positive tet."""
     tets = np.array(small_mesh.tets)
-    tets[3, 0], tets[3, 1] = tets[3, 1], tets[3, 0]
+    tets[3, :2] = tets[3, 1::-1]
     mesh = ReferenceMesh(vertices=small_mesh.vertices, tets=tets,
                          boundary_faces=small_mesh.boundary_faces,
                          boundary_tags=small_mesh.boundary_tags)
-    report = st.validate_mesh(mesh)
-    assert not report.passed
-    failures = dict((name, ent) for name, ent in report.failures)
-    assert 3 in failures["negative volume"]
+    assert np.all(mesh.volumes > 0) and st.validate_mesh(mesh).passed
+    assert tets[3, 0] == small_mesh.tets[3, 1]    # the input is not changed
+    names = [name for name, value in vars(mesh).items()
+             if isinstance(value, np.ndarray)] + list(LAZY_MAPS)
+    for name in names:
+        want = getattr(small_mesh, name)
+        assert getattr(mesh, name).tobytes() == want.tobytes(), name
+
+
+def _with(index, value):
+    """A function giving a copy of its array with a[index] = value."""
+    def change(a):
+        a = np.array(a)
+        a[index] = value
+        return a
+    return change
+
+
+_BOX = st.build_box_mesh(2, 2, 2)
+_NV, _LAST = _BOX.n_vertices, _BOX.n_tets - 1
+
+
+@pytest.mark.parametrize("name, change, message", [
+    pytest.param("vertices", lambda v: v[:, :2],
+                 "vertices: expected shape (nv, 3), got (27, 2)",
+                 id="flat-vertices"),
+    pytest.param("tets", lambda t: t[:0],
+                 "tets: expected shape (nt, 4), nt >= 1, got (0, 4)",
+                 id="no-tets"),
+    pytest.param("tets", lambda t: t[:, :3],
+                 "tets: expected shape (nt, 4), nt >= 1, got (48, 3)",
+                 id="triangle-tets"),
+    pytest.param("tets", np.ravel,
+                 "tets: expected shape (nt, 4), nt >= 1, got (192,)",
+                 id="flat-tets"),
+    pytest.param("boundary_faces", lambda f: np.c_[f, f[:, :1]],
+                 "boundary faces: expected shape (nb, 3), got (48, 4)",
+                 id="quad-faces"),
+    pytest.param("boundary_tags", lambda t: t[:-1],
+                 "boundary tags: expected shape (48,), one per boundary "
+                 "face, got (47,)", id="short-tags"),
+    pytest.param("vertices", _with(7, np.nan),
+                 "non-finite vertices [7] (1 total)", id="nan-vertex"),
+    pytest.param("tets", _with((_LAST, 2), _BOX.tets[_LAST, 2] - _NV),
+                 f"tets with vertex indices outside [0, {_NV}) [{_LAST}] "
+                 "(1 total)", id="negative-index"),
+    pytest.param("tets", _with((4, 0), _NV),
+                 f"tets with vertex indices outside [0, {_NV}) [4] (1 total)",
+                 id="index-nv"),
+    pytest.param("boundary_faces", _with((5, 2), -1),
+                 f"boundary faces with vertex indices outside [0, {_NV}) [5] "
+                 "(1 total)", id="face-index"),
+    pytest.param("boundary_tags", _with([3, 23, 43], "SLIDING"),
+                 "unknown tags ['SLIDING'] on boundary faces [3, 23, 43] "
+                 "(3 total)", id="unknown-tag"),
+    pytest.param("tets", _with((9, 3), _BOX.tets[9, 2]),
+                 "zero-volume tets [9] (1 total)", id="flat-tet"),
+])
+def test_reference_mesh_rejects_bad_input(name, change, message):
+    """Each bad input raises MeshError at construction, naming the
+    offending entries; those before the zero-volume check are caught
+    before anything is gathered by index."""
+    fields = {field: getattr(_BOX, field) for field in
+              ("vertices", "tets", "boundary_faces", "boundary_tags")}
+    fields[name] = change(fields[name])
+    with pytest.raises(MeshError) as info:
+        ReferenceMesh(**fields)
+    assert str(info.value) == message
 
 
 def test_validate_tag_on_interior_face(small_mesh):
@@ -190,7 +256,8 @@ def test_load_rejects_out_of_range_index(tmp_path):
     path.write_text("tetmesh v1\n"
                     "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
                     "t 0 1 2 9\n")
-    with pytest.raises(MeshError, match="validation"):
+    with pytest.raises(MeshError, match=r"oob.tet: invalid mesh: tets with "
+                       r"vertex indices outside \[0, 4\) \[0\]"):
         st.load_mesh(path)
 
 
@@ -268,7 +335,8 @@ def test_load_rejects_disconnected_mesh(tmp_path):
     with pytest.raises(MeshError) as info:
         st.load_mesh(path)
     assert "'face-connected components', 2" in str(info.value)
-    assert st.build_box_mesh(2, 2, 2).n_components == 1
+    box = st.build_box_mesh(2, 2, 2)
+    assert component_count(box.n_tets, box.interior_face_tets) == 1
 
 
 def test_derived_arrays_are_read_only():

@@ -180,7 +180,9 @@ def interface_meshes():
     each takes a random generator and gives a mesh and vertex positions
     with det F > 0.  "solved" states are equilibria under traction and
     body load of a clamped, pulled box and of the L shape (clamped at
-    x = 0), each with its slab labels."""
+    x = 0), each with its slab labels.  "shuffled" meshes are jittered
+    boxes given to `ReferenceMesh` with each tet's corners in a random
+    order, odd or even, which construction orients."""
     model = st.EnergyModel(f=[0.0, 0.5, -1.0], g=[0.0, 0.3, 1.0])
     solved = []
     for mesh in (st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top),
@@ -198,7 +200,17 @@ def interface_meshes():
         mesh = jittered_box_mesh(tuple(rng.integers(2, 5, 3)), rng, 0.2)
         return mesh, mesh.vertices
 
-    return {"jittered": jittered,
+    def shuffled(rng):
+        box = jittered(rng)[0]
+        order = np.argsort(rng.random((box.n_tets, 4)), axis=1)
+        mesh = st.ReferenceMesh(
+            vertices=box.vertices,
+            tets=np.take_along_axis(box.tets, order, axis=1),
+            boundary_faces=box.boundary_faces,
+            boundary_tags=box.boundary_tags)
+        return mesh, mesh.vertices
+
+    return {"jittered": jittered, "shuffled": shuffled,
             "l-shape": lambda rng: (l_shape, l_shape.vertices),
             "wedge": lambda rng: (wedge, wedge.vertices),
             "solved": lambda rng: solved[rng.integers(len(solved))]}
