@@ -6,7 +6,7 @@ from .kinematics import DeformationState, boundary_self_intersects, \
     ciarlet_necas_residual, deformation_gradients, distortion, \
     identity_state, minors
 from .mesh import DIRICHLET, FREE, NEUMANN, ReferenceMesh, build_box_mesh, \
-    load_mesh, plane_tagging, save_mesh, validate_mesh
+    load_mesh, plane_tagging, save_mesh
 from .solve import SolveOptions, equilibrium_gradient, equilibrium_objective, \
     minimize_equilibrium
 from .topopt import EULERIAN, REFERENTIAL, TopOptConfig, compliance, \

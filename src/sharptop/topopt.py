@@ -34,8 +34,7 @@ from .energy import Bulk, corner_forces, load_potential
 from .kinematics import deformation_minors, identity_state
 from .solve import SolveOptions, _check_count, minimize_equilibrium
 from .varifold import (InterfaceError, InterfaceTopology, PhaseLabeling,
-                       boundary_defect, extract_interface, interface_energy,
-                       varifold_mass)
+                       extract_interface, interface_energy, varifold_mass)
 
 EULERIAN = "EULERIAN"
 REFERENTIAL = "REFERENTIAL"
@@ -192,18 +191,17 @@ def _evaluate(mesh, phases, model, config, warm_state, topology=None,
     if gradient is None:
         state, report = minimize_equilibrium(mesh, warm_state, phases, model,
                                              config.solve_options)
-        if not report.converged:
-            # one retry from a cold start before counting the move as failed
+        if not report.converged and not np.array_equal(warm_state.positions,
+                                                       mesh.vertices):
+            # one retry from a cold start, unless this solve was one: the
+            # solve is deterministic and would fail again
             state, report = minimize_equilibrium(mesh, identity_state(mesh),
                                                  phases, model,
                                                  config.solve_options)
-            if not report.converged:
-                raise TopOptError("inner equilibrium solve did not converge")
+        if not report.converged:
+            raise TopOptError("inner equilibrium solve did not converge")
         warm_state, gradient = state, report.gradient
     V = _mode_interface(mesh, warm_state, phases, config.mode, topology)
-    defect = boundary_defect(V)
-    if defect:
-        raise InterfaceError(f"interface has {defect} dangling edges")
     comp = compliance(mesh, warm_state, phases, model)
     eint = interface_energy(V, model)
     return warm_state, gradient, comp, eint, varifold_mass(V)

@@ -324,9 +324,9 @@ def total_energy(mesh, state, phases, model):
 def boundary_defect(V):
     """Count of single-incidence interface edges off the domain boundary.
 
-    Zero is required for admissibility (the interface current has no
-    boundary inside the deformed domain).  Reads the dangling edges that
-    discrete_curvature_inplace found.
+    Zero on a ReferenceMesh, whose tags cover the faces of one tet (the
+    interface current has no boundary inside the domain).  Reads the
+    dangling edges that discrete_curvature_inplace found.
     """
     return len(V.dangling_edges)
 

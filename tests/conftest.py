@@ -1,5 +1,6 @@
 import decimal
 from decimal import Decimal
+import itertools
 from types import SimpleNamespace
 
 from hypothesis import settings
@@ -437,6 +438,19 @@ def brute_force_component_count(n, pairs):
     return len({root(i) for i in range(n)})
 
 
+def even_corner_shuffle(mesh, seed):
+    """The mesh with each tet's corners in a random even permutation,
+    which keeps every tet's orientation."""
+    rng = np.random.default_rng(seed)
+    even = [p for p in itertools.permutations(range(4))
+            if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
+    order = np.array(even)[rng.integers(len(even), size=mesh.n_tets)]
+    return st.ReferenceMesh(vertices=mesh.vertices,
+                            tets=np.take_along_axis(mesh.tets, order, axis=1),
+                            boundary_faces=mesh.boundary_faces,
+                            boundary_tags=mesh.boundary_tags)
+
+
 def perturbed_slab_labels(mesh, axis, seed, flips):
     """Half-volume slab with `flips` random 1 <-> 0 tet exchanges.
 
@@ -608,21 +622,38 @@ ZERO_VOLUME_MESH = ("tetmesh v1\n"
                     "bf 1 2 3 FREE\n")
 
 
+def mesh_text(vertices, tets, faces, tags):
+    """Mesh file text of the given arrays, row by row."""
+    lines = ["tetmesh v1"]
+    lines += ["v %.17g %.17g %.17g" % tuple(v) for v in vertices]
+    lines += ["t %d %d %d %d" % tuple(t) for t in tets]
+    lines += ["bf %d %d %d %s" % (*f, tag) for f, tag in zip(faces, tags)]
+    return "\n".join(lines) + "\n"
+
+
 def _two_boxes_mesh():
     """Two unit boxes a unit apart along x, as mesh file text."""
     box = st.build_box_mesh(1, 1, 1)
     nv = box.n_vertices
-    lines = ["tetmesh v1"]
-    lines += ["v %.17g %.17g %.17g" % tuple(v) for v in
-              np.vstack([box.vertices, box.vertices + [2.0, 0.0, 0.0]])]
-    lines += ["t %d %d %d %d" % tuple(t) for t in
-              np.vstack([box.tets, box.tets + nv])]
-    lines += ["bf %d %d %d FREE" % tuple(f) for f in
-              np.vstack([box.boundary_faces, box.boundary_faces + nv])]
-    return "\n".join(lines) + "\n"
+    return mesh_text(np.vstack([box.vertices, box.vertices + [2.0, 0.0, 0.0]]),
+                     np.vstack([box.tets, box.tets + nv]),
+                     np.vstack([box.boundary_faces, box.boundary_faces + nv]),
+                     [FREE] * (2 * len(box.boundary_faces)))
+
+
+def _repeated_neumann_mesh():
+    """A 2x2x2 box clamped at z = 0 and pulled at z = 1, as mesh file
+    text whose first NEUMANN line is written twice."""
+    box = st.build_box_mesh(2, 2, 2, tagging=clamp_bottom_pull_top)
+    k = int(np.flatnonzero(box.boundary_tags == NEUMANN)[0])
+    return mesh_text(box.vertices, box.tets,
+                     np.insert(box.boundary_faces, k, box.boundary_faces[k],
+                               axis=0),
+                     np.insert(box.boundary_tags, k, NEUMANN))
 
 
 TWO_BOXES_MESH = _two_boxes_mesh()
+REPEATED_NEUMANN_MESH = _repeated_neumann_mesh()
 
 
 def _dot_last(a, b):

@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sharptop as st
 from sharptop.cli import main, sub_seed
 from sharptop.energy import stress_free_s
 
-from conftest import NONMANIFOLD_MESH, TWO_BOXES_MESH, ZERO_VOLUME_MESH
+from conftest import (NONMANIFOLD_MESH, REPEATED_NEUMANN_MESH, TWO_BOXES_MESH,
+                      ZERO_VOLUME_MESH, mesh_text)
 
 
 def write_scenario(tmp_path, name, doc):
@@ -42,7 +44,8 @@ def test_validate_command(tmp_path):
     code = main(["validate", "--scenario", scenario, "--out", str(out)])
     assert code == 0
     report = json.loads((out / "validate.json").read_text())
-    assert report["passed"] is True
+    assert set(report) == {"n_vertices", "n_tets", "total_volume"}
+    assert report["n_vertices"] == 27
     assert report["n_tets"] == 48
     assert report["total_volume"] == pytest.approx(1.0)
 
@@ -293,15 +296,35 @@ def one_tet_mesh(apex="0 0 1", tet="t 0 1 2 3", tag="FREE"):
             f"bf 0 2 1 FREE\nbf 0 1 3 FREE\nbf 0 3 2 FREE\nbf 1 2 3 {tag}\n")
 
 
+_CUBE = st.build_box_mesh(1, 1, 1)
+
+
 @pytest.mark.parametrize("text, needle", [
-    (NONMANIFOLD_MESH, "face shared by more than two tets"),
+    (NONMANIFOLD_MESH, "faces of more than two tets [[0, 1, 2]] (1 total)"),
     (ZERO_VOLUME_MESH, "zero-volume"),
     pytest.param(one_tet_mesh("nan 0 1"), "non-finite vertices [3]",
                  id="nan"),
     pytest.param(one_tet_mesh("0 -inf 1"), "non-finite vertices [3]",
                  id="inf"),
-    pytest.param(TWO_BOXES_MESH, "'face-connected components', 2",
+    pytest.param(TWO_BOXES_MESH, "2 face-connected components",
                  id="two-boxes"),
+    pytest.param(REPEATED_NEUMANN_MESH,
+                 "boundary faces tagged more than once [[2, 5, 14]] (1 total)",
+                 id="repeated-neumann"),
+    pytest.param(one_tet_mesh(tet="t 0 1 2 3\nt 1 0 2 3"),
+                 "duplicate tets [[0, 1]] (1 total)", id="duplicate-tet"),
+    pytest.param(one_tet_mesh(tet="t 0 1 2 3.0"), "m.tet:6: parse error",
+                 id="float-index"),
+    pytest.param(one_tet_mesh().rsplit("bf", 1)[0],
+                 "untagged boundary faces [[1, 2, 3]] (1 total)",
+                 id="untagged-face"),
+    pytest.param(mesh_text(_CUBE.vertices, _CUBE.tets,
+                           np.vstack([_CUBE.boundary_faces,
+                                      _CUBE.interior_faces[:1]]),
+                           ["FREE"] * 13),
+                 "tags on non-boundary faces "
+                 f"[{_CUBE.interior_faces[0].tolist()}] (1 total)",
+                 id="interior-tag"),
     pytest.param(one_tet_mesh(tet=""), "tets: expected shape (nt, 4)",
                  id="no-tets"),
     pytest.param(one_tet_mesh(tet="t 0 1 2 -1"),
@@ -314,6 +337,8 @@ def one_tet_mesh(apex="0 0 1", tet="t 0 1 2 3", tag="FREE"):
                  id="unknown-tag"),
 ])
 def test_invalid_mesh_file_exit_2(tmp_path, capsys, text, needle):
+    """Every command exits 2 on a bad mesh file, naming the file, and
+    writes no output."""
     (tmp_path / "m.tet").write_text(text)
     scenario = write_scenario(tmp_path, "s.json", {
         "mesh": {"type": "file", "path": str(tmp_path / "m.tet")}})
@@ -324,6 +349,7 @@ def test_invalid_mesh_file_exit_2(tmp_path, capsys, text, needle):
         message = json.loads(capsys.readouterr().err)["message"]
         assert str(tmp_path / "m.tet") in message
         assert needle in message
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 @pytest.mark.parametrize("make", [

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
@@ -11,7 +9,7 @@ from sharptop.surfaces import wedge_fold
 
 from conftest import (NONMANIFOLD_MESH, TWO_BOXES_MESH, ZERO_VOLUME_MESH,
                       brute_force_component_count, brute_force_face_adjacency,
-                      jittered_box_mesh, l_shape_mesh)
+                      even_corner_shuffle, jittered_box_mesh, l_shape_mesh)
 
 
 def brute_force_boundary_count(mesh):
@@ -78,8 +76,12 @@ def test_bad_counts_and_extents():
 
 
 def test_validate_well_formed(small_mesh):
-    report = st.validate_mesh(small_mesh)
-    assert report.passed and not report.failures
+    """A mesh that passed construction has no face of more than two tets
+    and its tags on the faces of one tet, each tagged once."""
+    assert len(face_topology(small_mesh.tets, small_mesh.n_vertices)[3]) == 0
+    tagged = np.sort(small_mesh.boundary_faces, axis=1)
+    assert np.array_equal(tagged[np.lexsort(tagged.T[::-1])],
+                          small_mesh.topological_boundary_faces)
 
 
 def test_validate_inverted_tet(small_mesh):
@@ -90,7 +92,7 @@ def test_validate_inverted_tet(small_mesh):
     mesh = ReferenceMesh(vertices=small_mesh.vertices, tets=tets,
                          boundary_faces=small_mesh.boundary_faces,
                          boundary_tags=small_mesh.boundary_tags)
-    assert np.all(mesh.volumes > 0) and st.validate_mesh(mesh).passed
+    assert np.all(mesh.volumes > 0)
     assert tets[3, 0] == small_mesh.tets[3, 1]    # the input is not changed
     names = [name for name, value in vars(mesh).items()
              if isinstance(value, np.ndarray)] + list(LAZY_MAPS)
@@ -145,6 +147,12 @@ _NV, _LAST = _BOX.n_vertices, _BOX.n_tets - 1
     pytest.param("boundary_tags", _with([3, 23, 43], "SLIDING"),
                  "unknown tags ['SLIDING'] on boundary faces [3, 23, 43] "
                  "(3 total)", id="unknown-tag"),
+    pytest.param("tets", lambda t: t + 0.7,
+                 "tets: expected integer vertex indices, got float64",
+                 id="float-tets"),
+    pytest.param("boundary_faces", lambda f: f.astype(np.float32),
+                 "boundary faces: expected integer vertex indices, got "
+                 "float32", id="float-faces"),
     pytest.param("tets", _with((9, 3), _BOX.tets[9, 2]),
                  "zero-volume tets [9] (1 total)", id="flat-tet"),
 ])
@@ -166,12 +174,62 @@ def test_validate_tag_on_interior_face(small_mesh):
                 if len(ts) == 2)
     bfaces = np.vstack([small_mesh.boundary_faces, np.array(face)])
     btags = np.append(small_mesh.boundary_tags, FREE)
-    mesh = ReferenceMesh(vertices=small_mesh.vertices, tets=small_mesh.tets,
-                         boundary_faces=bfaces, boundary_tags=btags)
-    report = st.validate_mesh(mesh)
-    assert not report.passed
-    assert any(name == "tag on non-boundary face" for name, _ in
-               report.failures)
+    with pytest.raises(MeshError) as info:
+        ReferenceMesh(vertices=small_mesh.vertices, tets=small_mesh.tets,
+                      boundary_faces=bfaces, boundary_tags=btags)
+    assert str(info.value) == (f"tags on non-boundary faces [{list(face)}] "
+                               "(1 total)")
+
+
+def _box_rows(rows):
+    """The 2x2x2 box with only its boundary faces and tags at `rows`."""
+    return dict(vertices=_BOX.vertices, tets=_BOX.tets,
+                boundary_faces=_BOX.boundary_faces[rows],
+                boundary_tags=_BOX.boundary_tags[rows])
+
+
+_FACE_5 = _BOX.boundary_faces[5].tolist()
+
+
+@pytest.mark.parametrize("fields, message", [
+    pytest.param(dict(
+        vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1],
+                  [0.2, 0.2, 0.5]],
+        tets=[[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]],
+        boundary_faces=[[0, 1, 2]] + [[a, b, apex] for apex in (3, 4, 5)
+                                      for a, b in ((0, 1), (0, 2), (1, 2))],
+        boundary_tags=[FREE] * 10),
+        "faces of more than two tets [[0, 1, 2]] (1 total)", id="three-tets"),
+    pytest.param(dict(vertices=np.eye(4, 3, -1), tets=[[0, 1, 2, 3]] * 2,
+                      boundary_faces=np.empty((0, 3), int), boundary_tags=[]),
+                 "duplicate tets [[0, 1]] (1 total)", id="duplicate-tet"),
+    pytest.param(_box_rows(np.r_[:5, 6:48]),
+                 f"untagged boundary faces [{_FACE_5}] (1 total)",
+                 id="untagged"),
+    pytest.param(_box_rows(np.r_[:48, 5]),
+                 f"boundary faces tagged more than once [{_FACE_5}] "
+                 "(1 total)", id="tagged-twice"),
+])
+def test_reference_mesh_rejects_bad_faces(fields, message):
+    """Construction rejects faces of more than two tets before duplicate
+    tets, and both before the tags: the fan tags its shared face, and
+    each face of the duplicated tet is shared by exactly the pair."""
+    with pytest.raises(MeshError) as info:
+        ReferenceMesh(**fields)
+    assert str(info.value) == message
+
+
+def test_reference_mesh_copies_its_inputs():
+    """The caller's arrays stay writable, and writing to them leaves the
+    mesh as it was."""
+    box = st.build_box_mesh(2, 2, 2)
+    fields = {name: np.array(getattr(box, name)) for name in
+              ("vertices", "tets", "boundary_faces", "boundary_tags")}
+    mesh = ReferenceMesh(**fields)
+    for name, value in fields.items():
+        assert value.flags.writeable, name
+        value[0] = value[1]
+        assert np.array_equal(getattr(mesh, name), getattr(box, name)), name
 
 
 def test_face_adjacency_involution(small_mesh):
@@ -189,7 +247,9 @@ def test_face_adjacency_involution(small_mesh):
 @given(dims=hs.tuples(*[hs.integers(1, 3)] * 3),
        seed=hs.integers(0, 2**32 - 1), duplicate=hs.booleans())
 def test_face_topology_matches_dict_oracle(dims, seed, duplicate):
-    """Face arrays equal a dict walk over permuted, relabelled box meshes."""
+    """Face arrays equal a dict walk over permuted, relabelled box meshes,
+    with or without a duplicated tet, and construction raises exactly
+    when a tet is duplicated."""
     box = st.build_box_mesh(*dims)
     rng = np.random.default_rng(seed)
     relabel = rng.permutation(box.n_vertices)
@@ -203,18 +263,29 @@ def test_face_topology_matches_dict_oracle(dims, seed, duplicate):
     if duplicate:
         tets = np.insert(tets, rng.integers(len(tets) + 1),
                          tets[rng.integers(len(tets))], axis=0)
-    mesh = ReferenceMesh(vertices=vertices, tets=relabel[tets],
-                         boundary_faces=relabel[box.boundary_faces],
-                         boundary_tags=box.boundary_tags)
-    adj = brute_force_face_adjacency(mesh.tets)
+    tets = relabel[tets]
+    adj = brute_force_face_adjacency(tets)
     interior = [(list(f), ts) for f, ts in adj.items() if len(ts) == 2]
-    assert mesh.interior_faces.tolist() == [f for f, _ in interior]
-    assert mesh.interior_face_tets.tolist() == [ts for _, ts in interior]
-    assert mesh.topological_boundary_faces.tolist() == sorted(
+    faces, pairs, boundary, shared = face_topology(tets, len(vertices))
+    assert faces.tolist() == [f for f, _ in interior]
+    assert pairs.tolist() == [ts for _, ts in interior]
+    assert boundary.tolist() == sorted(
         list(f) for f, ts in adj.items() if len(ts) == 1)
-    assert mesh.nonmanifold_faces.tolist() == sorted(
+    assert shared.tolist() == sorted(
         list(f) for f, ts in adj.items() if len(ts) > 2)
-    assert st.validate_mesh(mesh).passed is not duplicate
+    fields = dict(vertices=vertices, tets=tets,
+                  boundary_faces=relabel[box.boundary_faces],
+                  boundary_tags=box.boundary_tags)
+    if duplicate:
+        with pytest.raises(MeshError, match="^(faces of more than two tets"
+                           "|duplicate tets) "):
+            ReferenceMesh(**fields)
+    else:
+        mesh = ReferenceMesh(**fields)
+        for name, want in (("interior_faces", faces),
+                           ("interior_face_tets", pairs),
+                           ("topological_boundary_faces", boundary)):
+            assert np.array_equal(getattr(mesh, name), want), name
 
 
 def test_load_rejects_face_of_three_tets(tmp_path):
@@ -222,8 +293,8 @@ def test_load_rejects_face_of_three_tets(tmp_path):
     path.write_text(NONMANIFOLD_MESH)
     with pytest.raises(MeshError) as info:
         st.load_mesh(path)
-    assert "face shared by more than two tets', (0, 1, 2)" in str(info.value)
-    assert "untagged" not in str(info.value)
+    assert str(info.value) == (f"{path}: invalid mesh: faces of more than "
+                               "two tets [[0, 1, 2]] (1 total)")
 
 
 def test_load_rejects_zero_volume_tet(tmp_path):
@@ -334,7 +405,8 @@ def test_load_rejects_disconnected_mesh(tmp_path):
     path.write_text(TWO_BOXES_MESH)
     with pytest.raises(MeshError) as info:
         st.load_mesh(path)
-    assert "'face-connected components', 2" in str(info.value)
+    assert str(info.value) == (f"{path}: invalid mesh: 2 face-connected "
+                               "components")
     box = st.build_box_mesh(2, 2, 2)
     assert component_count(box.n_tets, box.interior_face_tets) == 1
 
@@ -385,19 +457,6 @@ def test_edge_and_adjacency_maps_are_built_on_first_use(tagging):
                                mesh.vertex_tet_start[v + 1]]
         assert run.tolist() == np.flatnonzero((mesh.tets == v).any(axis=1)
                                               ).tolist()
-
-
-def even_corner_shuffle(mesh, seed):
-    """The mesh with each tet's corners in a random even permutation,
-    which keeps every tet's orientation."""
-    rng = np.random.default_rng(seed)
-    even = [p for p in itertools.permutations(range(4))
-            if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
-    order = np.array(even)[rng.integers(len(even), size=mesh.n_tets)]
-    return ReferenceMesh(vertices=mesh.vertices,
-                         tets=np.take_along_axis(mesh.tets, order, axis=1),
-                         boundary_faces=mesh.boundary_faces,
-                         boundary_tags=mesh.boundary_tags)
 
 
 @pytest.mark.parametrize("make", [

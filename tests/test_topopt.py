@@ -15,7 +15,8 @@ from sharptop.topopt import (COLD_SOLVE_EVERY, EULERIAN, REFERENTIAL,
                              optimize_topology)
 
 from conftest import (brute_force_annealing, brute_force_mass_preserving_move,
-                      clamp_bottom_pull_top, perturbed_slab_labels,
+                      clamp_bottom_pull_top, even_corner_shuffle,
+                      jittered_box_mesh, l_shape_mesh, perturbed_slab_labels,
                       random_feasible_state)
 
 
@@ -116,6 +117,70 @@ def test_move_matches_full_extraction_oracle():
 
     check()
     assert any(r.startswith("non-manifold") for r in rejections)
+
+
+def test_move_chains_leave_no_dangling_edges():
+    """An interface edge off the domain boundary lies on interior faces
+    only, whose tets close a cycle around it, so an even number of cut
+    faces meet there: no interface along a chain of moves, on meshes of
+    every kind, has a dangling edge."""
+    meshes = {"l-shape": l_shape_mesh(), "wedge": st.surfaces.wedge_fold()[0]}
+    interfaces = dict.fromkeys(("jittered", "l-shape", "wedge", "shuffled"),
+                               0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=hs.sampled_from(sorted(interfaces)), axis=hs.integers(0, 2),
+           seed=hs.integers(0, 2**16), bias=hs.sampled_from([0.0, 0.9]))
+    def check(kind, axis, seed, bias):
+        rng = np.random.default_rng(seed)
+        dims = tuple(rng.integers(2, 5, 3))
+        if kind == "jittered":   # small enough to keep swaps volume-matched
+            mesh = jittered_box_mesh(dims, rng, 0.002)
+        elif kind == "shuffled":
+            mesh = even_corner_shuffle(st.build_box_mesh(*dims), seed)
+        else:
+            mesh = meshes[kind]
+        phases = slab_labels(mesh, 0.5, axis=axis)
+        for _ in range(30):
+            try:
+                phases = mass_preserving_move(mesh, phases, rng,
+                                              interface_bias=bias)
+            except TopOptError:
+                break
+            V = st.extract_interface(mesh, None, phases,
+                                     positions=mesh.vertices)
+            assert len(V.dangling_edges) == 0
+            interfaces[kind] += 1
+
+    check()
+    assert min(interfaces.values()) > 0, interfaces
+
+
+@pytest.mark.parametrize("moved, solves", [(False, 1), (True, 2)])
+def test_failed_solve_is_retried_only_from_a_moved_start(monkeypatch, moved,
+                                                        solves):
+    """A solve that fails from the identity is not repeated: it is
+    deterministic.  One that fails from a moved state is retried cold."""
+    import sharptop.topopt as topopt
+    real, starts = topopt.minimize_equilibrium, []
+
+    def counting(mesh, state, *args, **kwargs):
+        starts.append(state.positions.copy())
+        return real(mesh, state, *args, **kwargs)
+
+    monkeypatch.setattr(topopt, "minimize_equilibrium", counting)
+    mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
+    state = st.identity_state(mesh)
+    if moved:
+        state = state.with_positions(mesh.vertices * [1.0, 1.0, 1.01])
+    config = replace(fast_config(), solve_options=SolveOptions(
+        max_iterations=1))
+    with pytest.raises(TopOptError, match="did not converge"):
+        optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
+                          st.EnergyModel(g=[0.0, 0.0, 1.0]), config,
+                          state0=state)
+    assert len(starts) == solves
+    assert np.array_equal(starts[-1], mesh.vertices)
 
 
 def test_move_rejects_empty_phase(small_mesh, uniform_phase1):
