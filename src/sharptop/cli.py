@@ -95,7 +95,7 @@ def _tag_rules(rules):
         isinstance(r, dict) and r.keys() - {"tol"} == {"tag", "axis", "value"}
         and r["tag"] in meshmod.TAGS and _integer(0, 2)(r["axis"])
         and _number()(r["value"]) and _number()(r.get("tol", 0.0))
-        for r in rules)
+        and r.get("tol", 0.0) >= 0 for r in rules)
 
 
 # the keys of each mesh and labels type, and the check of each value

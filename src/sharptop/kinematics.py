@@ -379,7 +379,7 @@ def boundary_self_intersects(mesh, positions):
 
     By Ball's theorem (1981), a deformation with det F > 0 on a connected
     body is injective almost everywhere exactly when its boundary surface
-    does not intersect itself.  Every pair of `topological_boundary_faces`
+    does not intersect itself.  Every pair of the mesh's `boundary_faces`
     is tested by kind: pairs sharing an edge or a vertex from the mesh's
     `boundary_edge_pairs` and `boundary_vertex_pairs`, and the pairs with
     no common vertex that a uniform hash of the triangles' bounding boxes
@@ -390,7 +390,7 @@ def boundary_self_intersects(mesh, positions):
         return True
     if _vertex_pairs_cross(_corners(x, mesh.boundary_vertex_pairs)).any():
         return True
-    faces = mesh.topological_boundary_faces
+    faces = mesh.boundary_faces
     T = _corners(x, faces)
     a, b = _candidate_pairs(T, faces)
     return bool(_disjoint_pairs_cross(np.take(T, a, axis=2),

@@ -100,17 +100,19 @@ class ReferenceMesh:
     offending entries on malformed input (checked before any gather: the
     shapes, finite vertices, integer indices in [0, nv), tags in TAGS),
     zero-volume tets, faces of more than two tets, duplicate tets and
-    tags other than one on each face of one tet, and swaps corners 0 and
-    1 of each negative tet, so every tet is positive.  The derived fields
-    are built once and are read-only.  Face triples are sorted vertex
-    ids; edge keys are lo * nv + hi.  The edge and adjacency maps below
-    the fields are built on first use, so a mesh that never needs them
-    does not pay for them.
+    tags other than one on each face of one tet.  It swaps corners 0 and
+    1 of each negative tet, so every tet is positive, and stores the
+    boundary as face_topology gives it, tags moved along, so no array
+    depends on the input's face or corner order.  The derived fields are
+    built once and are read-only.  Face triples are sorted vertex ids;
+    edge keys are lo * nv + hi.  The edge and adjacency maps below the
+    fields are built on first use, so a mesh that never needs them does
+    not pay for them.
     """
     vertices: np.ndarray          # (nv, 3) float
     tets: np.ndarray              # (nt, 4) int, positively oriented
-    boundary_faces: np.ndarray    # (nb, 3) int
-    boundary_tags: np.ndarray     # (nb,) object/str
+    boundary_faces: np.ndarray    # (nb, 3) int, sorted triples, sorted rows
+    boundary_tags: np.ndarray     # (nb,) object/str, one per boundary face
     volumes: np.ndarray = field(init=False)          # (nt,)
     # (DX)^-1, contiguous component first (3, 3, nt), and its (nt, 3, 3) view
     ref_inv_cf: np.ndarray = field(init=False, repr=False)
@@ -119,10 +121,7 @@ class ReferenceMesh:
     # local faces as in _TET_FACES), and their tets in occurrence order
     interior_faces: np.ndarray = field(init=False, repr=False)      # (ni, 3)
     interior_face_tets: np.ndarray = field(init=False, repr=False)  # (ni, 2)
-    # faces of one tet, in lexicographic order
-    topological_boundary_faces: np.ndarray = field(init=False, repr=False)
-    boundary_edge_keys: np.ndarray = field(init=False, repr=False)  # sorted
-    # pairs of topological boundary faces that share one vertex, as rows
+    # pairs of boundary faces that share one vertex, as rows
     # (p, a1, a2, b1, b2) with p the shared vertex, and that share an
     # edge, as rows (u, v, a, b) with (u, v) the shared edge
     boundary_vertex_pairs: np.ndarray = field(init=False, repr=False)
@@ -171,16 +170,13 @@ class ReferenceMesh:
             tets[flip, :2] = tets[flip, 1::-1]
             cof[:, :, flip], det[flip] = _edge_cofactors(x, tets[flip])
         for name, value in (("vertices", x), ("tets", tets),
-                            ("boundary_faces", faces), ("boundary_tags", tags),
                             ("volumes", det / 6.0),
                             ("ref_inv_cf", np.divide(cof, det, out=cof))):
             put(name, value)
         put("ref_inv", self.ref_inv_cf.transpose(2, 0, 1))
         interior, pairs, boundary, shared = face_topology(tets, nv)
-        for name, value in (("interior_faces", interior),
-                            ("interior_face_tets", pairs),
-                            ("topological_boundary_faces", boundary)):
-            put(name, value)
+        put("interior_faces", interior)
+        put("interior_face_tets", pairs)
         _reject(shared, "faces of more than two tets")
         # tets on one face with equal vertex-id sums have one fourth vertex
         t = tets.T   # column sums: a reduction over the rows is 10x slower
@@ -188,8 +184,9 @@ class ReferenceMesh:
         duplicate = pairs[sums[:, 0] == sums[:, 1]]
         if len(duplicate):   # a pair shares up to four faces
             _reject(np.unique(duplicate, axis=0), "duplicate tets")
-        tagged = np.sort(_face_keys(np.sort(faces, axis=1), nv))
-        keys = _face_keys(boundary, nv)
+        tagged = _face_keys(np.sort(faces, axis=1), nv)
+        order = np.argsort(tagged)   # distinct keys, when the check passes
+        tagged, keys = tagged[order], _face_keys(boundary, nv)
         if not np.array_equal(tagged, keys):
             twice = tagged[1:][tagged[1:] == tagged[:-1]]
             for what, bad in (
@@ -198,11 +195,11 @@ class ReferenceMesh:
                     ("tags on non-boundary faces",
                      np.setdiff1d(tagged, keys))):
                 _reject(np.column_stack(np.unravel_index(bad, [nv] * 3)), what)
-        put("boundary_edge_keys", np.unique(edge_keys(faces, nv)))
-        for name, value in zip(("boundary_vertex_pairs",
-                                "boundary_edge_pairs"),
-                               boundary_pairs(self.topological_boundary_faces)):
-            put(name, value)
+        put("boundary_faces", boundary)   # the tagged faces, each once
+        put("boundary_tags", tags[order])
+        vertex_pairs, edge_pairs = boundary_pairs(boundary)
+        put("boundary_vertex_pairs", vertex_pairs)
+        put("boundary_edge_pairs", edge_pairs)
         faces = self.boundary_faces[self.boundary_tags == NEUMANN]
         x = np.take(self.vertices.T, faces.T, axis=1)   # (axis, corner, face)
         cross = _cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
@@ -256,8 +253,8 @@ class ReferenceMesh:
     def interior_edge_on_boundary(self):
         """Whether each of `interior_edge_keys` is an edge of a tagged
         boundary face, (ne,) bool."""
-        return _read_only(np.isin(self.interior_edge_keys,
-                                  self.boundary_edge_keys))
+        return _read_only(np.isin(self.interior_edge_keys, edge_keys(
+            self.boundary_faces, self.n_vertices)))
 
     @cached_property
     def interior_face_outward(self):
@@ -429,8 +426,7 @@ def build_box_mesh(nx, ny, nz, extent=(1.0, 1.0, 1.0), tagging=None):
     corners = np.stack([vid[i:i + nx, j:j + ny, k:k + nz].ravel()
                         for i, j, k in _CUBE_CORNERS], axis=1)
     tets = corners[:, _KUHN_TETS].reshape(-1, 4)
-    # a tet face is on the boundary iff its corners share a box side;
-    # sorted triples in lexicographic order, as face_topology gives them
+    # a tet face is on the boundary iff its corners share a box side
     ijk, side = np.indices(vid.shape).reshape(3, -1), 0
     for axis, n in enumerate((nx, ny, nz)):
         side = (side | (ijk[axis] == 0) << 2 * axis
@@ -438,7 +434,6 @@ def build_box_mesh(nx, ny, nz, extent=(1.0, 1.0, 1.0), tagging=None):
     faces = tets[:, _TET_FACES].reshape(-1, 3)
     bfaces = np.sort(faces[np.bitwise_and.reduce(side[faces], axis=1) != 0],
                      axis=1)
-    bfaces = bfaces[np.lexsort(bfaces.T[::-1])]
     centroids = vertices[bfaces].mean(axis=1)
     if tagging is None:
         tags = np.array([FREE] * len(bfaces), object)
@@ -453,8 +448,11 @@ def plane_tagging(rules):
 
     `rules` is a list of dicts {"tag", "axis", "value", "tol"}; a face gets
     the first tag whose plane contains its centroid coordinate, and FREE
-    when there is none.
+    when there is none.  A negative tol, which tags nothing, raises.
     """
+    if any(rule.get("tol", 1e-9) < 0 for rule in rules):
+        raise ValueError("plane tagging: tol must be >= 0")
+
     def tag(centroid):
         for rule in rules:
             tol = rule.get("tol", 1e-9)

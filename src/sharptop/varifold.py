@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import INFEASIBLE, bulk_energy, interface_density
-from .mesh import _cross, _dot, _edge_cofactors, edge_keys
+from .mesh import _cross, _dot, _edge_cofactors, _read_only, edge_keys
 from .quadrature import map_to_simplex, tet_rule, triangle_rule
 
 
@@ -29,11 +29,11 @@ class PhaseLabeling:
     labels: np.ndarray  # (nt,) values in {0, 1}
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, np.int8)
+        labels = np.asarray(self.labels)   # checked before the int8 cast
         if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be binary")
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        # a read-only copy: the caller's array stays writable
+        object.__setattr__(self, "labels", _read_only(labels.astype(np.int8)))
 
     def phase1_volume(self, mesh):
         return float(np.sum(mesh.volumes[self.labels == 1]))

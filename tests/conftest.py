@@ -392,7 +392,7 @@ def brute_force_self_intersection(mesh, positions):
     """kinematics.boundary_self_intersects over every pair of boundary
     triangles, with no spatial hash: each pair is classified by its
     common vertices and tested with the same predicates."""
-    faces = mesh.topological_boundary_faces
+    faces = mesh.boundary_faces
     i, j = np.triu_indices(len(faces), 1)
     A, B = faces[i], faces[j]
     a_in_b = (A[:, :, None] == B[:, None, :]).any(axis=2)
@@ -414,7 +414,7 @@ def brute_force_self_intersection(mesh, positions):
 def brute_force_box_pairs(mesh, positions):
     """Every pair (i, j), i < j, of boundary triangles with no common
     vertex whose closed bounding boxes overlap."""
-    faces = mesh.topological_boundary_faces
+    faces = mesh.boundary_faces
     corners = np.asarray(positions, float)[faces]
     lo, hi = corners.min(axis=1), corners.max(axis=1)
     i, j = np.triu_indices(len(faces), 1)
@@ -768,8 +768,9 @@ def extraction_oracle(mesh, labels, positions):
         faces[flip, 1].copy()
     normals[flip] *= -1.0
     local = remap[keys // nv] * len(used) + remap[keys % nv]
+    on_boundary = np.isin(keys, edge_keys(mesh.boundary_faces, nv))
     return _curvature_oracle(vertices, faces, areas, normals,
-                             local[np.isin(keys, mesh.boundary_edge_keys)])
+                             local[on_boundary])
 
 
 def assert_varifold_equals_oracle(V, oracle):

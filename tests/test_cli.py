@@ -242,6 +242,8 @@ def test_curvature_test_command(tmp_path):
     ("topopt", {"steps_per_temperature": 2.5}, "steps_per_temperature"),
     ("topopt", {"snapshot_every": -1}, "snapshot_every"),
     ("solve", {"max_iterations": 2.5}, "max_iterations"),
+    ("mesh", {"tags": [{"tag": "DIRICHLET", "axis": 2, "value": 0.0,
+                        "tol": -1e-9}]}, "tags"),
 ])
 def test_bad_scenario_section_exit_2(tmp_path, capsys, section, spec, needle):
     scenario = write_scenario(tmp_path, "bad.json", {

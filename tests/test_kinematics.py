@@ -313,7 +313,7 @@ def test_boundary_self_intersection_matches_brute_force(kind, dims, scale,
             -1, 1, positions.shape)
     assert boundary_self_intersects(mesh, positions) \
         == brute_force_self_intersection(mesh, positions)
-    faces = mesh.topological_boundary_faces
+    faces = mesh.boundary_faces
     a, b = _candidate_pairs(np.take(positions.T, faces.T, axis=1), faces)
     assert sorted(zip(a.tolist(), b.tolist())) \
         == sorted(brute_force_box_pairs(mesh, positions))

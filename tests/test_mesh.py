@@ -1,15 +1,18 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
 import sharptop as st
-from sharptop.mesh import (_TET_FACES, FREE, MeshError, ReferenceMesh,
+from sharptop.mesh import (_TET_FACES, FREE, TAGS, MeshError, ReferenceMesh,
                            component_count, face_topology, plane_tagging)
 from sharptop.surfaces import wedge_fold
 
 from conftest import (NONMANIFOLD_MESH, TWO_BOXES_MESH, ZERO_VOLUME_MESH,
                       brute_force_component_count, brute_force_face_adjacency,
-                      even_corner_shuffle, jittered_box_mesh, l_shape_mesh)
+                      clamp_bottom_pull_top, even_corner_shuffle,
+                      jittered_box_mesh, l_shape_mesh)
 
 
 def brute_force_boundary_count(mesh):
@@ -78,10 +81,10 @@ def test_bad_counts_and_extents():
 def test_validate_well_formed(small_mesh):
     """A mesh that passed construction has no face of more than two tets
     and its tags on the faces of one tet, each tagged once."""
-    assert len(face_topology(small_mesh.tets, small_mesh.n_vertices)[3]) == 0
-    tagged = np.sort(small_mesh.boundary_faces, axis=1)
-    assert np.array_equal(tagged[np.lexsort(tagged.T[::-1])],
-                          small_mesh.topological_boundary_faces)
+    _, _, boundary, shared = face_topology(small_mesh.tets,
+                                           small_mesh.n_vertices)
+    assert len(shared) == 0
+    assert np.array_equal(small_mesh.boundary_faces, boundary)
 
 
 def test_validate_inverted_tet(small_mesh):
@@ -94,11 +97,7 @@ def test_validate_inverted_tet(small_mesh):
                          boundary_tags=small_mesh.boundary_tags)
     assert np.all(mesh.volumes > 0)
     assert tets[3, 0] == small_mesh.tets[3, 1]    # the input is not changed
-    names = [name for name, value in vars(mesh).items()
-             if isinstance(value, np.ndarray)] + list(LAZY_MAPS)
-    for name in names:
-        want = getattr(small_mesh, name)
-        assert getattr(mesh, name).tobytes() == want.tobytes(), name
+    assert_same_mesh(mesh, small_mesh)
 
 
 def _with(index, value):
@@ -238,9 +237,10 @@ def test_face_adjacency_involution(small_mesh):
         for ti in tets:
             verts = set(int(v) for v in small_mesh.tets[ti])
             assert set(face) <= verts
-    comb = set(map(tuple, small_mesh.topological_boundary_faces.tolist()))
-    tagged = {tuple(sorted(f.tolist())) for f in small_mesh.boundary_faces}
-    assert comb == tagged
+    once = sorted(f for f, ts in
+                  brute_force_face_adjacency(small_mesh.tets).items()
+                  if len(ts) == 1)
+    assert list(map(tuple, small_mesh.boundary_faces.tolist())) == once
 
 
 @settings(max_examples=30, deadline=None)
@@ -284,7 +284,7 @@ def test_face_topology_matches_dict_oracle(dims, seed, duplicate):
         mesh = ReferenceMesh(**fields)
         for name, want in (("interior_faces", faces),
                            ("interior_face_tets", pairs),
-                           ("topological_boundary_faces", boundary)):
+                           ("boundary_faces", boundary)):
             assert np.array_equal(getattr(mesh, name), want), name
 
 
@@ -356,11 +356,105 @@ def test_plane_tagging():
             assert abs(c[2]) < 1e-9
 
 
-@pytest.mark.parametrize("dims", [(1, 1, 1), (3, 1, 2), (2, 4, 3)])
-def test_box_boundary_faces_equal_face_topology(dims):
-    mesh = st.build_box_mesh(*dims)
+def test_plane_tagging_rejects_negative_tol():
+    """A negative tol would tag no face; tol = 0 tags the exact plane."""
+    rule = {"tag": "DIRICHLET", "axis": 2, "value": 0.0}
+    with pytest.raises(ValueError, match="tol"):
+        plane_tagging([dict(rule, tol=-1e-9)])
+    mesh = st.build_box_mesh(2, 2, 2, tagging=plane_tagging([dict(rule,
+                                                                  tol=0)]))
+    assert np.count_nonzero(mesh.boundary_tags == "DIRICHLET") == 8
+
+
+def _boundary_of(mesh, faces, tags):
+    """The mesh's vertices and tets with the given boundary rows."""
+    return ReferenceMesh(vertices=mesh.vertices, tets=mesh.tets,
+                         boundary_faces=faces, boundary_tags=tags)
+
+
+MESH_KINDS = {
+    "box-1x1x1": lambda: st.build_box_mesh(1, 1, 1),
+    "box-3x1x2": lambda: st.build_box_mesh(3, 1, 2,
+                                           tagging=clamp_bottom_pull_top),
+    "box-2x4x3": lambda: st.build_box_mesh(2, 4, 3),
+    "jittered": lambda: jittered_box_mesh((2, 3, 2),
+                                          np.random.default_rng(3), 0.2),
+    "l-shape": l_shape_mesh,
+    "wedge": lambda: wedge_fold()[0],
+    "shuffled": lambda: even_corner_shuffle(
+        st.build_box_mesh(2, 3, 2, tagging=clamp_bottom_pull_top), 4),
+}
+
+
+@pytest.mark.parametrize("make", MESH_KINDS.values(), ids=MESH_KINDS)
+def test_boundary_faces_equal_face_topology(make):
+    """Every mesh stores face_topology's boundary, sorted triples in
+    lexicographic order, and each face's tag moves with it: from faces
+    given in reverse with reversed corners and tags cycling through
+    TAGS, the mesh stores the tag given for each face."""
+    mesh = make()
     assert np.array_equal(mesh.boundary_faces,
                           face_topology(mesh.tets, mesh.n_vertices)[2])
+    faces = mesh.boundary_faces[::-1, ::-1]
+    tags = np.array(TAGS, object)[np.arange(len(faces)) % 3]
+    again = _boundary_of(mesh, faces, tags)
+    assert np.array_equal(again.boundary_faces, mesh.boundary_faces)
+    given_tag = dict(zip(map(tuple, np.sort(faces, axis=1).tolist()), tags))
+    assert again.boundary_tags.tolist() == [
+        given_tag[f] for f in map(tuple, again.boundary_faces.tolist())]
+
+
+def assert_same_mesh(mesh, want):
+    """Every stored and lazily built array of `mesh` byte-equal to
+    `want`'s, with equal dtypes and shapes; tags compare as strings."""
+    names = [name for name, value in vars(want).items()
+             if isinstance(value, np.ndarray)] + list(LAZY_MAPS)
+    for name in names:
+        got, expected = getattr(mesh, name), getattr(want, name)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+        if got.dtype == object:
+            assert got.tolist() == expected.tolist(), name
+        else:
+            assert got.tobytes() == expected.tobytes(), name
+
+
+def test_boundary_order_is_canonical(tmp_path):
+    """A mesh built from its boundary rows shuffled, each face's corners
+    rotated or reflected and the tags moved along, equals the mesh array
+    for array, lazy maps included; save -> load -> save writes the same
+    bytes as saving the mesh."""
+    meshes = {"l-shape": l_shape_mesh(), "wedge": wedge_fold()[0]}
+    orders = np.array(list(permutations(range(3))))
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=hs.sampled_from(["jittered", "l-shape", "wedge", "shuffled"]),
+           seed=hs.integers(0, 2**32 - 1))
+    def check(kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "jittered":
+            mesh = jittered_box_mesh(tuple(rng.integers(1, 4, 3)), rng, 0.2)
+        elif kind == "shuffled":
+            mesh = even_corner_shuffle(
+                st.build_box_mesh(*rng.integers(1, 4, 3)), seed)
+        else:
+            mesh = meshes[kind]
+        # a random tag on each face, so that a misplaced tag shows
+        tags = np.array(TAGS, object)[rng.integers(3, size=len(
+            mesh.boundary_faces))]
+        mesh = _boundary_of(mesh, mesh.boundary_faces, tags)
+        rows = rng.permutation(len(tags))
+        corners = orders[rng.integers(len(orders), size=len(rows))]
+        shuffled = _boundary_of(mesh, np.take_along_axis(
+            mesh.boundary_faces[rows], corners, axis=1), tags[rows])
+        assert_same_mesh(shuffled, mesh)
+        paths = [tmp_path / name for name in ("mesh.tet", "a.tet", "b.tet")]
+        st.save_mesh(mesh, paths[0])
+        st.save_mesh(shuffled, paths[1])
+        st.save_mesh(st.load_mesh(paths[1]), paths[2])
+        assert paths[1].read_bytes() == paths[2].read_bytes() \
+            == paths[0].read_bytes()
+
+    check()
 
 
 def _pair_sets(vertex_pairs, edge_pairs):
@@ -375,7 +469,7 @@ def _pair_sets(vertex_pairs, edge_pairs):
     st.build_box_mesh(2, 3, 1), wedge_fold()[0],
 ], ids=["box", "wedge-fold"])
 def test_boundary_pairs_match_brute_force(mesh):
-    faces = mesh.topological_boundary_faces.tolist()
+    faces = mesh.boundary_faces.tolist()
     vertex, edge = [], []
     for i, a in enumerate(faces):
         for b in faces[i + 1:]:

@@ -311,6 +311,22 @@ def test_phase_labels_must_be_binary():
         assert np.array_equal(st.PhaseLabeling(good).labels, good)
 
 
+def test_phase_labels_are_not_truncated_to_binary():
+    """Fractional labels are rejected, not cast to 0 or 1."""
+    with pytest.raises(ValueError, match="binary"):
+        st.PhaseLabeling([0.5, 1.0, 0.9, 0.0])
+
+
+def test_phase_labels_leave_the_callers_array_writable():
+    """The labeling stores a read-only copy; the caller's array stays
+    writable, and writing to it leaves the labeling as it was."""
+    labels = np.zeros(4, np.int8)
+    phases = st.PhaseLabeling(labels)
+    assert labels.flags.writeable and not phases.labels.flags.writeable
+    labels[0] = 1
+    assert phases.labels.tolist() == [0, 0, 0, 0]
+
+
 def unique_interface_topology(mesh, labels):
     """A labeling's cut mask, interface edge keys with their triangle
     counts, and phase-1 and phase-0 tets with a cut face, by np.unique
@@ -372,8 +388,8 @@ def test_interface_topology_after_swaps_matches_a_rebuild():
 def test_domain_boundary_edges_match_an_isin_lookup():
     """The domain-boundary edges, open edges and boundary defect that
     extraction takes from the per-edge boundary flag equal the ones an
-    np.isin lookup of the edge keys in `boundary_edge_keys` gives; with
-    the boundary tagged face for face, the defect is zero."""
+    np.isin lookup of the edge keys among the boundary faces' edges
+    gives; with the boundary tagged face for face, the defect is zero."""
     meshes = {"l-shape": l_shape_mesh(), "wedge": st.surfaces.wedge_fold()[0]}
     defects = {}
 
@@ -398,7 +414,8 @@ def test_domain_boundary_edges_match_an_isin_lookup():
         remap[used] = np.arange(len(used))
         nv = mesh.n_vertices
         local = remap[keys // nv] * len(used) + remap[keys % nv]
-        on_boundary = local[np.isin(keys, mesh.boundary_edge_keys)]
+        on_boundary = local[np.isin(keys, edge_keys(mesh.boundary_faces,
+                                                    nv))]
         open_edges = local[counts == 1]
         assert np.array_equal(V.domain_boundary_edges, on_boundary)
         assert np.array_equal(V.open_edges, open_edges)
