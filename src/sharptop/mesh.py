@@ -51,6 +51,38 @@ def _dot(u, v):
     return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
 
 
+# corners c + 1 and c + 2 of each triangle corner c
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+_TERM_CHUNK = 1024   # interior faces per pass of the stored corner terms
+
+
+def corner_crosses(p):
+    """The edges e1 = p[c + 1] - p[c] and e2 = p[c + 2] - p[c] leaving
+    each corner c of triangles p, stored (xyz, corner, face), their
+    crosses e1 x e2 and the crosses' lengths (corner, face), each twice
+    the triangle's area."""
+    e1, e2 = p[:, _NEXT] - p, p[:, _PREV] - p
+    cross = _cross(e1, e2)
+    return e1, e2, cross, np.sqrt(_dot(cross, cross))
+
+
+def corner_terms(e1, e2, twice_area, areas):
+    """The angle at each corner of triangles of positive `areas`, its
+    cotangent and the corner's share of Meyer's mixed (Voronoi-safe)
+    vertex area, each (corner, face), from `corner_crosses`.
+
+    Reversing a triangle's corner order swaps each corner's e1 and e2,
+    which negates its cross exactly and changes none of these bits, so
+    they depend on the triangle's vertices, not on its orientation."""
+    angles = np.arctan2(twice_area, _dot(e1, e2))
+    cot = 1.0 / np.tan(angles)
+    obtuse = angles > 0.5 * np.pi
+    voronoi = (_dot(e2, e2) * cot[_NEXT] + _dot(e1, e1) * cot[_PREV]) / 8.0
+    share = np.where(obtuse.any(axis=0),
+                     np.where(obtuse, areas / 2.0, areas / 4.0), voronoi)
+    return angles, cot, share
+
+
 def _cofactors(A, out):
     """Write Cof A into `out` and return det A, for 3x3 matrices stored
     component first, (3, 3, ...): rows r1 x r2, r2 x r0, r0 x r1 of the rows
@@ -283,6 +315,45 @@ class ReferenceMesh:
         faces[tet, np.arange(len(tet)) - (np.cumsum(count) - count)[tet]] = \
             order // 2
         return _read_only(faces)
+
+    @cached_property
+    def interior_face_terms(self):
+        """Each interior face's area (ni,), and the angles, their
+        cotangents and the mixed-area shares at the corners of its sorted
+        triple (3, 3, ni), at the reference positions, by `corner_crosses`
+        and `corner_terms`: the per-face terms of every referential
+        interface, whichever way its faces point.  Built _TERM_CHUNK
+        faces at a time, which bounds the kernel's temporaries.
+
+        On a mesh of edges near 1e-90 a face's squared cross underflows
+        to a zero area, which makes a cotangent infinite; such a face is
+        degenerate to extraction, which raises on its area before any
+        of its corner terms are read."""
+        ni = len(self.interior_faces)
+        areas, terms = np.empty(ni), np.empty((3, 3, ni))
+        for lo in range(0, ni, _TERM_CHUNK):
+            part = slice(lo, lo + _TERM_CHUNK)
+            e1, e2, _, twice_area = corner_crosses(np.take(
+                self.vertices.T, self.interior_faces[part].T, axis=1))
+            areas[part] = 0.5 * twice_area[0]
+            with np.errstate(divide="ignore"):
+                terms[:, :, part] = corner_terms(e1, e2, twice_area,
+                                                 areas[part])
+        return _read_only(areas), _read_only(terms)
+
+    @cached_property
+    def vertex_face_start(self):
+        """Offsets of each vertex's run in `vertex_faces`, (nv + 1,)."""
+        return _read_only(np.r_[0, np.cumsum(np.bincount(
+            self.interior_faces.ravel(), minlength=self.n_vertices))])
+
+    @cached_property
+    def vertex_faces(self):
+        """The interior faces of vertex v, ascending, at vertex_faces[
+        vertex_face_start[v]: vertex_face_start[v + 1]]: a CSR
+        vertex-to-interior-face adjacency, (3 ni,)."""
+        return _read_only(np.argsort(self.interior_faces.ravel(),
+                                     kind="stable") // 3)
 
     @cached_property
     def vertex_tet_start(self):

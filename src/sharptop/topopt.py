@@ -20,17 +20,19 @@ without the solve.  The half margin absorbs the rounding of the
 updates, so every decision is the one a full recompute would make; the
 solve's own gradient (`SolveReport.gradient`) clears the rounding at
 the start and after every accepted move that was solved, cold restarts
-included.  Still run over the whole interface: each extraction's
-areas, normals and curvature.  While the accepted-move count is a
-positive multiple of `COLD_SOLVE_EVERY`, every proposal is solved from
-the identity (a cold start) until one of them is accepted.
+included.  In referential mode the interface energy and mass come from
+the topology's per-vertex energy shares, of which a proposal recomputes
+those of the vertices of its two tets; an Eulerian proposal extracts
+its interface in full.  While the accepted-move count is a positive
+multiple of `COLD_SOLVE_EVERY`, every proposal is solved from the
+identity (a cold start) until one of them is accepted.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import Bulk, corner_forces, load_potential
+from .energy import Bulk, corner_forces, load_potential, load_vector
 from .kinematics import deformation_minors, identity_state
 from .solve import SolveOptions, _check_count, minimize_equilibrium
 from .varifold import (InterfaceError, InterfaceTopology, PhaseLabeling,
@@ -73,16 +75,10 @@ class TopOptError(Exception):
     pass
 
 
-def compliance(mesh, state, phases, model):
-    """C(y, phi): work of loads on the equilibrium deformation."""
-    return load_potential(mesh, state, phases, model)
-
-
-def _mode_interface(mesh, state, phases, mode, topology=None):
-    """The interface placed where `mode` measures it."""
-    positions = mesh.vertices if mode == REFERENTIAL else state.positions
-    return extract_interface(mesh, state, phases, positions=positions,
-                             topology=topology)
+def compliance(mesh, state, phases, model, loads=None):
+    """C(y, phi): work of loads on the equilibrium deformation; `loads`
+    is the labeling's `load_vector`, when the caller has it."""
+    return load_potential(mesh, state, phases, model, loads)
 
 
 def objective(mesh, state, phases, model, mode=EULERIAN):
@@ -91,7 +87,8 @@ def objective(mesh, state, phases, model, mode=EULERIAN):
     In referential mode the interface is extracted at the reference
     positions; in Eulerian mode at the deformed positions.
     """
-    V = _mode_interface(mesh, state, phases, mode)
+    positions = mesh.vertices if mode == REFERENTIAL else state.positions
+    V = extract_interface(mesh, state, phases, positions=positions)
     return compliance(mesh, state, phases, model) + interface_energy(V, model)
 
 
@@ -109,17 +106,20 @@ def mass_preserving_move(mesh, phases, rng,
     reverses it).
     """
     labels = phases.labels
-    ones = np.where(labels == 1)[0]
-    zeros = np.where(labels == 0)[0]
-    if len(ones) == 0 or len(zeros) == 0:
+    if np.count_nonzero(labels) in (0, len(labels)):
         raise TopOptError("no admissible move: a phase is empty")
     if topology is None:
         topology = InterfaceTopology(mesh, phases)
     near1, near0 = topology.near()
+    ones = zeros = None   # listed on the first draw that needs them
     for _ in range(MOVE_TRIES):
-        local = rng.random() < interface_bias and len(near1) and len(near0)
-        src = rng.choice(near1 if local else ones)
-        dst = rng.choice(near0 if local else zeros)
+        if rng.random() < interface_bias and len(near1) and len(near0):
+            src, dst = rng.choice(near1), rng.choice(near0)
+        else:
+            if ones is None:
+                ones, zeros = np.flatnonzero(labels), np.flatnonzero(
+                    labels == 0)
+            src, dst = rng.choice(ones), rng.choice(zeros)
         va, vb = mesh.volumes[src], mesh.volumes[dst]
         if abs(va - vb) > SWAP_VOLUME_RTOL * max(va, vb):
             continue
@@ -180,14 +180,16 @@ class TopOptResult:
     skipped_solves: int = 0         # candidates converged at their start
 
 
-def _evaluate(mesh, phases, model, config, warm_state, topology=None,
-              gradient=None):
+def _evaluate(mesh, phases, model, config, warm_state, topology,
+              gradient=None, loads=None):
     """A candidate's state, equilibrium gradient, compliance, interface
     energy and mass.
 
-    `gradient`, when given, is the equilibrium gradient at `warm_state`
-    for `phases` and meets the gradient tolerance, so the solve, which
-    would take no step, is skipped and `gradient` returned."""
+    `topology` is the `InterfaceTopology` of `phases`.  `gradient`, when
+    given, is the equilibrium gradient at `warm_state` for `phases` and
+    meets the gradient tolerance, so the solve, which would take no
+    step, is skipped and `gradient` returned.  `loads` is the load
+    vector of `phases`, when the caller has it."""
     if gradient is None:
         state, report = minimize_equilibrium(mesh, warm_state, phases, model,
                                              config.solve_options)
@@ -201,10 +203,13 @@ def _evaluate(mesh, phases, model, config, warm_state, topology=None,
         if not report.converged:
             raise TopOptError("inner equilibrium solve did not converge")
         warm_state, gradient = state, report.gradient
-    V = _mode_interface(mesh, warm_state, phases, config.mode, topology)
-    comp = compliance(mesh, warm_state, phases, model)
-    eint = interface_energy(V, model)
-    return warm_state, gradient, comp, eint, varifold_mass(V)
+    if config.mode == REFERENTIAL:
+        eint, mass = topology.referential_energy(model)
+    else:
+        V = extract_interface(mesh, warm_state, phases, topology=topology)
+        eint, mass = interface_energy(V, model), varifold_mass(V)
+    return (warm_state, gradient,
+            compliance(mesh, warm_state, phases, model, loads), eint, mass)
 
 
 def optimize_topology(mesh, init_phases, model, config, state0=None,
@@ -219,8 +224,10 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
     state = state0 or identity_state(mesh)
     phases = init_phases
     topology = InterfaceTopology(mesh, phases)
+    # with no body load the load vector does not depend on the labels
+    loads = None if np.any(model.f) else load_vector(mesh, phases, model)
     state, grad, comp, eint, mu = _evaluate(mesh, phases, model, config,
-                                            state, topology)
+                                            state, topology, loads=loads)
     skip_below = 0.5 * config.solve_options.gradient_tolerance
     obj = comp + eint
     best = (state, phases, obj)
@@ -255,7 +262,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                     cand_state, cand_grad, c_comp, c_eint, c_mu = _evaluate(
                         mesh, candidate, model, config,
                         identity_state(mesh) if cold else state, topology,
-                        cand_grad if converged else None)
+                        cand_grad if converged else None, loads)
                 except InterfaceError:
                     cause = "interface"
                 except TopOptError:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import INFEASIBLE, bulk_energy, interface_density
-from .mesh import _cross, _dot, _edge_cofactors, _read_only, edge_keys
+from .mesh import (_NEXT, _PREV, _dot, _edge_cofactors, _read_only,
+                   corner_crosses, corner_terms, edge_keys)
 from .quadrature import map_to_simplex, tet_rule, triangle_rule
 
 
@@ -39,10 +40,15 @@ class PhaseLabeling:
         return float(np.sum(mesh.volumes[self.labels == 1]))
 
     def with_swap(self, tet_to_0, tet_to_1):
-        labels = np.array(self.labels)
+        """The labeling with `tet_to_0` set to 0 and `tet_to_1` to 1, in
+        one read-only copy: a swap keeps the labels binary, so the
+        constructor's check and copy are skipped."""
+        labels = self.labels.copy()
         labels[tet_to_0] = 0
         labels[tet_to_1] = 1
-        return PhaseLabeling(labels)
+        swapped = object.__new__(PhaseLabeling)
+        object.__setattr__(swapped, "labels", _read_only(labels))
+        return swapped
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,14 @@ def _edge_counts(faces, n_vertices):
     return np.unique(edge_keys(faces, n_vertices), return_counts=True)
 
 
+# the ends c + 1, c + 2 of the edge opposite each triangle corner c
+_ENDS = np.array([_NEXT, _PREV]).T
+
+# the slots of a sorted triple at corners 0, 1, 2 of its triangle, as
+# given and flipped
+_CORNER_SLOTS = np.array([[0, 1, 2], [0, 2, 1]])
+
+
 def _unique(ids):
     """Sorted distinct entries of an integer array; np.unique took three
     times as long on interface-sized arrays."""
@@ -97,6 +111,11 @@ class InterfaceTopology:
     relabels two tets, so `swap` revisits only their at most eight
     interior faces and the at most twelve edges of the two tets;
     `rejected_swaps` counts the swaps `try_swap` undid.
+
+    Once `referential_energy` has run, it also keeps each mesh vertex's
+    share of the interface energy at the reference positions; a swap
+    marks the entries of its faces' vertices stale, and `undo` puts the
+    saved entries back.
     """
 
     def __init__(self, mesh, phases):
@@ -112,16 +131,24 @@ class InterfaceTopology:
         self.nonmanifold_edges = int(np.count_nonzero(self.edge_count > 2))
         self.last_swap = None
         self.rejected_swaps = 0
+        # `referential_energy`'s model and, per mesh vertex, its energy
+        # share, whether the interface reaches it, and whether a swap left
+        # both out of date; `_saved` holds those the last swap marked
+        self._model = self._energy = self._on = self._stale = None
+        self._saved = None
 
-    def swap(self, tet_to_0, tet_to_1):
-        """Relabel phase-1 `tet_to_0` to 0 and phase-0 `tet_to_1` to 1."""
+    def _relabel(self, tet_to_0, tet_to_1):
+        """Update the labels, cut mask and counts for the swap; return the
+        faces of the two tets that are cut before or after it: those
+        whose cut or orientation changed."""
         mesh, labels = self.mesh, self.labels
         labels[tet_to_0], labels[tet_to_1] = 0, 1
         faces = mesh.tet_interior_faces[[tet_to_0, tet_to_1]].ravel()
         faces = faces[faces >= 0]
         tets = mesh.interior_face_tets[faces]
-        cut = labels[tets[:, 0]] != labels[tets[:, 1]]
-        flip = cut != self.cut[faces]   # a face of both tets stays cut
+        cut, was = labels[tets[:, 0]] != labels[tets[:, 1]], self.cut[faces]
+        changed = faces[cut | was]
+        flip = cut != was   # a face of both tets stays cut
         faces, tets, cut = faces[flip], tets[flip], cut[flip]
         self.cut[faces] = cut
         sign = np.where(cut, 1, -1)[:, None]
@@ -132,12 +159,36 @@ class InterfaceTopology:
         np.add.at(self.edge_count, edges, sign)
         self.nonmanifold_edges += int(
             np.count_nonzero(self.edge_count[touched] > 2) - before)
+        return changed
+
+    def swap(self, tet_to_0, tet_to_1):
+        """Relabel phase-1 `tet_to_0` to 0 and phase-0 `tet_to_1` to 1."""
+        self._saved = self._mark_stale(self._relabel(tet_to_0, tet_to_1))
         self.last_swap = (tet_to_0, tet_to_1)
 
     def undo(self):
-        """Reverse the last swap."""
+        """Reverse the last swap, and put back the energy entries it
+        made stale."""
         tet_to_0, tet_to_1 = self.last_swap
-        self.swap(tet_to_1, tet_to_0)
+        changed = self._relabel(tet_to_1, tet_to_0)
+        self.last_swap = (tet_to_1, tet_to_0)
+        if self._saved is None:   # kept no entries: mark them stale
+            self._saved = self._mark_stale(changed)
+        else:
+            ring, energy, on, stale = self._saved
+            self._energy[ring], self._on[ring] = energy, on
+            self._stale[ring] = stale
+            self._saved = None
+
+    def _mark_stale(self, faces):
+        """Mark the energy entries of the vertices of `faces` stale, when
+        there are entries, and return them as they were."""
+        if self._model is None:
+            return None
+        ring = _unique(self.mesh.interior_faces[faces])
+        saved = (ring, self._energy[ring], self._on[ring], self._stale[ring])
+        self._stale[ring] = True
+        return saved
 
     def try_swap(self, tet_to_0, tet_to_1):
         """Swap if no interface edge is left with more than two triangles;
@@ -149,6 +200,90 @@ class InterfaceTopology:
             return False
         return True
 
+    def _check_manifold(self):
+        """Raise InterfaceError when an edge bounds more than two cut
+        faces; at the reference positions this is the only way a
+        labeling can fail extraction, since faces of non-degenerate tets
+        have positive area."""
+        if self.nonmanifold_edges:
+            bad, n = self.mesh.interior_edge_keys[self.edge_count > 2], \
+                self.mesh.n_vertices
+            raise InterfaceError(
+                "non-manifold interface edges: "
+                f"{np.stack([bad // n, bad % n], axis=1)[:5].tolist()}"
+                f" ({bad.size} total)")
+
+    def referential_energy(self, model):
+        """Interface energy and mass of the labeling at the reference
+        positions: bit for bit `interface_energy` and `varifold_mass` of
+        `extract_interface(..., positions=mesh.vertices)`, and raising as
+        it would.
+
+        Recomputes the energy shares of the vertices that swaps left
+        stale, or on the first call (and for another model object) those
+        of every vertex of the interface; a share stays stale until its
+        recompute succeeds.
+        """
+        self._check_manifold()
+        mesh = self.mesh
+        if model is not self._model:   # every interface vertex is stale
+            nv = mesh.n_vertices
+            self._model, self._saved = model, None
+            self._energy, self._on = np.zeros(nv), np.zeros(nv, bool)
+            self._stale = np.zeros(nv, bool)
+            self._stale[mesh.interior_faces[self.cut]] = True
+        ring = np.flatnonzero(self._stale)
+        if ring.size:
+            self._energy[ring], self._on[ring] = self._ring_energy(ring)
+            self._stale[ring] = False
+        return (float(self._energy[self._on].sum()),
+                float(mesh.interior_face_terms[0][self.cut].sum()))
+
+    def _ring_energy(self, ring):
+        """The energy shares of the sorted vertices `ring`, and whether
+        the interface reaches each, from the stored terms of the cut
+        faces at them.
+
+        The per-vertex sums over those faces, face ascending, are the
+        full extraction's sums restricted to `ring`: each vertex's terms
+        run from 0.0 in the same order and, by `mesh.corner_terms`, have
+        the same bits.
+        """
+        mesh, nv = self.mesh, self.mesh.n_vertices
+        lo, hi = mesh.vertex_face_start[ring], mesh.vertex_face_start[ring + 1]
+        n = hi - lo
+        faces = mesh.vertex_faces[np.repeat(lo - n.cumsum() + n, n)
+                                  + np.arange(n.sum())]
+        faces = _unique(faces[self.cut[faces]])
+        area, terms = mesh.interior_face_terms
+        if (area[faces] <= 0).any():
+            raise InterfaceError("degenerate interface triangle")
+        # the sorted slot at each corner: 1 and 2 trade places on a flip
+        slots = _CORNER_SLOTS[self._flips(faces).view(np.int8)]
+        tris = mesh.interior_faces[faces[:, None], slots]
+        angles, cot, share = terms[:, slots.T, faces]
+        mixed, lap, angle_sum = _vertex_sums(
+            tris, np.take(mesh.vertices.T, tris.T, axis=1), angles, cot,
+            share, nv)
+        edges = mesh.interior_face_edges[faces]
+        interior = _off_edges(mesh.interior_edge_keys[
+            edges[self.edge_count[edges] == 1]], nv)
+        on = np.bincount(tris.ravel(), minlength=nv)[ring] > 0
+        v = ring[on]
+        a_norm = _vertex_curvature(mixed[v], lap[v], angle_sum[v],
+                                   interior[v])[2]
+        energy = np.zeros(len(ring))
+        energy[on] = mixed[v] * interface_density(a_norm, self._model)
+        return energy, on
+
+    def _flips(self, faces):
+        """Whether each of the cut `faces` must be flipped to point into
+        phase 1: it points out of its first tet, and that tet is phase
+        1, or into a phase-0 one."""
+        mesh = self.mesh
+        return ((self.labels[mesh.interior_face_tets[faces, 0]] == 1)
+                == mesh.interior_face_outward[faces])
+
     def near(self):
         """Tets with a cut face, per phase, sorted: (phase 1, phase 0)."""
         near = self.tet_count > 0
@@ -157,28 +292,17 @@ class InterfaceTopology:
 
     def triangles(self):
         """The interface triangles as sorted triples of mesh vertex ids,
-        whether each must be flipped to point into phase 1 (it points out
-        of its first tet, and that tet is phase 1, or into a phase-0
-        one), and the ids of their edges in `mesh.interior_edge_keys`
-        with their triangle counts.
+        whether each must be flipped to point into phase 1 (`_flips`),
+        and the ids of their edges in `mesh.interior_edge_keys` with
+        their triangle counts.
 
-        Raises when an edge bounds more than two triangles; at the
-        reference positions this is the only way a labeling can fail
-        extraction, since faces of non-degenerate tets have positive area.
+        Raises when an edge bounds more than two triangles.
         """
+        self._check_manifold()
         mesh = self.mesh
-        if self.nonmanifold_edges:
-            bad, n = mesh.interior_edge_keys[self.edge_count > 2], \
-                mesh.n_vertices
-            raise InterfaceError(
-                "non-manifold interface edges: "
-                f"{np.stack([bad // n, bad % n], axis=1)[:5].tolist()}"
-                f" ({bad.size} total)")
         faces = np.flatnonzero(self.cut)
-        first_is_1 = self.labels[mesh.interior_face_tets[faces, 0]] == 1
         edges = _unique(mesh.interior_face_edges[faces])
-        return (mesh.interior_faces[faces],
-                first_is_1 == mesh.interior_face_outward[faces], edges,
+        return (mesh.interior_faces[faces], self._flips(faces), edges,
                 self.edge_count[edges])
 
 
@@ -238,41 +362,19 @@ def discrete_curvature_inplace(V, edge_counts=None):
     `_edge_counts(V.faces, nv)` and whether each edge is one of
     `V.domain_boundary_edges`, when the caller already has them.
 
-    Each per-vertex sum is one np.bincount over all faces per corner in
-    turn: corners 0, 1, 2, or for the cotangent Laplacian the ends c+1,
-    c+2 of the edge opposite corner c, for c = 0, 1, 2.
+    The per-face terms come from `mesh.corner_terms`, the per-vertex sums
+    from `_vertex_sums`; `InterfaceTopology.referential_energy` runs the
+    same two on the faces around the vertices a swap changed.
     """
     nv = len(V.vertices)
     p = np.take(V.vertices.T, V.faces.T, axis=1)    # (xyz, corner, face)
-    nxt, prv = [1, 2, 0], [2, 0, 1]
-    e1, e2 = p[:, nxt] - p, p[:, prv] - p   # edges leaving each corner
-    cross = _cross(e1, e2)
-    twice_area = np.sqrt(_dot(cross, cross))    # (corner, face)
+    e1, e2, cross, twice_area = corner_crosses(p)
     areas = 0.5 * twice_area[0]
     if np.any(areas <= 0):
         raise InterfaceError("degenerate interface triangle")
     normals = (cross[:, 0] / (2.0 * areas)).T
-    angles = np.arctan2(twice_area, _dot(e1, e2))
-    cot = 1.0 / np.tan(angles)
-    corners = V.faces.T.ravel()
-
-    obtuse = angles > 0.5 * np.pi
-    voronoi = (_dot(e2, e2) * cot[nxt] + _dot(e1, e1) * cot[prv]) / 8.0
-    share = np.where(obtuse.any(axis=0),
-                     np.where(obtuse, areas / 2.0, areas / 4.0), voronoi)
-    mixed = np.bincount(corners, share.ravel(), minlength=nv)
-    if np.any(mixed <= 0):
-        raise InterfaceError("zero mixed area (degenerate triangle fan)")
-
-    # terms (xyz, corner, end, face): corner by corner within each sum
-    ends = np.stack([V.faces.T[nxt], V.faces.T[prv]], axis=1)
-    terms = cot[:, None] * np.stack([p[:, nxt] - p[:, prv],
-                                     p[:, prv] - p[:, nxt]], axis=2)
-    lap = np.bincount((3 * ends + np.arange(3)[:, None, None, None]).ravel(),
-                      terms.ravel(), minlength=3 * nv).reshape(nv, 3)
-    H = lap / (4.0 * mixed[:, None])
-    K = (2.0 * np.pi - np.bincount(corners, angles.ravel(), minlength=nv)
-         ) / mixed
+    angles, cot, share = corner_terms(e1, e2, twice_area, areas)
+    mixed, lap, angle_sum = _vertex_sums(V.faces, p, angles, cot, share, nv)
 
     if edge_counts is None:
         keys, counts = _edge_counts(V.faces, nv)
@@ -280,23 +382,59 @@ def discrete_curvature_inplace(V, edge_counts=None):
     keys, counts, on_boundary = edge_counts
     single = counts == 1
     open_edges = keys[single]
-    interior = np.ones(nv, bool)
-    interior[open_edges // nv] = False
-    interior[open_edges % nv] = False
+    interior = _off_edges(open_edges, nv)
 
-    h2 = _dot(H.T, H.T)
-    ii2 = 4.0 * h2 - 2.0 * K
-    clip_count = int(np.count_nonzero(interior & (ii2 < 0)))
-    a_norm = np.sqrt(2.0 * np.maximum(ii2, 0.0))
-    a_norm[~interior] = 0.0
-    H[~interior] = 0.0
-    K[~interior] = 0.0
+    H, K, a_norm, ii2 = _vertex_curvature(mixed, lap, angle_sum, interior)
     return replace(V, areas=areas, normals=normals,
                    mean_curvature=H, gauss_curvature=K, a_norm=a_norm,
                    mixed_area=mixed, interior_vertex=interior,
                    open_edges=open_edges,
                    dangling_edges=keys[single & ~on_boundary],
-                   clip_count=clip_count)
+                   clip_count=int(np.count_nonzero(interior & (ii2 < 0))))
+
+
+def _vertex_sums(faces, p, angles, cot, share, nv):
+    """Mixed areas, cotangent Laplacians and angle sums at vertices
+    0..nv-1 of the triangles `faces`, from their corner positions p
+    (xyz, corner, face) and the `corner_terms` (corner, face).
+
+    Each sum is one np.bincount over all faces per corner in turn:
+    corners 0, 1, 2, or for the cotangent Laplacian the ends c+1, c+2 of
+    the edge opposite corner c, for c = 0, 1, 2.
+    """
+    corners = faces.T.ravel()
+    mixed = np.bincount(corners, share.ravel(), minlength=nv)
+    # terms (xyz, corner, end, face): corner by corner within each sum
+    ends = faces.T[_ENDS]
+    terms = cot[:, None] * (p[:, _ENDS] - p[:, _ENDS[:, ::-1]])
+    lap = np.bincount((3 * ends + np.arange(3)[:, None, None, None]).ravel(),
+                      terms.ravel(), minlength=3 * nv).reshape(nv, 3)
+    return mixed, lap, np.bincount(corners, angles.ravel(), minlength=nv)
+
+
+def _off_edges(keys, nv):
+    """Whether each of vertices 0..nv-1 is an end of none of the edges
+    with keys lo * nv + hi."""
+    off = np.ones(nv, bool)
+    off[keys // nv] = False
+    off[keys % nv] = False
+    return off
+
+
+def _vertex_curvature(mixed, lap, angle_sum, interior):
+    """H, K and a_norm per vertex, and 4|H|^2 - 2K, from the vertices'
+    mixed areas, cotangent Laplacians and angle sums; H, K and a_norm
+    are zero off the `interior` vertices."""
+    if (mixed <= 0).any():
+        raise InterfaceError("zero mixed area (degenerate triangle fan)")
+    H = lap / (4.0 * mixed[:, None])
+    K = (2.0 * np.pi - angle_sum) / mixed
+    ii2 = 4.0 * _dot(H.T, H.T) - 2.0 * K
+    a_norm = np.sqrt(2.0 * np.maximum(ii2, 0.0))
+    a_norm[~interior] = 0.0
+    H[~interior] = 0.0
+    K[~interior] = 0.0
+    return H, K, a_norm, ii2
 
 
 def curvature_integral(V):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as hs
 
 import sharptop as st
 from sharptop.mesh import (_TET_FACES, FREE, TAGS, MeshError, ReferenceMesh,
-                           component_count, face_topology, plane_tagging)
+                           component_count, corner_crosses, corner_terms,
+                           face_topology, plane_tagging)
 from sharptop.surfaces import wedge_fold
 
 from conftest import (NONMANIFOLD_MESH, TWO_BOXES_MESH, ZERO_VOLUME_MESH,
@@ -520,7 +521,8 @@ def test_derived_arrays_are_read_only():
 
 LAZY_MAPS = ("interior_edge_keys", "interior_face_edges",
              "interior_edge_on_boundary", "interior_face_outward",
-             "tet_interior_faces", "vertex_tet_start", "vertex_tets")
+             "tet_interior_faces", "vertex_tet_start", "vertex_tets",
+             "vertex_face_start", "vertex_faces")
 
 
 @pytest.mark.parametrize("tagging", [None, lambda c: (
@@ -551,6 +553,39 @@ def test_edge_and_adjacency_maps_are_built_on_first_use(tagging):
                                mesh.vertex_tet_start[v + 1]]
         assert run.tolist() == np.flatnonzero((mesh.tets == v).any(axis=1)
                                               ).tolist()
+        run = mesh.vertex_faces[mesh.vertex_face_start[v]:
+                                mesh.vertex_face_start[v + 1]]
+        assert run.tolist() == np.flatnonzero(
+            (mesh.interior_faces == v).any(axis=1)).tolist()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: st.build_box_mesh(3, 2, 2),
+    lambda: jittered_box_mesh((2, 3, 2), np.random.default_rng(3), 0.2),
+    lambda: wedge_fold()[0],
+], ids=["box", "jittered", "wedge"])
+def test_interior_face_terms_equal_the_kernel_face_by_face(make):
+    """The stored per-face terms, built on first read in chunks and
+    read-only, equal bit for bit those of the corner kernel run on each
+    interior face alone; each face's angles add up to pi and its
+    mixed-area shares to its area."""
+    mesh = make()
+    assert "interior_face_terms" not in vars(mesh)
+    areas, terms = mesh.interior_face_terms
+    assert areas.shape == (len(mesh.interior_faces),)
+    assert terms.shape == (3, 3, len(areas))
+    assert not areas.flags.writeable and not terms.flags.writeable
+    for i, face in enumerate(mesh.interior_faces):
+        p = np.take(mesh.vertices.T, face[:, None], axis=1)
+        e1, e2, _, twice_area = corner_crosses(p)
+        area = 0.5 * twice_area[0]
+        assert areas[i] == area[0]
+        assert np.array_equal(terms[:, :, i],
+                              np.stack(corner_terms(e1, e2, twice_area,
+                                                    area))[..., 0])
+    angles, _, shares = terms
+    assert np.allclose(angles.sum(axis=0), np.pi, rtol=1e-14, atol=0.0)
+    assert np.allclose(shares.sum(axis=0), areas, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("make", [

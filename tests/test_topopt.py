@@ -311,6 +311,9 @@ ORACLE_CASES = {
     # its start; 25 steps per temperature pass a cold restart
     "referential-3": (3, REFERENTIAL, {}, 11, 25),
     "referential-5": (5, REFERENTIAL, {}, 16, 5),
+    # ring-local energies from the terms of uneven faces, on a box
+    # jittered by 0.002 cells: small enough to keep swaps volume-matched
+    "referential-jittered-4": (4, REFERENTIAL, {}, 17, 5, 0.002),
     # a traction and a stiff phase 1: candidates take steps
     "loaded-3": (3, EULERIAN, {"scale0": 0.2, "g": [0.0, 0.0, 1.0]}, 13, 5),
     # equal phases under a body load that puts the gradient of the start
@@ -322,11 +325,16 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_annealing_matches_full_recompute_oracle(case):
-    """From equal seeds the annealer, with its kept interface topology and
-    converged-at-start shortcut, gives the trace, counts and best labels
-    of one that extracts in full and solves in full on every proposal."""
-    n, mode, loads, seed, steps = ORACLE_CASES[case]
-    if mode == REFERENTIAL:
+    """From equal seeds the annealer, with its kept interface topology,
+    ring-local referential energies and converged-at-start shortcut,
+    gives the trace, counts and best labels of one that extracts in full
+    and solves in full on every proposal."""
+    n, mode, loads, seed, steps, *jitter = ORACLE_CASES[case]
+    if jitter:
+        mesh = jittered_box_mesh((n, n, n), np.random.default_rng(seed),
+                                 *jitter)
+        model = annealing_model()
+    elif mode == REFERENTIAL:
         mesh, model = pinned_mesh(n), annealing_model()
     else:
         mesh = st.build_box_mesh(n, n, n, tagging=clamp_bottom_pull_top)
@@ -347,7 +355,7 @@ def test_annealing_matches_full_recompute_oracle(case):
     if case == "referential-3":
         assert accepted > COLD_SOLVE_EVERY
         assert result.skipped_solves == proposals - 1
-    elif case == "referential-5":
+    elif case in ("referential-5", "referential-jittered-4"):
         assert result.skipped_solves == proposals
     elif case == "loaded-3":
         assert result.skipped_solves == 0
@@ -405,6 +413,62 @@ def test_skipped_solve_touches_only_the_swapped_tets(monkeypatch):
     assert result.skipped_solves == proposals > 0
     assert calls == {"minimize_equilibrium": 1, "equilibrium_gradient": 1}
     assert sizes == [2] * (3 * proposals)
+
+
+def test_referential_proposals_sum_only_their_ring(monkeypatch):
+    """A referential run extracts no interface and runs no full curvature
+    pass, for its start or for any proposal: the start's energy shares
+    are summed over every interface vertex, and each proposal's over at
+    most the 8 vertices of its two swapped tets."""
+    import sharptop.topopt as topopt
+    import sharptop.varifold as varifold
+    calls, rings = [], []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(topopt, "extract_interface")
+    counted(varifold, "extract_interface")
+    counted(varifold, "discrete_curvature_inplace")
+    ring_energy = varifold.InterfaceTopology._ring_energy
+
+    def sized(self, ring):
+        rings.append(len(ring))
+        return ring_energy(self, ring)
+    monkeypatch.setattr(varifold.InterfaceTopology, "_ring_energy", sized)
+    mesh = pinned_mesh(4)
+    phases = slab_labels(mesh, 0.5, axis=0)
+    result = optimize_topology(mesh, phases, annealing_model(),
+                               fast_config(mode=REFERENTIAL, seed=3))
+    proposals = len(result.trace) - result.rejected_no_move
+    cut = st.InterfaceTopology(mesh, phases).cut
+    assert calls == []
+    assert rings[0] == len(np.unique(mesh.interior_faces[cut]))
+    assert len(rings) == 1 + proposals > 1
+    assert all(1 <= n <= 8 for n in rings[1:])
+
+
+@pytest.mark.parametrize("g", [[0.0, 0.0, 0.0], [0.1, 0.0, 1.0]])
+def test_compliance_from_kept_loads(g):
+    """With no body load, one labeling's load vector is every labeling's,
+    so the compliance from it equals the compliance that builds its own,
+    bit for bit."""
+    from sharptop.energy import load_vector
+    mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
+    model = st.EnergyModel(g=g)
+    state = random_feasible_state(mesh, scale=0.03, seed=2)
+    phases = slab_labels(mesh, 0.5, axis=1)
+    loads = load_vector(mesh, phases, model)
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        phases = mass_preserving_move(mesh, phases, rng)
+        assert compliance(mesh, state, phases, model, loads) == compliance(
+            mesh, state, phases, model)
 
 
 @pytest.mark.parametrize("f", [[0.0, 0.0, 0.0], [0.3, -0.2, 1.0]])

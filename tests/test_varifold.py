@@ -18,7 +18,8 @@ from sharptop.varifold import (InterfaceError, InterfaceTopology,
 from conftest import (assert_varifold_equals_oracle,
                       brute_force_curvature_sums, brute_force_face_adjacency,
                       centroid_flips, clamp_bottom_pull_top,
-                      extraction_oracle, jittered_box_mesh, l_shape_mesh,
+                      even_corner_shuffle, extraction_oracle,
+                      jittered_box_mesh, l_shape_mesh,
                       perturbed_slab_labels, triangles_oracle)
 
 CURVATURE_FIELDS = ("mean_curvature", "gauss_curvature", "a_norm",
@@ -327,6 +328,19 @@ def test_phase_labels_leave_the_callers_array_writable():
     assert phases.labels.tolist() == [0, 0, 0, 0]
 
 
+def test_with_swap_makes_one_read_only_copy():
+    """A swap returns a new read-only labeling with the two tets
+    relabeled, and leaves the source labeling as it was."""
+    source = st.PhaseLabeling(np.array([1, 1, 0, 0, 1], np.int8))
+    swapped = source.with_swap(tet_to_0=1, tet_to_1=3)
+    assert isinstance(swapped, st.PhaseLabeling)
+    assert swapped.labels.dtype == np.int8
+    assert swapped.labels.tolist() == [1, 0, 0, 1, 1]
+    assert not swapped.labels.flags.writeable
+    assert source.labels.tolist() == [1, 1, 0, 0, 1]
+    assert not np.shares_memory(swapped.labels, source.labels)
+
+
 def unique_interface_topology(mesh, labels):
     """A labeling's cut mask, interface edge keys with their triangle
     counts, and phase-1 and phase-0 tets with a cut face, by np.unique
@@ -383,6 +397,77 @@ def test_interface_topology_after_swaps_matches_a_rebuild():
 
     check()
     assert min(starts) == 0 < max(starts)
+
+
+def test_referential_energy_equals_full_extraction():
+    """After every step of random swap, undo and accept sequences, the
+    topology's ring-local interface energy and mass equal those of a full
+    extraction at the reference positions, compared with ==, on box,
+    jittered, L-shaped, wedge and corner-shuffled meshes and for an empty
+    interface.  Where extraction raises, so does the topology: on
+    non-manifold labelings, and on a box of edges near 1e-90, whose face
+    areas underflow to zero.  A step is accepted when the energy is read
+    after it; the shares left stale by unread steps pile up until the
+    next read, and a change of model rebuilds them all."""
+    meshes = {"l-shape": l_shape_mesh(), "wedge": st.surfaces.wedge_fold()[0]}
+    models = (st.EnergyModel(), st.EnergyModel(c_int=0.7, p=3.0))
+    seen = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=hs.sampled_from(["box", "jittered", "l-shape", "wedge",
+                                 "shuffled", "empty", "tiny"]),
+           axis=hs.integers(0, 2), seed=hs.integers(0, 2**16),
+           flips=hs.integers(0, 2))
+    def check(kind, axis, seed, flips):
+        rng = np.random.default_rng(seed)
+        dims = tuple(rng.integers(2, 5, 3))
+        if kind == "jittered":
+            mesh = jittered_box_mesh(dims, rng, 0.2)
+        elif kind == "shuffled":
+            mesh = even_corner_shuffle(st.build_box_mesh(*dims), seed)
+        elif kind == "tiny":
+            box = st.build_box_mesh(*dims)
+            mesh = st.ReferenceMesh(vertices=1e-90 * box.vertices,
+                                    tets=box.tets,
+                                    boundary_faces=box.boundary_faces,
+                                    boundary_tags=box.boundary_tags)
+        else:
+            mesh = meshes.get(kind) or st.build_box_mesh(*dims)
+        labels = (np.ones(mesh.n_tets, np.int8) if kind == "empty" else
+                  np.array(perturbed_slab_labels(mesh, axis, seed,
+                                                 flips).labels))
+        topology, last, model = InterfaceTopology(
+            mesh, st.PhaseLabeling(labels)), None, models[0]
+        for _ in range(12):
+            if rng.random() < 0.6 and 0 < labels.sum() < len(labels):
+                last = (rng.choice(np.flatnonzero(labels == 1)),
+                        rng.choice(np.flatnonzero(labels == 0)))
+                topology.swap(*last)
+            elif last is not None:
+                topology.undo()
+                last = last[::-1]
+            if last is not None:
+                labels[last[0]], labels[last[1]] = 0, 1
+            assert np.array_equal(topology.labels, labels)
+            if rng.random() < 0.4:
+                continue
+            if rng.random() < 0.1:
+                model = models[1] if model is models[0] else models[0]
+            try:
+                V = st.extract_interface(mesh, None, st.PhaseLabeling(labels),
+                                         positions=mesh.vertices)
+            except InterfaceError:
+                with pytest.raises(InterfaceError):
+                    topology.referential_energy(model)
+                seen.add(("raised", kind == "tiny"))
+                continue
+            assert topology.referential_energy(model) == (
+                st.interface_energy(V, model), st.varifold_mass(V))
+            seen.add(kind if V.n_triangles or kind == "empty" else None)
+
+    check()
+    assert seen >= {"box", "jittered", "l-shape", "wedge", "shuffled",
+                    "empty", ("raised", False), ("raised", True)}, seen
 
 
 def test_domain_boundary_edges_match_an_isin_lookup():
