@@ -13,8 +13,8 @@ from .topopt import EULERIAN, REFERENTIAL, TopOptConfig, compliance, \
     mass_preserving_move, objective, optimize_topology
 from .varifold import InterfaceTopology, InterfaceVarifold, PhaseLabeling, \
     boundary_defect, coupling_residual, curvature_integral, \
-    extract_interface, interface_energy, random_bump_fields, total_energy, \
-    varifold_mass
+    extract_interface, interface_energy, random_bump_fields, \
+    referential_energy, total_energy, varifold_mass
 
 __version__ = "0.1.0"
 

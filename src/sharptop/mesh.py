@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .export import atomic_write_text
+from .export import _lines, atomic_write_text
 
 DIRICHLET = "DIRICHLET"
 NEUMANN = "NEUMANN"
@@ -342,20 +342,6 @@ class ReferenceMesh:
         return _read_only(areas), _read_only(terms)
 
     @cached_property
-    def vertex_face_start(self):
-        """Offsets of each vertex's run in `vertex_faces`, (nv + 1,)."""
-        return _read_only(np.r_[0, np.cumsum(np.bincount(
-            self.interior_faces.ravel(), minlength=self.n_vertices))])
-
-    @cached_property
-    def vertex_faces(self):
-        """The interior faces of vertex v, ascending, at vertex_faces[
-        vertex_face_start[v]: vertex_face_start[v + 1]]: a CSR
-        vertex-to-interior-face adjacency, (3 ni,)."""
-        return _read_only(np.argsort(self.interior_faces.ravel(),
-                                     kind="stable") // 3)
-
-    @cached_property
     def vertex_tet_start(self):
         """Offsets of each vertex's run in `vertex_tets`, (nv + 1,)."""
         return _read_only(np.r_[0, np.cumsum(np.bincount(
@@ -534,14 +520,11 @@ def plane_tagging(rules):
 
 
 def save_mesh(mesh, path):
-    lines = ["tetmesh v1"]
-    for v in mesh.vertices:
-        lines.append("v %.17g %.17g %.17g" % (v[0], v[1], v[2]))
-    for t in mesh.tets:
-        lines.append("t %d %d %d %d" % tuple(t))
-    for f, tag in zip(mesh.boundary_faces, mesh.boundary_tags):
-        lines.append("bf %d %d %d %s" % (f[0], f[1], f[2], tag))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    faces = np.empty((len(mesh.boundary_faces), 4), object)  # ids, then tag
+    faces[:, :3], faces[:, 3] = mesh.boundary_faces, mesh.boundary_tags
+    atomic_write_text(path, "".join([
+        "tetmesh v1\n", _lines("v %.17g %.17g %.17g", mesh.vertices),
+        _lines("t %d %d %d %d", mesh.tets), _lines("bf %d %d %d %s", faces)]))
 
 
 def load_mesh(path):

@@ -21,11 +21,11 @@ updates, so every decision is the one a full recompute would make; the
 solve's own gradient (`SolveReport.gradient`) clears the rounding at
 the start and after every accepted move that was solved, cold restarts
 included.  In referential mode the interface energy and mass come from
-the topology's per-vertex energy shares, of which a proposal recomputes
-those of the vertices of its two tets; an Eulerian proposal extracts
-its interface in full.  While the accepted-move count is a positive
-multiple of `COLD_SOLVE_EVERY`, every proposal is solved from the
-identity (a cold start) until one of them is accepted.
+`referential_energy`, one pass over the cut faces' terms stored on the
+mesh; an Eulerian proposal extracts its interface in full.  While the
+accepted-move count is a positive multiple of `COLD_SOLVE_EVERY`, every
+proposal is solved from the identity (a cold start) until one of them
+is accepted.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +36,8 @@ from .energy import Bulk, corner_forces, load_potential, load_vector
 from .kinematics import deformation_minors, identity_state
 from .solve import SolveOptions, _check_count, minimize_equilibrium
 from .varifold import (InterfaceError, InterfaceTopology, PhaseLabeling,
-                       extract_interface, interface_energy, varifold_mass)
+                       extract_interface, interface_energy,
+                       referential_energy, varifold_mass)
 
 EULERIAN = "EULERIAN"
 REFERENTIAL = "REFERENTIAL"
@@ -204,7 +205,7 @@ def _evaluate(mesh, phases, model, config, warm_state, topology,
             raise TopOptError("inner equilibrium solve did not converge")
         warm_state, gradient = state, report.gradient
     if config.mode == REFERENTIAL:
-        eint, mass = topology.referential_energy(model)
+        eint, mass = referential_energy(topology, model)
     else:
         V = extract_interface(mesh, warm_state, phases, topology=topology)
         eint, mass = interface_energy(V, model), varifold_mass(V)
@@ -241,7 +242,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
     step = 0
     temperature = config.t_initial
     while temperature > config.t_final:
-        failures = 0
+        failed = dict.fromkeys(("no_move", "interface", "solve"), 0)
         for _ in range(config.steps_per_temperature):
             step += 1
             cause = None
@@ -270,7 +271,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
             if cause is not None:
                 if cause != "no_move":
                     topology.undo()
-                failures += 1
+                failed[cause] += 1
                 rejected[cause] += 1
                 trace.append(TraceRow(step, temperature, obj, comp, eint,
                                       mu, False))
@@ -293,9 +294,12 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
             trace.append(TraceRow(step, temperature,
                                   cand_obj if accept else obj,
                                   comp, eint, mu, accept))
-        if failures > config.steps_per_temperature // 2:
+        if sum(failed.values()) > config.steps_per_temperature // 2:
             raise TopOptError(
-                f"more than half the moves failed inner solves at T={temperature}")
+                f"more than half the moves failed at T={temperature}: "
+                f"{failed['no_move']} found no move, {failed['interface']} "
+                f"failed interface extraction and {failed['solve']} failed "
+                f"inner solves, of {config.steps_per_temperature}")
         temperature *= config.t_decay
 
     return TopOptResult(best_state=best[0], best_phases=best[1],

@@ -111,11 +111,6 @@ class InterfaceTopology:
     relabels two tets, so `swap` revisits only their at most eight
     interior faces and the at most twelve edges of the two tets;
     `rejected_swaps` counts the swaps `try_swap` undid.
-
-    Once `referential_energy` has run, it also keeps each mesh vertex's
-    share of the interface energy at the reference positions; a swap
-    marks the entries of its faces' vertices stale, and `undo` puts the
-    saved entries back.
     """
 
     def __init__(self, mesh, phases):
@@ -131,24 +126,18 @@ class InterfaceTopology:
         self.nonmanifold_edges = int(np.count_nonzero(self.edge_count > 2))
         self.last_swap = None
         self.rejected_swaps = 0
-        # `referential_energy`'s model and, per mesh vertex, its energy
-        # share, whether the interface reaches it, and whether a swap left
-        # both out of date; `_saved` holds those the last swap marked
-        self._model = self._energy = self._on = self._stale = None
-        self._saved = None
 
-    def _relabel(self, tet_to_0, tet_to_1):
-        """Update the labels, cut mask and counts for the swap; return the
-        faces of the two tets that are cut before or after it: those
-        whose cut or orientation changed."""
+    def swap(self, tet_to_0, tet_to_1):
+        """Relabel phase-1 `tet_to_0` to 0 and phase-0 `tet_to_1` to 1,
+        and update the cut mask and counts at the faces whose cut
+        flipped."""
         mesh, labels = self.mesh, self.labels
         labels[tet_to_0], labels[tet_to_1] = 0, 1
         faces = mesh.tet_interior_faces[[tet_to_0, tet_to_1]].ravel()
         faces = faces[faces >= 0]
         tets = mesh.interior_face_tets[faces]
-        cut, was = labels[tets[:, 0]] != labels[tets[:, 1]], self.cut[faces]
-        changed = faces[cut | was]
-        flip = cut != was   # a face of both tets stays cut
+        cut = labels[tets[:, 0]] != labels[tets[:, 1]]
+        flip = cut != self.cut[faces]   # a face of both tets stays cut
         faces, tets, cut = faces[flip], tets[flip], cut[flip]
         self.cut[faces] = cut
         sign = np.where(cut, 1, -1)[:, None]
@@ -159,36 +148,12 @@ class InterfaceTopology:
         np.add.at(self.edge_count, edges, sign)
         self.nonmanifold_edges += int(
             np.count_nonzero(self.edge_count[touched] > 2) - before)
-        return changed
-
-    def swap(self, tet_to_0, tet_to_1):
-        """Relabel phase-1 `tet_to_0` to 0 and phase-0 `tet_to_1` to 1."""
-        self._saved = self._mark_stale(self._relabel(tet_to_0, tet_to_1))
         self.last_swap = (tet_to_0, tet_to_1)
 
     def undo(self):
-        """Reverse the last swap, and put back the energy entries it
-        made stale."""
+        """Reverse the last swap."""
         tet_to_0, tet_to_1 = self.last_swap
-        changed = self._relabel(tet_to_1, tet_to_0)
-        self.last_swap = (tet_to_1, tet_to_0)
-        if self._saved is None:   # kept no entries: mark them stale
-            self._saved = self._mark_stale(changed)
-        else:
-            ring, energy, on, stale = self._saved
-            self._energy[ring], self._on[ring] = energy, on
-            self._stale[ring] = stale
-            self._saved = None
-
-    def _mark_stale(self, faces):
-        """Mark the energy entries of the vertices of `faces` stale, when
-        there are entries, and return them as they were."""
-        if self._model is None:
-            return None
-        ring = _unique(self.mesh.interior_faces[faces])
-        saved = (ring, self._energy[ring], self._on[ring], self._stale[ring])
-        self._stale[ring] = True
-        return saved
+        self.swap(tet_to_1, tet_to_0)
 
     def try_swap(self, tet_to_0, tet_to_1):
         """Swap if no interface edge is left with more than two triangles;
@@ -212,69 +177,6 @@ class InterfaceTopology:
                 "non-manifold interface edges: "
                 f"{np.stack([bad // n, bad % n], axis=1)[:5].tolist()}"
                 f" ({bad.size} total)")
-
-    def referential_energy(self, model):
-        """Interface energy and mass of the labeling at the reference
-        positions: bit for bit `interface_energy` and `varifold_mass` of
-        `extract_interface(..., positions=mesh.vertices)`, and raising as
-        it would.
-
-        Recomputes the energy shares of the vertices that swaps left
-        stale, or on the first call (and for another model object) those
-        of every vertex of the interface; a share stays stale until its
-        recompute succeeds.
-        """
-        self._check_manifold()
-        mesh = self.mesh
-        if model is not self._model:   # every interface vertex is stale
-            nv = mesh.n_vertices
-            self._model, self._saved = model, None
-            self._energy, self._on = np.zeros(nv), np.zeros(nv, bool)
-            self._stale = np.zeros(nv, bool)
-            self._stale[mesh.interior_faces[self.cut]] = True
-        ring = np.flatnonzero(self._stale)
-        if ring.size:
-            self._energy[ring], self._on[ring] = self._ring_energy(ring)
-            self._stale[ring] = False
-        return (float(self._energy[self._on].sum()),
-                float(mesh.interior_face_terms[0][self.cut].sum()))
-
-    def _ring_energy(self, ring):
-        """The energy shares of the sorted vertices `ring`, and whether
-        the interface reaches each, from the stored terms of the cut
-        faces at them.
-
-        The per-vertex sums over those faces, face ascending, are the
-        full extraction's sums restricted to `ring`: each vertex's terms
-        run from 0.0 in the same order and, by `mesh.corner_terms`, have
-        the same bits.
-        """
-        mesh, nv = self.mesh, self.mesh.n_vertices
-        lo, hi = mesh.vertex_face_start[ring], mesh.vertex_face_start[ring + 1]
-        n = hi - lo
-        faces = mesh.vertex_faces[np.repeat(lo - n.cumsum() + n, n)
-                                  + np.arange(n.sum())]
-        faces = _unique(faces[self.cut[faces]])
-        area, terms = mesh.interior_face_terms
-        if (area[faces] <= 0).any():
-            raise InterfaceError("degenerate interface triangle")
-        # the sorted slot at each corner: 1 and 2 trade places on a flip
-        slots = _CORNER_SLOTS[self._flips(faces).view(np.int8)]
-        tris = mesh.interior_faces[faces[:, None], slots]
-        angles, cot, share = terms[:, slots.T, faces]
-        mixed, lap, angle_sum = _vertex_sums(
-            tris, np.take(mesh.vertices.T, tris.T, axis=1), angles, cot,
-            share, nv)
-        edges = mesh.interior_face_edges[faces]
-        interior = _off_edges(mesh.interior_edge_keys[
-            edges[self.edge_count[edges] == 1]], nv)
-        on = np.bincount(tris.ravel(), minlength=nv)[ring] > 0
-        v = ring[on]
-        a_norm = _vertex_curvature(mixed[v], lap[v], angle_sum[v],
-                                   interior[v])[2]
-        energy = np.zeros(len(ring))
-        energy[on] = mixed[v] * interface_density(a_norm, self._model)
-        return energy, on
 
     def _flips(self, faces):
         """Whether each of the cut `faces` must be flipped to point into
@@ -363,8 +265,8 @@ def discrete_curvature_inplace(V, edge_counts=None):
     `V.domain_boundary_edges`, when the caller already has them.
 
     The per-face terms come from `mesh.corner_terms`, the per-vertex sums
-    from `_vertex_sums`; `InterfaceTopology.referential_energy` runs the
-    same two on the faces around the vertices a swap changed.
+    from `_vertex_sums`; `referential_energy` reads the former from the
+    mesh and runs the latter.
     """
     nv = len(V.vertices)
     p = np.take(V.vertices.T, V.faces.T, axis=1)    # (xyz, corner, face)
@@ -448,6 +350,42 @@ def interface_energy(V, model):
     Equals c_int * (mass + integral of a_norm^p) for the model density.
     """
     return float(np.sum(V.mixed_area * interface_density(V.a_norm, model)))
+
+
+def referential_energy(topology, model):
+    """Interface energy and mass of the `InterfaceTopology`'s labeling at
+    the reference positions: bit for bit `interface_energy` and
+    `varifold_mass` of `extract_interface(..., positions=mesh.vertices)`,
+    and raising as it would.
+
+    One pass over the cut faces, ascending, reads their terms from
+    `mesh.interior_face_terms` in place of the corner kernel.  Each term
+    has the kernel's bits whichever way the face points (`corner_terms`),
+    and the terms are permuted to the oriented corners, so
+    `_vertex_sums` adds the same terms in the same order as extraction.
+    """
+    topology._check_manifold()
+    mesh, nv = topology.mesh, topology.mesh.n_vertices
+    faces = np.flatnonzero(topology.cut)
+    area, terms = mesh.interior_face_terms
+    area = area[faces]
+    if (area <= 0).any():
+        raise InterfaceError("degenerate interface triangle")
+    # the sorted slot at each corner: 1 and 2 trade places on a flip
+    slots = _CORNER_SLOTS[topology._flips(faces).view(np.int8)]
+    tris = mesh.interior_faces[faces[:, None], slots]
+    angles, cot, share = terms[:, slots.T, faces]
+    mixed, lap, angle_sum = _vertex_sums(
+        tris, np.take(mesh.vertices.T, tris.T, axis=1), angles, cot, share,
+        nv)
+    edges = mesh.interior_face_edges[faces]
+    interior = _off_edges(mesh.interior_edge_keys[
+        edges[topology.edge_count[edges] == 1]], nv)
+    v = _unique(tris)
+    a_norm = _vertex_curvature(mixed[v], lap[v], angle_sum[v],
+                               interior[v])[2]
+    return (float(np.sum(mixed[v] * interface_density(a_norm, model))),
+            float(np.sum(area)))
 
 
 def total_energy(mesh, state, phases, model):

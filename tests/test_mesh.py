@@ -316,6 +316,48 @@ def test_save_load_round_trip(tmp_path, clamped_mesh):
                                rtol=1e-15, atol=0)
 
 
+# a clamp-and-pull 1 x 1 x 1 box of extent (0.3, 0.7, 1), as a writer
+# that formatted one line at a time printed it
+SAVED_BOX = """tetmesh v1
+v 0 0 0
+v 0 0 1
+v 0 0.69999999999999996 0
+v 0 0.69999999999999996 1
+v 0.29999999999999999 0 0
+v 0.29999999999999999 0 1
+v 0.29999999999999999 0.69999999999999996 0
+v 0.29999999999999999 0.69999999999999996 1
+t 0 4 6 7
+t 4 0 5 7
+t 2 0 6 7
+t 0 2 3 7
+t 0 1 5 7
+t 1 0 3 7
+bf 0 1 3 FREE
+bf 0 1 5 FREE
+bf 0 2 3 FREE
+bf 0 2 6 DIRICHLET
+bf 0 4 5 FREE
+bf 0 4 6 DIRICHLET
+bf 1 3 7 NEUMANN
+bf 1 5 7 NEUMANN
+bf 2 3 7 FREE
+bf 2 6 7 FREE
+bf 4 5 7 FREE
+bf 4 6 7 FREE
+"""
+
+
+def test_save_writes_the_golden_bytes(tmp_path):
+    """save_mesh writes a small box byte for byte as the line-by-line
+    writer did: vertices at 17 significant digits, tets, then the
+    tagged boundary faces."""
+    path = tmp_path / "box.tet"
+    st.save_mesh(st.build_box_mesh(1, 1, 1, extent=(0.3, 0.7, 1.0),
+                                   tagging=clamp_bottom_pull_top), path)
+    assert path.read_bytes() == SAVED_BOX.encode()
+
+
 def test_load_reports_parse_error_line(tmp_path):
     path = tmp_path / "bad.tet"
     path.write_text("tetmesh v1\nv 0 0 zero\n")
@@ -521,8 +563,7 @@ def test_derived_arrays_are_read_only():
 
 LAZY_MAPS = ("interior_edge_keys", "interior_face_edges",
              "interior_edge_on_boundary", "interior_face_outward",
-             "tet_interior_faces", "vertex_tet_start", "vertex_tets",
-             "vertex_face_start", "vertex_faces")
+             "tet_interior_faces", "vertex_tet_start", "vertex_tets")
 
 
 @pytest.mark.parametrize("tagging", [None, lambda c: (
@@ -553,10 +594,6 @@ def test_edge_and_adjacency_maps_are_built_on_first_use(tagging):
                                mesh.vertex_tet_start[v + 1]]
         assert run.tolist() == np.flatnonzero((mesh.tets == v).any(axis=1)
                                               ).tolist()
-        run = mesh.vertex_faces[mesh.vertex_face_start[v]:
-                                mesh.vertex_face_start[v + 1]]
-        assert run.tolist() == np.flatnonzero(
-            (mesh.interior_faces == v).any(axis=1)).tolist()
 
 
 @pytest.mark.parametrize("make", [

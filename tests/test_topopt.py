@@ -183,6 +183,36 @@ def test_failed_solve_is_retried_only_from_a_moved_start(monkeypatch, moved,
     assert np.array_equal(starts[-1], mesh.vertices)
 
 
+@pytest.mark.parametrize("cause", ["no_move", "interface"])
+def test_abort_names_the_failures_by_cause(monkeypatch, cause):
+    """When more than half the moves at a temperature fail, the error
+    counts them by cause, not all as failed inner solves."""
+    import sharptop.topopt as topopt
+    from sharptop.varifold import InterfaceError
+    if cause == "no_move":
+        def failing(*args, **kwargs):
+            raise TopOptError("no admissible move found")
+        monkeypatch.setattr(topopt, "mass_preserving_move", failing)
+        counts = "5 found no move, 0 failed interface extraction"
+    else:   # every energy after the start's
+        real, calls = topopt.referential_energy, []
+
+        def failing(topology, model):
+            calls.append(1)
+            if len(calls) > 1:
+                raise InterfaceError("degenerate interface triangle")
+            return real(topology, model)
+        monkeypatch.setattr(topopt, "referential_energy", failing)
+        counts = "0 found no move, 5 failed interface extraction"
+    mesh = pinned_mesh(3)
+    with pytest.raises(TopOptError, match=(
+            rf"^more than half the moves failed at T=1.0: {counts} and 0 "
+            r"failed inner solves, of 5$")):
+        optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
+                          annealing_model(),
+                          fast_config(mode=REFERENTIAL, seed=1))
+
+
 def test_move_rejects_empty_phase(small_mesh, uniform_phase1):
     rng = np.random.default_rng(2)
     with pytest.raises(TopOptError):
@@ -311,7 +341,7 @@ ORACLE_CASES = {
     # its start; 25 steps per temperature pass a cold restart
     "referential-3": (3, REFERENTIAL, {}, 11, 25),
     "referential-5": (5, REFERENTIAL, {}, 16, 5),
-    # ring-local energies from the terms of uneven faces, on a box
+    # referential energies from the terms of uneven faces, on a box
     # jittered by 0.002 cells: small enough to keep swaps volume-matched
     "referential-jittered-4": (4, REFERENTIAL, {}, 17, 5, 0.002),
     # a traction and a stiff phase 1: candidates take steps
@@ -326,7 +356,7 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_annealing_matches_full_recompute_oracle(case):
     """From equal seeds the annealer, with its kept interface topology,
-    ring-local referential energies and converged-at-start shortcut,
+    stored-term referential energies and converged-at-start shortcut,
     gives the trace, counts and best labels of one that extracts in full
     and solves in full on every proposal."""
     n, mode, loads, seed, steps, *jitter = ORACLE_CASES[case]
@@ -415,14 +445,14 @@ def test_skipped_solve_touches_only_the_swapped_tets(monkeypatch):
     assert sizes == [2] * (3 * proposals)
 
 
-def test_referential_proposals_sum_only_their_ring(monkeypatch):
+def test_referential_run_reads_the_energy_once_per_candidate(monkeypatch):
     """A referential run extracts no interface and runs no full curvature
-    pass, for its start or for any proposal: the start's energy shares
-    are summed over every interface vertex, and each proposal's over at
-    most the 8 vertices of its two swapped tets."""
+    pass, for its start or for any proposal: it reads the interface
+    energy from `referential_energy`, once for the start and once per
+    candidate whose solve converged."""
     import sharptop.topopt as topopt
     import sharptop.varifold as varifold
-    calls, rings = [], []
+    calls = []
 
     def counted(module, name):
         real = getattr(module, name)
@@ -435,22 +465,15 @@ def test_referential_proposals_sum_only_their_ring(monkeypatch):
     counted(topopt, "extract_interface")
     counted(varifold, "extract_interface")
     counted(varifold, "discrete_curvature_inplace")
-    ring_energy = varifold.InterfaceTopology._ring_energy
-
-    def sized(self, ring):
-        rings.append(len(ring))
-        return ring_energy(self, ring)
-    monkeypatch.setattr(varifold.InterfaceTopology, "_ring_energy", sized)
+    counted(topopt, "referential_energy")
     mesh = pinned_mesh(4)
-    phases = slab_labels(mesh, 0.5, axis=0)
-    result = optimize_topology(mesh, phases, annealing_model(),
+    result = optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
+                               annealing_model(),
                                fast_config(mode=REFERENTIAL, seed=3))
-    proposals = len(result.trace) - result.rejected_no_move
-    cut = st.InterfaceTopology(mesh, phases).cut
-    assert calls == []
-    assert rings[0] == len(np.unique(mesh.interior_faces[cut]))
-    assert len(rings) == 1 + proposals > 1
-    assert all(1 <= n <= 8 for n in rings[1:])
+    candidates = (len(result.trace) - result.rejected_no_move
+                  - result.rejected_solve)
+    assert candidates > 0
+    assert calls == ["referential_energy"] * (1 + candidates)
 
 
 @pytest.mark.parametrize("g", [[0.0, 0.0, 0.0], [0.1, 0.0, 1.0]])
