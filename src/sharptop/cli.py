@@ -235,6 +235,7 @@ def _write_topopt_outputs(out, mesh, eta, result: TopOptResult, seed):
         "rejected_metropolis": result.rejected_metropolis,
         "nonmanifold_draws": result.nonmanifold_draws,
         "skipped_solves": result.skipped_solves,
+        "inner_iterations": result.inner_iterations,
         "mass_constraint_residual":
             result.best_phases.phase1_volume(mesh)
             - eta * mesh.total_volume(),

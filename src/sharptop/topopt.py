@@ -10,17 +10,22 @@ A proposal costs work in the two swapped tets, not in the mesh, where
 it can.  The annealer keeps the labeling's `InterfaceTopology` and
 updates it per swap, so drawing a candidate and checking it for
 non-manifold edges visit only the swapped tets' faces and edges, and
-extraction reads its cut faces, flips and edge counts from it.  The
-annealer also keeps the equilibrium gradient at its state and labels, and
-updates it by the two tets' change of weight (and of body load): a
-swap leaves the positions alone.  When the updated norm is at most half
-the solver's gradient tolerance, the warm state is already converged,
-and it is returned as a solve that takes no step would return it,
-without the solve.  The half margin absorbs the rounding of the
-updates, so every decision is the one a full recompute would make; the
-solve's own gradient (`SolveReport.gradient`) clears the rounding at
-the start and after every accepted move that was solved, cold restarts
-included.  In referential mode the interface energy and mass come from
+extraction reads its cut faces, flips and edge counts from it.  With
+equal phase scales and no body load a swap is inert: the bulk weights
+and the load vector do not depend on the labels, so a candidate's
+equilibrium problem is the accepted one, whose state came from a
+converged solve, and the candidate keeps that state, gradient and
+compliance and runs no mechanics.  Otherwise the annealer keeps the
+equilibrium gradient at its state and labels, and updates it by the two
+tets' change of weight (and of body load): a swap leaves the positions
+alone.  When the updated norm is at most half the solver's gradient
+tolerance, the warm state is already converged, and it is returned as a
+solve that takes no step would return it, without the solve.  The half
+margin absorbs the rounding of the updates, so every decision is the
+one a full recompute would make; the solve's own gradient
+(`SolveReport.gradient`) clears the rounding at the start and after
+every accepted move that was solved, cold restarts included.  In
+referential mode the interface energy and mass come from
 `referential_energy`, one pass over the cut faces' terms stored on the
 mesh; an Eulerian proposal extracts its interface in full.  While the
 accepted-move count is a positive multiple of `COLD_SOLVE_EVERY`, every
@@ -178,39 +183,17 @@ class TopOptResult:
     rejected_solve: int = 0         # its inner solve did not converge
     rejected_metropolis: int = 0
     nonmanifold_draws: int = 0      # drawn swaps dropped as non-manifold
-    skipped_solves: int = 0         # candidates converged at their start
+    skipped_solves: int = 0         # candidates kept the warm state unsolved
+    inner_iterations: int = 0       # iterations of the solves that ran
 
 
-def _evaluate(mesh, phases, model, config, warm_state, topology,
-              gradient=None, loads=None):
-    """A candidate's state, equilibrium gradient, compliance, interface
-    energy and mass.
-
-    `topology` is the `InterfaceTopology` of `phases`.  `gradient`, when
-    given, is the equilibrium gradient at `warm_state` for `phases` and
-    meets the gradient tolerance, so the solve, which would take no
-    step, is skipped and `gradient` returned.  `loads` is the load
-    vector of `phases`, when the caller has it."""
-    if gradient is None:
-        state, report = minimize_equilibrium(mesh, warm_state, phases, model,
-                                             config.solve_options)
-        if not report.converged and not np.array_equal(warm_state.positions,
-                                                       mesh.vertices):
-            # one retry from a cold start, unless this solve was one: the
-            # solve is deterministic and would fail again
-            state, report = minimize_equilibrium(mesh, identity_state(mesh),
-                                                 phases, model,
-                                                 config.solve_options)
-        if not report.converged:
-            raise TopOptError("inner equilibrium solve did not converge")
-        warm_state, gradient = state, report.gradient
-    if config.mode == REFERENTIAL:
-        eint, mass = referential_energy(topology, model)
-    else:
-        V = extract_interface(mesh, warm_state, phases, topology=topology)
-        eint, mass = interface_energy(V, model), varifold_mass(V)
-    return (warm_state, gradient,
-            compliance(mesh, warm_state, phases, model, loads), eint, mass)
+def _interface_terms(mesh, state, phases, model, mode, topology):
+    """A candidate's interface energy and mass; `topology` is the
+    `InterfaceTopology` of `phases`."""
+    if mode == REFERENTIAL:
+        return referential_energy(topology, model)
+    V = extract_interface(mesh, state, phases, topology=topology)
+    return interface_energy(V, model), varifold_mass(V)
 
 
 def optimize_topology(mesh, init_phases, model, config, state0=None,
@@ -225,10 +208,35 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
     state = state0 or identity_state(mesh)
     phases = init_phases
     topology = InterfaceTopology(mesh, phases)
-    # with no body load the load vector does not depend on the labels
+    # with no body load the load vector does not depend on the labels,
+    # and with equal phase scales neither do the bulk weights: a swap is
+    # inert, it changes no term of the equilibrium problem
     loads = None if np.any(model.f) else load_vector(mesh, phases, model)
-    state, grad, comp, eint, mu = _evaluate(mesh, phases, model, config,
-                                            state, topology, loads=loads)
+    inert = model.scale0 == model.scale1 and loads is not None
+    iterations = 0
+
+    def solve(phases, warm_state):
+        """The equilibrium state, gradient and compliance of `phases`."""
+        nonlocal iterations
+        state, report = minimize_equilibrium(mesh, warm_state, phases, model,
+                                             config.solve_options)
+        iterations += report.iterations
+        if not report.converged and not np.array_equal(warm_state.positions,
+                                                       mesh.vertices):
+            # one retry from a cold start, unless this solve was one: the
+            # solve is deterministic and would fail again
+            state, report = minimize_equilibrium(mesh, identity_state(mesh),
+                                                 phases, model,
+                                                 config.solve_options)
+            iterations += report.iterations
+        if not report.converged:
+            raise TopOptError("inner equilibrium solve did not converge")
+        return (state, report.gradient,
+                compliance(mesh, state, phases, model, loads))
+
+    state, grad, comp = solve(phases, state)
+    eint, mu = _interface_terms(mesh, state, phases, model, config.mode,
+                                topology)
     skip_below = 0.5 * config.solve_options.gradient_tolerance
     obj = comp + eint
     best = (state, phases, obj)
@@ -254,16 +262,23 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
             if cause is None:
                 cold = (accepted_total
                         and accepted_total % COLD_SOLVE_EVERY == 0)
-                cand_grad = None if cold else _swapped_gradient(
+                cand_grad = None if cold or inert else _swapped_gradient(
                     mesh, state, model, grad, topology.last_swap)
-                converged = (cand_grad is not None and float(
+                converged = not cold and (inert or float(
                     np.linalg.norm(cand_grad)) <= skip_below)
                 skipped += converged
                 try:
-                    cand_state, cand_grad, c_comp, c_eint, c_mu = _evaluate(
-                        mesh, candidate, model, config,
-                        identity_state(mesh) if cold else state, topology,
-                        cand_grad if converged else None, loads)
+                    if not converged:
+                        cand_state, cand_grad, c_comp = solve(
+                            candidate, identity_state(mesh) if cold else state)
+                    elif inert:   # the accepted solve is the candidate's
+                        cand_state, cand_grad, c_comp = state, grad, comp
+                    else:
+                        cand_state, c_comp = state, compliance(
+                            mesh, state, candidate, model, loads)
+                    c_eint, c_mu = _interface_terms(
+                        mesh, cand_state, candidate, model, config.mode,
+                        topology)
                 except InterfaceError:
                     cause = "interface"
                 except TopOptError:
@@ -312,4 +327,4 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                         rejected_solve=rejected["solve"],
                         rejected_metropolis=rejected["metropolis"],
                         nonmanifold_draws=topology.rejected_swaps,
-                        skipped_solves=skipped)
+                        skipped_solves=skipped, inner_iterations=iterations)

@@ -110,7 +110,8 @@ class InterfaceTopology:
     `nonmanifold_edges`, the number of edges with more than two.  A swap
     relabels two tets, so `swap` revisits only their at most eight
     interior faces and the at most twelve edges of the two tets;
-    `rejected_swaps` counts the swaps `try_swap` undid.
+    `rejected_swaps` counts the swaps `try_swap` undid.  The `near` lists
+    are kept until a swap, and `undo` restores the ones from before it.
     """
 
     def __init__(self, mesh, phases):
@@ -126,6 +127,7 @@ class InterfaceTopology:
         self.nonmanifold_edges = int(np.count_nonzero(self.edge_count > 2))
         self.last_swap = None
         self.rejected_swaps = 0
+        self._near = self._near_before = None
 
     def swap(self, tet_to_0, tet_to_1):
         """Relabel phase-1 `tet_to_0` to 0 and phase-0 `tet_to_1` to 1,
@@ -149,11 +151,14 @@ class InterfaceTopology:
         self.nonmanifold_edges += int(
             np.count_nonzero(self.edge_count[touched] > 2) - before)
         self.last_swap = (tet_to_0, tet_to_1)
+        self._near_before, self._near = self._near, None
 
     def undo(self):
         """Reverse the last swap."""
         tet_to_0, tet_to_1 = self.last_swap
+        near = self._near_before
         self.swap(tet_to_1, tet_to_0)
+        self._near = near
 
     def try_swap(self, tet_to_0, tet_to_1):
         """Swap if no interface edge is left with more than two triangles;
@@ -187,10 +192,13 @@ class InterfaceTopology:
                 == mesh.interior_face_outward[faces])
 
     def near(self):
-        """Tets with a cut face, per phase, sorted: (phase 1, phase 0)."""
-        near = self.tet_count > 0
-        one = self.labels == 1
-        return np.flatnonzero(near & one), np.flatnonzero(near & ~one)
+        """Tets with a cut face, per phase, sorted and read-only:
+        (phase 1, phase 0)."""
+        if self._near is None:
+            near, one = self.tet_count > 0, self.labels == 1
+            self._near = (_read_only(np.flatnonzero(near & one)),
+                          _read_only(np.flatnonzero(near & ~one)))
+        return self._near
 
     def triangles(self):
         """The interface triangles as sorted triples of mesh vertex ids,

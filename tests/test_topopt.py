@@ -336,6 +336,27 @@ def test_programming_error_in_inner_solve_propagates(monkeypatch):
     assert len(calls) == 2
 
 
+def test_inner_iterations_add_up_the_solves_that_ran(monkeypatch):
+    """`inner_iterations` is the sum of the iterations of every inner
+    solve the run made, its start's included."""
+    import sharptop.topopt as topopt
+    real, iterations = topopt.minimize_equilibrium, []
+
+    def recorded(*args, **kwargs):
+        state, report = real(*args, **kwargs)
+        iterations.append(report.iterations)
+        return state, report
+
+    monkeypatch.setattr(topopt, "minimize_equilibrium", recorded)
+    mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
+    model = st.EnergyModel(r=4, s=stress_free_s(4), scale0=0.2,
+                           g=[0.0, 0.0, 1.0])
+    result = optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0), model,
+                               fast_config(seed=3))
+    assert len(iterations) > 1
+    assert result.inner_iterations == sum(iterations) > 0
+
+
 ORACLE_CASES = {
     # zero load: every candidate but the cold restarts' is converged at
     # its start; 25 steps per temperature pass a cold restart
@@ -350,6 +371,11 @@ ORACLE_CASES = {
     # near half the tolerance: swaps move it across, so some candidates
     # are skipped and some are solved
     "body-load-4": (4, EULERIAN, {"f": [0.0, 0.0, 7.9e-5]}, 14, 5),
+    # equal phases under a traction: swaps are inert, so every candidate
+    # but a cold restart's keeps the accepted solve, though its gradient
+    # need not lie within half the tolerance
+    "traction-equal-3": (3, EULERIAN, {"g": [0.0, 0.0, 1.0]}, 13, 5),
+    "traction-equal-4": (4, EULERIAN, {"g": [0.0, 0.0, 0.5]}, 7, 5),
 }
 
 
@@ -385,7 +411,8 @@ def test_annealing_matches_full_recompute_oracle(case):
     if case == "referential-3":
         assert accepted > COLD_SOLVE_EVERY
         assert result.skipped_solves == proposals - 1
-    elif case in ("referential-5", "referential-jittered-4"):
+    elif case in ("referential-5", "referential-jittered-4",
+                  "traction-equal-3", "traction-equal-4"):
         assert result.skipped_solves == proposals
     elif case == "loaded-3":
         assert result.skipped_solves == 0
@@ -404,11 +431,45 @@ def test_rejections_add_up_by_cause():
     assert result.nonmanifold_draws > 0
 
 
+def test_inert_candidates_run_no_mechanics(monkeypatch):
+    """With equal phase scales and no body load a swap changes no term of
+    the equilibrium problem, so a candidate keeps the accepted state,
+    gradient and compliance: it runs no kinematics, constitutive kernel,
+    corner forces or compliance, and neither the inner solve nor a full
+    gradient.  The run's one solve and compliance are its start's."""
+    import sharptop.solve as solve
+    import sharptop.topopt as topopt
+    calls = dict.fromkeys(("deformation_minors", "Bulk", "corner_forces",
+                           "compliance", "minimize_equilibrium",
+                           "equilibrium_gradient"), 0)
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in calls:
+        counted(solve if name == "equilibrium_gradient" else topopt, name)
+    mesh = pinned_mesh(4)
+    result = optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
+                               annealing_model(), fast_config(seed=3))
+    proposals = len(result.trace) - result.rejected_no_move
+    assert result.skipped_solves == proposals > 0
+    assert result.inner_iterations == 0
+    assert calls == {"deformation_minors": 0, "Bulk": 0, "corner_forces": 0,
+                     "compliance": 1, "minimize_equilibrium": 1,
+                     "equilibrium_gradient": 1}
+
+
 def test_skipped_solve_touches_only_the_swapped_tets(monkeypatch):
-    """A candidate converged at its start runs the kinematics, the
-    constitutive kernel and the corner forces on its two swapped tets
-    only, and neither the inner solve nor a full gradient: the one full
-    gradient of the run is the first solve's, which the annealer reuses."""
+    """With unequal phase scales a swap moves the gradient, so a candidate
+    converged at its start runs the kinematics, the constitutive kernel
+    and the corner forces on its two swapped tets only, and neither the
+    inner solve nor a full gradient: the one full gradient of the run is
+    the first solve's, which the annealer reuses."""
     import sharptop.solve as solve
     import sharptop.topopt as topopt
     sizes, calls = [], {"minimize_equilibrium": 0, "equilibrium_gradient": 0}
@@ -437,8 +498,11 @@ def test_skipped_solve_touches_only_the_swapped_tets(monkeypatch):
     counted(topopt, "minimize_equilibrium")
     counted(solve, "equilibrium_gradient")
     mesh = pinned_mesh(4)
+    # the identity is stress free in either phase, so every swap keeps it
+    # converged
+    model = replace(annealing_model(), scale0=0.2)
     result = optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
-                               annealing_model(), fast_config(seed=3))
+                               model, fast_config(seed=3))
     proposals = len(result.trace) - result.rejected_no_move
     assert result.skipped_solves == proposals > 0
     assert calls == {"minimize_equilibrium": 1, "equilibrium_gradient": 1}
@@ -515,3 +579,38 @@ def test_swapped_gradient_matches_full_recompute(f):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert not got[state.dirichlet_mask].any()
         phases, grad = swapped, got
+
+
+def test_inert_swap_leaves_the_gradient_as_it_is():
+    """With equal phase scales and no body load, the two-tet update of the
+    gradient adds exact zeros: `_swapped_gradient` returns `grad`, bit for
+    bit, at random deformed states, swaps and tractions on box and
+    jittered meshes, which is why an inert candidate skips it.  Unequal
+    scales, or a body load, move it."""
+    from sharptop.topopt import _swapped_gradient
+    kinds = set()
+
+    @settings(max_examples=30, deadline=None)
+    @given(jittered=hs.booleans(), seed=hs.integers(0, 2**16),
+           scale=hs.floats(0.1, 10.0),
+           g=hs.lists(hs.floats(-2.0, 2.0), min_size=3, max_size=3))
+    def check(jittered, seed, scale, g):
+        rng = np.random.default_rng(seed)
+        dims = tuple(rng.integers(2, 5, 3))
+        mesh = (jittered_box_mesh(dims, rng, 0.2) if jittered else
+                st.build_box_mesh(*dims, tagging=clamp_bottom_pull_top))
+        state = random_feasible_state(mesh, scale=0.005, seed=seed)
+        phases = perturbed_slab_labels(mesh, int(rng.integers(3)), seed, 1)
+        swap = (rng.choice(np.flatnonzero(phases.labels == 1)),
+                rng.choice(np.flatnonzero(phases.labels == 0)))
+        inert = st.EnergyModel(r=4, s=3.0, scale0=scale, scale1=scale, g=g)
+        for model in (inert, replace(inert, scale0=0.5 * scale),
+                      replace(inert, f=[0.0, 0.0, 1.0])):
+            grad = st.equilibrium_gradient(mesh, state, phases, model)
+            kept = np.array_equal(
+                _swapped_gradient(mesh, state, model, grad, swap), grad)
+            assert kept == (model is inert)
+        kinds.add(jittered)
+
+    check()
+    assert kinds == {False, True}

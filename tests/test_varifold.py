@@ -403,7 +403,8 @@ def test_referential_energy_equals_full_extraction():
     """After every step of random swap, undo and accept sequences, the
     interface energy and mass that `referential_energy` reads from the
     topology and the stored face terms equal those of a full extraction
-    at the reference positions, compared with ==, on box, jittered,
+    at the reference positions, compared with ==, and the kept, read-only
+    near-interface lists equal those of a rebuilt topology, on box, jittered,
     L-shaped, wedge and corner-shuffled meshes and for an empty
     interface.  Where extraction raises, so does `referential_energy`: on
     non-manifold labelings, and on a box of edges near 1e-90, whose face
@@ -413,7 +414,7 @@ def test_referential_energy_equals_full_extraction():
     models = (st.EnergyModel(), st.EnergyModel(c_int=0.7, p=3.0))
     seen = set()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(kind=hs.sampled_from(["box", "jittered", "l-shape", "wedge",
                                  "shuffled", "empty", "tiny"]),
            axis=hs.integers(0, 2), seed=hs.integers(0, 2**16),
@@ -438,17 +439,26 @@ def test_referential_energy_equals_full_extraction():
                                                  flips).labels))
         topology, last, model = InterfaceTopology(
             mesh, st.PhaseLabeling(labels)), None, models[0]
+        undone = False
         for _ in range(12):
             if rng.random() < 0.6 and 0 < labels.sum() < len(labels):
                 last = (rng.choice(np.flatnonzero(labels == 1)),
                         rng.choice(np.flatnonzero(labels == 0)))
                 topology.swap(*last)
+                undone = False
             elif last is not None:
                 topology.undo()
                 last = last[::-1]
+                if undone:
+                    seen.add("repeated undo")
+                undone = True
             if last is not None:
                 labels[last[0]], labels[last[1]] = 0, 1
             assert np.array_equal(topology.labels, labels)
+            fresh = InterfaceTopology(mesh, st.PhaseLabeling(labels)).near()
+            for got, want in zip(topology.near(), fresh, strict=True):
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
             if rng.random() < 0.4:
                 continue
             if rng.random() < 0.1:
@@ -467,7 +477,8 @@ def test_referential_energy_equals_full_extraction():
 
     check()
     assert seen >= {"box", "jittered", "l-shape", "wedge", "shuffled",
-                    "empty", ("raised", False), ("raised", True)}, seen
+                    "empty", ("raised", False), ("raised", True),
+                    "repeated undo"}, seen
 
 
 def test_domain_boundary_edges_match_an_isin_lookup():
