@@ -236,6 +236,8 @@ def _write_topopt_outputs(out, mesh, eta, result: TopOptResult, seed):
         "nonmanifold_draws": result.nonmanifold_draws,
         "skipped_solves": result.skipped_solves,
         "inner_iterations": result.inner_iterations,
+        "factor_builds": result.factor_builds,
+        "injectivity_checks": result.injectivity_checks,
         "mass_constraint_residual":
             result.best_phases.phase1_volume(mesh)
             - eta * mesh.total_volume(),

@@ -14,10 +14,17 @@ weights vol * scale and shared by the three displacement components,
 and c = tr(d^2 W / dF^2 (I)) / 9 (`energy.identity_stiffness`).  c L_w
 is the component average of the separate-displacement-component
 preconditioner, exact for an isotropic tangent, so the solve takes
-tens of iterations where a scaled identity took hundreds.  Its
-block-tridiagonal factor (`laplacian.LaplacianFactor`, float32) is
-built on a solve's first iteration from that solve's phases, so a
-solve that takes no step builds none.
+tens of iterations where a scaled identity took hundreds.  A
+`Preconditioner` holds it for one labeling and builds its
+block-tridiagonal factor (`laplacian.LaplacianFactor`, float32) on its
+first application, so a solve that takes no step builds none.  A solve
+builds one from its own phases, unless it is handed one: the annealer
+hands every solve the preconditioner of its accepted labeling.
+
+`minimize_equilibrium` is `_descend`, the descent, plus a closing
+self-intersection check of the state the descent returns.  The
+annealer runs its proposals' solves through `_descend` and checks only
+the states it keeps.
 """
 
 from collections import deque
@@ -72,6 +79,7 @@ class SolveReport:
     det_floor_backtracks: int       # line-search backtracks, by cause
     armijo_backtracks: int
     injectivity_backtracks: int
+    injectivity_checks: int         # self-intersection checks run
     # the equilibrium gradient at the returned state, (nv, 3)
     gradient: np.ndarray = field(repr=False)
     history: list = field(default_factory=list)  # (iter, obj, |g|, min_det, guards)
@@ -99,7 +107,29 @@ def _min_det(F_minors):
     return float(F_minors[2].min())
 
 
-def minimize_equilibrium(mesh, state0, phases, model, options=None):
+class Preconditioner:
+    """H0 = (c L_w)^-1, L_w weighted by the bulk weights `weights` of one
+    labeling on the free vertices `free`, for the solves that share
+    both.  Its factor is built on its first application, once."""
+
+    def __init__(self, mesh, free, weights, model):
+        self._inputs = (mesh, free, weights, model)
+        self._factor = None
+
+    @property
+    def built(self):
+        return self._factor is not None
+
+    def __call__(self, v):
+        if self._factor is None:
+            mesh, free, weights, model = self._inputs
+            self._factor = LaplacianFactor(
+                mesh, free, identity_stiffness(model.r, model.s) * weights)
+        return self._factor(v)
+
+
+def minimize_equilibrium(mesh, state0, phases, model, options=None,
+                         factor=None):
     """Descent to an equilibrium deformation at fixed phase labeling.
 
     Returns (state, SolveReport); the report's `gradient` is the
@@ -112,13 +142,39 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
     loads are built once per solve, and the preconditioner's factor at
     most once; F, its minors and one `Bulk` once per trial point, shared
     by the det floor, the objective and the gradient, and freed once the
-    point is rejected or its gradient is built.
+    point is rejected or its gradient is built.  `factor` (internal) is
+    a `Preconditioner` on the free vertices of `state0`, used in place
+    of one of `phases`.
+    """
+    state, report, passed = _descend(mesh, state0, phases, model, options,
+                                     factor)
+    if passed is not None:
+        report.injectivity_checks += 1
+        if boundary_self_intersects(mesh, state.positions):
+            (state, report.objective, report.grad_norm, report.min_det,
+             report.gradient) = passed
+            report.converged = False
+            report.message = ("the boundary surface of the final state "
+                              "crosses itself; returning the last state "
+                              "that did not")
+    return state, report
+
+
+def _descend(mesh, state0, phases, model, options=None, factor=None):
+    """`minimize_equilibrium` without its closing self-intersection check.
+
+    Returns (state, report, passed).  `passed` is None when `state` was
+    checked on its iteration or is `state0`; otherwise it is the last
+    state that was, as (state, objective, |g|, min det F, gradient), the
+    start counting as checked.
     """
     options = options or SolveOptions()
     free = ~state0.dirichlet_mask
     weights = bulk_weights(mesh, phases, model)
     loads = load_vector(mesh, phases, model)
     free_loads = load_potential_gradient(mesh, state0, phases, model, loads)
+    if factor is None:
+        factor = Preconditioner(mesh, free, weights, model)
 
     state = state0
     terms = deformation_minors(mesh, state.positions)
@@ -133,6 +189,7 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
     gnorm = float(np.linalg.norm(grad))
     pairs = deque(maxlen=HISTORY)   # (s, y, rho) for L-BFGS
     det_floor = armijo = injectivity = 0   # backtracks by cause
+    checks = 0
     guard_iters = []
     log = []
     message = "iteration limit reached"
@@ -140,14 +197,10 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
     passed = (state, obj, gnorm, min_det, grad)  # last checked injective
     checked = True
     it = 0
-    factor = None   # H0 = (c L_w)^-1, built on the first iteration
 
     while not converged and it < options.max_iterations:
         it += 1
         check = it % INJECTIVITY_CHECK_EVERY == 0
-        if factor is None:
-            factor = LaplacianFactor(
-                mesh, free, identity_stiffness(model.r, model.s) * weights)
         direction = _lbfgs_direction(grad, pairs, factor)
         gd = float(np.sum(direction * grad))
         if gd >= 0.0:
@@ -171,12 +224,16 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
                                               bulk, loads)
             if not (trial_obj < obj + SUFFICIENT_DECREASE * step * gd):
                 armijo += 1
-            elif check and boundary_self_intersects(mesh, trial):
-                injectivity += 1
-                guards_this_iter += 1
-            else:
+            elif not check:
                 accepted = True
                 break
+            else:
+                checks += 1
+                if not boundary_self_intersects(mesh, trial):
+                    accepted = True
+                    break
+                injectivity += 1
+                guards_this_iter += 1
             step *= CONTRACTION
         if guards_this_iter:
             guard_iters.append(it)
@@ -202,18 +259,14 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None):
 
     if converged:
         message = "converged"
-    if not checked and boundary_self_intersects(mesh, state.positions):
-        state, obj, gnorm, min_det, grad = passed
-        converged = False
-        message = ("the boundary surface of the final state crosses "
-                   "itself; returning the last state that did not")
     report = SolveReport(
         converged=converged, iterations=it, objective=obj, grad_norm=gnorm,
         min_det=min_det, guard_activations=det_floor + injectivity,
         guard_iterations=guard_iters, message=message,
         det_floor_backtracks=det_floor, armijo_backtracks=armijo,
-        injectivity_backtracks=injectivity, gradient=grad, history=log)
-    return state, report
+        injectivity_backtracks=injectivity, injectivity_checks=checks,
+        gradient=grad, history=log)
+    return state, report, None if checked else passed
 
 
 def _lbfgs_direction(grad, pairs, h0):

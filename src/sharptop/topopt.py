@@ -31,15 +31,28 @@ mesh; an Eulerian proposal extracts its interface in full.  While the
 accepted-move count is a positive multiple of `COLD_SOLVE_EVERY`, every
 proposal is solved from the identity (a cold start) until one of them
 is accepted.
+
+A solved proposal pays for its iterations and little else.  Every
+solve is preconditioned by the accepted labeling's `Preconditioner`,
+which differs from the candidate's in the weights of two tets (in none
+with equal phase scales); its factor is built by the first solve after
+an acceptance that takes a step.  A proposal's solve skips the solver's
+closing self-intersection check: the annealer checks only the states
+it keeps, its start (`minimize_equilibrium` checks it) and a candidate
+that Metropolis accepts and that its solve did not check on its last
+iteration.  A candidate that fails that check is a rejected solve.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import Bulk, corner_forces, load_potential, load_vector
-from .kinematics import deformation_minors, identity_state
-from .solve import SolveOptions, _check_count, minimize_equilibrium
+from .energy import (Bulk, bulk_weights, corner_forces, load_potential,
+                     load_vector)
+from .kinematics import (boundary_self_intersects, deformation_minors,
+                         identity_state)
+from .solve import (Preconditioner, SolveOptions, _check_count, _descend,
+                    minimize_equilibrium)
 from .varifold import (InterfaceError, InterfaceTopology, PhaseLabeling,
                        extract_interface, interface_energy,
                        referential_energy, varifold_mass)
@@ -180,11 +193,13 @@ class TopOptResult:
     # rejected moves by cause; the four add up to rejected_moves
     rejected_no_move: int = 0       # MOVE_TRIES draws found no candidate
     rejected_interface: int = 0     # the candidate's interface failed
-    rejected_solve: int = 0         # its inner solve did not converge
+    rejected_solve: int = 0         # not converged, or crossed itself
     rejected_metropolis: int = 0
     nonmanifold_draws: int = 0      # drawn swaps dropped as non-manifold
     skipped_solves: int = 0         # candidates kept the warm state unsolved
     inner_iterations: int = 0       # iterations of the solves that ran
+    factor_builds: int = 0          # preconditioner factors built
+    injectivity_checks: int = 0     # boundary self-intersection checks
 
 
 def _interface_terms(mesh, state, phases, model, mode, topology):
@@ -213,28 +228,44 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
     # inert, it changes no term of the equilibrium problem
     loads = None if np.any(model.f) else load_vector(mesh, phases, model)
     inert = model.scale0 == model.scale1 and loads is not None
-    iterations = 0
+    free = ~state.dirichlet_mask
+    factor = Preconditioner(mesh, free, bulk_weights(mesh, phases, model),
+                            model)   # the accepted labeling's
+    iterations = builds = checks = 0
 
-    def solve(phases, warm_state):
-        """The equilibrium state, gradient and compliance of `phases`."""
-        nonlocal iterations
-        state, report = minimize_equilibrium(mesh, warm_state, phases, model,
-                                             config.solve_options)
+    def checked_solve(warm_state, phases):
+        """`minimize_equilibrium`, which checks the state it returns."""
+        state, report = minimize_equilibrium(
+            mesh, warm_state, phases, model, config.solve_options,
+            factor=factor)
+        return state, report, None
+
+    def proposal_solve(warm_state, phases):
+        """The descent alone: the annealer checks the states it keeps."""
+        return _descend(mesh, warm_state, phases, model,
+                        config.solve_options, factor)
+
+    def solve(phases, warm_state, run=proposal_solve):
+        """The equilibrium state, gradient and compliance of `phases`, and
+        whether that state's boundary is still to be checked."""
+        nonlocal iterations, checks
+        state, report, passed = run(warm_state, phases)
         iterations += report.iterations
+        checks += report.injectivity_checks
         if not report.converged and not np.array_equal(warm_state.positions,
                                                        mesh.vertices):
             # one retry from a cold start, unless this solve was one: the
             # solve is deterministic and would fail again
-            state, report = minimize_equilibrium(mesh, identity_state(mesh),
-                                                 phases, model,
-                                                 config.solve_options)
+            state, report, passed = run(identity_state(mesh), phases)
             iterations += report.iterations
+            checks += report.injectivity_checks
         if not report.converged:
             raise TopOptError("inner equilibrium solve did not converge")
         return (state, report.gradient,
-                compliance(mesh, state, phases, model, loads))
+                compliance(mesh, state, phases, model, loads),
+                passed is not None)
 
-    state, grad, comp = solve(phases, state)
+    state, grad, comp, _ = solve(phases, state, checked_solve)
     eint, mu = _interface_terms(mesh, state, phases, model, config.mode,
                                 topology)
     skip_below = 0.5 * config.solve_options.gradient_tolerance
@@ -267,9 +298,10 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                 converged = not cold and (inert or float(
                     np.linalg.norm(cand_grad)) <= skip_below)
                 skipped += converged
+                unchecked = False
                 try:
                     if not converged:
-                        cand_state, cand_grad, c_comp = solve(
+                        cand_state, cand_grad, c_comp, unchecked = solve(
                             candidate, identity_state(mesh) if cold else state)
                     elif inert:   # the accepted solve is the candidate's
                         cand_state, cand_grad, c_comp = state, grad, comp
@@ -283,6 +315,15 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                     cause = "interface"
                 except TopOptError:
                     cause = "solve"
+            if cause is None:
+                cand_obj = c_comp + c_eint
+                delta = cand_obj - obj
+                accept = delta < 0 or rng.random() < np.exp(
+                    -delta / temperature)
+                if accept and unchecked:   # a kept state is injective
+                    checks += 1
+                    if boundary_self_intersects(mesh, cand_state.positions):
+                        cause = "solve"
             if cause is not None:
                 if cause != "no_move":
                     topology.undo()
@@ -291,11 +332,12 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                 trace.append(TraceRow(step, temperature, obj, comp, eint,
                                       mu, False))
                 continue
-            cand_obj = c_comp + c_eint
-            delta = cand_obj - obj
-            accept = delta < 0 or rng.random() < np.exp(-delta / temperature)
             if accept:
                 state, phases, grad = cand_state, candidate, cand_grad
+                builds += factor.built
+                factor = Preconditioner(mesh, free,
+                                        bulk_weights(mesh, phases, model),
+                                        model)
                 obj, comp, eint, mu = cand_obj, c_comp, c_eint, c_mu
                 accepted_total += 1
                 if obj < best[2]:
@@ -327,4 +369,6 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                         rejected_solve=rejected["solve"],
                         rejected_metropolis=rejected["metropolis"],
                         nonmanifold_draws=topology.rejected_swaps,
-                        skipped_solves=skipped, inner_iterations=iterations)
+                        skipped_solves=skipped, inner_iterations=iterations,
+                        factor_builds=builds + factor.built,
+                        injectivity_checks=checks)

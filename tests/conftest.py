@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import sharptop as st
+from sharptop.energy import bulk_weights
 from sharptop.kinematics import (_disjoint_pairs_cross, _edge_pairs_fold,
                                  _vertex_pairs_cross)
 from sharptop.laplacian import (REGULARISATION, level_couplings,
                                 vertex_levels)
 from sharptop.mesh import DIRICHLET, FREE, NEUMANN, edge_keys, face_topology
+from sharptop.solve import Preconditioner
 from sharptop.surfaces import slab_labels
 from sharptop.topopt import (COLD_SOLVE_EVERY, MOVE_TRIES, SWAP_VOLUME_RTOL,
                              TopOptError, TraceRow)
@@ -505,18 +507,25 @@ def brute_force_mass_preserving_move(mesh, phases, rng, interface_bias=0.9,
 def brute_force_annealing(mesh, init_phases, model, config, state0=None):
     """topopt.optimize_topology with no kept state: every proposal runs a
     full extraction per candidate draw (brute_force_mass_preserving_move),
-    a full inner solve and a full extraction of the candidate.
+    a full inner solve and a full extraction of the candidate.  Every
+    solve is preconditioned by the accepted labeling's factor, as the
+    annealer's are.
 
     Returns (trace rows, accepted, rejected, best labels)."""
     rng = np.random.default_rng(config.seed)
 
+    def accepted_factor(phases):
+        return Preconditioner(mesh, ~st.identity_state(mesh).dirichlet_mask,
+                              bulk_weights(mesh, phases, model), model)
+
     def evaluate(phases, warm):
         state, report = st.minimize_equilibrium(mesh, warm, phases, model,
-                                                config.solve_options)
+                                                config.solve_options,
+                                                factor=factor)
         if not report.converged:
             state, report = st.minimize_equilibrium(
                 mesh, st.identity_state(mesh), phases, model,
-                config.solve_options)
+                config.solve_options, factor=factor)
             if not report.converged:
                 raise TopOptError("inner equilibrium solve did not converge")
         positions = (mesh.vertices if config.mode == "REFERENTIAL"
@@ -528,6 +537,7 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
                 st.interface_energy(V, model), st.varifold_mass(V))
 
     state, phases = state0 or st.identity_state(mesh), init_phases
+    factor = accepted_factor(phases)
     state, comp, eint, mu = evaluate(phases, state)
     obj = comp + eint
     best = (phases, obj)
@@ -553,6 +563,7 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
             accept = delta < 0 or rng.random() < np.exp(-delta / temperature)
             if accept:
                 state, phases = c_state, candidate
+                factor = accepted_factor(phases)
                 obj, comp, eint, mu = c_obj, c_comp, c_eint, c_mu
                 accepted += 1
                 if obj < best[1]:

@@ -152,7 +152,9 @@ def test_topopt_command_outputs(tmp_path):
     # unloaded and stress free: every candidate is converged at its start
     assert summary["skipped_solves"] == 12 - summary["rejected_no_move"] \
         - summary["rejected_interface"]
-    assert summary["inner_iterations"] == 0
+    # and so no solve takes a step: no factor and no injectivity check
+    assert summary["inner_iterations"] == summary["factor_builds"] == 0
+    assert summary["injectivity_checks"] == 0
     with open(out / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 12  # 3 temperatures x 4 steps

@@ -4,10 +4,11 @@ import pytest
 import sharptop as st
 import sharptop.energy
 import sharptop.solve
-from sharptop.energy import stress_free_s
+from sharptop.energy import bulk_weights, stress_free_s
 from sharptop.kinematics import boundary_self_intersects, deformation_minors
 from sharptop.laplacian import LaplacianFactor
-from sharptop.solve import (DET_FLOOR, SolveOptions, equilibrium_gradient,
+from sharptop.solve import (DET_FLOOR, Preconditioner, SolveOptions,
+                            _descend, equilibrium_gradient,
                             equilibrium_objective)
 
 from conftest import clamp_bottom_pull_top, random_feasible_state
@@ -350,3 +351,68 @@ def test_report_gradient_is_the_returned_states(case, clamped_mesh,
     want = equilibrium_gradient(mesh, state, phases, model)
     assert report.gradient.tobytes() == want.tobytes()
     assert report.grad_norm == float(np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("max_iterations, checks", [(10, 0), (25, 1),
+                                                    (30, 1)])
+def test_descent_is_the_solve_without_its_closing_check(
+        clamped_mesh, uniform_phase1, monkeypatch, max_iterations, checks):
+    """`_descend` makes the solve's in-loop checks and no other, and hands
+    back the last state that passed one beside a state that did not take
+    one; `minimize_equilibrium` adds the check of the returned state."""
+    calls = _counting_check(monkeypatch)
+    mesh, phases = clamped_mesh, uniform_phase1(clamped_mesh)
+    args = (mesh, st.identity_state(mesh), phases,
+            st.EnergyModel(g=[300.0, 0.0, 0.0]),
+            SolveOptions(gradient_tolerance=1e-12,
+                         max_iterations=max_iterations))
+    state, report, passed = _descend(*args)
+    assert len(calls) == report.injectivity_checks == checks
+    if max_iterations == 25:
+        assert passed is None
+    elif max_iterations == 10:
+        assert np.array_equal(passed[0].positions, mesh.vertices)
+    else:
+        assert passed[1:3] == report.history[24][1:3]
+    full_state, full = st.minimize_equilibrium(*args)
+    closing = passed is not None
+    assert len(calls) == 2 * checks + closing
+    assert full.injectivity_checks == checks + closing
+    assert full_state.positions.tobytes() == state.positions.tobytes()
+    assert (full.converged, full.message, full.history) == (
+        report.converged, report.message, report.history)
+
+
+@pytest.mark.parametrize("scale0", [0.2, 1.0])
+@pytest.mark.parametrize("swaps", [2, 3, 4])
+def test_solve_with_a_stale_factor(scale0, swaps):
+    """A solve preconditioned by the factor of a labeling `swaps` swaps
+    away, warm started from that labeling's equilibrium as an annealer's
+    proposal is, converges to the objective of a solve with its own
+    factor within 1e-7 relative.  With equal phase scales the weights do
+    not depend on the labels, and the two solves agree bit for bit; the
+    body load on phase 1 makes them take steps."""
+    mesh = st.build_box_mesh(4, 4, 4, tagging=clamp_bottom_pull_top)
+    model = st.EnergyModel(r=4, s=stress_free_s(4), scale0=scale0,
+                           g=[0.0, 0.0, 1.0], f=[0.0, 0.0, -1.0])
+    options = SolveOptions(gradient_tolerance=1e-5)
+    stale = st.surfaces.slab_labels(mesh, 0.5, axis=0)
+    phases, rng = stale, np.random.default_rng(swaps)
+    for _ in range(swaps):
+        phases = st.mass_preserving_move(mesh, phases, rng)
+    assert np.count_nonzero(phases.labels != stale.labels) == 2 * swaps
+    warm, _ = st.minimize_equilibrium(mesh, st.identity_state(mesh), stale,
+                                      model, options)
+    factor = Preconditioner(mesh, ~warm.dirichlet_mask,
+                            bulk_weights(mesh, stale, model), model)
+    state, report = st.minimize_equilibrium(mesh, warm, phases, model,
+                                            options, factor=factor)
+    fresh_state, fresh = st.minimize_equilibrium(mesh, warm, phases, model,
+                                                 options)
+    assert report.converged and report.grad_norm < 1e-5
+    assert report.iterations > 0 and factor.built
+    assert abs(report.objective - fresh.objective) <= 1e-7 * abs(
+        fresh.objective)
+    if scale0 == model.scale1:
+        assert state.positions.tobytes() == fresh_state.positions.tobytes()
+        assert report.history == fresh.history

@@ -313,18 +313,17 @@ def test_snapshot_callback_invoked():
 
 
 def test_programming_error_in_inner_solve_propagates(monkeypatch):
-    """A ValueError from a candidate's solve is a bug, not a rejected move."""
+    """A ValueError from a candidate's solve is a bug, not a rejected move.
+    The start's solve is `minimize_equilibrium`; a candidate's is the
+    descent without the closing check."""
     import sharptop.topopt as topopt
-    real = topopt.minimize_equilibrium
     calls = []
 
-    def broken_after_first(*args, **kwargs):
+    def broken(*args, **kwargs):
         calls.append(1)
-        if len(calls) > 1:
-            raise ValueError("bug in the inner solve")
-        return real(*args, **kwargs)
+        raise ValueError("bug in the inner solve")
 
-    monkeypatch.setattr(topopt, "minimize_equilibrium", broken_after_first)
+    monkeypatch.setattr(topopt, "_descend", broken)
     # two phases under a traction: a swap moves the equilibrium, so the
     # candidate's solve runs (a stress-free pinned cube would skip it)
     mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
@@ -333,21 +332,24 @@ def test_programming_error_in_inner_solve_propagates(monkeypatch):
     with pytest.raises(ValueError, match="bug in the inner solve"):
         optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0), model,
                           fast_config(seed=3))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_inner_iterations_add_up_the_solves_that_ran(monkeypatch):
     """`inner_iterations` is the sum of the iterations of every inner
     solve the run made, its start's included."""
     import sharptop.topopt as topopt
-    real, iterations = topopt.minimize_equilibrium, []
+    iterations = []
 
-    def recorded(*args, **kwargs):
-        state, report = real(*args, **kwargs)
-        iterations.append(report.iterations)
-        return state, report
+    def recorded(real):
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            iterations.append(out[1].iterations)
+            return out
+        return wrapper
 
-    monkeypatch.setattr(topopt, "minimize_equilibrium", recorded)
+    for name in ("minimize_equilibrium", "_descend"):
+        monkeypatch.setattr(topopt, name, recorded(getattr(topopt, name)))
     mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
     model = st.EnergyModel(r=4, s=stress_free_s(4), scale0=0.2,
                            g=[0.0, 0.0, 1.0])
@@ -355,6 +357,149 @@ def test_inner_iterations_add_up_the_solves_that_ran(monkeypatch):
                                fast_config(seed=3))
     assert len(iterations) > 1
     assert result.inner_iterations == sum(iterations) > 0
+
+
+def loaded_run_inputs():
+    """A two-phase cube under a traction: every candidate is solved and
+    takes steps, and at fast_config(seed=0) Metropolis accepts 3 of 15
+    and rejects the rest."""
+    mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
+    model = st.EnergyModel(r=4, s=stress_free_s(4), scale0=0.2,
+                           g=[0.0, 0.0, 1.0])
+    return mesh, perturbed_slab_labels(mesh, 0, 0, flips=1), model
+
+
+@pytest.mark.parametrize("inert", [False, True])
+def test_one_factor_per_accepted_labeling(monkeypatch, inert):
+    """Every solve is preconditioned by the accepted labeling's factor,
+    built by the first solve that takes a step after the labeling was
+    accepted: a loaded run builds one for its start and one for each
+    accepted move that a later proposal solves from.  An inert run
+    builds only its start's, as many as with a factor per solve."""
+    import sharptop.solve as solve
+    real, built = solve.LaplacianFactor, []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solve, "LaplacianFactor", counted)
+    mesh, phases, model = loaded_run_inputs()
+    if inert:
+        model = replace(model, scale0=1.0)
+    result = optimize_topology(mesh, phases, model, fast_config(seed=0))
+    proposals = len(result.trace) - result.rejected_no_move
+    if inert:
+        assert result.skipped_solves == proposals
+        assert result.accepted_moves > 0
+        assert len(built) == result.factor_builds == 1
+    else:
+        assert result.skipped_solves == result.rejected_no_move == 0
+        followed = sum(row.accepted for row in result.trace[:-1])
+        assert followed > 0
+        assert len(built) == result.factor_builds == 1 + followed
+
+
+def _recorded_proposals(monkeypatch, verdicts=None):
+    """Record every proposal solve's arguments and result, every check the
+    annealer makes and every `_swapped_gradient` gradient; the n-th check
+    answers verdicts[n] (default: the real check).  Every interface is
+    asserted to be read from the topology of its own labels."""
+    import sharptop.topopt as topopt
+    seen = {"solves": [], "checks": [], "grads": []}
+    real_descend = topopt._descend
+    real_check = topopt.boundary_self_intersects
+    real_swapped = topopt._swapped_gradient
+    real_terms = topopt._interface_terms
+
+    def descend(mesh, warm, phases, *args):
+        state, report, passed = real_descend(mesh, warm, phases, *args)
+        seen["solves"].append((warm, phases, state, passed is not None))
+        return state, report, passed
+
+    def check(mesh, positions):
+        seen["checks"].append((len(seen["solves"]), np.array(positions)))
+        if verdicts is None:
+            return real_check(mesh, positions)
+        return verdicts[len(seen["checks"]) - 1]
+
+    def swapped(mesh, state, model, grad, swap):
+        seen["grads"].append(grad.tobytes())
+        return real_swapped(mesh, state, model, grad, swap)
+
+    def terms(mesh, state, phases, model, mode, topology):
+        assert np.array_equal(topology.labels, phases.labels)
+        return real_terms(mesh, state, phases, model, mode, topology)
+
+    monkeypatch.setattr(topopt, "_descend", descend)
+    monkeypatch.setattr(topopt, "boundary_self_intersects", check)
+    monkeypatch.setattr(topopt, "_swapped_gradient", swapped)
+    monkeypatch.setattr(topopt, "_interface_terms", terms)
+    return seen
+
+
+def test_only_kept_states_are_checked(monkeypatch):
+    """A proposal's solve makes no closing injectivity check.  The
+    annealer checks a candidate once when Metropolis accepts it and its
+    solve did not check it on its last iteration, and never a candidate
+    that Metropolis rejects.  `injectivity_checks` counts every check of
+    the run, the solves' own included."""
+    import sharptop.solve as solve
+    seen = _recorded_proposals(monkeypatch)
+    real, everywhere = solve.boundary_self_intersects, []
+
+    def counted(*args):
+        everywhere.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solve, "boundary_self_intersects", counted)
+    mesh, phases, model = loaded_run_inputs()
+    result = optimize_topology(mesh, phases, model, fast_config(seed=0))
+    solves = seen["solves"]
+    assert len(solves) == len(result.trace)   # one solve per proposal
+    assert result.rejected_metropolis > 0
+    kept = [(k + 1, state.positions)
+            for k, ((_, _, state, unchecked), row)
+            in enumerate(zip(solves, result.trace))
+            if row.accepted and unchecked]
+    assert len(kept) == result.accepted_moves > 0
+    assert len(seen["checks"]) == len(kept)
+    for (k, positions), (when, checked) in zip(kept, seen["checks"]):
+        assert when == k and np.array_equal(checked, positions)
+    assert result.injectivity_checks == len(kept) + len(everywhere) > len(kept)
+
+
+def test_failed_check_of_a_kept_state_rejects_the_move(monkeypatch):
+    """When the check of an accepted candidate fails, the move is a
+    rejected solve: its trace row reads rejected at the kept objective,
+    the topology is undone, and the next proposal starts from the kept
+    state, labels and gradient; the best state is not the candidate's."""
+    mesh, phases, model = loaded_run_inputs()
+    config = fast_config(seed=0)
+    plain = optimize_topology(mesh, phases, model, config)
+    seen = _recorded_proposals(monkeypatch, [True] + [False] * 100)
+    result = optimize_topology(mesh, phases, model, config)
+    f = seen["checks"][0][0] - 1            # the failed step, from 0
+    assert plain.trace[:f] == result.trace[:f] and plain.trace[f].accepted
+    row = result.trace[f]
+    assert not row.accepted
+    kept_obj = result.trace[f - 1].objective if f else \
+        result.initial_objective
+    assert row.objective == kept_obj
+    assert result.rejected_solve == 1
+    assert result.rejected_moves == 1 + result.rejected_metropolis
+    solves = seen["solves"]
+    (warm, failed, state, _), (next_warm, next_phases, _, _) = \
+        solves[f], solves[f + 1]
+    kept = next((p for (_, p, _, _), r in zip(solves[:f][::-1],
+                                                result.trace[:f][::-1])
+                 if r.accepted), phases)
+    assert np.count_nonzero(failed.labels != kept.labels) == 2
+    assert np.count_nonzero(next_phases.labels != kept.labels) == 2
+    assert next_warm is warm
+    assert seen["grads"][f + 1] == seen["grads"][f]
+    assert not np.array_equal(result.best_state.positions, state.positions)
+    assert not np.array_equal(result.best_phases.labels, failed.labels)
 
 
 ORACLE_CASES = {
