@@ -238,6 +238,7 @@ def _write_topopt_outputs(out, mesh, eta, result: TopOptResult, seed):
         "inner_iterations": result.inner_iterations,
         "factor_builds": result.factor_builds,
         "injectivity_checks": result.injectivity_checks,
+        "lookahead_decisions": result.lookahead_decisions,
         "mass_constraint_residual":
             result.best_phases.phase1_volume(mesh)
             - eta * mesh.total_volume(),

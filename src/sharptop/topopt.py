@@ -41,8 +41,28 @@ closing self-intersection check: the annealer checks only the states
 it keeps, its start (`minimize_equilibrium` checks it) and a candidate
 that Metropolis accepts and that its solve did not check on its last
 iteration.  A candidate that fails that check is a rejected solve.
+
+A referential proposal that Metropolis rejects runs no full pass.  While
+at most `LOOK_AHEAD_ACCEPTS` of the last `LOOK_AHEAD` steps were
+accepted, the annealer looks ahead: it copies its generator's state,
+replays the next `LOOK_AHEAD` moves' draws through `_draws`, the helper
+`mass_preserving_move` draws with, assuming one Metropolis uniform
+between moves, and scores the swaps in one call of the kernel of
+`varifold.swap_energy_changes`.  The scores, and which swaps are
+admissible, hold until the next accepted move; a swap drawn that was
+not scored, or not as expected, is a miss, which the full pass decides.
+A move's swap of known admissibility is not applied to the topology
+unless a full pass or an acceptance needs it.  A scored candidate is
+rejected without a full pass when its change, less its bound and a
+rounding allowance (`_least_change`), is positive and its uniform lies
+above exp(-change / T) at that least change; every other candidate,
+acceptances included, runs the full pass.  So every decision, the
+random stream and the trace are those of a full pass per proposal.
 """
 
+from collections import deque
+import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +73,9 @@ from .kinematics import (boundary_self_intersects, deformation_minors,
                          identity_state)
 from .solve import (Preconditioner, SolveOptions, _check_count, _descend,
                     minimize_equilibrium)
-from .varifold import (InterfaceError, InterfaceTopology, PhaseLabeling,
-                       extract_interface, interface_energy,
+from .varifold import (ROUNDING, InterfaceError, InterfaceTopology,
+                       PhaseLabeling, _cut_sums, _joined_flips, _swap_changes,
+                       _swap_flips, extract_interface, interface_energy,
                        referential_energy, varifold_mass)
 
 EULERIAN = "EULERIAN"
@@ -63,6 +84,8 @@ SWAP_VOLUME_RTOL = 0.01    # relative volume mismatch a swap may carry
 MOVE_TRIES = 50             # candidates drawn before a move gives up
 INTERFACE_MOVE_BIAS = 0.9   # probability of interface-local swaps
 COLD_SOLVE_EVERY = 50       # proposals start cold at accepted counts k * this
+LOOK_AHEAD = 16             # referential moves scored ahead per kernel call
+LOOK_AHEAD_ACCEPTS = 3      # most acceptances in the last LOOK_AHEAD steps
 
 
 @dataclass(frozen=True)
@@ -124,27 +147,154 @@ def mass_preserving_move(mesh, phases, rng,
     not given; the accepted swap is applied to it (`topology.undo()`
     reverses it).
     """
-    labels = phases.labels
-    if np.count_nonzero(labels) in (0, len(labels)):
-        raise TopOptError("no admissible move: a phase is empty")
     if topology is None:
         topology = InterfaceTopology(mesh, phases)
-    near1, near0 = topology.near()
-    ones = zeros = None   # listed on the first draw that needs them
-    for _ in range(MOVE_TRIES):
-        if rng.random() < interface_bias and len(near1) and len(near0):
-            src, dst = rng.choice(near1), rng.choice(near0)
-        else:
-            if ones is None:
-                ones, zeros = np.flatnonzero(labels), np.flatnonzero(
-                    labels == 0)
-            src, dst = rng.choice(ones), rng.choice(zeros)
-        va, vb = mesh.volumes[src], mesh.volumes[dst]
-        if abs(va - vb) > SWAP_VOLUME_RTOL * max(va, vb):
-            continue
+    if not all(map(len, topology.tets())):
+        raise TopOptError("no admissible move: a phase is empty")
+    for src, dst in _draws(mesh, topology, rng, interface_bias):
         if topology.try_swap(src, dst):
             return phases.with_swap(tet_to_0=src, tet_to_1=dst)
     raise TopOptError("no admissible move found (frozen configuration)")
+
+
+def _draws(mesh, topology, rng, interface_bias):
+    """The volume-matched swaps (tet to 0, tet to 1) that `MOVE_TRIES`
+    draws from `rng` give, lazily: `mass_preserving_move`'s draws, which
+    the annealer's look-ahead replays.  The tets come from `topology`'s
+    `near` lists, or its `tets` lists on a draw away from the interface."""
+    near1, near0 = topology.near()
+    for _ in range(MOVE_TRIES):
+        if rng.random() < interface_bias and len(near1) and len(near0):
+            src = near1[rng.integers(len(near1))]
+            dst = near0[rng.integers(len(near0))]
+        else:
+            ones, zeros = topology.tets()
+            src = ones[rng.integers(len(ones))]
+            dst = zeros[rng.integers(len(zeros))]
+        va, vb = mesh.volumes[src], mesh.volumes[dst]
+        if abs(va - vb) <= SWAP_VOLUME_RTOL * max(va, vb):
+            yield int(src), int(dst)
+
+
+class _LookAhead:
+    """The referential energy changes of the swaps that the coming moves
+    are expected to make to the accepted labeling, and a stand-in for its
+    `InterfaceTopology` in `mass_preserving_move`.
+
+    `fill` replays the next LOOK_AHEAD moves' draws on a copy of the
+    annealer's generator, assuming that Metropolis rejects each move
+    after one uniform, and scores their swaps in one call of the kernel
+    of `swap_energy_changes`, whose base pass it keeps for the labeling.
+    A swap's change and admissibility depend on the labeling alone, so
+    they hold until the accepted labeling changes (`reset`), and a wrong
+    guess costs a miss, never a wrong value.  `try_swap` answers a swap
+    of known admissibility without applying it; `apply` applies it to
+    the topology when a full pass or an acceptance needs it, and `undo`
+    reverses it if it was applied.
+    """
+
+    def __init__(self, topology, model, rng):
+        self.topology, self.model, self.rng = topology, model, rng
+        self.ahead = copy.deepcopy(rng)
+        self.admissible = {}   # swap -> whether try_swap keeps it
+        self.scored = {}       # swap -> (energy change, its bound)
+        self.coming = []       # the swaps expected next, last first
+        self.sums = None       # the labeling's `_cut_sums`, once needed
+        self.last_swap, self.applied = None, False
+
+    def reset(self):
+        self.admissible.clear()
+        self.scored.clear()
+        self.coming, self.sums = [], None
+
+    def near(self):
+        return self.topology.near()
+
+    def tets(self):
+        return self.topology.tets()
+
+    def try_swap(self, tet_to_0, tet_to_1):
+        swap = tet_to_0, tet_to_1
+        kept = self.admissible.get(swap)
+        self.applied = kept is None
+        if self.applied:   # unchecked: the topology tries it
+            kept = self.topology.try_swap(*swap)
+        elif not kept:
+            self.topology.rejected_swaps += 1
+        self.last_swap = swap
+        return kept
+
+    def apply(self):
+        if not self.applied:
+            self.topology.swap(*self.last_swap)
+            self.applied = True
+
+    def undo(self):
+        if self.applied:
+            self.topology.undo()
+
+    def fill(self):
+        """Score the swaps of the next LOOK_AHEAD moves.  A drawn swap of
+        unknown admissibility is taken as kept; where one is not, the
+        replay is run again from the start of its move.  Every swap
+        checked is scored, in one call."""
+        topology, known, ahead = self.topology, self.admissible, self.ahead
+        draws = topology.mesh, topology, ahead, INTERFACE_MOVE_BIAS
+        ahead.bit_generator.state = self.rng.bit_generator.state
+        coming, starts, checked, flips = [], [], [], []
+        while True:
+            while len(coming) < LOOK_AHEAD:
+                starts.append(ahead.bit_generator.state)
+                for swap in _draws(*draws):
+                    if known.get(swap, True):
+                        break
+                else:   # the move would find none
+                    break
+                coming.append(swap)
+                ahead.random()   # the uniform of a rejection
+            new = [s for s in dict.fromkeys(coming) if s not in known]
+            if not new:
+                break
+            flips.append(_swap_flips(topology, np.array(new)))
+            checked += new
+            kept = flips[-1][-1]
+            known.update(zip(new, kept.tolist()))
+            if kept.all():
+                break
+            first = next(i for i, s in enumerate(coming) if not known[s])
+            ahead.bit_generator.state = starts[first]
+            del coming[first:], starts[first:]
+        if checked:
+            if self.sums is None:
+                self.sums = _cut_sums(topology)
+            _, _, energy, _, bound = _swap_changes(
+                topology, _joined_flips(flips), self.sums, self.model)
+            self.scored.update(zip(checked, zip(energy.tolist(),
+                                                bound.tolist())))
+        self.coming = coming[::-1]
+
+    def change(self):
+        """The scored energy change of the move's swap and its bound, or
+        None when the swap was not scored or is degenerate; the expected
+        swaps are dropped unless the move's swap is the next of them."""
+        if self.coming and self.coming[-1] == self.last_swap:
+            self.coming.pop()
+        else:
+            self.coming = []
+        change = self.scored.get(self.last_swap)
+        return None if change is None or math.isnan(change[0]) else change
+
+
+def _least_change(scored, c_comp, comp, eint, obj):
+    """The least objective change that the full recompute can find for a
+    candidate of compliance `c_comp` whose interface energy change was
+    scored as (change, bound), from an accepted labeling of compliance
+    `comp`, interface energy `eint` and objective `obj`: the scored change
+    less its bound and the rounding of the two energies and objectives
+    (nan when the change is)."""
+    change, bound = scored
+    return c_comp + (eint + change) - obj - bound - ROUNDING * (
+        abs(c_comp) + abs(comp) + 2.0 * (eint + abs(change) + bound))
 
 
 def _swapped_gradient(mesh, state, model, grad, swap):
@@ -200,6 +350,7 @@ class TopOptResult:
     inner_iterations: int = 0       # iterations of the solves that ran
     factor_builds: int = 0          # preconditioner factors built
     injectivity_checks: int = 0     # boundary self-intersection checks
+    lookahead_decisions: int = 0    # rejections decided from scored changes
 
 
 def _interface_terms(mesh, state, phases, model, mode, topology):
@@ -277,24 +428,31 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
     accepted_total = 0
     rejected = dict.fromkeys(("no_move", "interface", "solve", "metropolis"),
                              0)
-    skipped = 0
+    skipped = decided = 0
+    recent = deque(maxlen=LOOK_AHEAD)   # whether each recent step accepted
+    ahead = _LookAhead(topology, model, rng) \
+        if config.mode == REFERENTIAL else None
+    moves = topology if ahead is None else ahead   # what the moves swap
     step = 0
     temperature = config.t_initial
     while temperature > config.t_final:
         failed = dict.fromkeys(("no_move", "interface", "solve"), 0)
         for _ in range(config.steps_per_temperature):
             step += 1
-            cause = None
+            cause = scored = uniform = None
+            if (ahead is not None and not ahead.coming
+                    and sum(recent) <= LOOK_AHEAD_ACCEPTS):
+                ahead.fill()
             try:
                 candidate = mass_preserving_move(mesh, phases, rng,
-                                                 topology=topology)
+                                                 topology=moves)
             except TopOptError:
                 cause = "no_move"
             if cause is None:
                 cold = (accepted_total
                         and accepted_total % COLD_SOLVE_EVERY == 0)
                 cand_grad = None if cold or inert else _swapped_gradient(
-                    mesh, state, model, grad, topology.last_swap)
+                    mesh, state, model, grad, moves.last_swap)
                 converged = not cold and (inert or float(
                     np.linalg.norm(cand_grad)) <= skip_below)
                 skipped += converged
@@ -308,49 +466,69 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                     else:
                         cand_state, c_comp = state, compliance(
                             mesh, state, candidate, model, loads)
-                    c_eint, c_mu = _interface_terms(
-                        mesh, cand_state, candidate, model, config.mode,
-                        topology)
+                    if ahead is not None:
+                        scored = ahead.change()
+                        if scored is None:
+                            ahead.apply()
+                    if scored is None:
+                        c_eint, c_mu = _interface_terms(
+                            mesh, cand_state, candidate, model, config.mode,
+                            topology)
                 except InterfaceError:
                     cause = "interface"
                 except TopOptError:
                     cause = "solve"
+            if scored is not None and cause is None:
+                # the scored change decides a rejection that no rounding
+                # of the full recompute could turn; the rest recompute
+                low = _least_change(scored, c_comp, comp, eint, obj)
+                if low > 0:
+                    uniform = rng.random()
+                    if uniform >= math.exp(-low / temperature) * (1 + ROUNDING):
+                        decided += 1
+                        cause = "metropolis"
+                if cause is None:
+                    ahead.apply()
+                    c_eint, c_mu = referential_energy(topology, model)
             if cause is None:
                 cand_obj = c_comp + c_eint
                 delta = cand_obj - obj
-                accept = delta < 0 or rng.random() < np.exp(
-                    -delta / temperature)
+                if uniform is None and not delta < 0:
+                    uniform = rng.random()
+                accept = delta < 0 or uniform < np.exp(-delta / temperature)
                 if accept and unchecked:   # a kept state is injective
                     checks += 1
                     if boundary_self_intersects(mesh, cand_state.positions):
                         cause = "solve"
+                elif not accept:
+                    cause = "metropolis"
+            if ahead is not None and cause != "metropolis":
+                ahead.coming = []   # no rejection uniform was drawn
+            recent.append(cause is None)
             if cause is not None:
                 if cause != "no_move":
-                    topology.undo()
-                failed[cause] += 1
+                    moves.undo()
+                if cause != "metropolis":
+                    failed[cause] += 1
                 rejected[cause] += 1
                 trace.append(TraceRow(step, temperature, obj, comp, eint,
                                       mu, False))
                 continue
-            if accept:
-                state, phases, grad = cand_state, candidate, cand_grad
-                builds += factor.built
-                factor = Preconditioner(mesh, free,
-                                        bulk_weights(mesh, phases, model),
-                                        model)
-                obj, comp, eint, mu = cand_obj, c_comp, c_eint, c_mu
-                accepted_total += 1
-                if obj < best[2]:
-                    best = (state, phases, obj)
-                if (config.snapshot_every and snapshot_callback
-                        and accepted_total % config.snapshot_every == 0):
-                    snapshot_callback(step, state, phases)
-            else:
-                topology.undo()
-                rejected["metropolis"] += 1
-            trace.append(TraceRow(step, temperature,
-                                  cand_obj if accept else obj,
-                                  comp, eint, mu, accept))
+            state, phases, grad = cand_state, candidate, cand_grad
+            builds += factor.built
+            factor = Preconditioner(mesh, free,
+                                    bulk_weights(mesh, phases, model), model)
+            if ahead is not None:
+                ahead.reset()
+            obj, comp, eint, mu = cand_obj, c_comp, c_eint, c_mu
+            accepted_total += 1
+            if obj < best[2]:
+                best = (state, phases, obj)
+            if (config.snapshot_every and snapshot_callback
+                    and accepted_total % config.snapshot_every == 0):
+                snapshot_callback(step, state, phases)
+            trace.append(TraceRow(step, temperature, obj, comp, eint, mu,
+                                  True))
         if sum(failed.values()) > config.steps_per_temperature // 2:
             raise TopOptError(
                 f"more than half the moves failed at T={temperature}: "
@@ -371,4 +549,4 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                         nonmanifold_draws=topology.rejected_swaps,
                         skipped_solves=skipped, inner_iterations=iterations,
                         factor_builds=builds + factor.built,
-                        injectivity_checks=checks)
+                        injectivity_checks=checks, lookahead_decisions=decided)

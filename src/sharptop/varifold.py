@@ -9,6 +9,12 @@ Discrete curvature per vertex combines the cotangent mean-curvature
 vector with angle-defect Gaussian curvature; the full-curvature
 magnitude is recovered through a_norm^2 = 2 * |II|^2 with |II|^2
 estimated as 4|H|^2 - 2K.
+
+At the reference positions, `referential_energy` gives a labeling's
+interface energy and mass bit for bit as extraction does, from the
+faces' terms stored on the mesh, and `swap_energy_changes` gives their
+changes under K swaps, each taken on its own, in one batched pass, with
+a bound on the energy change's rounding.
 """
 
 from dataclasses import dataclass, field, replace
@@ -110,8 +116,9 @@ class InterfaceTopology:
     `nonmanifold_edges`, the number of edges with more than two.  A swap
     relabels two tets, so `swap` revisits only their at most eight
     interior faces and the at most twelve edges of the two tets;
-    `rejected_swaps` counts the swaps `try_swap` undid.  The `near` lists
-    are kept until a swap, and `undo` restores the ones from before it.
+    `rejected_swaps` counts the swaps `try_swap` undid.  The `near` and
+    `tets` lists are kept until a swap, and `undo` restores the ones from
+    before it.
     """
 
     def __init__(self, mesh, phases):
@@ -127,7 +134,7 @@ class InterfaceTopology:
         self.nonmanifold_edges = int(np.count_nonzero(self.edge_count > 2))
         self.last_swap = None
         self.rejected_swaps = 0
-        self._near = self._near_before = None
+        self._lists, self._lists_before = {}, {}
 
     def swap(self, tet_to_0, tet_to_1):
         """Relabel phase-1 `tet_to_0` to 0 and phase-0 `tet_to_1` to 1,
@@ -151,14 +158,14 @@ class InterfaceTopology:
         self.nonmanifold_edges += int(
             np.count_nonzero(self.edge_count[touched] > 2) - before)
         self.last_swap = (tet_to_0, tet_to_1)
-        self._near_before, self._near = self._near, None
+        self._lists_before, self._lists = self._lists, {}
 
     def undo(self):
         """Reverse the last swap."""
         tet_to_0, tet_to_1 = self.last_swap
-        near = self._near_before
+        lists = self._lists_before
         self.swap(tet_to_1, tet_to_0)
-        self._near = near
+        self._lists = lists
 
     def try_swap(self, tet_to_0, tet_to_1):
         """Swap if no interface edge is left with more than two triangles;
@@ -194,11 +201,19 @@ class InterfaceTopology:
     def near(self):
         """Tets with a cut face, per phase, sorted and read-only:
         (phase 1, phase 0)."""
-        if self._near is None:
+        if "near" not in self._lists:
             near, one = self.tet_count > 0, self.labels == 1
-            self._near = (_read_only(np.flatnonzero(near & one)),
-                          _read_only(np.flatnonzero(near & ~one)))
-        return self._near
+            self._lists["near"] = (_read_only(np.flatnonzero(near & one)),
+                                   _read_only(np.flatnonzero(near & ~one)))
+        return self._lists["near"]
+
+    def tets(self):
+        """Tets per phase, sorted and read-only: (phase 1, phase 0)."""
+        if "tets" not in self._lists:
+            one = self.labels == 1
+            self._lists["tets"] = (_read_only(np.flatnonzero(one)),
+                                   _read_only(np.flatnonzero(~one)))
+        return self._lists["tets"]
 
     def triangles(self):
         """The interface triangles as sorted triples of mesh vertex ids,
@@ -394,6 +409,206 @@ def referential_energy(topology, model):
                                interior[v])[2]
     return (float(np.sum(mixed[v] * interface_density(a_norm, model))),
             float(np.sum(area)))
+
+
+# Relative rounding allowance of a sum of interface energies, far above
+# the (log2 n + 1) unit roundoffs of a pairwise sum of n positive terms.
+ROUNDING = 1e-13
+_EPS = np.finfo(float).eps
+_SIDES = np.array([[-1.0], [1.0]])   # the least, then the largest
+
+
+def _slot_terms(mesh, faces):
+    """Each interior face's terms at the vertices of its sorted triple,
+    whichever way it points, (7, slot, face): 1, the mixed-area share,
+    the angle, the cotangent-Laplacian term (xyz) and the summed
+    absolute components of that term's two parts."""
+    out = np.empty((7, 3, len(faces)))
+    out[0] = 1.0
+    angles, cot, out[1] = mesh.interior_face_terms[1][:, :, faces]
+    out[2] = angles
+    p = np.take(mesh.vertices.T, mesh.interior_faces[faces].T, axis=1)
+    # the edge from slot j to j + 1 is opposite j + 2, the one to j + 2
+    # opposite j + 1
+    to_next, to_prev = cot[_PREV] * (p - p[:, _NEXT]), cot[_NEXT] * (
+        p - p[:, _PREV])
+    np.add(to_next, to_prev, out=out[3:6])
+    out[6] = (np.abs(to_next) + np.abs(to_prev)).sum(axis=0)
+    return out
+
+
+def _energy_range(mixed, lap, angle_sum, interior, error, model):
+    """The least and the largest energy share, mixed area times
+    Psi(a_norm) as `referential_energy` takes it, of vertices whose sums
+    lie within `error` (3, n) of the given mixed areas, norms of
+    cotangent Laplacians and angle sums, (2, n); the mixed areas stay
+    positive."""
+    m = mixed + _SIDES * error[0]
+    norm = np.maximum(np.sqrt(np.einsum("ij,ij->i", lap, lap))
+                      + _SIDES * error[1], 0.0)
+    # the angle defects 2 pi - angle_sum that make K largest, then least
+    defect = (2.0 * np.pi - angle_sum) - _SIDES * error[2]
+    h = (norm / (2.0 * m[::-1]))**2   # 4 |H|^2
+    k = 2.0 * defect / np.where(defect >= 0, m, m[::-1])
+    # 4 |H|^2 - 2 K, widened by the rounding of its evaluation
+    ii2 = h - k + _SIDES * (8.0 * _EPS) * (h[1] + np.abs(k).max(axis=0))
+    return m * interface_density(interior * np.sqrt(2.0 * np.maximum(
+        ii2, 0.0)), model)
+
+
+def _swap_flips(topology, pairs):
+    """The faces that each swap (tet to 0, tet to 1) of `pairs` (K, 2)
+    flips, each swap taken on its own, and whether `try_swap` would keep
+    it.
+
+    Returns the swap, face and sign of each flip (+1 for a face it cuts,
+    -1 for one it uncuts); each swap's eight tet corners (K, 8) and each
+    flipped face's vertices as the first of its swap's corners they equal
+    (M, 3); the bins swap * 64 + 8 * i + j of the corner pairs i < j
+    whose edge changes its cut-face count, with the counts before and
+    after; and whether each swap is admissible (K,).
+    """
+    mesh, n = topology.mesh, len(pairs)
+    # a face of both tets stays cut
+    faces = mesh.tet_interior_faces[pairs].reshape(n, 8)
+    tets = mesh.interior_face_tets[faces]
+    labels = topology.labels[tets]
+    labels[tets == pairs[:, :1, None]] = 0
+    labels[tets == pairs[:, 1:, None]] = 1
+    sign = (labels[..., 0] != labels[..., 1]).astype(int) \
+        - topology.cut[faces]
+    sign[faces < 0] = 0
+    swap, flip = np.nonzero(sign)
+    faces, sign = faces[swap, flip], sign[swap, flip]
+    corners = mesh.tets[pairs].reshape(n, 8)
+    at = (mesh.interior_faces[faces][:, :, None]
+          == corners[swap][:, None, :]).argmax(axis=2)
+    # a face's edges lo-mid, mid-hi and lo-hi
+    ends = at[:, [0, 1, 0]], at[:, [1, 2, 2]]
+    bins = ((swap * 64)[:, None] + 8 * np.minimum(*ends)
+            + np.maximum(*ends))
+    moved = np.bincount(bins.ravel(), np.repeat(sign, 3), minlength=64 * n)
+    edge = np.empty(64 * n, int)
+    edge[bins] = mesh.interior_face_edges[faces]
+    bins = np.flatnonzero(moved)
+    before = topology.edge_count[edge[bins]]
+    after = before + moved[bins].astype(int)
+    admissible = topology.nonmanifold_edges + np.bincount(
+        bins // 64, (after > 2).astype(int) - (before > 2),
+        minlength=n) == 0
+    return swap, faces, sign, corners, at, bins, before, after, admissible
+
+
+def _joined_flips(parts):
+    """One `_swap_flips` result of the swaps of several, in order."""
+    if len(parts) == 1:
+        return parts[0]
+    first = np.cumsum([0] + [len(part[3]) for part in parts[:-1]])
+    joined = [np.concatenate(field) for field in zip(*parts)]
+    joined[0] = np.concatenate([p[0] + k for p, k in zip(parts, first)])
+    joined[5] = np.concatenate([p[5] + 64 * k for p, k in zip(parts, first)])
+    return joined
+
+
+def _cut_sums(topology):
+    """The sums over each vertex's cut faces of their `_slot_terms`
+    (nv, 7), and each vertex's count of single-face edges (nv,)."""
+    mesh, nv = topology.mesh, topology.mesh.n_vertices
+    cut = np.flatnonzero(topology.cut)
+    q = np.arange(7)[:, None, None]
+    sums = np.bincount((mesh.interior_faces[cut].T * 7 + q).ravel(),
+                       _slot_terms(mesh, cut).ravel(), minlength=7 * nv)
+    singles = np.bincount(np.concatenate(divmod(mesh.interior_edge_keys[
+        topology.edge_count == 1], nv)), minlength=nv)
+    return sums.reshape(nv, 7), singles
+
+
+def swap_energy_changes(topology, tet_to_0, tet_to_1, model):
+    """The change of the referential interface energy and mass that each
+    swap of phase-1 `tet_to_0[k]` to 0 and phase-0 `tet_to_1[k]` to 1
+    makes to the `InterfaceTopology`'s labeling, each swap taken on its
+    own and none applied: one call scores K swaps.  The labeling's own
+    `referential_energy` must not raise.
+
+    Returns (admissible, degenerate, energy, mass, bound), each (K,):
+    whether `try_swap` would keep the swap; whether `referential_energy`
+    might raise on the swapped labeling (a cut face of area <= 0, or a
+    vertex whose mixed area may not be positive); and, for an admissible
+    swap that is not degenerate, the changes of energy and mass, and a
+    bound on the distance of the energy change from the difference of
+    `referential_energy` after and before the swap, short of ROUNDING
+    times the two energies (nan elsewhere).
+
+    A swap flips at most eight faces, all of them faces of its two tets,
+    so only the two tets' eight corners change their vertex sums, or, for
+    a face of both tets, which turns over, the order of their terms.  A
+    base pass, one bincount over the cut faces' stored terms, gives every
+    vertex's mixed area, cotangent Laplacian, angle sum and cut-face
+    count; one over the flipped faces' terms, signed, gives their
+    changes, in bins offset by swap; the corners' energies are taken
+    before and after the swap.  Each corner sum lies within
+    (2 n + 1) eps times its n faces' summed term magnitudes of the one
+    extraction takes, whatever the order of the sums; interval
+    arithmetic carries that through the curvature to bounds on the
+    corner's energy, whose midpoint is taken and whose half width is
+    added to the bound.
+    """
+    return _swap_changes(
+        topology, _swap_flips(topology, np.column_stack([tet_to_0,
+                                                         tet_to_1])),
+        _cut_sums(topology), model)
+
+
+def _swap_changes(topology, flips, base, model):
+    """`swap_energy_changes` from the swaps' `_swap_flips` and the
+    labeling's `_cut_sums`."""
+    mesh, nv = topology.mesh, topology.mesh.n_vertices
+    swap, faces, sign, corners, at, bins, before, after, admissible = flips
+    n = len(corners)
+    # vertex sums per corner (1, mixed, angle, lap xyz, lap size): before
+    # the swap, and the flipped faces' changes and magnitudes; single-face
+    # edges per corner before and after
+    sums, singles = (b[corners.ravel()] for b in base)
+    terms = _slot_terms(mesh, faces)
+    at = ((swap[:, None] * 8 + at).T * 7 + np.arange(7)[:, None, None]
+          ).ravel()
+    size = np.bincount(at, terms.ravel(), minlength=56 * n).reshape(-1, 7)
+    change = np.bincount(at, (terms * sign).ravel(),
+                         minlength=56 * n).reshape(-1, 7)
+    single = (after == 1).astype(int) - (before == 1)
+    single = np.bincount(np.concatenate([bins // 64 * 8 + bins % 64 // 8,
+                                         bins // 64 * 8 + bins % 8]),
+                         np.concatenate([single, single]), minlength=8 * n)
+
+    # every corner, once: a face of both tets is cut before and after, but
+    # turns over, which reorders its vertices' sums in extraction
+    touched = np.flatnonzero((corners[:, :, None] == corners[:, None, :])
+                             .argmax(axis=2) == np.arange(8))
+    sums, change, singles = sums[touched], change[touched], singles[touched]
+    size = size[touched] + sums
+    error = (2.0 * size[:, 0] + 1.0) * _EPS * np.array([
+        size[:, 1], 2.0 * size[:, 6], size[:, 2] + 2.0 * np.pi])
+    error = np.concatenate([error, error], axis=1)
+    sums = np.concatenate([sums, sums + change])
+    interior = np.concatenate([singles, singles + single[touched]]) == 0
+    on = sums[:, 0] > 0
+    ok = on & (sums[:, 1] > error[0])
+    energies = ok * _energy_range(np.where(ok, sums[:, 1], 1.0), sums[:, 3:6],
+                                  sums[:, 2], interior, error, model)
+    owner = np.concatenate([touched, touched]) // 8
+    side = np.repeat([-0.5, 0.5], len(touched))   # before, after
+    energy = np.bincount(owner, side * (energies[0] + energies[1]),
+                         minlength=n)
+    bound = 0.5 * np.bincount(owner, energies[1] - energies[0], minlength=n)
+    area = mesh.interior_face_terms[0][faces]
+    degenerate = (np.bincount(owner, on & ~ok, minlength=n)
+                  + np.bincount(swap, (sign > 0) & (area <= 0),
+                                minlength=n)) > 0
+    valid = admissible & ~degenerate
+    return (admissible, degenerate, np.where(valid, energy, np.nan),
+            np.where(valid, np.bincount(swap, sign * area, minlength=n),
+                     np.nan),
+            np.where(valid, bound, np.nan))
 
 
 def total_energy(mesh, state, phases, model):

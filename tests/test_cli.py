@@ -155,6 +155,8 @@ def test_topopt_command_outputs(tmp_path):
     # and so no solve takes a step: no factor and no injectivity check
     assert summary["inner_iterations"] == summary["factor_builds"] == 0
     assert summary["injectivity_checks"] == 0
+    # an Eulerian run scores no swaps ahead
+    assert summary["lookahead_decisions"] == 0
     with open(out / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 12  # 3 temperatures x 4 steps
