@@ -152,15 +152,15 @@ def bulk_energy_gradient(mesh, state, phases, model, bulk=None):
     return g
 
 
-def corner_forces(mesh, P, tets=None):
-    """Forces (4, 3, nt) of the stresses P (3, 3, nt) of every tet, or of
-    the tets `tets`, on their corners 1, 2, 3, 0 (scatter_index order).
+def corner_forces(mesh, P):
+    """Forces (4, 3, nt) of the stresses P (3, 3, nt) of every tet on its
+    corners 1, 2, 3, 0 (scatter_index order).
 
     F = Dx G with G = ref_inv, so the force on corner c + 1 is P G[c]
     (G[c] the c-th row of G) and corner 0 takes minus their sum.
     """
-    G = mesh.ref_inv_cf if tets is None else mesh.ref_inv_cf[:, :, tets]
-    forces = np.empty((4, 3, G.shape[2]))
+    G = mesh.ref_inv_cf
+    forces = np.empty((4, 3, mesh.n_tets))
     for c in range(3):      # row by row: (3, nt) temporaries
         np.multiply(G[c, 0], P[:, 0], out=forces[c])
         forces[c] += G[c, 1] * P[:, 1]

@@ -46,9 +46,8 @@ def component_first(A):
     return A.transpose(A.ndim - 2, A.ndim - 1, *range(A.ndim - 2))
 
 
-def deformation_gradients(mesh, positions, tets=None):
-    """Per-tet deformation gradients, shape (nt, 3, 3), of every tet or
-    of the tets with ids `tets`.
+def deformation_gradients(mesh, positions):
+    """Per-tet deformation gradients, shape (nt, 3, 3).
 
     F = Dx G with the edges d_k = x_k - x_0 as the columns of Dx and
     G = ref_inv, summed elementwise over component-first rows:
@@ -56,12 +55,10 @@ def deformation_gradients(mesh, positions, tets=None):
     (nt, 3, 3) view of (3, 3, nt) storage, like `ref_inv`.
     """
     # np.take on (axis, vertex) rows gathers 4x faster than fancy indexing
-    corners, G = mesh.tets, mesh.ref_inv_cf
-    if tets is not None:
-        corners, G = corners[tets], G[:, :, tets]
-    x = np.take(np.asarray(positions, float).T, corners.T, axis=1)
+    x = np.take(np.asarray(positions, float).T, mesh.tets.T, axis=1)
     d = x[:, 1:] - x[:, :1]                 # (axis, edge, tet)
     x = None                                # freed before F is built
+    G = mesh.ref_inv_cf
     F = np.multiply(d[:, 0, None], G[0])
     term = np.multiply(d[:, 1, None], G[1])
     F += term
@@ -69,10 +66,10 @@ def deformation_gradients(mesh, positions, tets=None):
     return F.transpose(2, 0, 1)
 
 
-def deformation_minors(mesh, positions, tets=None):
-    """(F, Cof F, det F) of every tet, or of the tets `tets`, component
-    first: (3, 3, nt) twice and (nt,), as the bulk kernel reads them."""
-    F, cof, det = minors(deformation_gradients(mesh, positions, tets))
+def deformation_minors(mesh, positions):
+    """(F, Cof F, det F) of every tet, component first: (3, 3, nt) twice
+    and (nt,), as the bulk kernel reads them."""
+    F, cof, det = minors(deformation_gradients(mesh, positions))
     return component_first(F), component_first(cof), det
 
 

@@ -80,8 +80,6 @@ class SolveReport:
     armijo_backtracks: int
     injectivity_backtracks: int
     injectivity_checks: int         # self-intersection checks run
-    # the equilibrium gradient at the returned state, (nv, 3)
-    gradient: np.ndarray = field(repr=False)
     history: list = field(default_factory=list)  # (iter, obj, |g|, min_det, guards)
 
 
@@ -132,8 +130,7 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None,
                          factor=None):
     """Descent to an equilibrium deformation at fixed phase labeling.
 
-    Returns (state, SolveReport); the report's `gradient` is the
-    equilibrium gradient at the returned state.  That state always satisfies
+    Returns (state, SolveReport).  The state always satisfies
     min det F > 0 and preserves Dirichlet positions bit-exactly.  Its
     boundary surface was checked for self-intersection, unless no step
     was taken: when the last accepted step was not checked on its
@@ -151,8 +148,8 @@ def minimize_equilibrium(mesh, state0, phases, model, options=None,
     if passed is not None:
         report.injectivity_checks += 1
         if boundary_self_intersects(mesh, state.positions):
-            (state, report.objective, report.grad_norm, report.min_det,
-             report.gradient) = passed
+            (state, report.objective, report.grad_norm,
+             report.min_det) = passed
             report.converged = False
             report.message = ("the boundary surface of the final state "
                               "crosses itself; returning the last state "
@@ -165,8 +162,8 @@ def _descend(mesh, state0, phases, model, options=None, factor=None):
 
     Returns (state, report, passed).  `passed` is None when `state` was
     checked on its iteration or is `state0`; otherwise it is the last
-    state that was, as (state, objective, |g|, min det F, gradient), the
-    start counting as checked.
+    state that was, as (state, objective, |g|, min det F), the start
+    counting as checked.
     """
     options = options or SolveOptions()
     free = ~state0.dirichlet_mask
@@ -194,7 +191,7 @@ def _descend(mesh, state0, phases, model, options=None, factor=None):
     log = []
     message = "iteration limit reached"
     converged = gnorm <= options.gradient_tolerance
-    passed = (state, obj, gnorm, min_det, grad)  # last checked injective
+    passed = (state, obj, gnorm, min_det)  # last checked injective
     checked = True
     it = 0
 
@@ -255,7 +252,7 @@ def _descend(mesh, state0, phases, model, options=None, factor=None):
         converged = gnorm <= options.gradient_tolerance
         checked = check
         if checked:
-            passed = (state, obj, gnorm, min_det, grad)
+            passed = (state, obj, gnorm, min_det)
 
     if converged:
         message = "converged"
@@ -265,7 +262,7 @@ def _descend(mesh, state0, phases, model, options=None, factor=None):
         guard_iterations=guard_iters, message=message,
         det_floor_backtracks=det_floor, armijo_backtracks=armijo,
         injectivity_backtracks=injectivity, injectivity_checks=checks,
-        gradient=grad, history=log)
+        history=log)
     return state, report, None if checked else passed
 
 

@@ -10,22 +10,14 @@ A proposal costs work in the two swapped tets, not in the mesh, where
 it can.  The annealer keeps the labeling's `InterfaceTopology` and
 updates it per swap, so drawing a candidate and checking it for
 non-manifold edges visit only the swapped tets' faces and edges, and
-extraction reads its cut faces, flips and edge counts from it.  With
-equal phase scales and no body load a swap is inert: the bulk weights
-and the load vector do not depend on the labels, so a candidate's
-equilibrium problem is the accepted one, whose state came from a
-converged solve, and the candidate keeps that state, gradient and
-compliance and runs no mechanics.  Otherwise the annealer keeps the
-equilibrium gradient at its state and labels, and updates it by the two
-tets' change of weight (and of body load): a swap leaves the positions
-alone.  When the updated norm is at most half the solver's gradient
-tolerance, the warm state is already converged, and it is returned as a
-solve that takes no step would return it, without the solve.  The half
-margin absorbs the rounding of the updates, so every decision is the
-one a full recompute would make; the solve's own gradient
-(`SolveReport.gradient`) clears the rounding at the start and after
-every accepted move that was solved, cold restarts included.  In
-referential mode the interface energy and mass come from
+extraction reads its cut faces, flips and edge counts from it.  A
+candidate is either inert or solved.  With equal phase scales and no
+body load a swap is inert: the bulk weights and the load vector do not
+depend on the labels, so a candidate's equilibrium problem is the
+accepted one, whose state came from a converged solve, and the
+candidate keeps that state and compliance and runs no mechanics.
+Every other candidate is solved, warm started from the accepted state.
+In referential mode the interface energy and mass come from
 `referential_energy`, one pass over the cut faces' terms stored on the
 mesh; an Eulerian proposal extracts its interface in full.  While the
 accepted-move count is a positive multiple of `COLD_SOLVE_EVERY`, every
@@ -67,10 +59,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (Bulk, bulk_weights, corner_forces, load_potential,
-                     load_vector)
-from .kinematics import (boundary_self_intersects, deformation_minors,
-                         identity_state)
+from .energy import bulk_weights, load_potential, load_vector
+from .kinematics import boundary_self_intersects, identity_state
 from .solve import (Preconditioner, SolveOptions, _check_count, _descend,
                     minimize_equilibrium)
 from .varifold import (ROUNDING, InterfaceError, InterfaceTopology,
@@ -297,27 +287,6 @@ def _least_change(scored, c_comp, comp, eint, obj):
         abs(c_comp) + abs(comp) + 2.0 * (eint + abs(change) + bound))
 
 
-def _swapped_gradient(mesh, state, model, grad, swap):
-    """The equilibrium gradient `grad` at `state` after the swap (tet to
-    0, tet to 1), from the change of the two tets' bulk weights and body
-    loads; the positions, and with them F, do not change."""
-    tets = np.array(swap)
-    volumes = mesh.volumes[tets]
-    scales = np.array([model.scale0, model.scale1])
-    forces = corner_forces(mesh, Bulk(
-        deformation_minors(mesh, state.positions, tets),
-        volumes * scales - volumes * scales[::-1], model).stress(), tets)
-    corners = mesh.tets[tets]
-    grad = grad.copy()
-    np.add.at(grad, corners.T[[1, 2, 3, 0]], forces.transpose(0, 2, 1))
-    if np.any(model.f):   # b gains a quarter of each volume at its corners
-        loads = volumes * np.array([-0.25, 0.25])
-        np.add.at(grad, corners, -loads[:, None, None] * model.f)
-    corners = corners.ravel()
-    grad[corners[state.dirichlet_mask[corners]]] = 0.0
-    return grad
-
-
 @dataclass
 class TraceRow:
     step: int
@@ -346,7 +315,7 @@ class TopOptResult:
     rejected_solve: int = 0         # not converged, or crossed itself
     rejected_metropolis: int = 0
     nonmanifold_draws: int = 0      # drawn swaps dropped as non-manifold
-    skipped_solves: int = 0         # candidates kept the warm state unsolved
+    skipped_solves: int = 0         # inert candidates, kept unsolved
     inner_iterations: int = 0       # iterations of the solves that ran
     factor_builds: int = 0          # preconditioner factors built
     injectivity_checks: int = 0     # boundary self-intersection checks
@@ -397,8 +366,8 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                         config.solve_options, factor)
 
     def solve(phases, warm_state, run=proposal_solve):
-        """The equilibrium state, gradient and compliance of `phases`, and
-        whether that state's boundary is still to be checked."""
+        """The equilibrium state and compliance of `phases`, and whether
+        that state's boundary is still to be checked."""
         nonlocal iterations, checks
         state, report, passed = run(warm_state, phases)
         iterations += report.iterations
@@ -412,14 +381,12 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
             checks += report.injectivity_checks
         if not report.converged:
             raise TopOptError("inner equilibrium solve did not converge")
-        return (state, report.gradient,
-                compliance(mesh, state, phases, model, loads),
+        return (state, compliance(mesh, state, phases, model, loads),
                 passed is not None)
 
-    state, grad, comp, _ = solve(phases, state, checked_solve)
+    state, comp, _ = solve(phases, state, checked_solve)
     eint, mu = _interface_terms(mesh, state, phases, model, config.mode,
                                 topology)
-    skip_below = 0.5 * config.solve_options.gradient_tolerance
     obj = comp + eint
     best = (state, phases, obj)
     initial_obj, initial_mu = obj, mu
@@ -451,21 +418,15 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
             if cause is None:
                 cold = (accepted_total
                         and accepted_total % COLD_SOLVE_EVERY == 0)
-                cand_grad = None if cold or inert else _swapped_gradient(
-                    mesh, state, model, grad, moves.last_swap)
-                converged = not cold and (inert or float(
-                    np.linalg.norm(cand_grad)) <= skip_below)
-                skipped += converged
+                kept = inert and not cold
+                skipped += kept
                 unchecked = False
                 try:
-                    if not converged:
-                        cand_state, cand_grad, c_comp, unchecked = solve(
-                            candidate, identity_state(mesh) if cold else state)
-                    elif inert:   # the accepted solve is the candidate's
-                        cand_state, cand_grad, c_comp = state, grad, comp
+                    if kept:   # the accepted solve is the candidate's
+                        cand_state, c_comp = state, comp
                     else:
-                        cand_state, c_comp = state, compliance(
-                            mesh, state, candidate, model, loads)
+                        cand_state, c_comp, unchecked = solve(
+                            candidate, identity_state(mesh) if cold else state)
                     if ahead is not None:
                         scored = ahead.change()
                         if scored is None:
@@ -514,7 +475,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                 trace.append(TraceRow(step, temperature, obj, comp, eint,
                                       mu, False))
                 continue
-            state, phases, grad = cand_state, candidate, cand_grad
+            state, phases = cand_state, candidate
             builds += factor.built
             factor = Preconditioner(mesh, free,
                                     bulk_weights(mesh, phases, model), model)

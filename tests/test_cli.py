@@ -149,7 +149,7 @@ def test_topopt_command_outputs(tmp_path):
               "rejected_metropolis")
     assert sum(summary[c] for c in causes) == summary["rejected_moves"]
     assert summary["nonmanifold_draws"] >= 0
-    # unloaded and stress free: every candidate is converged at its start
+    # equal phases and no body load: every candidate is inert
     assert summary["skipped_solves"] == 12 - summary["rejected_no_move"] \
         - summary["rejected_interface"]
     # and so no solve takes a step: no factor and no injectivity check

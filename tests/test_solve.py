@@ -319,40 +319,6 @@ def test_final_rejection_returns_last_checked_state(clamped_mesh,
     assert report.history[24] == report_25.history[24]
 
 
-@pytest.mark.parametrize("case", ["converged", "zero-iteration", "fallback"])
-def test_report_gradient_is_the_returned_states(case, clamped_mesh,
-                                                uniform_phase1, monkeypatch):
-    """`SolveReport.gradient` is `equilibrium_gradient` at the returned
-    state, bit for bit: after steps, without one, and when the injectivity
-    check sends the solve back to the last state that passed it."""
-    mesh, phases = clamped_mesh, uniform_phase1(clamped_mesh)
-    if case == "converged":
-        model = st.EnergyModel(r=4, s=stress_free_s(4), g=[0.0, 0.0, 2.0],
-                               f=[0.0, 0.5, -1.0])
-        state, report = st.minimize_equilibrium(
-            mesh, st.identity_state(mesh), phases, model,
-            SolveOptions(gradient_tolerance=1e-5, max_iterations=400))
-        assert report.converged and report.iterations > 0
-    elif case == "zero-iteration":
-        mesh = st.build_box_mesh(2, 2, 2, tagging=lambda c: "DIRICHLET")
-        phases, model = uniform_phase1(mesh), st.EnergyModel(
-            r=4, s=stress_free_s(4))
-        state, report = st.minimize_equilibrium(
-            mesh, st.identity_state(mesh), phases, model)
-        assert report.converged and report.iterations == 0
-    else:
-        _counting_check(monkeypatch, [False, True])
-        model = st.EnergyModel(g=[300.0, 0.0, 0.0])
-        state, report = _pull(mesh, uniform_phase1, 30)
-        # the state of iteration 25 is returned, not the last iterate
-        assert "crosses itself" in report.message
-        assert report.grad_norm == report.history[24][2]
-        assert report.grad_norm != report.history[-1][2]
-    want = equilibrium_gradient(mesh, state, phases, model)
-    assert report.gradient.tobytes() == want.tobytes()
-    assert report.grad_norm == float(np.linalg.norm(want))
-
-
 @pytest.mark.parametrize("max_iterations, checks", [(10, 0), (25, 1),
                                                     (30, 1)])
 def test_descent_is_the_solve_without_its_closing_check(

@@ -342,8 +342,7 @@ def test_programming_error_in_inner_solve_propagates(monkeypatch):
         raise ValueError("bug in the inner solve")
 
     monkeypatch.setattr(topopt, "_descend", broken)
-    # two phases under a traction: a swap moves the equilibrium, so the
-    # candidate's solve runs (a stress-free pinned cube would skip it)
+    # two phases: a swap is not inert, so the candidate's solve runs
     mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
     model = st.EnergyModel(r=4, s=stress_free_s(4), scale0=0.2,
                            g=[0.0, 0.0, 1.0])
@@ -419,15 +418,14 @@ def test_one_factor_per_accepted_labeling(monkeypatch, inert):
 
 
 def _recorded_proposals(monkeypatch, verdicts=None):
-    """Record every proposal solve's arguments and result, every check the
-    annealer makes and every `_swapped_gradient` gradient; the n-th check
-    answers verdicts[n] (default: the real check).  Every interface is
-    asserted to be read from the topology of its own labels."""
+    """Record every proposal solve's arguments and result and every check
+    the annealer makes; the n-th check answers verdicts[n] (default: the
+    real check).  Every interface is asserted to be read from the topology
+    of its own labels."""
     import sharptop.topopt as topopt
-    seen = {"solves": [], "checks": [], "grads": []}
+    seen = {"solves": [], "checks": []}
     real_descend = topopt._descend
     real_check = topopt.boundary_self_intersects
-    real_swapped = topopt._swapped_gradient
     real_terms = topopt._interface_terms
 
     def descend(mesh, warm, phases, *args):
@@ -441,17 +439,12 @@ def _recorded_proposals(monkeypatch, verdicts=None):
             return real_check(mesh, positions)
         return verdicts[len(seen["checks"]) - 1]
 
-    def swapped(mesh, state, model, grad, swap):
-        seen["grads"].append(grad.tobytes())
-        return real_swapped(mesh, state, model, grad, swap)
-
     def terms(mesh, state, phases, model, mode, topology):
         assert np.array_equal(topology.labels, phases.labels)
         return real_terms(mesh, state, phases, model, mode, topology)
 
     monkeypatch.setattr(topopt, "_descend", descend)
     monkeypatch.setattr(topopt, "boundary_self_intersects", check)
-    monkeypatch.setattr(topopt, "_swapped_gradient", swapped)
     monkeypatch.setattr(topopt, "_interface_terms", terms)
     return seen
 
@@ -491,7 +484,7 @@ def test_failed_check_of_a_kept_state_rejects_the_move(monkeypatch):
     """When the check of an accepted candidate fails, the move is a
     rejected solve: its trace row reads rejected at the kept objective,
     the topology is undone, and the next proposal starts from the kept
-    state, labels and gradient; the best state is not the candidate's."""
+    state and labels; the best state is not the candidate's."""
     mesh, phases, model = loaded_run_inputs()
     config = fast_config(seed=0)
     plain = optimize_topology(mesh, phases, model, config)
@@ -515,14 +508,13 @@ def test_failed_check_of_a_kept_state_rejects_the_move(monkeypatch):
     assert np.count_nonzero(failed.labels != kept.labels) == 2
     assert np.count_nonzero(next_phases.labels != kept.labels) == 2
     assert next_warm is warm
-    assert seen["grads"][f + 1] == seen["grads"][f]
     assert not np.array_equal(result.best_state.positions, state.positions)
     assert not np.array_equal(result.best_phases.labels, failed.labels)
 
 
 ORACLE_CASES = {
-    # zero load: every candidate but the cold restarts' is converged at
-    # its start; 25 steps per temperature pass a cold restart
+    # equal phases under zero load: every candidate but the cold restarts'
+    # is inert; 25 steps per temperature pass a cold restart
     "referential-3": (3, REFERENTIAL, {}, 11, 25),
     "referential-5": (5, REFERENTIAL, {}, 16, 5),
     # referential energies from the terms of uneven faces, on a box
@@ -530,13 +522,14 @@ ORACLE_CASES = {
     "referential-jittered-4": (4, REFERENTIAL, {}, 17, 5, 0.002),
     # a traction and a stiff phase 1: candidates take steps
     "loaded-3": (3, EULERIAN, {"scale0": 0.2, "g": [0.0, 0.0, 1.0]}, 13, 5),
-    # equal phases under a body load that puts the gradient of the start
-    # near half the tolerance: swaps move it across, so some candidates
-    # are skipped and some are solved
+    # equal phases under a body load: every candidate builds its own load
+    # vector, and is solved
     "body-load-4": (4, EULERIAN, {"f": [0.0, 0.0, 7.9e-5]}, 14, 5),
+    # unequal phases under zero load: the identity stays stationary, but a
+    # swap is not inert, so every candidate is solved and takes no step
+    "unequal-unloaded-3": (3, EULERIAN, {"scale0": 0.2}, 4, 5),
     # equal phases under a traction: swaps are inert, so every candidate
-    # but a cold restart's keeps the accepted solve, though its gradient
-    # need not lie within half the tolerance
+    # but a cold restart's keeps the accepted solve
     "traction-equal-3": (3, EULERIAN, {"g": [0.0, 0.0, 1.0]}, 13, 5),
     "traction-equal-4": (4, EULERIAN, {"g": [0.0, 0.0, 0.5]}, 7, 5),
     # cold: Metropolis rejects most candidates, so most are decided from
@@ -551,9 +544,9 @@ ORACLE_TEMPERATURES = {"referential-cold-4": (0.05, 0.001)}
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_annealing_matches_full_recompute_oracle(case):
     """From equal seeds the annealer, with its kept interface topology,
-    stored-term referential energies and converged-at-start shortcut,
-    gives the trace, counts and best labels of one that extracts in full
-    and solves in full on every proposal."""
+    stored-term referential energies, kept solve for inert candidates and
+    scored look-ahead, gives the trace, counts and best labels of one that
+    extracts in full and solves in full on every proposal."""
     n, mode, loads, seed, steps, *jitter = ORACLE_CASES[case]
     if jitter:
         mesh = jittered_box_mesh((n, n, n), np.random.default_rng(seed),
@@ -586,10 +579,11 @@ def test_annealing_matches_full_recompute_oracle(case):
     elif case == "referential-cold-4":
         assert result.skipped_solves == proposals
         assert result.lookahead_decisions > proposals // 2
-    elif case == "loaded-3":
-        assert result.skipped_solves == 0
+    elif case == "unequal-unloaded-3":
+        assert (accepted, len(trace)) == (14, 15)
+        assert result.skipped_solves == result.inner_iterations == 0
     else:
-        assert 0 < result.skipped_solves < proposals
+        assert result.skipped_solves == 0
 
 
 def cold_referential_run():
@@ -667,15 +661,19 @@ def test_rejections_add_up_by_cause():
 
 def test_inert_candidates_run_no_mechanics(monkeypatch):
     """With equal phase scales and no body load a swap changes no term of
-    the equilibrium problem, so a candidate keeps the accepted state,
-    gradient and compliance: it runs no kinematics, constitutive kernel,
-    corner forces or compliance, and neither the inner solve nor a full
-    gradient.  The run's one solve and compliance are its start's."""
+    the equilibrium problem, so a candidate keeps the accepted state and
+    compliance: it runs no kinematics, constitutive kernel, corner forces
+    or compliance, and neither the inner solve nor a gradient.  The run's
+    one solve, with its one pass of each kernel, and its one compliance
+    are its start's."""
+    import sharptop.energy as energy
     import sharptop.solve as solve
     import sharptop.topopt as topopt
-    calls = dict.fromkeys(("deformation_minors", "Bulk", "corner_forces",
-                           "compliance", "minimize_equilibrium",
-                           "equilibrium_gradient"), 0)
+    modules = {"deformation_minors": solve, "Bulk": solve,
+               "corner_forces": energy, "equilibrium_gradient": solve,
+               "compliance": topopt, "minimize_equilibrium": topopt,
+               "_descend": topopt}
+    calls = dict.fromkeys(modules, 0)
 
     def counted(module, name):
         real = getattr(module, name)
@@ -685,62 +683,17 @@ def test_inert_candidates_run_no_mechanics(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        counted(solve if name == "equilibrium_gradient" else topopt, name)
+    for name, module in modules.items():
+        counted(module, name)
     mesh = pinned_mesh(4)
     result = optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
                                annealing_model(), fast_config(seed=3))
     proposals = len(result.trace) - result.rejected_no_move
     assert result.skipped_solves == proposals > 0
     assert result.inner_iterations == 0
-    assert calls == {"deformation_minors": 0, "Bulk": 0, "corner_forces": 0,
-                     "compliance": 1, "minimize_equilibrium": 1,
-                     "equilibrium_gradient": 1}
-
-
-def test_skipped_solve_touches_only_the_swapped_tets(monkeypatch):
-    """With unequal phase scales a swap moves the gradient, so a candidate
-    converged at its start runs the kinematics, the constitutive kernel
-    and the corner forces on its two swapped tets only, and neither the
-    inner solve nor a full gradient: the one full gradient of the run is
-    the first solve's, which the annealer reuses."""
-    import sharptop.solve as solve
-    import sharptop.topopt as topopt
-    sizes, calls = [], {"minimize_equilibrium": 0, "equilibrium_gradient": 0}
-
-    def sized(kernel, size):
-        def wrapper(*args, **kwargs):
-            sizes.append(size(*args, **kwargs))
-            return kernel(*args, **kwargs)
-        return wrapper
-
-    def counted(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    monkeypatch.setattr(topopt, "deformation_minors", sized(
-        topopt.deformation_minors, lambda mesh, x, tets: len(tets)))
-    monkeypatch.setattr(topopt, "Bulk", sized(
-        topopt.Bulk, lambda terms, weights, model: len(weights)))
-    monkeypatch.setattr(topopt, "corner_forces", sized(
-        topopt.corner_forces, lambda mesh, P, tets: P.shape[2]))
-    assert not hasattr(topopt, "equilibrium_gradient")
-    counted(topopt, "minimize_equilibrium")
-    counted(solve, "equilibrium_gradient")
-    mesh = pinned_mesh(4)
-    # the identity is stress free in either phase, so every swap keeps it
-    # converged
-    model = replace(annealing_model(), scale0=0.2)
-    result = optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
-                               model, fast_config(seed=3))
-    proposals = len(result.trace) - result.rejected_no_move
-    assert result.skipped_solves == proposals > 0
-    assert calls == {"minimize_equilibrium": 1, "equilibrium_gradient": 1}
-    assert sizes == [2] * (3 * proposals)
+    assert calls == {"deformation_minors": 1, "Bulk": 1, "corner_forces": 1,
+                     "equilibrium_gradient": 1, "compliance": 1,
+                     "minimize_equilibrium": 1, "_descend": 0}
 
 
 def test_referential_run_reads_the_energy_once_per_candidate(monkeypatch):
@@ -796,36 +749,12 @@ def test_compliance_from_kept_loads(g):
             mesh, state, phases, model)
 
 
-@pytest.mark.parametrize("f", [[0.0, 0.0, 0.0], [0.3, -0.2, 1.0]])
-def test_swapped_gradient_matches_full_recompute(f):
-    """The gradient updated by two tets' weights and body loads equals a
-    full recompute at the swapped labels, to 1e-12 relative."""
-    from sharptop.topopt import _swapped_gradient
-    mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
-    model = st.EnergyModel(r=4, s=3.0, scale0=0.2, scale1=1.5, f=f,
-                           g=[0.1, 0.0, 1.0])
-    state = random_feasible_state(mesh, scale=0.03, seed=4)
-    phases = slab_labels(mesh, 0.5, axis=1)
-    grad = st.equilibrium_gradient(mesh, state, phases, model)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        src = rng.choice(np.flatnonzero(phases.labels == 1))
-        dst = rng.choice(np.flatnonzero(phases.labels == 0))
-        swapped = phases.with_swap(tet_to_0=src, tet_to_1=dst)
-        got = _swapped_gradient(mesh, state, model, grad, (src, dst))
-        want = st.equilibrium_gradient(mesh, state, swapped, model)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        assert not got[state.dirichlet_mask].any()
-        phases, grad = swapped, got
-
-
 def test_inert_swap_leaves_the_gradient_as_it_is():
-    """With equal phase scales and no body load, the two-tet update of the
-    gradient adds exact zeros: `_swapped_gradient` returns `grad`, bit for
-    bit, at random deformed states, swaps and tractions on box and
-    jittered meshes, which is why an inert candidate skips it.  Unequal
-    scales, or a body load, move it."""
-    from sharptop.topopt import _swapped_gradient
+    """With equal phase scales and no body load, a swap leaves the
+    equilibrium gradient and objective as they are, bit for bit, at random
+    deformed states, swaps and tractions on box and jittered meshes, which
+    is why an inert candidate keeps the accepted solve.  Unequal scales,
+    or a body load, move both."""
     kinds = set()
 
     @settings(max_examples=30, deadline=None)
@@ -839,15 +768,18 @@ def test_inert_swap_leaves_the_gradient_as_it_is():
                 st.build_box_mesh(*dims, tagging=clamp_bottom_pull_top))
         state = random_feasible_state(mesh, scale=0.005, seed=seed)
         phases = perturbed_slab_labels(mesh, int(rng.integers(3)), seed, 1)
-        swap = (rng.choice(np.flatnonzero(phases.labels == 1)),
-                rng.choice(np.flatnonzero(phases.labels == 0)))
+        swapped = phases.with_swap(
+            tet_to_0=rng.choice(np.flatnonzero(phases.labels == 1)),
+            tet_to_1=rng.choice(np.flatnonzero(phases.labels == 0)))
         inert = st.EnergyModel(r=4, s=3.0, scale0=scale, scale1=scale, g=g)
         for model in (inert, replace(inert, scale0=0.5 * scale),
                       replace(inert, f=[0.0, 0.0, 1.0])):
-            grad = st.equilibrium_gradient(mesh, state, phases, model)
-            kept = np.array_equal(
-                _swapped_gradient(mesh, state, model, grad, swap), grad)
-            assert kept == (model is inert)
+            grads, objectives = zip(*(
+                (st.equilibrium_gradient(mesh, state, labels, model),
+                 st.equilibrium_objective(mesh, state, labels, model))
+                for labels in (phases, swapped)))
+            assert np.array_equal(*grads) == (model is inert)
+            assert (objectives[0] == objectives[1]) == (model is inert)
         kinds.add(jittered)
 
     check()
