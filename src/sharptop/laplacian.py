@@ -71,7 +71,7 @@ def vertex_levels(mesh, factored):
 
 def _element_matrices(ref_inv, weights):
     """w_t Gbar_t Gbar_t^T of each tet, row-major (nt, 16).  A function
-    of its own, so that `level_couplings`, a generator, holds no Gbar."""
+    of its own, so that `_level_couplings`, a generator, holds no Gbar."""
     Gbar = np.concatenate([-ref_inv.sum(axis=1, keepdims=True), ref_inv],
                           axis=1)
     K = (Gbar @ Gbar.transpose(0, 2, 1)).reshape(-1, 16)
@@ -79,7 +79,7 @@ def _element_matrices(ref_inv, weights):
     return K
 
 
-def level_couplings(mesh, levels, weights):
+def _level_couplings(mesh, levels, weights):
     """Yield (A_k, C_k) per level k of L_w: the diagonal block A_k
     (n_k, n_k) and C_k, the nonzero entries (rows, cols, values) of the
     coupling B_k (n_(k-1), n_k) in row-major order, rows and columns in
@@ -183,7 +183,7 @@ class LaplacianFactor:
             np.count_nonzero(levels < 0):]
         self.bounds = np.cumsum(np.r_[0, np.bincount(levels[self.order])])
         self.inverses, self.couplings = [], []
-        for A, coupling in level_couplings(mesh, levels, weights):
+        for A, coupling in _level_couplings(mesh, levels, weights):
             if seeded:
                 A[np.diag_indices_from(A)] *= 1.0 + REGULARISATION
             if coupling is not None:

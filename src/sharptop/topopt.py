@@ -34,26 +34,27 @@ it keeps, its start (`minimize_equilibrium` checks it) and a candidate
 that Metropolis accepts and that its solve did not check on its last
 iteration.  A candidate that fails that check is a rejected solve.
 
-A referential proposal that Metropolis rejects runs no full pass.  While
-at most `LOOK_AHEAD_ACCEPTS` of the last `LOOK_AHEAD` steps were
-accepted, the annealer looks ahead: it copies its generator's state,
-replays the next `LOOK_AHEAD` moves' draws through `_draws`, the helper
-`mass_preserving_move` draws with, assuming one Metropolis uniform
-between moves, and scores the swaps in one call of the kernel of
-`varifold.swap_energy_changes`.  The scores, and which swaps are
-admissible, hold until the next accepted move; a swap drawn that was
-not scored, or not as expected, is a miss, which the full pass decides.
-A move's swap of known admissibility is not applied to the topology
-unless a full pass or an acceptance needs it.  A scored candidate is
-rejected without a full pass when its change, less its bound and a
-rounding allowance (`_least_change`), is positive and its uniform lies
-above exp(-change / T) at that least change; every other candidate,
-acceptances included, runs the full pass.  So every decision, the
-random stream and the trace are those of a full pass per proposal.
+Moves and Metropolis uniforms come from two streams spawned from the
+seed, so the draws of the coming moves do not depend on the decisions
+made before them.  A referential proposal that Metropolis rejects runs
+no full pass.  While at most `LOOK_AHEAD_ACCEPTS` of the last
+`LOOK_AHEAD` steps were accepted, the annealer reads the move stream
+ahead: it maps the next `LOOK_AHEAD` rows of draws to swaps of the
+accepted labeling through `_swaps`, as `mass_preserving_move` maps
+them, and scores them in one call of `varifold.swap_energy_changes`.
+The scores, and which swaps are admissible, hold until the next
+accepted move; a swap drawn that was not scored is a miss, which the
+full pass decides.  A move's swap of known admissibility is not applied
+to the topology unless a full pass or an acceptance needs it.  A scored
+candidate is rejected without a full pass when its change, less its
+bound and a rounding allowance (`_least_change`), is positive and its
+uniform lies above exp(-change / T) at that least change; every other
+candidate, acceptances included, runs the full pass.  So every
+decision, both streams and the trace are those of a full pass per
+proposal.
 """
 
 from collections import deque
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -64,9 +65,8 @@ from .kinematics import boundary_self_intersects, identity_state
 from .solve import (Preconditioner, SolveOptions, _check_count, _descend,
                     minimize_equilibrium)
 from .varifold import (ROUNDING, InterfaceError, InterfaceTopology,
-                       PhaseLabeling, _cut_sums, _joined_flips, _swap_changes,
-                       _swap_flips, extract_interface, interface_energy,
-                       referential_energy, varifold_mass)
+                       PhaseLabeling, extract_interface, interface_energy,
+                       referential_energy, swap_energy_changes, varifold_mass)
 
 EULERIAN = "EULERIAN"
 REFERENTIAL = "REFERENTIAL"
@@ -74,7 +74,7 @@ SWAP_VOLUME_RTOL = 0.01    # relative volume mismatch a swap may carry
 MOVE_TRIES = 50             # candidates drawn before a move gives up
 INTERFACE_MOVE_BIAS = 0.9   # probability of interface-local swaps
 COLD_SOLVE_EVERY = 50       # proposals start cold at accepted counts k * this
-LOOK_AHEAD = 16             # referential moves scored ahead per kernel call
+LOOK_AHEAD = 16             # move draws read and scored ahead per kernel call
 LOOK_AHEAD_ACCEPTS = 3      # most acceptances in the last LOOK_AHEAD steps
 
 
@@ -132,70 +132,80 @@ def mass_preserving_move(mesh, phases, rng,
     interface-adjacent tets; candidates must be volume-matched within
     SWAP_VOLUME_RTOL (exact for uniform meshes).  Proposals leaving
     non-manifold interface edges are rejected and retried; that topology
-    check is all a reference-position extraction could reject.
-    `topology` is the `InterfaceTopology` of `phases`, built here when
-    not given; the accepted swap is applied to it (`topology.undo()`
-    reverses it).
+    check is all a reference-position extraction could reject.  Each try
+    draws one row of three uniforms, `rng.random((1, 3))`, which `_swaps`
+    maps to a swap.  `topology` is the `InterfaceTopology` of `phases`,
+    built here when not given; the accepted swap is applied to it
+    (`topology.undo()` reverses it).
     """
     if topology is None:
         topology = InterfaceTopology(mesh, phases)
     if not all(map(len, topology.tets())):
         raise TopOptError("no admissible move: a phase is empty")
-    for src, dst in _draws(mesh, topology, rng, interface_bias):
-        if topology.try_swap(src, dst):
+    for _ in range(MOVE_TRIES):
+        (src,), (dst,), (matched,) = _swaps(mesh, topology,
+                                            rng.random((1, 3)), interface_bias)
+        if matched and topology.try_swap(int(src), int(dst)):
             return phases.with_swap(tet_to_0=src, tet_to_1=dst)
     raise TopOptError("no admissible move found (frozen configuration)")
 
 
-def _draws(mesh, topology, rng, interface_bias):
-    """The volume-matched swaps (tet to 0, tet to 1) that `MOVE_TRIES`
-    draws from `rng` give, lazily: `mass_preserving_move`'s draws, which
-    the annealer's look-ahead replays.  The tets come from `topology`'s
-    `near` lists, or its `tets` lists on a draw away from the interface."""
-    near1, near0 = topology.near()
-    for _ in range(MOVE_TRIES):
-        if rng.random() < interface_bias and len(near1) and len(near0):
-            src = near1[rng.integers(len(near1))]
-            dst = near0[rng.integers(len(near0))]
-        else:
-            ones, zeros = topology.tets()
-            src = ones[rng.integers(len(ones))]
-            dst = zeros[rng.integers(len(zeros))]
-        va, vb = mesh.volumes[src], mesh.volumes[dst]
-        if abs(va - vb) <= SWAP_VOLUME_RTOL * max(va, vb):
-            yield int(src), int(dst)
+def _swaps(mesh, topology, rows, bias):
+    """The swaps (tet to 0, tet to 1) that the draws `rows` (n, 3) give on
+    `topology`'s labeling, neither of whose phases is empty, and whether
+    each is volume-matched within SWAP_VOLUME_RTOL, as three (n,) arrays.
+
+    A row (u, a, b) picks from the `near` lists when u < bias and neither
+    of them is empty, and from the `tets` lists otherwise: the tet to 0
+    at floor(a * n1) of the phase-1 list of n1 tets, the tet to 1 at
+    floor(b * n0) of the phase-0 one."""
+    near = topology.near()
+    local = (rows[:, 0] < bias) & all(map(len, near))
+    ends = []
+    for near_k, tets_k, u in zip(near, topology.tets(), rows[:, 1:].T):
+        end = tets_k[(u * len(tets_k)).astype(np.intp)]
+        end[local] = near_k[(u[local] * len(near_k)).astype(np.intp)]
+        ends.append(end)
+    va, vb = mesh.volumes[ends[0]], mesh.volumes[ends[1]]
+    return (*ends, np.abs(va - vb) <= SWAP_VOLUME_RTOL * np.maximum(va, vb))
 
 
 class _LookAhead:
-    """The referential energy changes of the swaps that the coming moves
-    are expected to make to the accepted labeling, and a stand-in for its
-    `InterfaceTopology` in `mass_preserving_move`.
+    """A read-ahead buffer on the annealer's move stream, the referential
+    energy changes of the swaps that its rows give at the accepted
+    labeling, and a stand-in for that labeling's `InterfaceTopology` in
+    `mass_preserving_move`.
 
-    `fill` replays the next LOOK_AHEAD moves' draws on a copy of the
-    annealer's generator, assuming that Metropolis rejects each move
-    after one uniform, and scores their swaps in one call of the kernel
-    of `swap_energy_changes`, whose base pass it keeps for the labeling.
-    A swap's change and admissibility depend on the labeling alone, so
-    they hold until the accepted labeling changes (`reset`), and a wrong
-    guess costs a miss, never a wrong value.  `try_swap` answers a swap
-    of known admissibility without applying it; `apply` applies it to
-    the topology when a full pass or an acceptance needs it, and `undo`
-    reverses it if it was applied.
+    `fill` reads the stream ahead to LOOK_AHEAD unread rows, maps them
+    through `_swaps` and scores the volume-matched swaps in one call of
+    `swap_energy_changes`; `random` hands the moves the rows in stream
+    order.  A swap's change and admissibility depend on the labeling
+    alone, so they hold until the accepted labeling changes (`reset`).
+    `try_swap` answers a swap of known admissibility without applying
+    it; `apply` applies it to the topology when a full pass or an
+    acceptance needs it, and `undo` reverses it if it was applied.
     """
 
     def __init__(self, topology, model, rng):
         self.topology, self.model, self.rng = topology, model, rng
-        self.ahead = copy.deepcopy(rng)
-        self.admissible = {}   # swap -> whether try_swap keeps it
-        self.scored = {}       # swap -> (energy change, its bound)
-        self.coming = []       # the swaps expected next, last first
-        self.sums = None       # the labeling's `_cut_sums`, once needed
+        self.rows = np.empty((0, 3))   # read from `rng`, not yet drawn
+        self.mapped = 0   # leading rows mapped at the accepted labeling
+        # swap -> (whether try_swap keeps it, energy change, its bound)
+        self.scored = {}
         self.last_swap, self.applied = None, False
 
     def reset(self):
-        self.admissible.clear()
         self.scored.clear()
-        self.coming, self.sums = [], None
+        self.mapped = 0
+
+    def random(self, size):
+        """The move stream's next `size` (k, 3) uniforms, the rows read
+        ahead first."""
+        k = size[0]
+        rows = np.concatenate([self.rows[:k], self.rng.random(
+            (max(k - len(self.rows), 0), 3))])
+        self.rows, self.mapped = self.rows[k:], max(self.mapped - k, 0)
+        return rows
 
     def near(self):
         return self.topology.near()
@@ -205,7 +215,7 @@ class _LookAhead:
 
     def try_swap(self, tet_to_0, tet_to_1):
         swap = tet_to_0, tet_to_1
-        kept = self.admissible.get(swap)
+        kept = self.scored.get(swap, (None,))[0]
         self.applied = kept is None
         if self.applied:   # unchecked: the topology tries it
             kept = self.topology.try_swap(*swap)
@@ -224,55 +234,31 @@ class _LookAhead:
             self.topology.undo()
 
     def fill(self):
-        """Score the swaps of the next LOOK_AHEAD moves.  A drawn swap of
-        unknown admissibility is taken as kept; where one is not, the
-        replay is run again from the start of its move.  Every swap
-        checked is scored, in one call."""
-        topology, known, ahead = self.topology, self.admissible, self.ahead
-        draws = topology.mesh, topology, ahead, INTERFACE_MOVE_BIAS
-        ahead.bit_generator.state = self.rng.bit_generator.state
-        coming, starts, checked, flips = [], [], [], []
-        while True:
-            while len(coming) < LOOK_AHEAD:
-                starts.append(ahead.bit_generator.state)
-                for swap in _draws(*draws):
-                    if known.get(swap, True):
-                        break
-                else:   # the move would find none
-                    break
-                coming.append(swap)
-                ahead.random()   # the uniform of a rejection
-            new = [s for s in dict.fromkeys(coming) if s not in known]
-            if not new:
-                break
-            flips.append(_swap_flips(topology, np.array(new)))
-            checked += new
-            kept = flips[-1][-1]
-            known.update(zip(new, kept.tolist()))
-            if kept.all():
-                break
-            first = next(i for i, s in enumerate(coming) if not known[s])
-            ahead.bit_generator.state = starts[first]
-            del coming[first:], starts[first:]
-        if checked:
-            if self.sums is None:
-                self.sums = _cut_sums(topology)
-            _, _, energy, _, bound = _swap_changes(
-                topology, _joined_flips(flips), self.sums, self.model)
-            self.scored.update(zip(checked, zip(energy.tolist(),
-                                                bound.tolist())))
-        self.coming = coming[::-1]
+        """Read ahead to LOOK_AHEAD unread rows and score, in one call, the
+        volume-matched swaps that they give and that are not yet scored."""
+        topology = self.topology
+        if not all(map(len, topology.tets())):
+            return   # the moves find none
+        self.rows = np.concatenate([self.rows, self.rng.random(
+            (LOOK_AHEAD - len(self.rows), 3))])
+        self.mapped = LOOK_AHEAD
+        tet_to_0, tet_to_1, matched = _swaps(topology.mesh, topology,
+                                             self.rows, INTERFACE_MOVE_BIAS)
+        swaps = [swap for swap in dict.fromkeys(zip(
+            tet_to_0[matched].tolist(), tet_to_1[matched].tolist()))
+            if swap not in self.scored]
+        if swaps:
+            admissible, _, energy, _, bound = swap_energy_changes(
+                topology, *np.array(swaps).T, self.model)
+            self.scored.update(zip(swaps, zip(
+                admissible.tolist(), energy.tolist(), bound.tolist())))
 
     def change(self):
         """The scored energy change of the move's swap and its bound, or
-        None when the swap was not scored or is degenerate; the expected
-        swaps are dropped unless the move's swap is the next of them."""
-        if self.coming and self.coming[-1] == self.last_swap:
-            self.coming.pop()
-        else:
-            self.coming = []
-        change = self.scored.get(self.last_swap)
-        return None if change is None or math.isnan(change[0]) else change
+        None when the swap was not scored or is degenerate."""
+        scored = self.scored.get(self.last_swap)
+        return None if scored is None or math.isnan(scored[1]) \
+            else scored[1:]
 
 
 def _least_change(scored, c_comp, comp, eint, obj):
@@ -334,7 +320,9 @@ def _interface_terms(mesh, state, phases, model, mode, topology):
 def optimize_topology(mesh, init_phases, model, config, state0=None,
                       snapshot_callback=None):
     """Simulated annealing over labelings with inner equilibrium solves."""
-    rng = np.random.default_rng(config.seed)
+    # moves and Metropolis uniforms come from two streams of the seed
+    move_rng, uniform_rng = map(
+        np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
     target = config.eta * mesh.total_volume()
     mass = init_phases.phase1_volume(mesh)
     if abs(mass - target) > mesh.volumes.max() + 1e-9 * mesh.total_volume():
@@ -397,9 +385,10 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                              0)
     skipped = decided = 0
     recent = deque(maxlen=LOOK_AHEAD)   # whether each recent step accepted
-    ahead = _LookAhead(topology, model, rng) \
+    ahead = _LookAhead(topology, model, move_rng) \
         if config.mode == REFERENTIAL else None
-    moves = topology if ahead is None else ahead   # what the moves swap
+    # what the moves draw from, and what they swap
+    draws, moves = (move_rng, topology) if ahead is None else (ahead, ahead)
     step = 0
     temperature = config.t_initial
     while temperature > config.t_final:
@@ -407,11 +396,11 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
         for _ in range(config.steps_per_temperature):
             step += 1
             cause = scored = uniform = None
-            if (ahead is not None and not ahead.coming
+            if (ahead is not None and not ahead.mapped
                     and sum(recent) <= LOOK_AHEAD_ACCEPTS):
                 ahead.fill()
             try:
-                candidate = mass_preserving_move(mesh, phases, rng,
+                candidate = mass_preserving_move(mesh, phases, draws,
                                                  topology=moves)
             except TopOptError:
                 cause = "no_move"
@@ -444,7 +433,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                 # of the full recompute could turn; the rest recompute
                 low = _least_change(scored, c_comp, comp, eint, obj)
                 if low > 0:
-                    uniform = rng.random()
+                    uniform = uniform_rng.random()
                     if uniform >= math.exp(-low / temperature) * (1 + ROUNDING):
                         decided += 1
                         cause = "metropolis"
@@ -455,7 +444,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                 cand_obj = c_comp + c_eint
                 delta = cand_obj - obj
                 if uniform is None and not delta < 0:
-                    uniform = rng.random()
+                    uniform = uniform_rng.random()
                 accept = delta < 0 or uniform < np.exp(-delta / temperature)
                 if accept and unchecked:   # a kept state is injective
                     checks += 1
@@ -463,8 +452,6 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                         cause = "solve"
                 elif not accept:
                     cause = "metropolis"
-            if ahead is not None and cause != "metropolis":
-                ahead.coming = []   # no rejection uniform was drawn
             recent.append(cause is None)
             if cause is not None:
                 if cause != "no_move":

@@ -499,17 +499,6 @@ def _swap_flips(topology, pairs):
     return swap, faces, sign, corners, at, bins, before, after, admissible
 
 
-def _joined_flips(parts):
-    """One `_swap_flips` result of the swaps of several, in order."""
-    if len(parts) == 1:
-        return parts[0]
-    first = np.cumsum([0] + [len(part[3]) for part in parts[:-1]])
-    joined = [np.concatenate(field) for field in zip(*parts)]
-    joined[0] = np.concatenate([p[0] + k for p, k in zip(parts, first)])
-    joined[5] = np.concatenate([p[5] + 64 * k for p, k in zip(parts, first)])
-    return joined
-
-
 def _cut_sums(topology):
     """The sums over each vertex's cut faces of their `_slot_terms`
     (nv, 7), and each vertex's count of single-face edges (nv,)."""
@@ -553,22 +542,14 @@ def swap_energy_changes(topology, tet_to_0, tet_to_1, model):
     corner's energy, whose midpoint is taken and whose half width is
     added to the bound.
     """
-    return _swap_changes(
-        topology, _swap_flips(topology, np.column_stack([tet_to_0,
-                                                         tet_to_1])),
-        _cut_sums(topology), model)
-
-
-def _swap_changes(topology, flips, base, model):
-    """`swap_energy_changes` from the swaps' `_swap_flips` and the
-    labeling's `_cut_sums`."""
-    mesh, nv = topology.mesh, topology.mesh.n_vertices
-    swap, faces, sign, corners, at, bins, before, after, admissible = flips
+    mesh = topology.mesh
+    swap, faces, sign, corners, at, bins, before, after, admissible = \
+        _swap_flips(topology, np.column_stack([tet_to_0, tet_to_1]))
     n = len(corners)
     # vertex sums per corner (1, mixed, angle, lap xyz, lap size): before
     # the swap, and the flipped faces' changes and magnitudes; single-face
     # edges per corner before and after
-    sums, singles = (b[corners.ravel()] for b in base)
+    sums, singles = (b[corners.ravel()] for b in _cut_sums(topology))
     terms = _slot_terms(mesh, faces)
     at = ((swap[:, None] * 8 + at).T * 7 + np.arange(7)[:, None, None]
           ).ravel()

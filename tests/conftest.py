@@ -11,7 +11,7 @@ import sharptop as st
 from sharptop.energy import bulk_weights
 from sharptop.kinematics import (_disjoint_pairs_cross, _edge_pairs_fold,
                                  _vertex_pairs_cross)
-from sharptop.laplacian import (REGULARISATION, level_couplings,
+from sharptop.laplacian import (REGULARISATION, _level_couplings,
                                 vertex_levels)
 from sharptop.mesh import DIRICHLET, FREE, NEUMANN, edge_keys, face_topology
 from sharptop.solve import Preconditioner
@@ -245,12 +245,12 @@ def cholesky_factor_oracle(mesh, free, weights):
 
 
 def dense_level_blocks(mesh, levels, weights):
-    """(A_k, B_k) per level of laplacian.level_couplings, with each
+    """(A_k, B_k) per level of laplacian._level_couplings, with each
     coupling B_k (n_(k-1), n_k) densified from its nonzero entries;
     B_0 is None."""
     count = np.bincount(levels[levels >= 0])
     blocks = []
-    for k, (A, coupling) in enumerate(level_couplings(mesh, levels,
+    for k, (A, coupling) in enumerate(_level_couplings(mesh, levels,
                                                       weights)):
         B = None
         if k:
@@ -473,8 +473,12 @@ def brute_force_mass_preserving_move(mesh, phases, rng, interface_bias=0.9,
     """The annealer's swap proposal, admitting a candidate only when a full
     extraction at the reference positions succeeds.
 
-    Draws from `rng` exactly as topopt.mass_preserving_move does.  The
-    message of every rejected extraction is appended to `rejections`.
+    Draws from `rng` exactly as topopt.mass_preserving_move does, three
+    uniforms (u, a, b) per try, and maps them one at a time as
+    topopt._swaps does: the near lists when u < interface_bias and
+    neither is empty, else the phases' tets; the tets at floor(a * len)
+    and floor(b * len) of the phase-1 and phase-0 lists.  The message of
+    every rejected extraction is appended to `rejections`.
     """
     labels = phases.labels
     ones = np.where(labels == 1)[0]
@@ -486,9 +490,10 @@ def brute_force_mass_preserving_move(mesh, phases, rng, interface_bias=0.9,
     tets, is1 = mesh.interior_face_tets[cut], face_labels[cut] == 1
     near1, near0 = np.unique(tets[is1]), np.unique(tets[~is1])
     for _ in range(MOVE_TRIES):
-        local = rng.random() < interface_bias and len(near1) and len(near0)
-        src = rng.choice(near1 if local else ones)
-        dst = rng.choice(near0 if local else zeros)
+        u, a, b = rng.random(3)
+        local = u < interface_bias and len(near1) and len(near0)
+        pool1, pool0 = (near1, near0) if local else (ones, zeros)
+        src, dst = pool1[int(a * len(pool1))], pool0[int(b * len(pool0))]
         va, vb = mesh.volumes[src], mesh.volumes[dst]
         if abs(va - vb) > SWAP_VOLUME_RTOL * max(va, vb):
             continue
@@ -509,10 +514,12 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
     full extraction per candidate draw (brute_force_mass_preserving_move),
     a full inner solve and a full extraction of the candidate.  Every
     solve is preconditioned by the accepted labeling's factor, as the
-    annealer's are.
+    annealer's are.  Moves and Metropolis uniforms come from the two
+    streams that the annealer spawns from the seed.
 
     Returns (trace rows, accepted, rejected, best labels)."""
-    rng = np.random.default_rng(config.seed)
+    moves, uniforms = (np.random.default_rng(s) for s in
+                       np.random.SeedSequence(config.seed).spawn(2))
 
     def accepted_factor(phases):
         return Preconditioner(mesh, ~st.identity_state(mesh).dirichlet_mask,
@@ -548,7 +555,7 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
             step += 1
             try:
                 candidate = brute_force_mass_preserving_move(mesh, phases,
-                                                             rng)
+                                                             moves)
                 warm = state
                 if accepted and accepted % COLD_SOLVE_EVERY == 0:
                     warm = st.identity_state(mesh)
@@ -560,7 +567,8 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
                 continue
             c_obj = c_comp + c_eint
             delta = c_obj - obj
-            accept = delta < 0 or rng.random() < np.exp(-delta / temperature)
+            accept = delta < 0 or uniforms.random() < np.exp(
+                -delta / temperature)
             if accept:
                 state, phases = c_state, candidate
                 factor = accepted_factor(phases)

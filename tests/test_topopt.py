@@ -9,8 +9,10 @@ import sharptop as st
 from sharptop.energy import stress_free_s
 from sharptop.solve import SolveOptions
 from sharptop.surfaces import slab_labels
-from sharptop.topopt import (COLD_SOLVE_EVERY, EULERIAN, REFERENTIAL,
-                             TopOptConfig, TopOptError, compliance,
+from sharptop.topopt import (COLD_SOLVE_EVERY, EULERIAN,
+                             INTERFACE_MOVE_BIAS, LOOK_AHEAD, REFERENTIAL,
+                             TopOptConfig, TopOptError,
+                             _LookAhead, _swaps, compliance,
                              mass_preserving_move, objective,
                              optimize_topology)
 
@@ -83,6 +85,123 @@ def test_mass_preserving_move_changes_exactly_two(small_mesh):
     changed = np.flatnonzero(moved.labels != phases.labels)
     assert len(changed) == 2
     assert sorted(int(phases.labels[c]) for c in changed) == [0, 1]
+
+
+LAST = 1.0 - 2.0**-53   # the largest uniform below 1
+
+
+@pytest.mark.parametrize("n, flips", [(3, 0), (4, 2), (5, 5)])
+def test_swaps_pick_the_ends_of_each_list(n, flips):
+    """Uniforms of 0 and of the largest double below 1 pick the first and
+    the last tet of each list: of the near lists on a draw whose first
+    uniform lies below the bias, of the phases' tets otherwise.  The
+    largest uniform picks the last of a list of any length a mesh of up
+    to 10^5 tets can have."""
+    mesh = st.build_box_mesh(n, n, n)
+    topology = st.InterfaceTopology(
+        mesh, perturbed_slab_labels(mesh, 0, n, flips))
+    rows = np.array([[0.0, 0.0, 0.0], [0.0, LAST, LAST],
+                     [LAST, 0.0, 0.0], [LAST, LAST, LAST]])
+    tet_to_0, tet_to_1, matched = _swaps(mesh, topology, rows, 0.5)
+    (near1, near0), (ones, zeros) = topology.near(), topology.tets()
+    assert tet_to_0.tolist() == [near1[0], near1[-1], ones[0], ones[-1]]
+    assert tet_to_1.tolist() == [near0[0], near0[-1], zeros[0], zeros[-1]]
+    assert matched.all()   # a box's tets have one volume
+    assert all(int(LAST * k) == k - 1 for k in range(1, 10**5 + 1))
+
+
+def two_cubes():
+    """Two 2^3 boxes side by side, not touching, with the first box's tets
+    in phase 1: both phases are filled and neither near list is."""
+    box = st.build_box_mesh(2, 2, 2)
+    nv = box.n_vertices
+    mesh = st.ReferenceMesh(
+        vertices=np.concatenate([box.vertices, box.vertices + [2.0, 0, 0]]),
+        tets=np.concatenate([box.tets, box.tets + nv]),
+        boundary_faces=np.concatenate([box.boundary_faces,
+                                       box.boundary_faces + nv]),
+        boundary_tags=np.concatenate([box.boundary_tags,
+                                      box.boundary_tags]))
+    labels = np.repeat([1, 0], box.n_tets)
+    return mesh, st.InterfaceTopology(mesh, st.PhaseLabeling(labels))
+
+
+def test_swaps_draw_from_the_phases_unless_near_the_interface():
+    """A bias of 0 sends every draw to the phases' tets, and a bias of 1
+    every draw to the near lists; with a near list empty, every draw goes
+    to the phases' tets, whatever the bias."""
+    rows = np.concatenate([[[0.0, 0.5, 0.5]],
+                           np.random.default_rng(0).random((50, 3))])
+    mesh = st.build_box_mesh(4, 4, 4)
+    topology = st.InterfaceTopology(mesh, perturbed_slab_labels(mesh, 1, 3,
+                                                                2))
+    cases = [(mesh, topology, 0.0, topology.tets()),
+             (mesh, topology, 1.0, topology.near())]
+    mesh, topology = two_cubes()
+    assert not any(map(len, topology.near()))
+    cases += [(mesh, topology, bias, topology.tets())
+              for bias in (0.0, 0.9, 1.0)]
+    for mesh, topology, bias, lists in cases:
+        picked = _swaps(mesh, topology, rows, bias)[:2]
+        for tets, u, tets_k in zip(picked, rows[:, 1:].T, lists):
+            assert np.array_equal(tets, tets_k[np.floor(u * len(tets_k))
+                                               .astype(int)])
+
+
+@pytest.mark.parametrize("bias", [0.0, 0.5, 0.9, 1.0])
+def test_swaps_of_a_block_are_its_rows_swaps(bias):
+    """Mapping an (n, 3) block of draws gives the swaps and volume flags of
+    mapping its rows one at a time, and a block read from a generator
+    holds the rows that reads of one row each give, in order: so the
+    look-ahead's buffered reads and `mass_preserving_move`'s one-row
+    reads see the same swaps.  The look-ahead hands its buffered rows,
+    and the rows after them, to the moves in stream order."""
+    mesh = jittered_box_mesh((3, 4, 3), np.random.default_rng(5), 0.05)
+    topology = st.InterfaceTopology(mesh, perturbed_slab_labels(mesh, 2, 5,
+                                                                3))
+    block = np.random.default_rng(7).random((40, 3))
+    rng = np.random.default_rng(7)
+    assert np.array_equal(block, np.concatenate([rng.random((1, 3))
+                                                 for _ in range(40)]))
+    whole = _swaps(mesh, topology, block, bias)
+    one_by_one = [_swaps(mesh, topology, row[None], bias) for row in block]
+    for k, part in enumerate(whole):
+        assert np.array_equal(part, [swap[k][0] for swap in one_by_one])
+    assert 0 < np.count_nonzero(whole[2]) < len(block)   # jitter unmatches
+    ahead = _LookAhead(topology, annealing_model(), np.random.default_rng(7))
+    ahead.fill()
+    assert ahead.mapped == LOOK_AHEAD
+    read = np.concatenate([ahead.random((1, 3)) for _ in range(40)])
+    assert np.array_equal(read, block)
+    assert ahead.mapped == 0
+
+
+def test_lookahead_scores_the_unread_rows_at_the_accepted_labeling():
+    """After a fill, the look-ahead holds the scores of exactly the swaps
+    that its unread rows give at the accepted labeling, as one call of
+    `swap_energy_changes` gives them.  After an accepted move (`apply`,
+    then `reset`) it holds none and maps no row until it fills again."""
+    mesh, model = pinned_mesh(4), annealing_model()
+    phases = perturbed_slab_labels(mesh, 0, 3, 1)
+    topology = st.InterfaceTopology(mesh, phases)
+    ahead = _LookAhead(topology, model, np.random.default_rng(2))
+    for _ in range(4):
+        ahead.fill()
+        tet_to_0, tet_to_1, matched = _swaps(mesh, topology, ahead.rows,
+                                             INTERFACE_MOVE_BIAS)
+        swaps = list(dict.fromkeys(zip(tet_to_0[matched].tolist(),
+                                       tet_to_1[matched].tolist())))
+        assert list(ahead.scored) == swaps
+        admissible, _, energy, _, bound = st.swap_energy_changes(
+            topology, *np.array(swaps).T, model)
+        np.testing.assert_array_equal(
+            np.array(list(ahead.scored.values()), float),
+            np.column_stack([admissible, energy, bound]))
+        phases = mass_preserving_move(mesh, phases, ahead, topology=ahead)
+        ahead.apply()
+        ahead.reset()
+        assert np.array_equal(topology.labels, phases.labels)
+        assert ahead.mapped == 0 and not ahead.scored
 
 
 def test_move_matches_full_extraction_oracle():
@@ -206,7 +325,7 @@ def test_abort_names_the_failures_by_cause(monkeypatch, cause):
     else:   # every energy after the start's; the look-ahead's scores
         # flag every swap as degenerate, which sends it to the full pass
         real, calls = topopt.referential_energy, []
-        scored = topopt._swap_changes
+        scored = topopt.swap_energy_changes
 
         def failing(topology, model):
             calls.append(1)
@@ -220,7 +339,7 @@ def test_abort_names_the_failures_by_cause(monkeypatch, cause):
             return (admissible, np.ones_like(flagged),
                     *(np.full_like(c, np.nan) for c in changes))
         monkeypatch.setattr(topopt, "referential_energy", failing)
-        monkeypatch.setattr(topopt, "_swap_changes", degenerate)
+        monkeypatch.setattr(topopt, "swap_energy_changes", degenerate)
         counts = "0 found no move, 5 failed interface extraction"
     mesh = pinned_mesh(3)
     with pytest.raises(TopOptError, match=(
@@ -235,6 +354,23 @@ def test_move_rejects_empty_phase(small_mesh, uniform_phase1):
     rng = np.random.default_rng(2)
     with pytest.raises(TopOptError):
         mass_preserving_move(small_mesh, uniform_phase1(small_mesh), rng)
+
+
+def test_referential_run_with_an_empty_phase_finds_no_move():
+    """A one-tet mesh at eta = 0.5 meets the mass constraint with its tet
+    in phase 1, and phase 0 is then empty: every referential move finds
+    none, and the run stops with the failures counted by cause, not with
+    an error from the look-ahead's draws."""
+    mesh = st.ReferenceMesh(
+        vertices=np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        tets=np.array([[0, 1, 2, 3]]),
+        boundary_faces=np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2],
+                                 [1, 2, 3]]),
+        boundary_tags=np.array([st.DIRICHLET] * 4))
+    with pytest.raises(TopOptError, match=(
+            r"at T=1.0: 5 found no move, 0 failed interface extraction")):
+        optimize_topology(mesh, st.PhaseLabeling([1]), annealing_model(),
+                          fast_config(mode=REFERENTIAL))
 
 
 def test_annealing_runs_and_tracks_best():
@@ -378,7 +514,7 @@ def test_inner_iterations_add_up_the_solves_that_ran(monkeypatch):
 
 def loaded_run_inputs():
     """A two-phase cube under a traction: every candidate is solved and
-    takes steps, and at fast_config(seed=0) Metropolis accepts 3 of 15
+    takes steps, and at fast_config(seed=0) Metropolis accepts 5 of 15
     and rejects the rest."""
     mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
     model = st.EnergyModel(r=4, s=stress_free_s(4), scale0=0.2,
@@ -580,7 +716,7 @@ def test_annealing_matches_full_recompute_oracle(case):
         assert result.skipped_solves == proposals
         assert result.lookahead_decisions > proposals // 2
     elif case == "unequal-unloaded-3":
-        assert (accepted, len(trace)) == (14, 15)
+        assert (accepted, len(trace)) == (12, 15)
         assert result.skipped_solves == result.inner_iterations == 0
     else:
         assert result.skipped_solves == 0
@@ -603,12 +739,12 @@ def test_unbounded_scores_decide_nothing(monkeypatch):
     With every bound made infinite, every candidate falls back to the
     full pass, and the cold run keeps the full-recompute oracle's trace."""
     import sharptop.topopt as topopt
-    scored = topopt._swap_changes
+    scored = topopt.swap_energy_changes
 
     def unbounded(*args):
         *changes, bound = scored(*args)
         return (*changes, bound + np.inf)
-    monkeypatch.setattr(topopt, "_swap_changes", unbounded)
+    monkeypatch.setattr(topopt, "swap_energy_changes", unbounded)
     mesh, phases, config = cold_referential_run()
     model = annealing_model()
     result = optimize_topology(mesh, phases, model, config)
@@ -623,8 +759,8 @@ def test_lookahead_changes_only_the_work(monkeypatch):
     without it, whose every candidate is tried on the topology and
     recomputed in full: the same trace, counts by cause, non-manifold
     draws, skipped solves and best labels.  Both call
-    `mass_preserving_move` once per step: the look-ahead replays its
-    draws without calling it."""
+    `mass_preserving_move` once per step: the look-ahead reads the move
+    stream's coming rows without calling it."""
     import sharptop.topopt as topopt
     real, calls = topopt.mass_preserving_move, []
 
@@ -718,7 +854,7 @@ def test_referential_run_reads_the_energy_once_per_candidate(monkeypatch):
     counted(varifold, "extract_interface")
     counted(varifold, "discrete_curvature_inplace")
     counted(topopt, "referential_energy")
-    counted(topopt, "_swap_changes")
+    counted(topopt, "swap_energy_changes")
     mesh = pinned_mesh(4)
     result = optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
                                annealing_model(),
@@ -726,7 +862,7 @@ def test_referential_run_reads_the_energy_once_per_candidate(monkeypatch):
     candidates = (len(result.trace) - result.rejected_no_move
                   - result.rejected_solve)
     assert candidates >= result.lookahead_decisions > 0
-    assert sorted(set(calls)) == ["_swap_changes", "referential_energy"]
+    assert sorted(set(calls)) == ["referential_energy", "swap_energy_changes"]
     assert calls.count("referential_energy") \
         == 1 + candidates - result.lookahead_decisions
 
