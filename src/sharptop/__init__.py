@@ -14,7 +14,7 @@ from .topopt import EULERIAN, REFERENTIAL, TopOptConfig, compliance, \
 from .varifold import InterfaceTopology, InterfaceVarifold, PhaseLabeling, \
     boundary_defect, coupling_residual, curvature_integral, \
     extract_interface, interface_energy, random_bump_fields, \
-    referential_energy, swap_energy_changes, total_energy, varifold_mass
+    referential_energy, swap_energy_changes, varifold_mass
 
 __version__ = "0.1.0"
 

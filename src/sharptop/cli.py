@@ -239,6 +239,7 @@ def _write_topopt_outputs(out, mesh, eta, result: TopOptResult, seed):
         "factor_builds": result.factor_builds,
         "injectivity_checks": result.injectivity_checks,
         "lookahead_decisions": result.lookahead_decisions,
+        "surrogate_rejections": result.surrogate_rejections,
         "mass_constraint_residual":
             result.best_phases.phase1_volume(mesh)
             - eta * mesh.total_volume(),

@@ -2,27 +2,35 @@
 
 The design variable is genuinely binary per tet, so moves are
 mass-preserving label swaps (biased toward the current interface) with
-Metropolis acceptance on compliance + interface energy.  Each proposal is
-re-equilibrated by the inner solver, warm started from the previous
-equilibrium.
+Metropolis acceptance on compliance + interface energy.  A proposal
+that is solved is re-equilibrated by the inner solver, warm started
+from the previous equilibrium.
 
 A proposal costs work in the two swapped tets, not in the mesh, where
 it can.  The annealer keeps the labeling's `InterfaceTopology` and
 updates it per swap, so drawing a candidate and checking it for
 non-manifold edges visit only the swapped tets' faces and edges, and
 extraction reads its cut faces, flips and edge counts from it.  A
-candidate is either inert or solved.  With equal phase scales and no
-body load a swap is inert: the bulk weights and the load vector do not
-depend on the labels, so a candidate's equilibrium problem is the
-accepted one, whose state came from a converged solve, and the
-candidate keeps that state and compliance and runs no mechanics.
-Every other candidate is solved, warm started from the accepted state.
-In referential mode the interface energy and mass come from
-`referential_energy`, one pass over the cut faces' terms stored on the
-mesh; an Eulerian proposal extracts its interface in full.  While the
-accepted-move count is a positive multiple of `COLD_SOLVE_EVERY`, every
-proposal is solved from the identity (a cold start) until one of them
-is accepted.
+candidate is inert, solved, or rejected unsolved by stage 1 (below).
+With equal phase scales and no body load a swap is inert: the bulk
+weights and the load vector do not depend on the labels, so a
+candidate's equilibrium problem is the accepted one, whose state came
+from a converged solve, and the candidate keeps that state and
+compliance and runs no mechanics (an Eulerian one extracts its
+interface there).  Every other referential candidate is solved, warm
+started from the accepted state, and its interface energy and mass
+come from `referential_energy`, one pass over the cut faces' terms
+stored on the mesh.  While the accepted-move count is a positive
+multiple of `COLD_SOLVE_EVERY`, every proposal is solved from the
+identity (a cold start) until one of them is accepted.
+
+Every other Eulerian candidate, cold or warm, is decided by delayed
+acceptance.  Stage 1 extracts its interface at the accepted positions
+and, when that energy exceeds the accepted one by d1 > 0, draws the
+Metropolis stream's next uniform and rejects the candidate unsolved
+unless it lies below exp(-d1 / T).  Stage 2 solves the rest and
+accepts by `_second_stage`, which draws a second uniform only when its
+ratio is below one.
 
 A solved proposal pays for its iterations and little else.  Every
 solve is preconditioned by the accepted labeling's `Preconditioner`,
@@ -273,6 +281,17 @@ def _least_change(scored, c_comp, comp, eint, obj):
         abs(c_comp) + abs(comp) + 2.0 * (eint + abs(change) + bound))
 
 
+def _second_stage(delta, forward, reverse, temperature, rng):
+    """Delayed acceptance's second stage for an objective change `delta`
+    whose stage-1 surrogate change was `forward` and whose reverse move's
+    is `reverse`: the log of min(1, exp(-delta / T) a1(y->x) / a1(x->y)),
+    a1 = min(1, exp(-surrogate / T)), and whether the candidate is
+    accepted, drawing a uniform from `rng` only when that log is < 0."""
+    log_alpha = min(0.0, -(delta + max(reverse, 0.0) - max(forward, 0.0))
+                    / temperature)
+    return log_alpha, not log_alpha < 0 or rng.random() < math.exp(log_alpha)
+
+
 @dataclass
 class TraceRow:
     step: int
@@ -306,6 +325,7 @@ class TopOptResult:
     factor_builds: int = 0          # preconditioner factors built
     injectivity_checks: int = 0     # boundary self-intersection checks
     lookahead_decisions: int = 0    # rejections decided from scored changes
+    surrogate_rejections: int = 0   # rejected at stage 1, unsolved
 
 
 def _interface_terms(mesh, state, phases, model, mode, topology):
@@ -336,6 +356,8 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
     # inert, it changes no term of the equilibrium problem
     loads = None if np.any(model.f) else load_vector(mesh, phases, model)
     inert = model.scale0 == model.scale1 and loads is not None
+    # the other Eulerian candidates are decided by delayed acceptance
+    delayed = config.mode == EULERIAN and not inert
     free = ~state.dirichlet_mask
     factor = Preconditioner(mesh, free, bulk_weights(mesh, phases, model),
                             model)   # the accepted labeling's
@@ -372,6 +394,18 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
         return (state, compliance(mesh, state, phases, model, loads),
                 passed is not None)
 
+    def reverse_energy(cand_state):
+        """The accepted labeling's interface energy at `cand_state`'s
+        positions, the candidate's swap undone on the topology for the
+        extraction and redone after it."""
+        swap = topology.last_swap
+        topology.undo()
+        try:
+            return _interface_terms(mesh, cand_state, phases, model, EULERIAN,
+                                    topology)[0]
+        finally:
+            topology.swap(*swap)
+
     state, comp, _ = solve(phases, state, checked_solve)
     eint, mu = _interface_terms(mesh, state, phases, model, config.mode,
                                 topology)
@@ -383,7 +417,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
     accepted_total = 0
     rejected = dict.fromkeys(("no_move", "interface", "solve", "metropolis"),
                              0)
-    skipped = decided = 0
+    skipped = decided = surrogate = 0
     recent = deque(maxlen=LOOK_AHEAD)   # whether each recent step accepted
     ahead = _LookAhead(topology, model, move_rng) \
         if config.mode == REFERENTIAL else None
@@ -404,6 +438,18 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                                                  topology=moves)
             except TopOptError:
                 cause = "no_move"
+            if cause is None and delayed:
+                # stage 1: the interface change at the accepted positions
+                try:
+                    forward = _interface_terms(mesh, state, candidate, model,
+                                               EULERIAN, topology)[0] - eint
+                except InterfaceError:
+                    cause = "interface"
+                else:
+                    if forward > 0 and not uniform_rng.random() < math.exp(
+                            -forward / temperature):
+                        surrogate += 1
+                        cause = "metropolis"
             if cause is None:
                 cold = (accepted_total
                         and accepted_total % COLD_SOLVE_EVERY == 0)
@@ -424,6 +470,8 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                         c_eint, c_mu = _interface_terms(
                             mesh, cand_state, candidate, model, config.mode,
                             topology)
+                    if delayed:
+                        reverse = reverse_energy(cand_state) - c_eint
                 except InterfaceError:
                     cause = "interface"
                 except TopOptError:
@@ -443,9 +491,14 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
             if cause is None:
                 cand_obj = c_comp + c_eint
                 delta = cand_obj - obj
-                if uniform is None and not delta < 0:
-                    uniform = uniform_rng.random()
-                accept = delta < 0 or uniform < np.exp(-delta / temperature)
+                if delayed:
+                    accept = _second_stage(delta, forward, reverse,
+                                           temperature, uniform_rng)[1]
+                else:
+                    if uniform is None and not delta < 0:
+                        uniform = uniform_rng.random()
+                    accept = (delta < 0
+                              or uniform < np.exp(-delta / temperature))
                 if accept and unchecked:   # a kept state is injective
                     checks += 1
                     if boundary_self_intersects(mesh, cand_state.positions):
@@ -497,4 +550,5 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                         nonmanifold_draws=topology.rejected_swaps,
                         skipped_solves=skipped, inner_iterations=iterations,
                         factor_builds=builds + factor.built,
-                        injectivity_checks=checks, lookahead_decisions=decided)
+                        injectivity_checks=checks, lookahead_decisions=decided,
+                        surrogate_rejections=surrogate)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import INFEASIBLE, bulk_energy, interface_density
+from .energy import interface_density
 from .mesh import (_NEXT, _PREV, _dot, _edge_cofactors, _read_only,
                    corner_crosses, corner_terms, edge_keys)
 from .quadrature import map_to_simplex, tet_rule, triangle_rule
@@ -590,15 +590,6 @@ def swap_energy_changes(topology, tet_to_0, tet_to_1, model):
             np.where(valid, np.bincount(swap, sign * area, minlength=n),
                      np.nan),
             np.where(valid, bound, np.nan))
-
-
-def total_energy(mesh, state, phases, model):
-    """E = bulk + interface energy of the extracted interface varifold."""
-    bulk = bulk_energy(mesh, state, phases, model)
-    if bulk == INFEASIBLE:
-        return INFEASIBLE
-    return bulk + interface_energy(extract_interface(mesh, state, phases),
-                                   model)
 
 
 def boundary_defect(V):

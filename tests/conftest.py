@@ -1,6 +1,7 @@
 import decimal
 from decimal import Decimal
 import itertools
+import math
 from types import SimpleNamespace
 
 from hypothesis import settings
@@ -517,13 +518,33 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
     annealer's are.  Moves and Metropolis uniforms come from the two
     streams that the annealer spawns from the seed.
 
-    Returns (trace rows, accepted, rejected, best labels)."""
+    An Eulerian run whose swaps are not inert (unequal phase scales, or a
+    body load) decides by delayed acceptance.  Stage 1 extracts the
+    candidate's interface at the accepted positions; when its energy
+    exceeds the accepted one by d1 > 0, it draws a uniform and rejects
+    the candidate unsolved unless the uniform is below exp(-d1 / T).
+    Stage 2 solves the candidate, extracts the accepted labels'
+    interface at the candidate's positions, d2 above the candidate's
+    interface energy, and accepts an objective change d when
+    x = -(d + max(d2, 0) - max(d1, 0)) / T is not negative, or else when
+    a uniform it draws is below exp(x).
+
+    Returns (trace rows, accepted, rejected, best labels, counts), the
+    counts of stage-1 rejections ("surrogate"), of stage-2 draws
+    ("drawn") and of candidates accepted on one ("accepted_drawn")."""
     moves, uniforms = (np.random.default_rng(s) for s in
                        np.random.SeedSequence(config.seed).spawn(2))
+    delayed = config.mode == "EULERIAN" and not (
+        model.scale0 == model.scale1 and not np.any(model.f))
+    counts = dict.fromkeys(("surrogate", "drawn", "accepted_drawn"), 0)
 
     def accepted_factor(phases):
         return Preconditioner(mesh, ~st.identity_state(mesh).dirichlet_mask,
                               bulk_weights(mesh, phases, model), model)
+
+    def eulerian_energy(state, phases):
+        return st.interface_energy(st.extract_interface(
+            mesh, state, phases, positions=state.positions), model)
 
     def evaluate(phases, warm):
         state, report = st.minimize_equilibrium(mesh, warm, phases, model,
@@ -556,19 +577,38 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
             try:
                 candidate = brute_force_mass_preserving_move(mesh, phases,
                                                              moves)
-                warm = state
-                if accepted and accepted % COLD_SOLVE_EVERY == 0:
-                    warm = st.identity_state(mesh)
-                c_state, c_comp, c_eint, c_mu = evaluate(candidate, warm)
+                passed = True
+                if delayed:
+                    d1 = eulerian_energy(state, candidate) - eint
+                    passed = not d1 > 0 or uniforms.random() < math.exp(
+                        -d1 / temperature)
+                    counts["surrogate"] += not passed
+                if passed:
+                    warm = state
+                    if accepted and accepted % COLD_SOLVE_EVERY == 0:
+                        warm = st.identity_state(mesh)
+                    c_state, c_comp, c_eint, c_mu = evaluate(candidate, warm)
+                    if delayed:
+                        d2 = eulerian_energy(c_state, phases) - c_eint
             except (InterfaceError, TopOptError):
+                passed = False
+            if not passed:
                 rejected += 1
                 trace.append(TraceRow(step, temperature, obj, comp, eint, mu,
                                       False))
                 continue
             c_obj = c_comp + c_eint
             delta = c_obj - obj
-            accept = delta < 0 or uniforms.random() < np.exp(
-                -delta / temperature)
+            if delayed:
+                x = -(delta + max(d2, 0.0) - max(d1, 0.0)) / temperature
+                accept = not x < 0
+                if not accept:
+                    counts["drawn"] += 1
+                    accept = uniforms.random() < math.exp(x)
+                    counts["accepted_drawn"] += accept
+            else:
+                accept = delta < 0 or uniforms.random() < np.exp(
+                    -delta / temperature)
             if accept:
                 state, phases = c_state, candidate
                 factor = accepted_factor(phases)
@@ -581,7 +621,7 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
             trace.append(TraceRow(step, temperature, c_obj if accept else obj,
                                   comp, eint, mu, accept))
         temperature *= config.t_decay
-    return trace, accepted, rejected, best[0].labels
+    return trace, accepted, rejected, best[0].labels, counts
 
 
 def brute_force_curvature_sums(V):

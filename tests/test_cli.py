@@ -121,11 +121,16 @@ def test_equilibrium_iteration_limit_exit_1(tmp_path):
     assert summary["message"] and summary["message"] != "converged"
 
 
-def topopt_scenario(tmp_path, seed_field=None):
+def topopt_scenario(tmp_path, seed_field=None, loaded=False):
+    """A 3^3 annealing scenario: equal phases on a pinned box, or, when
+    `loaded`, a stiff phase 1 on a box clamped at z = 0 and pulled at
+    z = 1."""
     doc = {
         "mesh": {"type": "box", "nx": 3, "ny": 3, "nz": 3,
-                 "tags": ALL_DIRICHLET_TAGS},
-        "model": {"r": 4, "s": 12.0, "scale0": 1.0, "scale1": 1.0},
+                 "tags": CLAMP_PULL_TAGS if loaded else ALL_DIRICHLET_TAGS},
+        "model": ({"r": 4, "s": 12.0, "scale0": 0.2, "g": [0.0, 0.0, 1.0]}
+                  if loaded else
+                  {"r": 4, "s": 12.0, "scale0": 1.0, "scale1": 1.0}),
         "labels": {"type": "slab", "axis": 0},
         "topopt": {"eta": 0.5, "t_initial": 1.0, "t_decay": 0.5,
                    "t_final": 0.2, "steps_per_temperature": 4},
@@ -155,8 +160,10 @@ def test_topopt_command_outputs(tmp_path):
     # and so no solve takes a step: no factor and no injectivity check
     assert summary["inner_iterations"] == summary["factor_builds"] == 0
     assert summary["injectivity_checks"] == 0
-    # an Eulerian run scores no swaps ahead
+    # an Eulerian run scores no swaps ahead, and an inert one decides
+    # in one stage
     assert summary["lookahead_decisions"] == 0
+    assert summary["surrogate_rejections"] == 0
     with open(out / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 12  # 3 temperatures x 4 steps
@@ -168,6 +175,22 @@ def test_topopt_command_outputs(tmp_path):
     assert obj_text.splitlines()[0].startswith("v ")
     surf = (out / "best_interface.vtk").read_text()
     assert "SCALARS A_norm" in surf
+
+
+def test_topopt_summary_counts_stage_one_rejections(tmp_path):
+    """A loaded two-phase Eulerian run decides its candidates in two
+    stages: `surrogate_rejections` counts the candidates that stage 1
+    rejected unsolved, part of `rejected_metropolis`; the others were
+    solved."""
+    out = tmp_path / "topo"
+    assert main(["topopt", "--scenario", topopt_scenario(tmp_path,
+                                                         loaded=True),
+                 "--out", str(out), "--seed", "9"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert 0 < summary["surrogate_rejections"] \
+        <= summary["rejected_metropolis"]
+    assert summary["skipped_solves"] == summary["lookahead_decisions"] == 0
+    assert summary["accepted_moves"] > 0 and summary["inner_iterations"] > 0
 
 
 def test_topopt_trace_byte_identical_across_runs(tmp_path):

@@ -12,8 +12,8 @@ from sharptop.surfaces import slab_labels
 from sharptop.topopt import (COLD_SOLVE_EVERY, EULERIAN,
                              INTERFACE_MOVE_BIAS, LOOK_AHEAD, REFERENTIAL,
                              TopOptConfig, TopOptError,
-                             _LookAhead, _swaps, compliance,
-                             mass_preserving_move, objective,
+                             _LookAhead, _second_stage, _swaps,
+                             compliance, mass_preserving_move, objective,
                              optimize_topology)
 
 from conftest import (brute_force_annealing, brute_force_mass_preserving_move,
@@ -513,9 +513,9 @@ def test_inner_iterations_add_up_the_solves_that_ran(monkeypatch):
 
 
 def loaded_run_inputs():
-    """A two-phase cube under a traction: every candidate is solved and
-    takes steps, and at fast_config(seed=0) Metropolis accepts 5 of 15
-    and rejects the rest."""
+    """A two-phase cube under a traction: every candidate is decided in
+    two stages, and at fast_config(seed=0) stage 1 rejects some unsolved
+    while Metropolis accepts others after their solves took steps."""
     mesh = st.build_box_mesh(3, 3, 3, tagging=clamp_bottom_pull_top)
     model = st.EnergyModel(r=4, s=stress_free_s(4), scale0=0.2,
                            g=[0.0, 0.0, 1.0])
@@ -527,9 +527,11 @@ def test_one_factor_per_accepted_labeling(monkeypatch, inert):
     """Every solve is preconditioned by the accepted labeling's factor,
     built by the first solve that takes a step after the labeling was
     accepted: a loaded run builds one for its start and one for each
-    accepted move that a later proposal solves from.  An inert run
+    accepted labeling that a later solve took a step from, and none for
+    one whose next candidates stage 1 rejected unsolved.  An inert run
     builds only its start's, as many as with a factor per solve."""
     import sharptop.solve as solve
+    seen = _recorded_proposals(monkeypatch)
     real, built = solve.LaplacianFactor, []
 
     def counted(*args):
@@ -548,25 +550,37 @@ def test_one_factor_per_accepted_labeling(monkeypatch, inert):
         assert len(built) == result.factor_builds == 1
     else:
         assert result.skipped_solves == result.rejected_no_move == 0
-        followed = sum(row.accepted for row in result.trace[:-1])
-        assert followed > 0
-        assert len(built) == result.factor_builds == 1 + followed
+        # the accepted labeling of each step: how many moves came before
+        labeling = np.cumsum([0] + [row.accepted for row in result.trace])
+        followed = {labeling[step] for step, *_, stepped in seen["solves"]
+                    if stepped}
+        assert 0 in followed and len(followed) > 1
+        # some labeling's proposals were all rejected unsolved
+        assert followed < set(labeling[:len(result.trace)])
+        assert len(built) == result.factor_builds == len(followed)
 
 
 def _recorded_proposals(monkeypatch, verdicts=None):
-    """Record every proposal solve's arguments and result and every check
-    the annealer makes; the n-th check answers verdicts[n] (default: the
-    real check).  Every interface is asserted to be read from the topology
-    of its own labels."""
+    """Record every proposal solve, as (step from 0, warm state, labels,
+    state, whether its state is still to be checked, whether it took a
+    step), and every check the annealer makes; the n-th check answers
+    verdicts[n] (default: the real check).  Every interface is asserted to
+    be read from the topology of its own labels."""
     import sharptop.topopt as topopt
-    seen = {"solves": [], "checks": []}
+    seen = {"steps": 0, "solves": [], "checks": []}
+    real_move = topopt.mass_preserving_move
     real_descend = topopt._descend
     real_check = topopt.boundary_self_intersects
     real_terms = topopt._interface_terms
 
+    def move(*args, **kwargs):
+        seen["steps"] += 1
+        return real_move(*args, **kwargs)
+
     def descend(mesh, warm, phases, *args):
         state, report, passed = real_descend(mesh, warm, phases, *args)
-        seen["solves"].append((warm, phases, state, passed is not None))
+        seen["solves"].append((seen["steps"] - 1, warm, phases, state,
+                               passed is not None, report.iterations > 0))
         return state, report, passed
 
     def check(mesh, positions):
@@ -579,6 +593,7 @@ def _recorded_proposals(monkeypatch, verdicts=None):
         assert np.array_equal(topology.labels, phases.labels)
         return real_terms(mesh, state, phases, model, mode, topology)
 
+    monkeypatch.setattr(topopt, "mass_preserving_move", move)
     monkeypatch.setattr(topopt, "_descend", descend)
     monkeypatch.setattr(topopt, "boundary_self_intersects", check)
     monkeypatch.setattr(topopt, "_interface_terms", terms)
@@ -587,10 +602,12 @@ def _recorded_proposals(monkeypatch, verdicts=None):
 
 def test_only_kept_states_are_checked(monkeypatch):
     """A proposal's solve makes no closing injectivity check.  The
-    annealer checks a candidate once when Metropolis accepts it and its
-    solve did not check it on its last iteration, and never a candidate
-    that Metropolis rejects.  `injectivity_checks` counts every check of
-    the run, the solves' own included."""
+    annealer solves every candidate that passes stage 1, and none that
+    it rejects; it checks a candidate once when Metropolis accepts it
+    and its solve did not check it on its last iteration, and never a
+    candidate that Metropolis rejects, at either stage.  On this cool
+    schedule both stages reject.  `injectivity_checks` counts every check
+    of the run, the solves' own included."""
     import sharptop.solve as solve
     seen = _recorded_proposals(monkeypatch)
     real, everywhere = solve.boundary_self_intersects, []
@@ -601,14 +618,20 @@ def test_only_kept_states_are_checked(monkeypatch):
 
     monkeypatch.setattr(solve, "boundary_self_intersects", counted)
     mesh, phases, model = loaded_run_inputs()
-    result = optimize_topology(mesh, phases, model, fast_config(seed=0))
+    config = replace(fast_config(seed=0), t_initial=0.1, t_final=0.02)
+    result = optimize_topology(mesh, phases, model, config)
     solves = seen["solves"]
-    assert len(solves) == len(result.trace)   # one solve per proposal
-    assert result.rejected_metropolis > 0
+    steps = [step for step, *_ in solves]
+    assert result.rejected_metropolis > result.surrogate_rejections > 0
+    assert result.rejected_moves == result.rejected_metropolis
+    # one solve per candidate that passed stage 1, in step order
+    assert len(solves) == len(result.trace) - result.surrogate_rejections
+    assert steps == sorted(set(steps))
+    assert all(step in steps for step, row in enumerate(result.trace)
+               if row.accepted)
     kept = [(k + 1, state.positions)
-            for k, ((_, _, state, unchecked), row)
-            in enumerate(zip(solves, result.trace))
-            if row.accepted and unchecked]
+            for k, (step, _, _, state, unchecked, _) in enumerate(solves)
+            if result.trace[step].accepted and unchecked]
     assert len(kept) == result.accepted_moves > 0
     assert len(seen["checks"]) == len(kept)
     for (k, positions), (when, checked) in zip(kept, seen["checks"]):
@@ -619,14 +642,18 @@ def test_only_kept_states_are_checked(monkeypatch):
 def test_failed_check_of_a_kept_state_rejects_the_move(monkeypatch):
     """When the check of an accepted candidate fails, the move is a
     rejected solve: its trace row reads rejected at the kept objective,
-    the topology is undone, and the next proposal starts from the kept
-    state and labels; the best state is not the candidate's."""
+    the topology is undone, and the next solved proposal starts from the
+    kept state and labels; the best state is not the candidate's.  The
+    schedule is hot, so that candidates pass stage 1 and reach the
+    check."""
     mesh, phases, model = loaded_run_inputs()
-    config = fast_config(seed=0)
+    config = replace(fast_config(seed=0), t_initial=100.0, t_final=20.0)
     plain = optimize_topology(mesh, phases, model, config)
     seen = _recorded_proposals(monkeypatch, [True] + [False] * 100)
     result = optimize_topology(mesh, phases, model, config)
-    f = seen["checks"][0][0] - 1            # the failed step, from 0
+    i = seen["checks"][0][0] - 1            # the failed solve, from 0
+    solves = seen["solves"]
+    f = solves[i][0]                        # its step, from 0
     assert plain.trace[:f] == result.trace[:f] and plain.trace[f].accepted
     row = result.trace[f]
     assert not row.accepted
@@ -635,17 +662,47 @@ def test_failed_check_of_a_kept_state_rejects_the_move(monkeypatch):
     assert row.objective == kept_obj
     assert result.rejected_solve == 1
     assert result.rejected_moves == 1 + result.rejected_metropolis
-    solves = seen["solves"]
-    (warm, failed, state, _), (next_warm, next_phases, _, _) = \
-        solves[f], solves[f + 1]
-    kept = next((p for (_, p, _, _), r in zip(solves[:f][::-1],
-                                                result.trace[:f][::-1])
-                 if r.accepted), phases)
+    (_, warm, failed, state, *_), (_, next_warm, next_phases, *_) = \
+        solves[i], solves[i + 1]
+    kept = next((p for step, _, p, *_ in solves[:i][::-1]
+                 if result.trace[step].accepted), phases)
     assert np.count_nonzero(failed.labels != kept.labels) == 2
     assert np.count_nonzero(next_phases.labels != kept.labels) == 2
     assert next_warm is warm
     assert not np.array_equal(result.best_state.positions, state.positions)
     assert not np.array_equal(result.best_phases.labels, failed.labels)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_failed_extraction_at_either_stage_rejects_the_interface(
+        monkeypatch, stage):
+    """An interface that fails extraction at stage 1 (the candidate's at
+    the accepted positions) or in stage 2's reverse term (the accepted
+    labels' at the candidate's positions) rejects the move as
+    `rejected_interface`, not as a Metropolis rejection.  The topology is
+    left with the accepted labels: every later interface is read from the
+    topology of its own labels, and the run goes on accepting."""
+    import sharptop.topopt as topopt
+    from sharptop.varifold import InterfaceError
+    real, calls, failed = topopt._interface_terms, [], []
+    mesh, phases, model = loaded_run_inputs()
+
+    def terms(mesh, state, labels, model, mode, topology):
+        assert np.array_equal(topology.labels, labels.labels)
+        calls.append(labels)
+        reverse = len(calls) > 1 and labels is phases
+        if not failed and (reverse if stage == 2 else len(calls) == 2):
+            failed.append(len(calls))
+            raise InterfaceError("degenerate interface triangle")
+        return real(mesh, state, labels, model, mode, topology)
+
+    monkeypatch.setattr(topopt, "_interface_terms", terms)
+    config = replace(fast_config(seed=0), t_initial=100.0, t_final=20.0)
+    result = optimize_topology(mesh, phases, model, config)
+    assert failed and len(calls) > failed[0]
+    assert result.rejected_interface == 1
+    assert result.rejected_moves == 1 + result.rejected_metropolis
+    assert result.accepted_moves > 0
 
 
 ORACLE_CASES = {
@@ -656,8 +713,10 @@ ORACLE_CASES = {
     # referential energies from the terms of uneven faces, on a box
     # jittered by 0.002 cells: small enough to keep swaps volume-matched
     "referential-jittered-4": (4, REFERENTIAL, {}, 17, 5, 0.002),
-    # a traction and a stiff phase 1: candidates take steps
+    # a traction and a stiff phase 1: candidates that pass stage 1 take
+    # steps, and stage 1 rejects some unsolved
     "loaded-3": (3, EULERIAN, {"scale0": 0.2, "g": [0.0, 0.0, 1.0]}, 13, 5),
+    "loaded-4": (4, EULERIAN, {"scale0": 0.2, "g": [0.0, 0.0, 1.0]}, 21, 5),
     # equal phases under a body load: every candidate builds its own load
     # vector, and is solved
     "body-load-4": (4, EULERIAN, {"f": [0.0, 0.0, 7.9e-5]}, 14, 5),
@@ -682,7 +741,8 @@ def test_annealing_matches_full_recompute_oracle(case):
     """From equal seeds the annealer, with its kept interface topology,
     stored-term referential energies, kept solve for inert candidates and
     scored look-ahead, gives the trace, counts and best labels of one that
-    extracts in full and solves in full on every proposal."""
+    extracts in full and solves in full on every proposal; both decide
+    loaded Eulerian candidates in the same two stages."""
     n, mode, loads, seed, steps, *jitter = ORACLE_CASES[case]
     if jitter:
         mesh = jittered_box_mesh((n, n, n), np.random.default_rng(seed),
@@ -698,13 +758,22 @@ def test_annealing_matches_full_recompute_oracle(case):
     config = replace(fast_config(mode=mode, seed=seed), t_initial=t_initial,
                      t_final=t_final, steps_per_temperature=steps)
     result = optimize_topology(mesh, phases, model, config)
-    trace, accepted, rejected, best = brute_force_annealing(
+    trace, accepted, rejected, best, stages = brute_force_annealing(
         mesh, phases, model, config)
     assert result.trace == trace
     assert (result.accepted_moves, result.rejected_moves) == (accepted,
                                                               rejected)
     assert accepted > 0
     assert np.array_equal(result.best_phases.labels, best)
+    assert result.surrogate_rejections == stages["surrogate"]
+    if mode == EULERIAN and (loads.get("scale0") or loads.get("f")):
+        assert stages["surrogate"] + stages["drawn"] > 0
+    else:
+        assert stages == dict.fromkeys(stages, 0)
+    if case in ("loaded-3", "loaded-4"):
+        # both stages reject and accept, and stage 2 by its draws
+        assert stages["surrogate"] > 0
+        assert stages["drawn"] >= stages["accepted_drawn"] > 0
     proposals = len(trace) - result.rejected_no_move
     if case == "referential-3":
         assert accepted > COLD_SOLVE_EVERY
@@ -782,6 +851,45 @@ def test_lookahead_changes_only_the_work(monkeypatch):
                  "best_objective", "final_mass"):
         assert getattr(ahead, name) == getattr(plain, name), name
     assert np.array_equal(ahead.best_phases.labels, plain.best_phases.labels)
+
+
+class _Uniforms:
+    """A stand-in for the uniform stream: every draw is `u`."""
+
+    def __init__(self, u):
+        self.u, self.drawn = u, 0
+
+    def random(self):
+        self.drawn += 1
+        return self.u
+
+
+@settings(max_examples=300)
+@given(t=hs.floats(1e-6, 1e6), u=hs.floats(0.0, 1.0, exclude_max=True),
+       ratios=hs.lists(hs.floats(-1e4, 1e4), min_size=3, max_size=3))
+@example(t=1.0, u=0.5, ratios=[3.0, 3.0, -3.0])         # exact surrogate
+@example(t=1e-6, u=0.0, ratios=[1e4, -1e4, 1e4])
+@example(t=1e6, u=0.999, ratios=[-1e4, 1e4, -1e4])
+def test_second_stage_keeps_detailed_balance(t, u, ratios):
+    """For an objective change d, stage-1 surrogate changes d1 (forward)
+    and d2 (reverse) and any T > 0, with a1(x->y) = min(1, exp(-d1 / T))
+    and a2 the second stage's probability: a1(x->y) a2(x->y) =
+    exp(-d / T) a1(y->x) a2(y->x), the reverse move swapping d1 and d2
+    and negating d.  Nothing overflows at |d| / T, |d1| / T and |d2| / T
+    up to 1e4.  A uniform is drawn only when log a2 < 0, and the
+    candidate is accepted when it is below a2."""
+    delta, forward, reverse = (r * t for r in ratios)
+    draws = _Uniforms(u)
+    log_a2, accepted = _second_stage(delta, forward, reverse, t, draws)
+    log_b2 = _second_stage(-delta, reverse, forward, t, _Uniforms(u))[0]
+    assert math.isfinite(log_a2) and math.isfinite(log_b2)
+    assert log_a2 <= 0 and log_b2 <= 0
+    there = -max(forward, 0.0) / t + log_a2
+    back = -delta / t - max(reverse, 0.0) / t + log_b2
+    scale = 1.0 + sum(map(abs, ratios))
+    assert math.isclose(there, back, rel_tol=0.0, abs_tol=1e-13 * scale)
+    assert draws.drawn == (log_a2 < 0)
+    assert accepted == (log_a2 == 0 or u < math.exp(log_a2))
 
 
 def test_rejections_add_up_by_cause():
