@@ -74,7 +74,6 @@ class SolveReport:
     grad_norm: float
     min_det: float
     guard_activations: int          # det floor plus injectivity backtracks
-    guard_iterations: list          # iterations where a guard shrank a step
     message: str
     det_floor_backtracks: int       # line-search backtracks, by cause
     armijo_backtracks: int
@@ -187,7 +186,6 @@ def _descend(mesh, state0, phases, model, options=None, factor=None):
     pairs = deque(maxlen=HISTORY)   # (s, y, rho) for L-BFGS
     det_floor = armijo = injectivity = 0   # backtracks by cause
     checks = 0
-    guard_iters = []
     log = []
     message = "iteration limit reached"
     converged = gnorm <= options.gradient_tolerance
@@ -232,8 +230,6 @@ def _descend(mesh, state0, phases, model, options=None, factor=None):
                 injectivity += 1
                 guards_this_iter += 1
             step *= CONTRACTION
-        if guards_this_iter:
-            guard_iters.append(it)
         if not accepted:
             message = "line search exhausted; returning best feasible state"
             break
@@ -259,7 +255,7 @@ def _descend(mesh, state0, phases, model, options=None, factor=None):
     report = SolveReport(
         converged=converged, iterations=it, objective=obj, grad_norm=gnorm,
         min_det=min_det, guard_activations=det_floor + injectivity,
-        guard_iterations=guard_iters, message=message,
+        message=message,
         det_floor_backtracks=det_floor, armijo_backtracks=armijo,
         injectivity_backtracks=injectivity, injectivity_checks=checks,
         history=log)

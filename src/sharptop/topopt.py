@@ -10,27 +10,26 @@ A proposal costs work in the two swapped tets, not in the mesh, where
 it can.  The annealer keeps the labeling's `InterfaceTopology` and
 updates it per swap, so drawing a candidate and checking it for
 non-manifold edges visit only the swapped tets' faces and edges, and
-extraction reads its cut faces, flips and edge counts from it.  A
-candidate is inert, solved, or rejected unsolved by stage 1 (below).
-With equal phase scales and no body load a swap is inert: the bulk
-weights and the load vector do not depend on the labels, so a
-candidate's equilibrium problem is the accepted one, whose state came
-from a converged solve, and the candidate keeps that state and
-compliance and runs no mechanics (an Eulerian one extracts its
-interface there).  Every other referential candidate is solved, warm
-started from the accepted state, and its interface energy and mass
-come from `referential_energy`, one pass over the cut faces' terms
-stored on the mesh.  While the accepted-move count is a positive
-multiple of `COLD_SOLVE_EVERY`, every proposal is solved from the
-identity (a cold start) until one of them is accepted.
+extraction reads its cut faces, flips and edge counts from it.
 
-Every other Eulerian candidate, cold or warm, is decided by delayed
-acceptance.  Stage 1 extracts its interface at the accepted positions
-and, when that energy exceeds the accepted one by d1 > 0, draws the
-Metropolis stream's next uniform and rejects the candidate unsolved
-unless it lies below exp(-d1 / T).  Stage 2 solves the rest and
-accepts by `_second_stage`, which draws a second uniform only when its
-ratio is below one.
+Every candidate is decided in two stages (Christen and Fox 2005, MCMC
+using an approximation).  Stage 1 holds the accepted state: the change
+d1 is the accepted compliance plus the candidate's interface energy,
+less the accepted objective.  That energy is extracted at the accepted
+positions, or in referential mode read by `referential_energy`, one
+pass over the cut faces' terms stored on the mesh.  When d1 is not
+negative, stage 1 draws the Metropolis stream's next uniform and
+rejects the candidate unsolved unless it lies below exp(-d1 / T).  With
+equal phase scales and no body load a swap is inert: the bulk weights
+and the load vector do not depend on the labels, so a candidate's
+equilibrium problem is the accepted one, whose state came from a
+converged solve.  Such a candidate keeps that state and compliance and
+runs no mechanics, so d1 is its exact change and stage 1 is final.
+Stage 2 solves every other candidate, warm started from the accepted
+state, and accepts by `_second_stage`, which draws a second uniform
+only when its ratio is below one.  While the accepted-move count is a
+positive multiple of `COLD_SOLVE_EVERY`, every proposal is solved from
+the identity (a cold start) until one of them is accepted.
 
 A solved proposal pays for its iterations and little else.  Every
 solve is preconditioned by the accepted labeling's `Preconditioner`,
@@ -39,13 +38,13 @@ with equal phase scales); its factor is built by the first solve after
 an acceptance that takes a step.  A proposal's solve skips the solver's
 closing self-intersection check: the annealer checks only the states
 it keeps, its start (`minimize_equilibrium` checks it) and a candidate
-that Metropolis accepts and that its solve did not check on its last
+that stage 2 accepts and that its solve did not check on its last
 iteration.  A candidate that fails that check is a rejected solve.
 
 Moves and Metropolis uniforms come from two streams spawned from the
 seed, so the draws of the coming moves do not depend on the decisions
-made before them.  A referential proposal that Metropolis rejects runs
-no full pass.  While at most `LOOK_AHEAD_ACCEPTS` of the last
+made before them.  A referential proposal can be rejected at stage 1
+without a full pass.  While at most `LOOK_AHEAD_ACCEPTS` of the last
 `LOOK_AHEAD` steps were accepted, the annealer reads the move stream
 ahead: it maps the next `LOOK_AHEAD` rows of draws to swaps of the
 accepted labeling through `_swaps`, as `mass_preserving_move` maps
@@ -54,12 +53,11 @@ The scores, and which swaps are admissible, hold until the next
 accepted move; a swap drawn that was not scored is a miss, which the
 full pass decides.  A move's swap of known admissibility is not applied
 to the topology unless a full pass or an acceptance needs it.  A scored
-candidate is rejected without a full pass when its change, less its
-bound and a rounding allowance (`_least_change`), is positive and its
-uniform lies above exp(-change / T) at that least change; every other
-candidate, acceptances included, runs the full pass.  So every
-decision, both streams and the trace are those of a full pass per
-proposal.
+candidate is rejected without a full pass when its d1, less its bound
+and a rounding allowance (`_least_change`), is positive and its uniform
+lies above exp(-d1 / T) at that least change; every other candidate
+runs the full pass.  So every decision, both streams and the trace are
+those of a full pass per proposal.
 """
 
 from collections import deque
@@ -256,7 +254,7 @@ class _LookAhead:
             tet_to_0[matched].tolist(), tet_to_1[matched].tolist()))
             if swap not in self.scored]
         if swaps:
-            admissible, _, energy, _, bound = swap_energy_changes(
+            admissible, _, energy, bound = swap_energy_changes(
                 topology, *np.array(swaps).T, self.model)
             self.scored.update(zip(swaps, zip(
                 admissible.tolist(), energy.tolist(), bound.tolist())))
@@ -269,16 +267,15 @@ class _LookAhead:
             else scored[1:]
 
 
-def _least_change(scored, c_comp, comp, eint, obj):
-    """The least objective change that the full recompute can find for a
-    candidate of compliance `c_comp` whose interface energy change was
-    scored as (change, bound), from an accepted labeling of compliance
-    `comp`, interface energy `eint` and objective `obj`: the scored change
-    less its bound and the rounding of the two energies and objectives
-    (nan when the change is)."""
+def _least_change(scored, comp, eint, obj):
+    """The least stage-1 change that the full pass can find for a
+    candidate whose interface energy change was scored as (change, bound),
+    from an accepted labeling of compliance `comp`, interface energy
+    `eint` and objective `obj`: the scored change less its bound and the
+    rounding of the two energies and objectives (nan when the change is)."""
     change, bound = scored
-    return c_comp + (eint + change) - obj - bound - ROUNDING * (
-        abs(c_comp) + abs(comp) + 2.0 * (eint + abs(change) + bound))
+    return comp + (eint + change) - obj - bound - 2.0 * ROUNDING * (
+        abs(comp) + (eint + abs(change) + bound))
 
 
 def _second_stage(delta, forward, reverse, temperature, rng):
@@ -325,7 +322,7 @@ class TopOptResult:
     factor_builds: int = 0          # preconditioner factors built
     injectivity_checks: int = 0     # boundary self-intersection checks
     lookahead_decisions: int = 0    # rejections decided from scored changes
-    surrogate_rejections: int = 0   # rejected at stage 1, unsolved
+    surrogate_rejections: int = 0   # stage-1 rejections of unkept candidates
 
 
 def _interface_terms(mesh, state, phases, model, mode, topology):
@@ -356,8 +353,6 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
     # inert, it changes no term of the equilibrium problem
     loads = None if np.any(model.f) else load_vector(mesh, phases, model)
     inert = model.scale0 == model.scale1 and loads is not None
-    # the other Eulerian candidates are decided by delayed acceptance
-    delayed = config.mode == EULERIAN and not inert
     free = ~state.dirichlet_mask
     factor = Preconditioner(mesh, free, bulk_weights(mesh, phases, model),
                             model)   # the accepted labeling's
@@ -429,7 +424,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
         failed = dict.fromkeys(("no_move", "interface", "solve"), 0)
         for _ in range(config.steps_per_temperature):
             step += 1
-            cause = scored = uniform = None
+            cause = uniform = None
             if (ahead is not None and not ahead.mapped
                     and sum(recent) <= LOOK_AHEAD_ACCEPTS):
                 ahead.fill()
@@ -438,73 +433,64 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                                                  topology=moves)
             except TopOptError:
                 cause = "no_move"
-            if cause is None and delayed:
-                # stage 1: the interface change at the accepted positions
-                try:
-                    forward = _interface_terms(mesh, state, candidate, model,
-                                               EULERIAN, topology)[0] - eint
-                except InterfaceError:
-                    cause = "interface"
-                else:
-                    if forward > 0 and not uniform_rng.random() < math.exp(
-                            -forward / temperature):
-                        surrogate += 1
-                        cause = "metropolis"
-            if cause is None:
-                cold = (accepted_total
-                        and accepted_total % COLD_SOLVE_EVERY == 0)
-                kept = inert and not cold
-                skipped += kept
-                unchecked = False
-                try:
-                    if kept:   # the accepted solve is the candidate's
-                        cand_state, c_comp = state, comp
-                    else:
-                        cand_state, c_comp, unchecked = solve(
-                            candidate, identity_state(mesh) if cold else state)
-                    if ahead is not None:
-                        scored = ahead.change()
-                        if scored is None:
-                            ahead.apply()
-                    if scored is None:
-                        c_eint, c_mu = _interface_terms(
-                            mesh, cand_state, candidate, model, config.mode,
-                            topology)
-                    if delayed:
-                        reverse = reverse_energy(cand_state) - c_eint
-                except InterfaceError:
-                    cause = "interface"
-                except TopOptError:
-                    cause = "solve"
-            if scored is not None and cause is None:
-                # the scored change decides a rejection that no rounding
-                # of the full recompute could turn; the rest recompute
-                low = _least_change(scored, c_comp, comp, eint, obj)
+            cold = accepted_total and accepted_total % COLD_SOLVE_EVERY == 0
+            # an inert candidate keeps the accepted solve: stage 1 is final
+            kept = cause is None and inert and not cold
+            skipped += kept
+            scored = None if cause or ahead is None else ahead.change()
+            if scored is not None:
+                # the scored change decides a stage-1 rejection that no
+                # rounding of the full pass could turn; the rest run it
+                low = _least_change(scored, comp, eint, obj)
                 if low > 0:
                     uniform = uniform_rng.random()
                     if uniform >= math.exp(-low / temperature) * (1 + ROUNDING):
                         decided += 1
                         cause = "metropolis"
-                if cause is None:
-                    ahead.apply()
-                    c_eint, c_mu = referential_energy(topology, model)
             if cause is None:
-                cand_obj = c_comp + c_eint
-                delta = cand_obj - obj
-                if delayed:
-                    accept = _second_stage(delta, forward, reverse,
-                                           temperature, uniform_rng)[1]
+                # stage 1: the change with the accepted state held
+                if ahead is not None:
+                    ahead.apply()
+                try:
+                    c_eint, c_mu = _interface_terms(mesh, state, candidate,
+                                                    model, config.mode,
+                                                    topology)
+                except InterfaceError:
+                    cause = "interface"
                 else:
-                    if uniform is None and not delta < 0:
+                    d1 = comp + c_eint - obj
+                    if uniform is None and not d1 < 0:
                         uniform = uniform_rng.random()
-                    accept = (delta < 0
-                              or uniform < np.exp(-delta / temperature))
-                if accept and unchecked:   # a kept state is injective
-                    checks += 1
-                    if boundary_self_intersects(mesh, cand_state.positions):
-                        cause = "solve"
-                elif not accept:
-                    cause = "metropolis"
+                    if not (d1 < 0 or uniform < math.exp(-d1 / temperature)):
+                        cause = "metropolis"
+            surrogate += cause == "metropolis" and not kept
+            cand_state, c_comp, unchecked = state, comp, False
+            if cause is None and not kept:
+                # stage 2: the solve, and the reverse move's stage-1
+                # interface energy, the accepted labels' at its positions
+                try:
+                    cand_state, c_comp, unchecked = solve(
+                        candidate, identity_state(mesh) if cold else state)
+                    x_eint = eint
+                    if config.mode == EULERIAN:
+                        c_eint, c_mu = _interface_terms(
+                            mesh, cand_state, candidate, model, EULERIAN,
+                            topology)
+                        x_eint = reverse_energy(cand_state)
+                except InterfaceError:
+                    cause = "interface"
+                except TopOptError:
+                    cause = "solve"
+                else:
+                    cand_obj = c_comp + c_eint
+                    if not _second_stage(cand_obj - obj, d1,
+                                         c_comp + x_eint - cand_obj,
+                                         temperature, uniform_rng)[1]:
+                        cause = "metropolis"
+            if cause is None and unchecked:   # a kept state is injective
+                checks += 1
+                if boundary_self_intersects(mesh, cand_state.positions):
+                    cause = "solve"
             recent.append(cause is None)
             if cause is not None:
                 if cause != "no_move":
@@ -521,7 +507,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                                     bulk_weights(mesh, phases, model), model)
             if ahead is not None:
                 ahead.reset()
-            obj, comp, eint, mu = cand_obj, c_comp, c_eint, c_mu
+            obj, comp, eint, mu = c_comp + c_eint, c_comp, c_eint, c_mu
             accepted_total += 1
             if obj < best[2]:
                 best = (state, phases, obj)

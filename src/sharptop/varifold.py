@@ -513,20 +513,19 @@ def _cut_sums(topology):
 
 
 def swap_energy_changes(topology, tet_to_0, tet_to_1, model):
-    """The change of the referential interface energy and mass that each
-    swap of phase-1 `tet_to_0[k]` to 0 and phase-0 `tet_to_1[k]` to 1
-    makes to the `InterfaceTopology`'s labeling, each swap taken on its
-    own and none applied: one call scores K swaps.  The labeling's own
+    """The change of the referential interface energy that each swap of
+    phase-1 `tet_to_0[k]` to 0 and phase-0 `tet_to_1[k]` to 1 makes to
+    the `InterfaceTopology`'s labeling, each swap taken on its own and
+    none applied: one call scores K swaps.  The labeling's own
     `referential_energy` must not raise.
 
-    Returns (admissible, degenerate, energy, mass, bound), each (K,):
-    whether `try_swap` would keep the swap; whether `referential_energy`
-    might raise on the swapped labeling (a cut face of area <= 0, or a
-    vertex whose mixed area may not be positive); and, for an admissible
-    swap that is not degenerate, the changes of energy and mass, and a
-    bound on the distance of the energy change from the difference of
-    `referential_energy` after and before the swap, short of ROUNDING
-    times the two energies (nan elsewhere).
+    Returns (admissible, degenerate, energy, bound), each (K,): whether
+    `try_swap` would keep the swap; whether `referential_energy` might
+    raise on the swapped labeling (a cut face of area <= 0, or a vertex
+    whose mixed area may not be positive); and, for an admissible swap
+    that is not degenerate, the energy change and a bound on its distance
+    from the difference of `referential_energy` after and before the
+    swap, short of ROUNDING times the two energies (nan elsewhere).
 
     A swap flips at most eight faces, all of them faces of its two tets,
     so only the two tets' eight corners change their vertex sums, or, for
@@ -587,8 +586,6 @@ def swap_energy_changes(topology, tet_to_0, tet_to_1, model):
                                 minlength=n)) > 0
     valid = admissible & ~degenerate
     return (admissible, degenerate, np.where(valid, energy, np.nan),
-            np.where(valid, np.bincount(swap, sign * area, minlength=n),
-                     np.nan),
             np.where(valid, bound, np.nan))
 
 

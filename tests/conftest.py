@@ -512,41 +512,49 @@ def brute_force_mass_preserving_move(mesh, phases, rng, interface_bias=0.9,
 
 def brute_force_annealing(mesh, init_phases, model, config, state0=None):
     """topopt.optimize_topology with no kept state: every proposal runs a
-    full extraction per candidate draw (brute_force_mass_preserving_move),
-    a full inner solve and a full extraction of the candidate.  Every
-    solve is preconditioned by the accepted labeling's factor, as the
+    full extraction per candidate draw (brute_force_mass_preserving_move)
+    and a full extraction of the candidate, and every candidate that
+    passes stage 1 a full inner solve and full extractions.  Every solve
+    is preconditioned by the accepted labeling's factor, as the
     annealer's are.  Moves and Metropolis uniforms come from the two
     streams that the annealer spawns from the seed.
 
-    An Eulerian run whose swaps are not inert (unequal phase scales, or a
-    body load) decides by delayed acceptance.  Stage 1 extracts the
-    candidate's interface at the accepted positions; when its energy
-    exceeds the accepted one by d1 > 0, it draws a uniform and rejects
-    the candidate unsolved unless the uniform is below exp(-d1 / T).
-    Stage 2 solves the candidate, extracts the accepted labels'
-    interface at the candidate's positions, d2 above the candidate's
-    interface energy, and accepts an objective change d when
-    x = -(d + max(d2, 0) - max(d1, 0)) / T is not negative, or else when
-    a uniform it draws is below exp(x).
+    Every candidate is decided in two stages.  Stage 1 holds the accepted
+    state: d1 = (C + E_y) - obj for the accepted compliance C and
+    objective obj and the candidate's interface energy E_y at the
+    accepted positions (at the reference positions in referential mode).
+    When d1 is not negative it draws a uniform and rejects the candidate
+    unsolved unless the uniform is below exp(-d1 / T).  Stage 2 solves the
+    candidate, of compliance c and objective c_obj, and takes E_x, the
+    accepted labels' interface energy at the candidate's positions (the
+    accepted one in referential mode), d2 = (c + E_x) - c_obj.  It accepts
+    an objective change d when x = -(d + max(d2, 0) - max(d1, 0)) / T is
+    not negative, or else when a uniform it draws is below exp(x).  An
+    inert candidate's solve returns the accepted state, so its x is
+    exactly 0, and nothing is drawn.
 
     Returns (trace rows, accepted, rejected, best labels, counts), the
-    counts of stage-1 rejections ("surrogate"), of stage-2 draws
-    ("drawn") and of candidates accepted on one ("accepted_drawn")."""
+    counts of stage-1 rejections ("surrogate"), of candidates solved
+    ("solved"), of stage-2 draws ("drawn") and of candidates accepted on
+    one ("accepted_drawn")."""
     moves, uniforms = (np.random.default_rng(s) for s in
                        np.random.SeedSequence(config.seed).spawn(2))
-    delayed = config.mode == "EULERIAN" and not (
-        model.scale0 == model.scale1 and not np.any(model.f))
-    counts = dict.fromkeys(("surrogate", "drawn", "accepted_drawn"), 0)
+    referential = config.mode == "REFERENTIAL"
+    counts = dict.fromkeys(("surrogate", "solved", "drawn",
+                            "accepted_drawn"), 0)
 
     def accepted_factor(phases):
         return Preconditioner(mesh, ~st.identity_state(mesh).dirichlet_mask,
                               bulk_weights(mesh, phases, model), model)
 
-    def eulerian_energy(state, phases):
-        return st.interface_energy(st.extract_interface(
-            mesh, state, phases, positions=state.positions), model)
+    def interface(state, phases):
+        positions = mesh.vertices if referential else state.positions
+        V = st.extract_interface(mesh, state, phases, positions=positions)
+        if st.boundary_defect(V):
+            raise InterfaceError("dangling edges")
+        return st.interface_energy(V, model), st.varifold_mass(V)
 
-    def evaluate(phases, warm):
+    def solve(phases, warm):
         state, report = st.minimize_equilibrium(mesh, warm, phases, model,
                                                 config.solve_options,
                                                 factor=factor)
@@ -556,17 +564,12 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
                 config.solve_options, factor=factor)
             if not report.converged:
                 raise TopOptError("inner equilibrium solve did not converge")
-        positions = (mesh.vertices if config.mode == "REFERENTIAL"
-                     else state.positions)
-        V = st.extract_interface(mesh, state, phases, positions=positions)
-        if st.boundary_defect(V):
-            raise InterfaceError("dangling edges")
-        return (state, st.compliance(mesh, state, phases, model),
-                st.interface_energy(V, model), st.varifold_mass(V))
+        return state, st.compliance(mesh, state, phases, model)
 
     state, phases = state0 or st.identity_state(mesh), init_phases
     factor = accepted_factor(phases)
-    state, comp, eint, mu = evaluate(phases, state)
+    state, comp = solve(phases, state)
+    eint, mu = interface(state, phases)
     obj = comp + eint
     best = (phases, obj)
     trace, accepted, rejected, step = [], 0, 0, 0
@@ -577,19 +580,21 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
             try:
                 candidate = brute_force_mass_preserving_move(mesh, phases,
                                                              moves)
-                passed = True
-                if delayed:
-                    d1 = eulerian_energy(state, candidate) - eint
-                    passed = not d1 > 0 or uniforms.random() < math.exp(
-                        -d1 / temperature)
-                    counts["surrogate"] += not passed
+                c_eint, c_mu = interface(state, candidate)
+                d1 = comp + c_eint - obj
+                passed = d1 < 0 or uniforms.random() < math.exp(
+                    -d1 / temperature)
+                counts["surrogate"] += not passed
                 if passed:
                     warm = state
                     if accepted and accepted % COLD_SOLVE_EVERY == 0:
                         warm = st.identity_state(mesh)
-                    c_state, c_comp, c_eint, c_mu = evaluate(candidate, warm)
-                    if delayed:
-                        d2 = eulerian_energy(c_state, phases) - c_eint
+                    c_state, c_comp = solve(candidate, warm)
+                    counts["solved"] += 1
+                    x_eint = eint
+                    if not referential:
+                        c_eint, c_mu = interface(c_state, candidate)
+                        x_eint = interface(c_state, phases)[0]
             except (InterfaceError, TopOptError):
                 passed = False
             if not passed:
@@ -598,17 +603,13 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
                                       False))
                 continue
             c_obj = c_comp + c_eint
-            delta = c_obj - obj
-            if delayed:
-                x = -(delta + max(d2, 0.0) - max(d1, 0.0)) / temperature
-                accept = not x < 0
-                if not accept:
-                    counts["drawn"] += 1
-                    accept = uniforms.random() < math.exp(x)
-                    counts["accepted_drawn"] += accept
-            else:
-                accept = delta < 0 or uniforms.random() < np.exp(
-                    -delta / temperature)
+            d2 = c_comp + x_eint - c_obj
+            x = -(c_obj - obj + max(d2, 0.0) - max(d1, 0.0)) / temperature
+            accept = not x < 0
+            if not accept:
+                counts["drawn"] += 1
+                accept = uniforms.random() < math.exp(x)
+                counts["accepted_drawn"] += accept
             if accept:
                 state, phases = c_state, candidate
                 factor = accepted_factor(phases)

@@ -160,8 +160,8 @@ def test_topopt_command_outputs(tmp_path):
     # and so no solve takes a step: no factor and no injectivity check
     assert summary["inner_iterations"] == summary["factor_builds"] == 0
     assert summary["injectivity_checks"] == 0
-    # an Eulerian run scores no swaps ahead, and an inert one decides
-    # in one stage
+    # an Eulerian run scores no swaps ahead, and stage 1 is final for
+    # every inert candidate
     assert summary["lookahead_decisions"] == 0
     assert summary["surrogate_rejections"] == 0
     with open(out / "trace.csv", newline="") as fh:
@@ -178,10 +178,9 @@ def test_topopt_command_outputs(tmp_path):
 
 
 def test_topopt_summary_counts_stage_one_rejections(tmp_path):
-    """A loaded two-phase Eulerian run decides its candidates in two
-    stages: `surrogate_rejections` counts the candidates that stage 1
-    rejected unsolved, part of `rejected_metropolis`; the others were
-    solved."""
+    """In a loaded two-phase Eulerian run no swap is inert:
+    `surrogate_rejections` counts the candidates that stage 1 rejected
+    unsolved, part of `rejected_metropolis`; the others were solved."""
     out = tmp_path / "topo"
     assert main(["topopt", "--scenario", topopt_scenario(tmp_path,
                                                          loaded=True),
@@ -191,6 +190,31 @@ def test_topopt_summary_counts_stage_one_rejections(tmp_path):
         <= summary["rejected_metropolis"]
     assert summary["skipped_solves"] == summary["lookahead_decisions"] == 0
     assert summary["accepted_moves"] > 0 and summary["inner_iterations"] > 0
+
+
+def test_topopt_summary_holds_every_count_of_the_result(tmp_path,
+                                                       monkeypatch):
+    """`summary.json` holds every integer field of `TopOptResult`, with
+    the value that the run's result holds."""
+    import dataclasses
+    import sharptop.cli as cli
+    real, results = cli.optimize_topology, []
+
+    def kept(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(cli, "optimize_topology", kept)
+    out = tmp_path / "topo"
+    assert main(["topopt", "--scenario", topopt_scenario(tmp_path,
+                                                         loaded=True),
+                 "--out", str(out), "--seed", "9"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    (result,) = results
+    counts = {f.name: getattr(result, f.name)
+              for f in dataclasses.fields(result)
+              if type(getattr(result, f.name)) is int}
+    assert len(counts) >= 13
+    assert {name: summary.get(name) for name in counts} == counts
 
 
 def test_topopt_trace_byte_identical_across_runs(tmp_path):

@@ -291,14 +291,15 @@ def test_rejected_injectivity_checks_count_as_backtracks(clamped_mesh,
                                                          uniform_phase1,
                                                          monkeypatch):
     # every check fails: iteration 25 backtracks until the line search
-    # gives up, and the unchecked state of iteration 24 fails on return
+    # gives up, and the unchecked state of iteration 24 fails on return;
+    # the history's guard column shows no guard in iterations 1-24
     calls = _counting_check(monkeypatch, [True] * 100)
     state, report = _pull(clamped_mesh, uniform_phase1, 30)
     assert report.iterations == 25 and len(report.history) == 24
     assert report.injectivity_backtracks == len(calls) - 1 > 0
     assert report.guard_activations == (report.det_floor_backtracks
                                         + report.injectivity_backtracks)
-    assert 25 in report.guard_iterations
+    assert [row[4] for row in report.history] == [0] * 24
     assert not report.converged and "crosses itself" in report.message
     np.testing.assert_array_equal(state.positions, clamped_mesh.vertices)
 
