@@ -156,15 +156,12 @@ def corner_forces(mesh, P):
     """Forces (4, 3, nt) of the stresses P (3, 3, nt) of every tet on its
     corners 1, 2, 3, 0 (scatter_index order).
 
-    F = Dx G with G = ref_inv, so the force on corner c + 1 is P G[c]
-    (G[c] the c-th row of G) and corner 0 takes minus their sum.
+    F = Dx G with G = ref_inv, so corner c + 1 takes f_c = P G[c] (G[c]
+    the c-th row of G), from 0.0 by np.einsum, which without `optimize`
+    runs NumPy's own loops, never BLAS; corner 0 takes -((f_0 + f_1) + f_2).
     """
-    G = mesh.ref_inv_cf
     forces = np.empty((4, 3, mesh.n_tets))
-    for c in range(3):      # row by row: (3, nt) temporaries
-        np.multiply(G[c, 0], P[:, 0], out=forces[c])
-        forces[c] += G[c, 1] * P[:, 1]
-        forces[c] += G[c, 2] * P[:, 2]
+    np.einsum("ijt,cjt->cit", P, mesh.ref_inv_cf, out=forces[:3])
     np.add(forces[0], forces[1], out=forces[3])
     forces[3] += forces[2]
     np.negative(forces[3], out=forces[3])

@@ -12,8 +12,8 @@ in the same or in adjacent levels, so L_w is block tridiagonal in that
 order: diagonal blocks A_k and couplings B_k between levels k - 1 and k.
 The factor is built one level at a time: S_0 = A_0 and
 S_k = A_k - B_k^T S_(k-1)^-1 B_k, an update from the float64
-S_(k-1)^-1 and the nonzero entries of B_k, gathered, scaled and summed
-with np.bincount; no dense B_k is formed.  Each S_k^-1 comes from a 2x2
+S_(k-1)^-1 and B_k's nonzero entries regrouped by column, in gathered
+passes; no dense B_k is formed.  Each S_k^-1 comes from a 2x2
 block Schur recursion that does its work in matrix products: halve
 S = [[P, Q], [Q^T, R]], invert P, form X = P^-1 Q, invert T = R - Q^T X,
 and assemble S^-1 from X T^-1.  Blocks of at most BASE rows are
@@ -69,9 +69,11 @@ def vertex_levels(mesh, factored):
     return levels, seeded
 
 
-def _element_matrices(ref_inv, weights):
-    """w_t Gbar_t Gbar_t^T of each tet, row-major (nt, 16).  A function
-    of its own, so that `_level_couplings`, a generator, holds no Gbar."""
+def _element_matrices(mesh, tets, weights):
+    """w_t Gbar_t Gbar_t^T of `tets` (row-major) from the contiguous
+    `ref_inv_cf`, apart so that the generator `_level_couplings` holds
+    no Gbar."""
+    ref_inv = np.take(mesh.ref_inv_cf, tets, axis=2).transpose(2, 0, 1)
     Gbar = np.concatenate([-ref_inv.sum(axis=1, keepdims=True), ref_inv],
                           axis=1)
     K = (Gbar @ Gbar.transpose(0, 2, 1)).reshape(-1, 16)
@@ -97,7 +99,7 @@ def _level_couplings(mesh, levels, weights):
     top = tet_levels.max(axis=1)   # a tet spans levels top - 1, top
     by_top = np.argsort(top, kind="stable")
     start = np.searchsorted(top[by_top], np.arange(len(count) + 2))
-    K = _element_matrices(mesh.ref_inv[by_top], weights[by_top])
+    K = _element_matrices(mesh, by_top, weights[by_top])
     tet_levels, tet_pos = tet_levels[by_top], pos[mesh.tets[by_top]]
     a, b = np.divmod(np.arange(16), 4)   # the entries of a K_t, row-major
     for k, n in enumerate(count):
@@ -142,20 +144,27 @@ def spd_inverse(A):
 
 
 def _coupled_schur(inverse, rows, cols, values, n):
-    """B^T (S^-1 B) for the (m, n) matrix B with nonzero entries `values`
-    at (rows, cols), and S^-1 = `inverse` (m, m).
-
-    Each sum runs over B's entries in their order, from 0.0: on a box
-    mesh B has one nonzero per column, so every sum has one term and the
-    result equals the dense products bit for bit."""
-    m = len(inverse)
-    columns = np.bincount(                       # S^-1 B, (m, n)
-        (np.arange(m)[:, None] * n + cols).ravel(),
-        (inverse[:, rows] * values).ravel(), minlength=m * n).reshape(m, n)
-    return np.bincount(                          # B^T S^-1 B, (n, n)
-        (cols[:, None] * n + np.arange(n)).ravel(),
-        (values[:, None] * columns[rows]).ravel(),
-        minlength=n * n).reshape(n, n)
+    """B^T (S^-1 B) for S^-1 = `inverse` (m, m) and the (m, n) B whose
+    nonzero entries `values` sit at (rows, cols), row-major.  Regrouped by
+    column into R and V (p, n), in row order and zero-padded, they give
+    X = S^-1 B = sum_q S^-1[:, R[q]] V[q] and B^T X = sum_q V[q] X[R[q]]:
+    B's entries summed in order from 0.0, zero if B has none."""
+    by_col = np.argsort(cols, kind="stable")
+    col = cols[by_col]
+    rank = np.arange(len(col)) - np.searchsorted(col, col)   # in its column
+    R = np.zeros((rank.max(initial=0) + 1, n), np.intp)
+    V = np.zeros(R.shape)
+    R[rank, col], V[rank, col] = rows[by_col], values[by_col]
+    columns = np.take(inverse, R[0], axis=1)          # S^-1 B, (m, n)
+    columns *= V[0]
+    for r, v in zip(R[1:], V[1:]):
+        columns += np.take(inverse, r, axis=1) * v
+    update = np.take(columns, R[0], axis=0)           # B^T S^-1 B, (n, n)
+    update *= V[0][:, None]
+    for r, v in zip(R[1:], V[1:]):
+        update += v[:, None] * np.take(columns, r, axis=0)
+    update += 0.0   # only turns -0.0 into the +0.0 of a sum from 0.0
+    return update
 
 
 def _flat(index):
@@ -188,8 +197,7 @@ class LaplacianFactor:
                 A[np.diag_indices_from(A)] *= 1.0 + REGULARISATION
             if coupling is not None:
                 rows, cols, values = coupling
-                # S_k = A_k - B_k^T S^-1 B_k
-                A -= _coupled_schur(inverse, rows, cols, values, len(A))
+                A -= _coupled_schur(inverse, *coupling, len(A))   # S_k
                 self.couplings.append((_flat(rows), _flat(cols),
                                        np.repeat(values, 3)))
             inverse = spd_inverse(A)

@@ -245,6 +245,20 @@ def cholesky_factor_oracle(mesh, free, weights):
     return blocks, inverses, couplings
 
 
+def bincount_coupled_schur(inverse, rows, cols, values, n):
+    """laplacian._coupled_schur as np.bincount sums: B^T (S^-1 B) for the
+    (m, n) matrix B with nonzero entries `values` at (rows, cols), each
+    sum over B's entries in their order, from 0.0."""
+    m = len(inverse)
+    columns = np.bincount(                       # S^-1 B, (m, n)
+        (np.arange(m)[:, None] * n + cols).ravel(),
+        (inverse[:, rows] * values).ravel(), minlength=m * n).reshape(m, n)
+    return np.bincount(                          # B^T S^-1 B, (n, n)
+        (cols[:, None] * n + np.arange(n)).ravel(),
+        (values[:, None] * columns[rows]).ravel(),
+        minlength=n * n).reshape(n, n)
+
+
 def dense_level_blocks(mesh, levels, weights):
     """(A_k, B_k) per level of laplacian._level_couplings, with each
     coupling B_k (n_(k-1), n_k) densified from its nonzero entries;
@@ -691,14 +705,19 @@ def mesh_text(vertices, tets, faces, tags):
     return "\n".join(lines) + "\n"
 
 
+def two_boxes(box):
+    """Vertices, tets, boundary faces and tags of two copies of the box
+    mesh `box` (unit extent), the second shifted by 2 along x; all FREE."""
+    nv = box.n_vertices
+    return (np.vstack([box.vertices, box.vertices + [2.0, 0.0, 0.0]]),
+            np.vstack([box.tets, box.tets + nv]),
+            np.vstack([box.boundary_faces, box.boundary_faces + nv]),
+            [FREE] * (2 * len(box.boundary_faces)))
+
+
 def _two_boxes_mesh():
     """Two unit boxes a unit apart along x, as mesh file text."""
-    box = st.build_box_mesh(1, 1, 1)
-    nv = box.n_vertices
-    return mesh_text(np.vstack([box.vertices, box.vertices + [2.0, 0.0, 0.0]]),
-                     np.vstack([box.tets, box.tets + nv]),
-                     np.vstack([box.boundary_faces, box.boundary_faces + nv]),
-                     [FREE] * (2 * len(box.boundary_faces)))
+    return mesh_text(*two_boxes(st.build_box_mesh(1, 1, 1)))
 
 
 def _repeated_neumann_mesh():

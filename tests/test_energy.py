@@ -328,6 +328,9 @@ def test_bulk_terms_equal_per_tet_sums(clamped_mesh):
     assert np.max(np.abs(batched - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
+# The Python-float oracles brute_force_deformation_gradients and
+# brute_force_corner_scatter never fuse a multiply-add, so this is the test
+# that catches a NumPy build whose einsum or ufunc loops do.
 @settings(max_examples=30)
 @given(dims=hs.tuples(*[hs.integers(1, 5)] * 3),
        seed=hs.integers(0, 2**32 - 1))

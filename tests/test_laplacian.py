@@ -3,13 +3,15 @@ import numpy as np
 import pytest
 
 import sharptop as st
+from sharptop import laplacian
 from sharptop.energy import identity_stiffness
 from sharptop.laplacian import (BASE, REGULARISATION, LaplacianFactor,
                                 _flat, spd_inverse, vertex_levels)
 from sharptop.surfaces import wedge_fold
 
-from conftest import (clamp_bottom_pull_top, cholesky_factor_oracle,
-                      dense_level_blocks, jittered_box_mesh, l_shape_mesh,
+from conftest import (bincount_coupled_schur, clamp_bottom_pull_top,
+                      cholesky_factor_oracle, dense_level_blocks,
+                      jittered_box_mesh, l_shape_mesh, two_boxes,
                       vertex_levels_oracle)
 
 
@@ -152,11 +154,24 @@ def test_spd_inverse_rejects_indefinite_blocks():
         spd_inverse(A)
 
 
-@pytest.mark.parametrize("make", [
+def two_components():
+    """Two disjoint 3x3x2 boxes, all FREE: levels of 1, 7, 19, 21
+    vertices each, and no coupling between the last level of the first
+    box and the first of the second."""
+    vertices, tets, faces, tags = two_boxes(st.build_box_mesh(3, 3, 2))
+    return st.ReferenceMesh(vertices=vertices, tets=tets,
+                            boundary_faces=faces, boundary_tags=tags)
+
+
+ORACLE_MESHES = pytest.mark.parametrize("make", [
     lambda: st.build_box_mesh(8, 8, 8, tagging=clamp_bottom_pull_top),
     lambda: jittered_box_mesh((5, 4, 3), np.random.default_rng(2), 0.1),
     lambda: wedge_fold()[0],                   # seeded levels
-], ids=["clamped-8", "jittered", "wedge-fold"])
+    two_components,
+], ids=["clamped-8", "jittered", "wedge-fold", "two-component"])
+
+
+@ORACLE_MESHES
 def test_factor_matches_cholesky_oracle(make):
     """Same blocks and couplings bit for bit, and float32 inverses within
     one ulp of the Cholesky build; 0 entries differed on these meshes
@@ -184,3 +199,30 @@ def test_factor_matches_cholesky_oracle(make):
         assert np.array_equal(got[0], _flat(rows))
         assert np.array_equal(got[1], _flat(cols))
         assert np.array_equal(got[2], np.repeat(values, 3))
+
+
+@ORACLE_MESHES
+def test_coupled_schur_matches_bincount_oracle(make, monkeypatch,
+                                                request):
+    """The gathered Schur update of every level equals the np.bincount
+    sums it replaced, sign bits included: one entry per column on
+    clamped-8, up to 4 on the jittered mesh, none on the second box's
+    first level."""
+    mesh = make()
+    weights = mesh.volumes * np.random.default_rng(1).uniform(
+        0.2, 2.0, mesh.n_tets)
+    entries, coupled_schur = [], laplacian._coupled_schur
+
+    def checked(inverse, rows, cols, values, n):
+        got = coupled_schur(inverse, rows, cols, values, n)
+        want = bincount_coupled_schur(inverse, rows, cols, values, n)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        entries.append(np.bincount(cols, minlength=n).max(initial=0))
+        return got
+
+    monkeypatch.setattr(laplacian, "_coupled_schur", checked)
+    P = LaplacianFactor(mesh, ~mesh.dirichlet_vertex_mask(), weights)
+    assert len(entries) == len(P.inverses) - 1
+    assert {"clamped-8": {1}, "jittered": {4}, "wedge-fold": {1},
+            "two-component": {0, 1}}[request.node.callspec.id] == set(entries)
