@@ -332,7 +332,11 @@ def main(argv=None):
         except OSError as exc:
             raise ScenarioError(f"{out}: cannot create the output "
                                 f"directory: {exc}") from exc
-        return COMMANDS[args.command](scenario, out, seed)
+        try:
+            return COMMANDS[args.command](scenario, out, seed)
+        except OSError as exc:   # the commands raise it only from a write
+            raise ScenarioError(f"{exc.filename}: cannot write the output "
+                                f"file: {exc.strerror}") from exc
     except (ScenarioError, meshmod.MeshError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -331,6 +331,16 @@ def obj_text_oracle(vertices, faces, face_normals):
     return "\n".join(out) + "\n"
 
 
+def save_mesh_text_oracle(mesh):
+    """mesh.save_mesh's file text, one line at a time."""
+    out = ["tetmesh v1"]
+    out += ["v %.17g %.17g %.17g" % tuple(v) for v in mesh.vertices]
+    out += ["t %d %d %d %d" % tuple(t) for t in mesh.tets]
+    out += [f"bf {a} {b} {c} {tag}" for (a, b, c), tag
+            in zip(mesh.boundary_faces, mesh.boundary_tags)]
+    return "\n".join(out) + "\n"
+
+
 def brute_force_face_adjacency(tets):
     """Sorted face -> incident tets, keys in order of first occurrence."""
     adj = {}

@@ -332,6 +332,24 @@ def test_bad_scenario_key_or_output_exit_2(tmp_path, capsys, doc, out,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, name", [
+    ("validate", "validate.json"), ("equilibrium", "equilibrium.vtk")])
+def test_unwritable_output_file_exit_2(tmp_path, capsys, command, name):
+    """An output file that cannot be written, here because a directory
+    holds its name, exits 2 with a message naming the file, as an output
+    directory that cannot be created does, and leaves no temp file."""
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    scenario = write_scenario(tmp_path, "s.json", {
+        "mesh": {"type": "box", "nx": 1, "ny": 1, "nz": 1,
+                 "tags": CLAMP_PULL_TAGS}})
+    assert main([command, "--scenario", scenario, "--out", str(out)]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith(
+        f"{out / name}: cannot write the output file: ")
+    assert not [p for p in out.iterdir() if p.name.startswith(".tmp_")]
+
+
 def test_mass_residual_uses_annealing_eta(tmp_path):
     scenario = json.loads(Path(topopt_scenario(tmp_path)).read_text())
     scenario["model"]["eta"] = 0.3      # the annealer targets topopt.eta

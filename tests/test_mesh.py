@@ -13,7 +13,7 @@ from sharptop.surfaces import wedge_fold
 from conftest import (NONMANIFOLD_MESH, TWO_BOXES_MESH, ZERO_VOLUME_MESH,
                       brute_force_component_count, brute_force_face_adjacency,
                       clamp_bottom_pull_top, even_corner_shuffle,
-                      jittered_box_mesh, l_shape_mesh)
+                      jittered_box_mesh, l_shape_mesh, save_mesh_text_oracle)
 
 
 def brute_force_boundary_count(mesh):
@@ -356,6 +356,16 @@ def test_save_writes_the_golden_bytes(tmp_path):
     st.save_mesh(st.build_box_mesh(1, 1, 1, extent=(0.3, 0.7, 1.0),
                                    tagging=clamp_bottom_pull_top), path)
     assert path.read_bytes() == SAVED_BOX.encode()
+
+
+def test_save_matches_line_by_line_oracle_on_a_6_cube(tmp_path):
+    """Vertex ids of one to three digits, in a tet block large enough for
+    the array passes, as a line-by-line writer prints them."""
+    mesh = st.build_box_mesh(6, 6, 6, extent=(0.3, 0.7, 1.0),
+                             tagging=clamp_bottom_pull_top)
+    path = tmp_path / "box.tet"
+    st.save_mesh(mesh, path)
+    assert path.read_bytes() == save_mesh_text_oracle(mesh).encode()
 
 
 def test_load_reports_parse_error_line(tmp_path):
