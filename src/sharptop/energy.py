@@ -75,6 +75,26 @@ def identity_stiffness(r, s):
             + 3.0 * s * (s + 1.0)) / 9.0
 
 
+def identity_tangent(r, s):
+    """(a, b, d) of the tangent d^2 W / dF^2 (I)[H, H] = a |H|^2 +
+    b (tr H)^2 + d tr(H^2) of the unscaled density, in closed form:
+
+        a = r 3^(r/2 - 1) + (r - 1) 3^(3 (r - 1) / 2),
+        b = r (r - 2) 3^(r/2 - 2) - (2 (r - 1) / 3) 3^(3 (r - 1) / 2) + s^2,
+        d = (r - 1) 3^(3 (r - 1) / 2) + s,
+
+    so that `identity_stiffness` is a + (b + d) / 3.  On symmetric H it
+    is linear elasticity with 2 mu = a + d and lambda = b, and
+    2 mu + 3 lambda = r (r - 1) 3^(r/2 - 1) + s + 3 s^2: both are positive
+    for r > 3 and s > 0.  An infinitesimal rotation costs (a - d) |H|^2,
+    zero at s = `stress_free_s(r)`."""
+    e = 3.0 ** (1.5 * (r - 1.0))
+    return (r * 3.0 ** (r / 2.0 - 1.0) + (r - 1.0) * e,
+            r * (r - 2.0) * 3.0 ** (r / 2.0 - 2.0)
+            - (2.0 * (r - 1.0) / 3.0) * e + s * s,
+            (r - 1.0) * e + s)
+
+
 class Bulk:
     """W and dW/dF at (F, Cof F, det F), component first as from
     `deformation_minors` (or one (3, 3) F), from shared per-tet scalars

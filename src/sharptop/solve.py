@@ -8,18 +8,24 @@ energy is deliberately not part of this objective; it enters the outer
 topology objective.
 
 The L-BFGS two-loop recursion starts, at every iteration, from the
-inverse of c L_w (Liu, Bouaziz and Kavan 2017): L_w is the P1 stiffness
-matrix of the reference mesh on the free vertices, weighted by the bulk
-weights vol * scale and shared by the three displacement components,
-and c = tr(d^2 W / dF^2 (I)) / 9 (`energy.identity_stiffness`).  c L_w
-is the component average of the separate-displacement-component
-preconditioner, exact for an isotropic tangent, so the solve takes
-tens of iterations where a scaled identity took hundreds.  A
-`Preconditioner` holds it for one labeling and builds its
-block-tridiagonal factor (`laplacian.LaplacianFactor`, float32) on its
-first application, so a solve that takes no step builds none.  A solve
-builds one from its own phases, unless it is handed one: the annealer
-hands every solve the preconditioner of its accepted labeling.
+inverse H0 of a reference stiffness operator, weighted by the bulk
+weights vol * scale of the solve's phases and taken on the free
+vertices (`laplacian.LaplacianFactor`, a block-tridiagonal level factor
+stored in float32).  Where the mesh allows it (`laplacian._elastic_fits`:
+levels of at most `laplacian.ELASTIC_WIDTH` components, one
+face-connected component, Dirichlet vertices not collinear), the
+operator is K0, linear elasticity with the tangent at the identity
+(`energy.identity_tangent`: 2 mu = a + d, lambda = b), the exact
+Hessian at the identity of a stress-free model.  Elsewhere it is c L_w
+(Liu, Bouaziz and Kavan 2017): L_w is the P1 stiffness matrix of the
+reference mesh, shared by the three displacement components, and
+c = tr(d^2 W / dF^2 (I)) / 9 (`energy.identity_stiffness`), the
+component average of the tangent, which also charges c |w|^2 for an
+infinitesimal rotation w that costs nothing at a stress-free identity.
+A `Preconditioner` holds H0 for one labeling and builds its factor on
+its first application, so a solve that takes no step builds none.  A
+solve builds one from its own phases, unless it is handed one: the
+annealer hands every solve the preconditioner of its accepted labeling.
 
 `minimize_equilibrium` is `_descend`, the descent, plus a closing
 self-intersection check of the state the descent returns.  The
@@ -33,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import (INFEASIBLE, Bulk, bulk_energy, bulk_energy_gradient,
-                     bulk_weights, identity_stiffness, load_potential,
-                     load_potential_gradient, load_vector)
+                     bulk_weights, identity_stiffness, identity_tangent,
+                     load_potential, load_potential_gradient, load_vector)
 from .kinematics import boundary_self_intersects, deformation_minors
 from .laplacian import LaplacianFactor
 
@@ -105,9 +111,12 @@ def _min_det(F_minors):
 
 
 class Preconditioner:
-    """H0 = (c L_w)^-1, L_w weighted by the bulk weights `weights` of one
-    labeling on the free vertices `free`, for the solves that share
-    both.  Its factor is built on its first application, once."""
+    """H0 = K0^-1, or (c L_w)^-1 where the mesh does not allow K0, both
+    weighted by the bulk weights `weights` of one labeling on the free
+    vertices `free`, for the solves that share both.  Its factor is
+    built on its first application, once: c L_w's from the weights
+    c w, and K0's from the same weights with the tangent's Lame
+    parameters divided by c."""
 
     def __init__(self, mesh, free, weights, model):
         self._inputs = (mesh, free, weights, model)
@@ -120,8 +129,10 @@ class Preconditioner:
     def __call__(self, v):
         if self._factor is None:
             mesh, free, weights, model = self._inputs
-            self._factor = LaplacianFactor(
-                mesh, free, identity_stiffness(model.r, model.s) * weights)
+            c = identity_stiffness(model.r, model.s)
+            a, b, d = identity_tangent(model.r, model.s)
+            self._factor = LaplacianFactor(mesh, free, c * weights,
+                                           ((a + d) / c, b / c))
         return self._factor(v)
 
 

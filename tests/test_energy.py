@@ -6,8 +6,8 @@ import pytest
 
 import sharptop as st
 from sharptop.energy import (INFEASIBLE, Bulk, bulk_energy_gradient,
-                             identity_stiffness, load_potential_gradient,
-                             stress_free_s)
+                             identity_stiffness, identity_tangent,
+                             load_potential_gradient, stress_free_s)
 
 from conftest import (brute_force_corner_scatter,
                       brute_force_deformation_gradients, decimal_stress,
@@ -142,6 +142,36 @@ def test_identity_stiffness_matches_finite_differences(r, s):
             trace += (plus[i, j] - minus[i, j]) / (2 * h)
     assert identity_stiffness(r, s) == pytest.approx(trace / 9, rel=1e-7)
     assert identity_stiffness(r, s) > 0
+
+
+@pytest.mark.parametrize("r, s", [(3.1, 0.7), (3.5, stress_free_s(3.5)),
+                                  (4.0, stress_free_s(4.0)), (4.0, 5.0),
+                                  (4.5, 2.0), (6.0, stress_free_s(6.0))])
+def test_identity_tangent_matches_finite_differences(r, s):
+    """d^2 W / dF_ij dF_kl (I) = a d_ik d_jl + b d_ij d_kl + d d_il d_jk
+    in closed form against central differences of the stress at I,
+    stress-free or not; c = a + (b + d) / 3, and linear elasticity with
+    2 mu = a + d and lambda = b has 2 mu > 0 and 2 mu + 3 lambda > 0."""
+    model, h = st.EnergyModel(r=r, s=s), 1e-5
+    a, b, d = identity_tangent(r, s)
+    I = np.eye(3)
+    for i in range(3):
+        for j in range(3):
+            E = np.zeros((3, 3))
+            E[i, j] = h
+            plus = Bulk(st.minors(I + E), 1.0, model).stress()
+            minus = Bulk(st.minors(I - E), 1.0, model).stress()
+            want = (a * np.outer(I[i], I[j]) + b * (i == j) * I
+                    + d * np.outer(I[j], I[i]))
+            np.testing.assert_allclose((plus - minus) / (2 * h), want,
+                                       rtol=0, atol=1e-7 * abs(a))
+    assert a + (b + d) / 3 == pytest.approx(identity_stiffness(r, s),
+                                            rel=1e-12)
+    assert a + d > 0
+    assert a + d + 3 * b == pytest.approx(
+        r * (r - 1) * 3 ** (r / 2 - 1) + s + 3 * s**2, rel=1e-12)
+    assert a + d + 3 * b > 0
+    assert (a == pytest.approx(d, rel=1e-12)) == (s == stress_free_s(r))
 
 
 def test_identity_stiffness_value():

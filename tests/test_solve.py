@@ -3,6 +3,7 @@ import pytest
 
 import sharptop as st
 import sharptop.energy
+import sharptop.laplacian
 import sharptop.solve
 from sharptop.energy import bulk_weights, stress_free_s
 from sharptop.kinematics import boundary_self_intersects, deformation_minors
@@ -256,13 +257,17 @@ def _counting_check(monkeypatch, verdicts=None):
     return calls
 
 
+# a large shear of a stress-free model: no step is guarded before the
+# line search first gives out, at iteration 40, and |g| is still about
+# 2e-4 at iteration 30, so the check of iteration 25 and the iteration
+# limit are reached
+PULL = st.EnergyModel(s=stress_free_s(4), g=[250.0, 0.0, 0.0])
+
+
 def _pull(clamped_mesh, uniform_phase1, max_iterations):
-    # a large shear: |g| is still about 3e-3 at iteration 30, and the
-    # line search first gives out at iteration 47, so the check of
-    # iteration 25 and the iteration limit are reached
     return st.minimize_equilibrium(
         clamped_mesh, st.identity_state(clamped_mesh),
-        uniform_phase1(clamped_mesh), st.EnergyModel(g=[300.0, 0.0, 0.0]),
+        uniform_phase1(clamped_mesh), PULL,
         SolveOptions(gradient_tolerance=1e-12, max_iterations=max_iterations))
 
 
@@ -329,8 +334,7 @@ def test_descent_is_the_solve_without_its_closing_check(
     one; `minimize_equilibrium` adds the check of the returned state."""
     calls = _counting_check(monkeypatch)
     mesh, phases = clamped_mesh, uniform_phase1(clamped_mesh)
-    args = (mesh, st.identity_state(mesh), phases,
-            st.EnergyModel(g=[300.0, 0.0, 0.0]),
+    args = (mesh, st.identity_state(mesh), phases, PULL,
             SolveOptions(gradient_tolerance=1e-12,
                          max_iterations=max_iterations))
     state, report, passed = _descend(*args)
@@ -383,3 +387,22 @@ def test_solve_with_a_stale_factor(scale0, swaps):
     if scale0 == model.scale1:
         assert state.positions.tobytes() == fresh_state.positions.tobytes()
         assert report.history == fresh.history
+
+
+def test_elasticity_preconditions_a_loaded_cold_solve(monkeypatch):
+    """A clamped 6^3 box pulled at its top, two phases in slabs: K0 is
+    the Hessian at the identity of the stress-free model, and the cold
+    solve takes at most 6 iterations, against at least 20 with c L_w,
+    to the same objective within the tolerance's reach."""
+    mesh = st.build_box_mesh(6, 6, 6, tagging=clamp_bottom_pull_top)
+    model = st.EnergyModel(r=4, s=stress_free_s(4), scale0=0.2,
+                           g=[0.0, 0.0, 2.0])
+    args = (mesh, st.identity_state(mesh),
+            st.surfaces.slab_labels(mesh, 0.5, axis=0), model,
+            SolveOptions(gradient_tolerance=1e-5))
+    _, report = st.minimize_equilibrium(*args)
+    monkeypatch.setattr(sharptop.laplacian, "ELASTIC_WIDTH", 0)
+    _, laplacian = st.minimize_equilibrium(*args)
+    assert report.converged and laplacian.converged
+    assert report.iterations <= 6 and laplacian.iterations >= 20
+    assert report.objective == pytest.approx(laplacian.objective, rel=1e-9)
