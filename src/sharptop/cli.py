@@ -236,7 +236,6 @@ def _write_topopt_outputs(out, mesh, eta, result: TopOptResult, seed):
         "nonmanifold_draws": result.nonmanifold_draws,
         "skipped_solves": result.skipped_solves,
         "inner_iterations": result.inner_iterations,
-        "factor_builds": result.factor_builds,
         "injectivity_checks": result.injectivity_checks,
         "lookahead_decisions": result.lookahead_decisions,
         "surrogate_rejections": result.surrogate_rejections,
@@ -249,11 +248,12 @@ def _write_topopt_outputs(out, mesh, eta, result: TopOptResult, seed):
 
 def cmd_topopt(scenario, out, seed):
     mesh = build_mesh(scenario.get("mesh", {}))
-    model = build_section(EnergyModel, scenario, "model")
     config = build_section(
         TopOptConfig, scenario, "topopt",
         solve_options=build_section(SolveOptions, scenario, "solve", seed=0),
         seed=sub_seed(seed, "moves"))
+    # the annealer targets topopt.eta, so model.eta is not a key here
+    model = build_section(EnergyModel, scenario, "model", eta=config.eta)
     phases = build_labels(scenario.get("labels", {"type": "slab"}),
                           mesh, config.eta)
 

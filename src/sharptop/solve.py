@@ -25,7 +25,7 @@ infinitesimal rotation w that costs nothing at a stress-free identity.
 A `Preconditioner` holds H0 for one labeling and builds its factor on
 its first application, so a solve that takes no step builds none.  A
 solve builds one from its own phases, unless it is handed one: the
-annealer hands every solve the preconditioner of its accepted labeling.
+annealer hands every solve of a run the one of its start labeling.
 
 `minimize_equilibrium` is `_descend`, the descent, plus a closing
 self-intersection check of the state the descent returns.  The
@@ -113,10 +113,10 @@ def _min_det(F_minors):
 class Preconditioner:
     """H0 = K0^-1, or (c L_w)^-1 where the mesh does not allow K0, both
     weighted by the bulk weights `weights` of one labeling on the free
-    vertices `free`, for the solves that share both.  Its factor is
-    built on its first application, once: c L_w's from the weights
-    c w, and K0's from the same weights with the tangent's Lame
-    parameters divided by c."""
+    vertices `free`, for any solve on those free vertices: H0 only steers
+    the descent.  Its factor is built on its first application, once:
+    c L_w's from the weights c w, and K0's from the same weights with the
+    tangent's Lame parameters divided by c."""
 
     def __init__(self, mesh, free, weights, model):
         self._inputs = (mesh, free, weights, model)

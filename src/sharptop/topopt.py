@@ -32,14 +32,17 @@ positive multiple of `COLD_SOLVE_EVERY`, every proposal is solved from
 the identity (a cold start) until one of them is accepted.
 
 A solved proposal pays for its iterations and little else.  Every
-solve is preconditioned by the accepted labeling's `Preconditioner`,
-which differs from the candidate's in the weights of two tets (in none
-with equal phase scales); its factor is built by the first solve after
-an acceptance that takes a step.  A proposal's solve skips the solver's
-closing self-intersection check: the annealer checks only the states
-it keeps, its start (`minimize_equilibrium` checks it) and a candidate
-that stage 2 accepts and that its solve did not check on its last
-iteration.  A candidate that fails that check is a rejected solve.
+solve of a run is preconditioned by one `Preconditioner`, the start
+labeling's: H0 only steers the descent, so any fixed SPD operator
+leaves each solve correct.  Its factor is built by the first solve that
+takes a step, so a run in which none does builds none.  With equal
+phase scales it is every candidate's own; with unequal ones its weights
+differ from a candidate's in the tets whose labels differ from the
+start's.  A proposal's solve skips the solver's closing
+self-intersection check: the annealer checks only the states it keeps,
+its start (`minimize_equilibrium` checks it) and a candidate that
+stage 2 accepts and that its solve did not check on its last iteration.
+A candidate that fails that check is a rejected solve.
 
 Moves and Metropolis uniforms come from two streams spawned from the
 seed, so the draws of the coming moves do not depend on the decisions
@@ -319,7 +322,6 @@ class TopOptResult:
     nonmanifold_draws: int = 0      # drawn swaps dropped as non-manifold
     skipped_solves: int = 0         # inert candidates, kept unsolved
     inner_iterations: int = 0       # iterations of the solves that ran
-    factor_builds: int = 0          # preconditioner factors built
     injectivity_checks: int = 0     # boundary self-intersection checks
     lookahead_decisions: int = 0    # rejections decided from scored changes
     surrogate_rejections: int = 0   # stage-1 rejections of unkept candidates
@@ -353,10 +355,9 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
     # inert, it changes no term of the equilibrium problem
     loads = None if np.any(model.f) else load_vector(mesh, phases, model)
     inert = model.scale0 == model.scale1 and loads is not None
-    free = ~state.dirichlet_mask
-    factor = Preconditioner(mesh, free, bulk_weights(mesh, phases, model),
-                            model)   # the accepted labeling's
-    iterations = builds = checks = 0
+    factor = Preconditioner(mesh, ~state.dirichlet_mask,
+                            bulk_weights(mesh, phases, model), model)
+    iterations = checks = 0
 
     def checked_solve(warm_state, phases):
         """`minimize_equilibrium`, which checks the state it returns."""
@@ -502,9 +503,6 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                                       mu, False))
                 continue
             state, phases = cand_state, candidate
-            builds += factor.built
-            factor = Preconditioner(mesh, free,
-                                    bulk_weights(mesh, phases, model), model)
             if ahead is not None:
                 ahead.reset()
             obj, comp, eint, mu = c_comp + c_eint, c_comp, c_eint, c_mu
@@ -535,6 +533,5 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                         rejected_metropolis=rejected["metropolis"],
                         nonmanifold_draws=topology.rejected_swaps,
                         skipped_solves=skipped, inner_iterations=iterations,
-                        factor_builds=builds + factor.built,
                         injectivity_checks=checks, lookahead_decisions=decided,
                         surrogate_rejections=surrogate)

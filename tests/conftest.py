@@ -539,7 +539,7 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
     full extraction per candidate draw (brute_force_mass_preserving_move)
     and a full extraction of the candidate, and every candidate that
     passes stage 1 a full inner solve and full extractions.  Every solve
-    is preconditioned by the accepted labeling's factor, as the
+    of the run is preconditioned by the start labeling's factor, as the
     annealer's are.  Moves and Metropolis uniforms come from the two
     streams that the annealer spawns from the seed.
 
@@ -567,10 +567,6 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
     counts = dict.fromkeys(("surrogate", "solved", "drawn",
                             "accepted_drawn"), 0)
 
-    def accepted_factor(phases):
-        return Preconditioner(mesh, ~st.identity_state(mesh).dirichlet_mask,
-                              bulk_weights(mesh, phases, model), model)
-
     def interface(state, phases):
         positions = mesh.vertices if referential else state.positions
         V = st.extract_interface(mesh, state, phases, positions=positions)
@@ -591,7 +587,8 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
         return state, st.compliance(mesh, state, phases, model)
 
     state, phases = state0 or st.identity_state(mesh), init_phases
-    factor = accepted_factor(phases)
+    factor = Preconditioner(mesh, ~state.dirichlet_mask,
+                            bulk_weights(mesh, phases, model), model)
     state, comp = solve(phases, state)
     eint, mu = interface(state, phases)
     obj = comp + eint
@@ -636,7 +633,6 @@ def brute_force_annealing(mesh, init_phases, model, config, state0=None):
                 counts["accepted_drawn"] += accept
             if accept:
                 state, phases = c_state, candidate
-                factor = accepted_factor(phases)
                 obj, comp, eint, mu = c_obj, c_comp, c_eint, c_mu
                 accepted += 1
                 if obj < best[1]:

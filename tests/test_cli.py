@@ -158,7 +158,7 @@ def test_topopt_command_outputs(tmp_path):
     assert summary["skipped_solves"] == 12 - summary["rejected_no_move"] \
         - summary["rejected_interface"]
     # and so no solve takes a step: no factor and no injectivity check
-    assert summary["inner_iterations"] == summary["factor_builds"] == 0
+    assert summary["inner_iterations"] == 0
     assert summary["injectivity_checks"] == 0
     # an Eulerian run scores no swaps ahead, and stage 1 is final for
     # every inert candidate
@@ -194,8 +194,9 @@ def test_topopt_summary_counts_stage_one_rejections(tmp_path):
 
 def test_topopt_summary_holds_every_count_of_the_result(tmp_path,
                                                        monkeypatch):
-    """`summary.json` holds every integer field of `TopOptResult`, with
-    the value that the run's result holds."""
+    """`summary.json` holds every integer field of `TopOptResult` and its
+    named float fields, with the values that the run's result holds, the
+    mass residual and the seed, and no other key."""
     import dataclasses
     import sharptop.cli as cli
     real, results = cli.optimize_topology, []
@@ -210,11 +211,16 @@ def test_topopt_summary_holds_every_count_of_the_result(tmp_path,
                  "--out", str(out), "--seed", "9"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     (result,) = results
-    counts = {f.name: getattr(result, f.name)
+    fields = {f.name: getattr(result, f.name)
               for f in dataclasses.fields(result)
               if type(getattr(result, f.name)) is int}
-    assert len(counts) >= 13
-    assert {name: summary.get(name) for name in counts} == counts
+    fields.update(best_objective=result.best_objective,
+                  initial_objective=result.initial_objective,
+                  initial_interface_mass=result.initial_mass,
+                  final_interface_mass=result.final_mass)
+    assert summary.keys() == fields.keys() | {"mass_constraint_residual",
+                                              "seed"}
+    assert {name: summary[name] for name in fields} == fields
 
 
 def test_topopt_trace_byte_identical_across_runs(tmp_path):
@@ -350,14 +356,16 @@ def test_unwritable_output_file_exit_2(tmp_path, capsys, command, name):
     assert not [p for p in out.iterdir() if p.name.startswith(".tmp_")]
 
 
-def test_mass_residual_uses_annealing_eta(tmp_path):
+def test_topopt_model_eta_exits_2(tmp_path, capsys):
+    """The annealer targets topopt.eta, so a topopt scenario's model.eta,
+    which would do nothing, exits 2 with a message naming the key."""
     scenario = json.loads(Path(topopt_scenario(tmp_path)).read_text())
-    scenario["model"]["eta"] = 0.3      # the annealer targets topopt.eta
+    scenario["model"]["eta"] = 0.3
     path = write_scenario(tmp_path, "eta.json", scenario)
-    out = tmp_path / "eta"
-    assert main(["topopt", "--scenario", path, "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert abs(summary["mass_constraint_residual"]) < 1e-9
+    assert main(["topopt", "--scenario", path,
+                 "--out", str(tmp_path / "eta")]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == \
+        "model: unknown key 'eta'"
 
 
 def one_tet_mesh(apex="0 0 1", tet="t 0 1 2 3", tag="FREE"):

@@ -522,50 +522,52 @@ def loaded_run_inputs():
     return mesh, perturbed_slab_labels(mesh, 0, 0, flips=1), model
 
 
-@pytest.mark.parametrize("inert", [False, True])
-def test_one_factor_per_accepted_labeling(monkeypatch, inert):
-    """Every solve is preconditioned by the accepted labeling's factor,
-    built by the first solve that takes a step after the labeling was
-    accepted: a loaded run builds one for its start and one for each
-    accepted labeling that a later solve took a step from, and none for
-    one whose next candidates stage 1 rejected unsolved.  An inert run
-    builds only its start's, as many as with a factor per solve."""
+@pytest.mark.parametrize("case", ["loaded", "inert", "unloaded"])
+def test_one_preconditioner_per_run(monkeypatch, case):
+    """Every solve of a run, the start's, the proposals' and their
+    retries, is handed one `Preconditioner`, whose factor is built once
+    by the first solve that takes a step.  A loaded run accepts moves
+    after solves that took steps, and an inert one skips its candidates'
+    solves: each builds one factor.  With no load no solve takes a step,
+    and none is built."""
     import sharptop.solve as solve
-    seen = _recorded_proposals(monkeypatch)
-    real, built = solve.LaplacianFactor, []
+    import sharptop.topopt as topopt
+    real, built, factors = solve.LaplacianFactor, [], []
 
     def counted(*args):
         built.append(args)
         return real(*args)
 
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            factors.append(kwargs.get("factor") or args[5])
+            return fn(*args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(solve, "LaplacianFactor", counted)
+    for name in ("minimize_equilibrium", "_descend"):
+        monkeypatch.setattr(topopt, name, recorded(getattr(topopt, name)))
     mesh, phases, model = loaded_run_inputs()
-    if inert:
+    if case == "inert":
         model = replace(model, scale0=1.0)
+    elif case == "unloaded":
+        model = replace(model, g=np.zeros(3))
     result = optimize_topology(mesh, phases, model, fast_config(seed=0))
-    proposals = len(result.trace) - result.rejected_no_move
-    if inert:
-        assert result.skipped_solves == proposals
-        assert result.accepted_moves > 0
-        assert len(built) == result.factor_builds == 1
-    else:
-        assert result.skipped_solves == result.rejected_no_move == 0
-        # the accepted labeling of each step: how many moves came before
-        labeling = np.cumsum([0] + [row.accepted for row in result.trace])
-        followed = {labeling[step] for step, *_, stepped in seen["solves"]
-                    if stepped}
-        assert 0 in followed and len(followed) > 1
-        # some labeling's proposals were all rejected unsolved
-        assert followed < set(labeling[:len(result.trace)])
-        assert len(built) == result.factor_builds == len(followed)
+    assert isinstance(factors[0], solve.Preconditioner)
+    assert all(factor is factors[0] for factor in factors)
+    assert result.accepted_moves > 0
+    # an inert run solves only its start
+    assert (len(factors) == 1) == (case == "inert")
+    assert len(built) == (case != "unloaded")
+    assert (result.inner_iterations > 0) == (case != "unloaded")
 
 
 def _recorded_proposals(monkeypatch, verdicts=None):
     """Record every proposal solve, as (step from 0, warm state, labels,
-    state, whether its state is still to be checked, whether it took a
-    step), and every check the annealer makes; the n-th check answers
-    verdicts[n] (default: the real check).  Every interface is asserted to
-    be read from the topology of its own labels."""
+    state, whether its state is still to be checked), and every check the
+    annealer makes; the n-th check answers verdicts[n] (default: the real
+    check).  Every interface is asserted to be read from the topology of
+    its own labels."""
     import sharptop.topopt as topopt
     seen = {"steps": 0, "solves": [], "checks": []}
     real_move = topopt.mass_preserving_move
@@ -580,7 +582,7 @@ def _recorded_proposals(monkeypatch, verdicts=None):
     def descend(mesh, warm, phases, *args):
         state, report, passed = real_descend(mesh, warm, phases, *args)
         seen["solves"].append((seen["steps"] - 1, warm, phases, state,
-                               passed is not None, report.iterations > 0))
+                               passed is not None))
         return state, report, passed
 
     def check(mesh, positions):
@@ -630,7 +632,7 @@ def test_only_kept_states_are_checked(monkeypatch):
     assert all(step in steps for step, row in enumerate(result.trace)
                if row.accepted)
     kept = [(k + 1, state.positions)
-            for k, (step, _, _, state, unchecked, _) in enumerate(solves)
+            for k, (step, _, _, state, unchecked) in enumerate(solves)
             if result.trace[step].accepted and unchecked]
     assert len(kept) == result.accepted_moves > 0
     assert len(seen["checks"]) == len(kept)
