@@ -117,7 +117,7 @@ class _Grid:
         first = self._cell(box_lo)
         extent = self._cell(box_hi) - first + 1
         # the r-th cell of item i's box, r < extent.prod(), in C order
-        n, count = len(box_lo), extent.prod(axis=1)
+        n, count = len(box_lo), extent[:, 0] * extent[:, 1] * extent[:, 2]
         item = np.repeat(np.arange(n), count)
         r = np.arange(len(item)) - np.repeat(np.cumsum(count) - count, count)
         cells, low = first[item], 0

@@ -132,7 +132,10 @@ def _level_couplings(mesh, levels, weights, lame=None):
     pos[order] = np.arange(mesh.n_vertices) - np.searchsorted(
         levels[order], levels[order])
     tet_levels = levels[mesh.tets]
-    top = tet_levels.max(axis=1)   # a tet spans levels top - 1, top
+    # a tet spans levels top - 1, top; taken as column maxima, since
+    # max(axis=1) over rows of 4 pays per row
+    t = tet_levels.T
+    top = np.maximum(np.maximum(t[0], t[1]), np.maximum(t[2], t[3]))
     by_top = np.argsort(top, kind="stable")
     start = np.searchsorted(top[by_top], np.arange(len(count) + 2))
     tet_levels, tet_pos = tet_levels[by_top], pos[mesh.tets[by_top]]

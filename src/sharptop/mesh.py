@@ -2,6 +2,10 @@
 
 Constructing a `ReferenceMesh` is the one gate for mesh input: it checks
 the arrays and the faces and orients the tets; the mesh is immutable.
+The gate sorts and reduces no short innermost axis: np.sort or a
+reduction along rows of 3 or 4 pays per row, so face triples are sorted
+by a min/max network over columns (`_sorted_triples`) and row tests are
+ORs, ANDs or sums of whole columns, with the bits of the row forms.
 The on-disk format is a line-oriented ASCII format::
 
     tetmesh v1
@@ -110,9 +114,41 @@ def _raise_if_any(bad, what):
     _reject(np.flatnonzero(bad), what)
 
 
-def _face_keys(faces, n_vertices):
-    """Keys (lo * nv + mid) * nv + hi of sorted triples (m, 3)."""
-    return (faces[:, 0] * n_vertices + faces[:, 1]) * n_vertices + faces[:, 2]
+def _sorted_triples(a, b, c, out=None):
+    """The smallest, middle and largest of a, b and c, elementwise, into
+    `out` (3, ...) or a new array, which must not overlap a, b or c: a
+    network of six minimum and maximum passes over whole columns, exact
+    on any integers.  np.sort along a length-3 axis pays per row, and took
+    4.1 ms against 0.6 ms for this on the 98 304 faces of a 16³ box's tets.
+    """
+    if out is None:
+        out = np.empty((3, *np.broadcast_shapes(
+            np.shape(a), np.shape(b), np.shape(c))), np.result_type(a, b, c))
+    lo, mid, hi = out
+    np.minimum(a, b, out=lo)
+    np.maximum(a, b, out=hi)
+    np.minimum(hi, c, out=mid)   # mid = max(min(a, b), min(max(a, b), c))
+    np.maximum(hi, c, out=hi)
+    np.maximum(lo, mid, out=mid)
+    np.minimum(lo, c, out=lo)
+    return out
+
+
+def _face_keys(triples, n_vertices):
+    """Keys (lo * nv + mid) * nv + hi of sorted triples (3, m)."""
+    lo, mid, hi = triples
+    return (lo * n_vertices + mid) * n_vertices + hi
+
+
+def _any_row(bad):
+    """Rows of the 2-D bool array `bad` holding a True, by ORs of its
+    columns: .any(axis=1) over a short row pays per row, 2.6 ms against
+    0.14 ms over 98 304 rows of 3."""
+    columns = bad.T
+    rows = columns[0].copy()
+    for column in columns[1:]:
+        rows |= column
+    return rows
 
 
 def _edge_cofactors(vertices, tets):
@@ -184,12 +220,12 @@ class ReferenceMesh:
                  f"({len(faces)},), one per boundary face")):
             if not ok:
                 raise MeshError(f"{name}: expected shape {want}, got {a.shape}")
-        _raise_if_any(~np.isfinite(x).all(axis=1), "non-finite vertices")
+        _raise_if_any(_any_row(~np.isfinite(x)), "non-finite vertices")
         for name, ids in (("tets", tets), ("boundary faces", faces)):
             if ids.size and not np.issubdtype(ids.dtype, np.integer):
                 raise MeshError(f"{name}: expected integer vertex indices, "
                                 f"got {ids.dtype}")   # astype would truncate
-            _raise_if_any(((ids < 0) | (ids >= nv)).any(axis=1),
+            _raise_if_any(_any_row((ids < 0) | (ids >= nv)),
                           f"{name} with vertex indices outside [0, {nv})")
         tets, faces = tets.astype(int), faces.astype(int)   # copies
         unknown = ~((tags == DIRICHLET) | (tags == NEUMANN) | (tags == FREE))
@@ -216,9 +252,9 @@ class ReferenceMesh:
         duplicate = pairs[sums[:, 0] == sums[:, 1]]
         if len(duplicate):   # a pair shares up to four faces
             _reject(np.unique(duplicate, axis=0), "duplicate tets")
-        tagged = _face_keys(np.sort(faces, axis=1), nv)
+        tagged = _face_keys(_sorted_triples(*faces.T), nv)
         order = np.argsort(tagged)   # distinct keys, when the check passes
-        tagged, keys = tagged[order], _face_keys(boundary, nv)
+        tagged, keys = tagged[order], _face_keys(boundary.T, nv)
         if not np.array_equal(tagged, keys):
             twice = tagged[1:][tagged[1:] == tagged[:-1]]
             for what, bad in (
@@ -255,7 +291,9 @@ class ReferenceMesh:
         return float(np.sum(self.volumes))
 
     def tet_centroids(self):
-        return self.vertices[self.tets].mean(axis=1)
+        """Mean of each tet's corners, (nt, 3), summed in corner order."""
+        x = np.take(self.vertices.T, self.tets.T, axis=1)   # (3, 4, nt)
+        return ((((x[:, 0] + x[:, 1]) + x[:, 2]) + x[:, 3]) / 4.0).T
 
     def dirichlet_vertex_mask(self):
         mask = np.zeros(self.n_vertices, bool)
@@ -362,17 +400,29 @@ def face_topology(tets, n_vertices):
     """
     if n_vertices >= 2**21:
         raise MeshError("face keys need fewer than 2**21 vertices")
-    occ = np.sort(np.asarray(tets, int)[:, _TET_FACES], axis=2).reshape(-1, 3)
+    t = np.ascontiguousarray(np.asarray(tets, int).T)
+    # the sorted triple of local face k of tet i is occurrence 4 i + k
+    occ = np.empty((3, t.shape[1], 4), int)
+    for k, (a, b, c) in enumerate(_TET_FACES):
+        _sorted_triples(t[a], t[b], t[c], occ[:, :, k])
+    occ = occ.reshape(3, -1)
     key = _face_keys(occ, n_vertices)
     order = np.argsort(key, kind="stable")
     key = key[order]
     start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     count = np.diff(np.r_[start, len(key)])
     pair = start[count == 2]
-    by_first = np.argsort(order[pair])
-    first, second = order[pair][by_first], order[pair + 1][by_first]
-    return (occ[first], np.stack([first // 4, second // 4], axis=1),
-            occ[order[start[count == 1]]], occ[order[start[count > 2]]])
+    # each pair's later occurrence, filed under its first, read in order
+    # of first occurrence
+    second = np.full(len(key), -1)
+    second[order[pair]] = order[pair + 1]
+    first = np.flatnonzero(second >= 0)
+
+    def triples(at):
+        return np.ascontiguousarray(np.take(occ, at, axis=1).T)
+    pairs = np.stack([first, second[first]], axis=1) // 4
+    return (triples(first), pairs, triples(order[start[count == 1]]),
+            triples(order[start[count > 2]]))
 
 
 def run_pairs(ids):
@@ -406,15 +456,23 @@ def boundary_pairs(faces):
     key = (a * len(faces) + b)[by_pair]
     start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     count = np.diff(np.r_[start, len(key)])
+    columns = faces.T
+
+    def others(at, p):
+        """The corners of triangles `at` other than their corner p, in
+        row order."""
+        x, y, z = np.take(columns, at, axis=1)
+        return np.where(p == x, y, x), np.where(p == z, y, z)
+
     one = by_pair[start[count == 1]]
-    p, A, B = shared[one], faces[a[one]], faces[b[one]]
-    vertex_pairs = np.column_stack([
-        p, A[A != p[:, None]].reshape(-1, 2), B[B != p[:, None]].reshape(-1, 2)])
+    p = shared[one]
+    vertex_pairs = np.column_stack([p, *others(a[one], p), *others(b[one], p)])
     two = start[count == 2]
     first, second = by_pair[two], by_pair[two + 1]
     u, v = shared[first], shared[second]
-    edge_pairs = np.column_stack([u, v, faces[a[first]].sum(axis=1) - u - v,
-                                  faces[b[first]].sum(axis=1) - u - v])
+    fa, fb = (np.take(columns, at[first], axis=1) for at in (a, b))
+    edge_pairs = np.column_stack([u, v, fa[0] + fa[1] + fa[2] - u - v,
+                                  fb[0] + fb[1] + fb[2] - u - v])
     return vertex_pairs, edge_pairs
 
 
@@ -443,10 +501,9 @@ def component_count(n, pairs):
 
 def edge_keys(faces, n_vertices):
     """Keys lo * n_vertices + hi of the three edges of each triangle."""
-    f = np.sort(np.asarray(faces, int).reshape(-1, 3), axis=1)
-    return np.concatenate([f[:, 0] * n_vertices + f[:, 1],
-                           f[:, 1] * n_vertices + f[:, 2],
-                           f[:, 0] * n_vertices + f[:, 2]])
+    lo, mid, hi = _sorted_triples(*np.asarray(faces, int).reshape(-1, 3).T)
+    return np.concatenate([lo * n_vertices + mid, mid * n_vertices + hi,
+                           lo * n_vertices + hi])
 
 
 # Kuhn split of the unit cube into 6 tets, conforming across cells.  Each
@@ -488,16 +545,20 @@ def build_box_mesh(nx, ny, nz, extent=(1.0, 1.0, 1.0), tagging=None):
     for axis, n in enumerate((nx, ny, nz)):
         side = (side | (ijk[axis] == 0) << 2 * axis
                 | (ijk[axis] == n) << 2 * axis + 1)
-    faces = tets[:, _TET_FACES].reshape(-1, 3)
-    bfaces = np.sort(faces[np.bitwise_and.reduce(side[faces], axis=1) != 0],
-                     axis=1)
-    centroids = vertices[bfaces].mean(axis=1)
+    s = side[tets.T]
+    on = np.empty((len(tets), 4), bool)   # local face k of tet i at [i, k]
+    for k, (a, b, c) in enumerate(_TET_FACES):
+        np.not_equal(s[a] & s[b] & s[c], 0, out=on[:, k])
+    tet, k = np.divmod(np.flatnonzero(on), 4)
+    bfaces = _sorted_triples(*tets[tet, np.array(_TET_FACES).T[:, k]])
+    x = np.take(vertices.T, bfaces, axis=1)   # (axis, corner, face)
+    centroids = (((x[:, 0] + x[:, 1]) + x[:, 2]) / 3.0).T
     if tagging is None:
-        tags = np.array([FREE] * len(bfaces), object)
+        tags = np.array([FREE] * len(tet), object)
     else:
         tags = np.array([tagging(c) for c in centroids], object)
-    return ReferenceMesh(vertices=vertices, tets=tets, boundary_faces=bfaces,
-                         boundary_tags=tags)
+    return ReferenceMesh(vertices=vertices, tets=tets,
+                         boundary_faces=bfaces.T, boundary_tags=tags)
 
 
 def plane_tagging(rules):
@@ -505,16 +566,25 @@ def plane_tagging(rules):
 
     `rules` is a list of dicts {"tag", "axis", "value", "tol"}; a face gets
     the first tag whose plane contains its centroid coordinate, and FREE
-    when there is none.  A negative tol, which tags nothing, raises.
+    when there is none.  The rules are read here, once: a rule without a
+    tag, axis or value, or with a negative tol, which tags nothing, raises
+    ValueError.
     """
-    if any(rule.get("tol", 1e-9) < 0 for rule in rules):
-        raise ValueError("plane tagging: tol must be >= 0")
+    planes = []
+    for i, rule in enumerate(rules):
+        for key in ("tag", "axis", "value"):
+            if key not in rule:
+                raise ValueError(f"plane tagging: rule {i} {rule!r} has no "
+                                 f"{key!r}")
+        tol = rule.get("tol", 1e-9)
+        if tol < 0:
+            raise ValueError("plane tagging: tol must be >= 0")
+        planes.append((rule["axis"], rule["value"], tol, rule["tag"]))
 
     def tag(centroid):
-        for rule in rules:
-            tol = rule.get("tol", 1e-9)
-            if abs(centroid[rule["axis"]] - rule["value"]) <= tol:
-                return rule["tag"]
+        for axis, value, tol, name in planes:
+            if abs(centroid[axis] - value) <= tol:
+                return name
         return FREE
     return tag
 

@@ -14,7 +14,9 @@ from sharptop.kinematics import (_disjoint_pairs_cross, _edge_pairs_fold,
                                  _vertex_pairs_cross)
 from sharptop.laplacian import (REGULARISATION, _level_couplings,
                                 vertex_levels)
-from sharptop.mesh import DIRICHLET, FREE, NEUMANN, edge_keys, face_topology
+from sharptop import mesh as meshmod
+from sharptop.mesh import (_TET_FACES, DIRICHLET, FREE, NEUMANN, edge_keys,
+                           face_topology, run_pairs)
 from sharptop.solve import Preconditioner
 from sharptop.surfaces import slab_labels
 from sharptop.topopt import (COLD_SOLVE_EVERY, MOVE_TRIES, SWAP_VOLUME_RTOL,
@@ -349,6 +351,77 @@ def brute_force_face_adjacency(tets):
             face = tuple(sorted(tet[i] for i in local))
             adj.setdefault(face, []).append(ti)
     return adj
+
+
+def face_topology_oracle(tets, n_vertices):
+    """mesh.face_topology by np.sort along each face's corners, and by
+    row reductions, as the gate computed it before its column passes."""
+    occ = np.sort(np.asarray(tets, int)[:, _TET_FACES], axis=2).reshape(-1, 3)
+    key = (occ[:, 0] * n_vertices + occ[:, 1]) * n_vertices + occ[:, 2]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[start, len(key)])
+    pair = start[count == 2]
+    by_first = np.argsort(order[pair])
+    first, second = order[pair][by_first], order[pair + 1][by_first]
+    return (occ[first], np.stack([first // 4, second // 4], axis=1),
+            occ[order[start[count == 1]]], occ[order[start[count > 2]]])
+
+
+def edge_keys_oracle(faces, n_vertices):
+    """mesh.edge_keys by np.sort along each triangle's corners."""
+    f = np.sort(np.asarray(faces, int).reshape(-1, 3), axis=1)
+    return np.concatenate([f[:, 0] * n_vertices + f[:, 1],
+                           f[:, 1] * n_vertices + f[:, 2],
+                           f[:, 0] * n_vertices + f[:, 2]])
+
+
+def boundary_pairs_oracle(faces):
+    """mesh.boundary_pairs by row sums and boolean row masks."""
+    faces = np.asarray(faces, int).reshape(-1, 3)
+    corner = faces.ravel()
+    order = np.argsort(corner, kind="stable")
+    i, j = run_pairs(corner[order])
+    shared, a, b = corner[order[i]], order[i] // 3, order[j] // 3
+    by_pair = np.argsort(a * len(faces) + b, kind="stable")
+    key = (a * len(faces) + b)[by_pair]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[start, len(key)])
+    one = by_pair[start[count == 1]]
+    p, A, B = shared[one], faces[a[one]], faces[b[one]]
+    vertex_pairs = np.column_stack([
+        p, A[A != p[:, None]].reshape(-1, 2),
+        B[B != p[:, None]].reshape(-1, 2)])
+    two = start[count == 2]
+    first, second = by_pair[two], by_pair[two + 1]
+    u, v = shared[first], shared[second]
+    edge_pairs = np.column_stack([u, v, faces[a[first]].sum(axis=1) - u - v,
+                                  faces[b[first]].sum(axis=1) - u - v])
+    return vertex_pairs, edge_pairs
+
+
+def sorted_triples_oracle(a, b, c, out=None):
+    """mesh._sorted_triples by np.sort along rows (a, b, c)."""
+    triples = np.moveaxis(np.sort(np.stack([a, b, c], axis=-1), axis=-1),
+                          -1, 0)
+    if out is None:
+        return triples
+    out[...] = triples
+    return out
+
+
+def use_sort_oracles(monkeypatch):
+    """Route the mesh gate through the np.sort and row-reduction forms
+    its column passes replaced: the sorts and reductions along rows of
+    3 or 4 that `ReferenceMesh`, `build_box_mesh` and the lazy edge maps
+    called."""
+    for name, oracle in (("face_topology", face_topology_oracle),
+                         ("edge_keys", edge_keys_oracle),
+                         ("boundary_pairs", boundary_pairs_oracle),
+                         ("_sorted_triples", sorted_triples_oracle),
+                         ("_any_row", lambda bad: bad.any(axis=1))):
+        monkeypatch.setattr(meshmod, name, oracle)
 
 
 def brute_force_tet_grid(positions, tets):

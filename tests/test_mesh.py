@@ -2,18 +2,19 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 
 import sharptop as st
 from sharptop.mesh import (_TET_FACES, FREE, TAGS, MeshError, ReferenceMesh,
-                           component_count, corner_crosses, corner_terms,
-                           face_topology, plane_tagging)
+                           _sorted_triples, component_count, corner_crosses,
+                           corner_terms, face_topology, plane_tagging)
 from sharptop.surfaces import wedge_fold
 
 from conftest import (NONMANIFOLD_MESH, TWO_BOXES_MESH, ZERO_VOLUME_MESH,
                       brute_force_component_count, brute_force_face_adjacency,
                       clamp_bottom_pull_top, even_corner_shuffle,
-                      jittered_box_mesh, l_shape_mesh, save_mesh_text_oracle)
+                      jittered_box_mesh, l_shape_mesh, save_mesh_text_oracle,
+                      two_boxes, use_sort_oracles)
 
 
 def brute_force_boundary_count(mesh):
@@ -407,6 +408,20 @@ def test_plane_tagging():
     for c, t in zip(centroids, mesh.boundary_tags):
         if t == "DIRICHLET":
             assert abs(c[2]) < 1e-9
+    assert mesh.boundary_tags.tolist() == [tag(c) for c in centroids]
+
+
+@pytest.mark.parametrize("key", ["tag", "axis", "value"])
+def test_plane_tagging_rejects_a_rule_without_a_key(key):
+    """A rule missing a key raises when the rules are read, naming the
+    rule and the key, not on the first face a box mesh tags."""
+    rules = [{"tag": "DIRICHLET", "axis": 2, "value": 0.0},
+             {"tag": "NEUMANN", "axis": 2, "value": 1.0}]
+    del rules[1][key]
+    with pytest.raises(ValueError) as info:
+        plane_tagging(rules)
+    assert str(info.value) == (f"plane tagging: rule 1 {rules[1]!r} has no "
+                               f"{key!r}")
 
 
 def test_plane_tagging_rejects_negative_tol():
@@ -436,6 +451,7 @@ MESH_KINDS = {
     "wedge": lambda: wedge_fold()[0],
     "shuffled": lambda: even_corner_shuffle(
         st.build_box_mesh(2, 3, 2, tagging=clamp_bottom_pull_top), 4),
+    "two-boxes": lambda: ReferenceMesh(*two_boxes(st.build_box_mesh(2, 1, 2))),
 }
 
 
@@ -469,6 +485,100 @@ def assert_same_mesh(mesh, want):
             assert got.tolist() == expected.tolist(), name
         else:
             assert got.tobytes() == expected.tobytes(), name
+
+
+@settings(max_examples=200)
+@given(rows=hs.lists(hs.tuples(*[hs.integers(-2, 2) | hs.integers(
+    -2**63, 2**63 - 1)] * 3), max_size=40))
+@example(rows=[(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (0, 2**63 - 1,
+                                                            -2**63)])
+def test_sorted_triples_equal_np_sort(rows):
+    """The min/max network sorts any int64 triples, ties and the extreme
+    values included, into the rows of np.sort, component first."""
+    rows = np.array(rows, np.int64).reshape(-1, 3)
+    got = _sorted_triples(*rows.T)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.sort(rows, axis=1).T)
+
+
+@pytest.mark.parametrize("make", MESH_KINDS.values(), ids=MESH_KINDS)
+def test_gate_equals_the_sort_oracles(make, monkeypatch, tmp_path):
+    """Every stored and lazily built array of a mesh, and of the mesh
+    saved and loaded, is byte-equal to the one the gate gives through the
+    np.sort and row-reduction forms its column passes replaced; the tet
+    centroids sum their corners in order, as a mean over the rows did."""
+    path = tmp_path / "mesh.tet"
+
+    def meshes():
+        mesh = make()
+        if component_count(mesh.n_tets, mesh.interior_face_tets) > 1:
+            return [mesh]   # load_mesh refuses a body in pieces
+        st.save_mesh(mesh, path)
+        return [mesh, st.load_mesh(path)]
+
+    got = meshes()
+    with monkeypatch.context() as patch:
+        use_sort_oracles(patch)
+        want = meshes()
+        for mesh in want:
+            for name in LAZY_MAPS:
+                getattr(mesh, name)
+    for mesh, expected in zip(got, want, strict=True):
+        assert_same_mesh(mesh, expected)
+        assert np.array_equal(mesh.tet_centroids(),
+                              mesh.vertices[mesh.tets].mean(axis=1))
+
+
+def _bad_rows(rows, values):
+    """A function giving a copy of its array with entry r % ncols of each
+    row r of `rows` set to the next of `values`."""
+    def change(a):
+        a = np.array(a)
+        for r, value in zip(rows, values):
+            a[r, r % a.shape[1]] = value
+        return a
+    return change
+
+
+_ROWS = [3, 8, 13, 21, 22, 26, 47]   # more than a message names
+
+
+@pytest.mark.parametrize("fields, message", [
+    pytest.param(dict(tets=_bad_rows(_ROWS, [-1, _NV, -5, _NV + 3, 2**40,
+                                             -2**40, _NV])),
+                 f"tets with vertex indices outside [0, {_NV}) "
+                 "[3, 8, 13, 21, 22] (7 total)", id="tets"),
+    pytest.param(dict(boundary_faces=_bad_rows(_ROWS, [_NV, -1] * 4)),
+                 f"boundary faces with vertex indices outside [0, {_NV}) "
+                 "[3, 8, 13, 21, 22] (7 total)", id="faces"),
+    pytest.param(dict(vertices=_bad_rows(_ROWS[:-1], [np.nan, np.inf,
+                                                      -np.inf] * 2)),
+                 "non-finite vertices [3, 8, 13, 21, 22] (6 total)",
+                 id="vertices"),
+    pytest.param(dict(boundary_faces=lambda f: f[:0],
+                      boundary_tags=lambda t: t[:0]),
+                 "untagged boundary faces [[0, 1, 4], [0, 1, 10], [0, 3, 4], "
+                 "[0, 3, 12], [0, 9, 10]] (48 total)", id="no-faces"),
+    pytest.param(dict(boundary_faces=lambda f: np.empty((0, 3)),
+                      boundary_tags=lambda t: []),
+                 "untagged boundary faces [[0, 1, 4], [0, 1, 10], [0, 3, 4], "
+                 "[0, 3, 12], [0, 9, 10]] (48 total)", id="no-float-faces"),
+])
+def test_gate_errors_equal_the_sort_oracles(fields, message, monkeypatch):
+    """The column passes name the same first offending entries, in the
+    same words, as the row reductions they replaced, with or without
+    boundary faces."""
+    given = {name: getattr(_BOX, name) for name in
+             ("vertices", "tets", "boundary_faces", "boundary_tags")}
+    given.update({name: change(given[name])
+                  for name, change in fields.items()})
+    with pytest.raises(MeshError) as got:
+        ReferenceMesh(**given)
+    with monkeypatch.context() as patch:
+        use_sort_oracles(patch)
+        with pytest.raises(MeshError) as want:
+            ReferenceMesh(**given)
+    assert str(got.value) == str(want.value) == message
 
 
 def test_boundary_order_is_canonical(tmp_path):
