@@ -18,7 +18,8 @@ from . import export, mesh as meshmod, surfaces
 from .energy import EnergyModel
 from .kinematics import identity_state
 from .solve import SolveOptions, minimize_equilibrium
-from .topopt import TopOptConfig, TopOptResult, optimize_topology
+from .topopt import (TopOptConfig, TopOptResult, misses_mass,
+                     optimize_topology)
 from .varifold import (PhaseLabeling, curvature_integral, extract_interface,
                        varifold_mass)
 
@@ -256,6 +257,11 @@ def cmd_topopt(scenario, out, seed):
     model = build_section(EnergyModel, scenario, "model", eta=config.eta)
     phases = build_labels(scenario.get("labels", {"type": "slab"}),
                           mesh, config.eta)
+    if misses_mass(mesh, phases, config.eta):
+        raise ScenarioError(
+            "labels: the start's phase-1 volume fraction "
+            f"{phases.phase1_volume(mesh) / mesh.total_volume():.6g} misses "
+            f"topopt.eta = {config.eta:.6g} by more than one tet")
 
     def snapshot(step, state, phs):
         export.write_vtk_unstructured(

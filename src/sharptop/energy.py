@@ -20,6 +20,25 @@ from .kinematics import deformation_minors, minors, squared_norm
 INFEASIBLE = math.inf
 
 
+def _check_count(name, value, minimum):
+    """Raise ValueError unless `value` is an int (not a bool) >= minimum."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _is_number(value):
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float, np.integer, np.floating))
+
+
+def _check_number(name, value):
+    """Raise ValueError unless `value` is a real number (not a bool)."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnergyModel:
     r: float = 4.0            # growth exponent, > 3
@@ -33,11 +52,15 @@ class EnergyModel:
     eta: float = 0.5          # target phase-1 mass fraction
 
     def __post_init__(self):
+        for name in ("r", "s", "scale0", "scale1", "c_int", "p", "eta"):
+            _check_number(name, getattr(self, name))
         for name in ("f", "g"):
-            load = np.asarray(getattr(self, name), float)
-            if load.shape != (3,) or not np.isfinite(load).all():
+            load = getattr(self, name)   # a list or tuple, or a 1-d array
+            if not ((isinstance(load, (list, tuple)) or np.ndim(load) == 1)
+                    and len(load) == 3 and all(
+                        _is_number(v) and math.isfinite(v) for v in load)):
                 raise ValueError(f"{name} must be a finite 3-vector")
-            object.__setattr__(self, name, load)
+            object.__setattr__(self, name, np.array(load, float))
         if not self.r > 3:
             raise ValueError("r must exceed 3")
         if not (self.s > 0 and self.p > 1 and self.c_int > 0):

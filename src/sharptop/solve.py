@@ -38,9 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (INFEASIBLE, Bulk, bulk_energy, bulk_energy_gradient,
-                     bulk_weights, identity_stiffness, identity_tangent,
-                     load_potential, load_potential_gradient, load_vector)
+from .energy import (INFEASIBLE, Bulk, _check_count, _check_number,
+                     bulk_energy, bulk_energy_gradient, bulk_weights,
+                     identity_stiffness, identity_tangent, load_potential,
+                     load_potential_gradient, load_vector)
 from .kinematics import boundary_self_intersects, deformation_minors
 from .laplacian import LaplacianFactor
 
@@ -52,14 +53,6 @@ HISTORY = 10                 # L-BFGS memory
 MAX_LINE_SEARCH = 40
 
 
-def _check_count(name, value, minimum):
-    """Raise ValueError unless `value` is an int (not a bool) >= minimum."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < minimum):
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolveOptions:
     max_iterations: int = 500
@@ -68,6 +61,7 @@ class SolveOptions:
 
     def __post_init__(self):
         _check_count("max_iterations", self.max_iterations, 1)
+        _check_number("gradient_tolerance", self.gradient_tolerance)
         if not self.gradient_tolerance > 0:
             raise ValueError("gradient_tolerance must be positive")
 

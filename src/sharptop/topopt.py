@@ -46,21 +46,22 @@ A candidate that fails that check is a rejected solve.
 
 Moves and Metropolis uniforms come from two streams spawned from the
 seed, so the draws of the coming moves do not depend on the decisions
-made before them.  A referential proposal can be rejected at stage 1
-without a full pass.  While at most `LOOK_AHEAD_ACCEPTS` of the last
-`LOOK_AHEAD` steps were accepted, the annealer reads the move stream
-ahead: it maps the next `LOOK_AHEAD` rows of draws to swaps of the
-accepted labeling through `_swaps`, as `mass_preserving_move` maps
-them, and scores them in one call of `varifold.swap_energy_changes`.
-The scores, and which swaps are admissible, hold until the next
-accepted move; a swap drawn that was not scored is a miss, which the
-full pass decides.  A move's swap of known admissibility is not applied
-to the topology unless a full pass or an acceptance needs it.  A scored
-candidate is rejected without a full pass when its d1, less its bound
-and a rounding allowance (`_least_change`), is positive and its uniform
-lies above exp(-d1 / T) at that least change; every other candidate
-runs the full pass.  So every decision, both streams and the trace are
-those of a full pass per proposal.
+made before them.  The annealer reads the move stream through one
+`_Moves` reader, in blocks of `LOOK_AHEAD` rows.  A row's swap depends
+on the accepted labeling alone, so `_swaps` maps each block once, and
+the unread rows again after an accepted move.  In referential mode,
+while at most `LOOK_AHEAD_ACCEPTS` of the last `LOOK_AHEAD` steps were
+accepted and no unread row is scored, the reader tops its unread rows
+up to a block and scores their swaps in one call of
+`varifold.swap_energy_changes`.  The scores, and which swaps are
+admissible, hold until the next accepted move.  A scored swap is not
+applied to the topology unless a full pass or an acceptance needs it.
+A scored candidate is rejected without a full pass when its d1, less
+its bound and a rounding allowance (`_least_change`), is positive and
+its uniform lies above exp(-d1 / T) at that least change; every other
+candidate, a swap that was not scored included, runs the full pass.
+So every decision, both streams and the trace are those of a full
+pass per proposal.
 """
 
 from collections import deque
@@ -69,9 +70,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import bulk_weights, load_potential, load_vector
+from .energy import (_check_count, _check_number, bulk_weights,
+                     load_potential, load_vector)
 from .kinematics import boundary_self_intersects, identity_state
-from .solve import (Preconditioner, SolveOptions, _check_count, _descend,
+from .solve import (Preconditioner, SolveOptions, _descend,
                     minimize_equilibrium)
 from .varifold import (ROUNDING, InterfaceError, InterfaceTopology,
                        PhaseLabeling, extract_interface, interface_energy,
@@ -102,6 +104,8 @@ class TopOptConfig:
     def __post_init__(self):
         if self.mode not in (EULERIAN, REFERENTIAL):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("eta", "t_initial", "t_decay", "t_final"):
+            _check_number(name, getattr(self, name))
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
         if not (0 < self.t_initial < np.inf and 0 < self.t_final < np.inf):
@@ -114,6 +118,14 @@ class TopOptConfig:
 
 class TopOptError(Exception):
     pass
+
+
+def misses_mass(mesh, phases, eta):
+    """Whether the phase-1 volume of `phases` misses eta times the mesh
+    volume by more than one tet volume and a rounding allowance: the
+    swaps keep that volume, so annealing would not reach the target."""
+    return abs(phases.phase1_volume(mesh) - eta * mesh.total_volume()) \
+        > mesh.volumes.max() + 1e-9 * mesh.total_volume()
 
 
 def compliance(mesh, state, phases, model, loads=None):
@@ -134,7 +146,7 @@ def objective(mesh, state, phases, model, mode=EULERIAN):
 
 
 def mass_preserving_move(mesh, phases, rng,
-                         interface_bias=INTERFACE_MOVE_BIAS, topology=None):
+                         interface_bias=INTERFACE_MOVE_BIAS):
     """Propose a label swap keeping the phase-1 volume fixed.
 
     Swaps one phase-1 tet to 0 and one phase-0 tet to 1, biased toward
@@ -143,20 +155,14 @@ def mass_preserving_move(mesh, phases, rng,
     non-manifold interface edges are rejected and retried; that topology
     check is all a reference-position extraction could reject.  Each try
     draws one row of three uniforms, `rng.random((1, 3))`, which `_swaps`
-    maps to a swap.  `topology` is the `InterfaceTopology` of `phases`,
-    built here when not given; the accepted swap is applied to it
-    (`topology.undo()` reverses it).
+    maps to a swap.  `rng` may instead be the annealer's `_Moves` reader
+    on `phases`: the swap is then drawn from its rows with its bias, and
+    it keeps the swap for its `apply`, `accept` or `reject`.
     """
-    if topology is None:
-        topology = InterfaceTopology(mesh, phases)
-    if not all(map(len, topology.tets())):
-        raise TopOptError("no admissible move: a phase is empty")
-    for _ in range(MOVE_TRIES):
-        (src,), (dst,), (matched,) = _swaps(mesh, topology,
-                                            rng.random((1, 3)), interface_bias)
-        if matched and topology.try_swap(int(src), int(dst)):
-            return phases.with_swap(tet_to_0=src, tet_to_1=dst)
-    raise TopOptError("no admissible move found (frozen configuration)")
+    moves = rng if isinstance(rng, _Moves) else _Moves(
+        InterfaceTopology(mesh, phases), rng, bias=interface_bias)
+    tet_to_0, tet_to_1 = moves.draw()
+    return phases.with_swap(tet_to_0=tet_to_0, tet_to_1=tet_to_1)
 
 
 def _swaps(mesh, topology, rows, bias):
@@ -179,95 +185,95 @@ def _swaps(mesh, topology, rows, bias):
     return (*ends, np.abs(va - vb) <= SWAP_VOLUME_RTOL * np.maximum(va, vb))
 
 
-class _LookAhead:
-    """A read-ahead buffer on the annealer's move stream, the referential
-    energy changes of the swaps that its rows give at the accepted
-    labeling, and a stand-in for that labeling's `InterfaceTopology` in
-    `mass_preserving_move`.
-
-    `fill` reads the stream ahead to LOOK_AHEAD unread rows, maps them
-    through `_swaps` and scores the volume-matched swaps in one call of
-    `swap_energy_changes`; `random` hands the moves the rows in stream
-    order.  A swap's change and admissibility depend on the labeling
-    alone, so they hold until the accepted labeling changes (`reset`).
-    `try_swap` answers a swap of known admissibility without applying
-    it; `apply` applies it to the topology when a full pass or an
-    acceptance needs it, and `undo` reverses it if it was applied.
+class _Moves:
+    """The move reader on `topology`'s accepted labeling: reads the move
+    stream `rng` in blocks of `block` rows and tries their swaps in
+    stream order, a scored swap from its score (with a `model`, see the
+    module docstring), any other with `try_swap`.  A swap keeps the size
+    of both phases, so whether one is empty is decided once.
+    `nonmanifold` counts the drawn swaps dropped as non-manifold.
     """
 
-    def __init__(self, topology, model, rng):
-        self.topology, self.model, self.rng = topology, model, rng
+    def __init__(self, topology, rng, block=1, bias=INTERFACE_MOVE_BIAS,
+                 model=None):
+        self.topology, self.rng, self.block = topology, rng, block
+        self.bias, self.model = bias, model
+        self.empty = not all(map(len, topology.tets()))
         self.rows = np.empty((0, 3))   # read from `rng`, not yet drawn
-        self.mapped = 0   # leading rows mapped at the accepted labeling
+        self.swaps = None   # the rows' (tet to 0, tet to 1, matched)
         # swap -> (whether try_swap keeps it, energy change, its bound)
         self.scored = {}
-        self.last_swap, self.applied = None, False
+        self.scored_rows = False   # whether the unread rows are scored
+        self.recent = deque(maxlen=LOOK_AHEAD)   # steps accepted, in order
+        self.swap, self.applied = None, False
+        self.nonmanifold = 0
 
-    def reset(self):
-        self.scored.clear()
-        self.mapped = 0
+    def _read(self, k):
+        """Read `k` more rows and map the unread rows at the labeling."""
+        self.rows = np.concatenate([self.rows, self.rng.random((k, 3))])
+        self.swaps = list(zip(*(a.tolist() for a in _swaps(
+            self.topology.mesh, self.topology, self.rows, self.bias))))
 
-    def random(self, size):
-        """The move stream's next `size` (k, 3) uniforms, the rows read
-        ahead first."""
-        k = size[0]
-        rows = np.concatenate([self.rows[:k], self.rng.random(
-            (max(k - len(self.rows), 0), 3))])
-        self.rows, self.mapped = self.rows[k:], max(self.mapped - k, 0)
-        return rows
+    def draw(self):
+        """The first admissible swap (tet to 0, tet to 1) of the next
+        MOVE_TRIES rows; raises TopOptError when there is none."""
+        if self.empty:
+            raise TopOptError("no admissible move: a phase is empty")
+        for _ in range(MOVE_TRIES):
+            if not len(self.rows):
+                self.scored_rows = False
+                self._read(self.block)
+            elif self.swaps is None:
+                self._read(0)
+            self.rows = self.rows[1:]
+            tet_to_0, tet_to_1, matched = self.swaps.pop(0)
+            if matched and self._try((tet_to_0, tet_to_1)):
+                return tet_to_0, tet_to_1
+        raise TopOptError("no admissible move found (frozen configuration)")
 
-    def near(self):
-        return self.topology.near()
-
-    def tets(self):
-        return self.topology.tets()
-
-    def try_swap(self, tet_to_0, tet_to_1):
-        swap = tet_to_0, tet_to_1
-        kept = self.scored.get(swap, (None,))[0]
-        self.applied = kept is None
-        if self.applied:   # unchecked: the topology tries it
-            kept = self.topology.try_swap(*swap)
-        elif not kept:
-            self.topology.rejected_swaps += 1
-        self.last_swap = swap
+    def _try(self, swap):
+        scored = self.scored.get(swap)
+        kept = self.topology.try_swap(*swap) if scored is None else scored[0]
+        self.swap, self.applied = swap, kept and scored is None
+        self.nonmanifold += not kept
         return kept
 
-    def apply(self):
-        if not self.applied:
-            self.topology.swap(*self.last_swap)
-            self.applied = True
-
-    def undo(self):
-        if self.applied:
-            self.topology.undo()
-
-    def fill(self):
-        """Read ahead to LOOK_AHEAD unread rows and score, in one call, the
-        volume-matched swaps that they give and that are not yet scored."""
-        topology = self.topology
-        if not all(map(len, topology.tets())):
-            return   # the moves find none
-        self.rows = np.concatenate([self.rows, self.rng.random(
-            (LOOK_AHEAD - len(self.rows), 3))])
-        self.mapped = LOOK_AHEAD
-        tet_to_0, tet_to_1, matched = _swaps(topology.mesh, topology,
-                                             self.rows, INTERFACE_MOVE_BIAS)
-        swaps = [swap for swap in dict.fromkeys(zip(
-            tet_to_0[matched].tolist(), tet_to_1[matched].tolist()))
+    def look_ahead(self):
+        """With a model, and under the module docstring's rule, top the
+        unread rows up to a block and score their unscored swaps."""
+        if (self.model is None or self.empty
+                or (self.scored_rows and len(self.rows))
+                or sum(self.recent) > LOOK_AHEAD_ACCEPTS):
+            return
+        self._read(self.block - len(self.rows))
+        self.scored_rows = True
+        swaps = [swap for swap in dict.fromkeys(
+            (a, b) for a, b, matched in self.swaps if matched)
             if swap not in self.scored]
         if swaps:
             admissible, _, energy, bound = swap_energy_changes(
-                topology, *np.array(swaps).T, self.model)
+                self.topology, *np.array(swaps).T, self.model)
             self.scored.update(zip(swaps, zip(
                 admissible.tolist(), energy.tolist(), bound.tolist())))
 
-    def change(self):
-        """The scored energy change of the move's swap and its bound, or
-        None when the swap was not scored or is degenerate."""
-        scored = self.scored.get(self.last_swap)
-        return None if scored is None or math.isnan(scored[1]) \
-            else scored[1:]
+    def apply(self):
+        """Apply the drawn swap to the topology, if it is not applied."""
+        if not self.applied:
+            self.topology.swap(*self.swap)
+            self.applied = True
+
+    def accept(self):
+        """Keep the applied swap: the scores and mapped rows are stale."""
+        self.scored.clear()
+        self.swaps, self.scored_rows, self.applied = None, False, False
+        self.recent.append(True)
+
+    def reject(self):
+        """The accepted labeling stays: undo the drawn swap if applied."""
+        if self.applied:
+            self.topology.undo()
+            self.applied = False
+        self.recent.append(False)
 
 
 def _least_change(scored, comp, eint, obj):
@@ -342,9 +348,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
     # moves and Metropolis uniforms come from two streams of the seed
     move_rng, uniform_rng = map(
         np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
-    target = config.eta * mesh.total_volume()
-    mass = init_phases.phase1_volume(mesh)
-    if abs(mass - target) > mesh.volumes.max() + 1e-9 * mesh.total_volume():
+    if misses_mass(mesh, init_phases, config.eta):
         raise TopOptError("initial labeling violates the mass constraint")
 
     state = state0 or identity_state(mesh)
@@ -414,11 +418,8 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
     rejected = dict.fromkeys(("no_move", "interface", "solve", "metropolis"),
                              0)
     skipped = decided = surrogate = 0
-    recent = deque(maxlen=LOOK_AHEAD)   # whether each recent step accepted
-    ahead = _LookAhead(topology, model, move_rng) \
-        if config.mode == REFERENTIAL else None
-    # what the moves draw from, and what they swap
-    draws, moves = (move_rng, topology) if ahead is None else (ahead, ahead)
+    moves = _Moves(topology, move_rng, LOOK_AHEAD,
+                   model=model if config.mode == REFERENTIAL else None)
     step = 0
     temperature = config.t_initial
     while temperature > config.t_final:
@@ -426,23 +427,23 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
         for _ in range(config.steps_per_temperature):
             step += 1
             cause = uniform = None
-            if (ahead is not None and not ahead.mapped
-                    and sum(recent) <= LOOK_AHEAD_ACCEPTS):
-                ahead.fill()
+            moves.look_ahead()
+            # the step's move is drawn through `mass_preserving_move`, once
+            # per step, since perfbench classifies steps by its calls
             try:
-                candidate = mass_preserving_move(mesh, phases, draws,
-                                                 topology=moves)
+                candidate = mass_preserving_move(mesh, phases, moves)
             except TopOptError:
                 cause = "no_move"
             cold = accepted_total and accepted_total % COLD_SOLVE_EVERY == 0
             # an inert candidate keeps the accepted solve: stage 1 is final
             kept = cause is None and inert and not cold
             skipped += kept
-            scored = None if cause or ahead is None else ahead.change()
+            scored = None if cause else moves.scored.get(moves.swap)
             if scored is not None:
                 # the scored change decides a stage-1 rejection that no
-                # rounding of the full pass could turn; the rest run it
-                low = _least_change(scored, comp, eint, obj)
+                # rounding of the full pass could turn; the rest, a
+                # degenerate swap's nan change too, run it
+                low = _least_change(scored[1:], comp, eint, obj)
                 if low > 0:
                     uniform = uniform_rng.random()
                     if uniform >= math.exp(-low / temperature) * (1 + ROUNDING):
@@ -450,8 +451,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                         cause = "metropolis"
             if cause is None:
                 # stage 1: the change with the accepted state held
-                if ahead is not None:
-                    ahead.apply()
+                moves.apply()
                 try:
                     c_eint, c_mu = _interface_terms(mesh, state, candidate,
                                                     model, config.mode,
@@ -492,10 +492,8 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                 checks += 1
                 if boundary_self_intersects(mesh, cand_state.positions):
                     cause = "solve"
-            recent.append(cause is None)
             if cause is not None:
-                if cause != "no_move":
-                    moves.undo()
+                moves.reject()
                 if cause != "metropolis":
                     failed[cause] += 1
                 rejected[cause] += 1
@@ -503,8 +501,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                                       mu, False))
                 continue
             state, phases = cand_state, candidate
-            if ahead is not None:
-                ahead.reset()
+            moves.accept()
             obj, comp, eint, mu = c_comp + c_eint, c_comp, c_eint, c_mu
             accepted_total += 1
             if obj < best[2]:
@@ -531,7 +528,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                         rejected_interface=rejected["interface"],
                         rejected_solve=rejected["solve"],
                         rejected_metropolis=rejected["metropolis"],
-                        nonmanifold_draws=topology.rejected_swaps,
+                        nonmanifold_draws=moves.nonmanifold,
                         skipped_solves=skipped, inner_iterations=iterations,
                         injectivity_checks=checks, lookahead_decisions=decided,
                         surrogate_rejections=surrogate)

@@ -115,10 +115,8 @@ class InterfaceTopology:
     (`edge_count`) and on each tet (`tet_count`), and
     `nonmanifold_edges`, the number of edges with more than two.  A swap
     relabels two tets, so `swap` revisits only their at most eight
-    interior faces and the at most twelve edges of the two tets;
-    `rejected_swaps` counts the swaps `try_swap` undid.  The `near` and
-    `tets` lists are kept until a swap, and `undo` restores the ones from
-    before it.
+    interior faces and the at most twelve edges of the two tets.  The
+    `near` and `tets` lists are kept until the next swap or `undo`.
     """
 
     def __init__(self, mesh, phases):
@@ -133,8 +131,7 @@ class InterfaceTopology:
                                      minlength=mesh.n_tets)
         self.nonmanifold_edges = int(np.count_nonzero(self.edge_count > 2))
         self.last_swap = None
-        self.rejected_swaps = 0
-        self._lists, self._lists_before = {}, {}
+        self._lists = {}
 
     def swap(self, tet_to_0, tet_to_1):
         """Relabel phase-1 `tet_to_0` to 0 and phase-0 `tet_to_1` to 1,
@@ -158,14 +155,11 @@ class InterfaceTopology:
         self.nonmanifold_edges += int(
             np.count_nonzero(self.edge_count[touched] > 2) - before)
         self.last_swap = (tet_to_0, tet_to_1)
-        self._lists_before, self._lists = self._lists, {}
+        self._lists = {}
 
     def undo(self):
         """Reverse the last swap."""
-        tet_to_0, tet_to_1 = self.last_swap
-        lists = self._lists_before
-        self.swap(tet_to_1, tet_to_0)
-        self._lists = lists
+        self.swap(*self.last_swap[::-1])
 
     def try_swap(self, tet_to_0, tet_to_1):
         """Swap if no interface edge is left with more than two triangles;
@@ -173,7 +167,6 @@ class InterfaceTopology:
         self.swap(tet_to_0, tet_to_1)
         if self.nonmanifold_edges:
             self.undo()
-            self.rejected_swaps += 1
             return False
         return True
 

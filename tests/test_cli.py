@@ -105,6 +105,41 @@ def test_equilibrium_command(tmp_path):
     assert "CELLS" in vtk and "SCALARS phase" in vtk
 
 
+def cell_phases(path, n_tets):
+    """The `phase` cell data of a VTK unstructured grid file."""
+    lines = path.read_text().splitlines()
+    at = lines.index("SCALARS phase double 1") + 2
+    return np.array(lines[at:at + n_tets], float).astype(int)
+
+
+@pytest.mark.parametrize("spec, labels", [
+    ({"type": "halfspace", "axis": 1, "threshold": 0.4},
+     lambda mesh: st.surfaces.halfspace_labels(mesh, 1, 0.4)),
+    ({"type": "halfspace"}, lambda mesh: st.surfaces.halfspace_labels(mesh)),
+    ({"type": "ball", "center": [0.5, 0.5, 0.0], "radius": 0.6},
+     lambda mesh: st.surfaces.ball_labels(mesh, (0.5, 0.5, 0.0), 0.6)),
+    ({"type": "ball"},
+     lambda mesh: st.surfaces.ball_labels(mesh, (0.5, 0.5, 0.5), 0.3)),
+], ids=["halfspace", "halfspace-default", "ball", "ball-default"])
+def test_equilibrium_labels_a_halfspace_or_a_ball(tmp_path, spec, labels):
+    """Halfspace and ball labels, given or by default, are the phases that
+    the equilibrium command solves and writes; both phases are filled.  On
+    a 6^3 box, tet centroids lie within 0.05 of each side of the default
+    threshold 0.5 and within 0.02 of each side of the default radius
+    0.3."""
+    out = tmp_path / "eq"
+    assert main(["equilibrium", "--scenario", write_scenario(
+        tmp_path, "eq.json", {
+            "mesh": {"type": "box", "nx": 6, "ny": 6, "nz": 6,
+                     "tags": ALL_DIRICHLET_TAGS},
+            "model": {"r": 4, "s": stress_free_s(4)}, "labels": spec}),
+        "--out", str(out)]) == 0
+    mesh = st.build_box_mesh(6, 6, 6)
+    phases = cell_phases(out / "equilibrium.vtk", mesh.n_tets)
+    assert np.array_equal(phases, labels(mesh).labels)
+    assert 0 < phases.sum() < mesh.n_tets
+
+
 def test_equilibrium_iteration_limit_exit_1(tmp_path):
     """A solve stopped short exits 1 and says why in equilibrium.json."""
     scenario = write_scenario(tmp_path, "eq.json", {
@@ -175,6 +210,53 @@ def test_topopt_command_outputs(tmp_path):
     assert obj_text.splitlines()[0].startswith("v ")
     surf = (out / "best_interface.vtk").read_text()
     assert "SCALARS A_norm" in surf
+
+
+def test_topopt_snapshots_every_accepted_move(tmp_path):
+    """With `snapshot_every` 1 the topopt command writes, at the step of
+    every accepted move, the labeled mesh and its interface, and no other
+    snapshot; the first holds the start's slab with one swap made."""
+    doc = json.loads(Path(topopt_scenario(tmp_path)).read_text())
+    doc["topopt"]["snapshot_every"] = 1
+    out = tmp_path / "topo"
+    assert main(["topopt", "--scenario", write_scenario(tmp_path, "s.json",
+                                                        doc),
+                 "--out", str(out), "--seed", "9"]) == 0
+    with open(out / "trace.csv", newline="") as fh:
+        steps = [int(r["step"]) for r in csv.DictReader(fh)
+                 if r["accepted"] == "1"]
+    assert steps
+    assert sorted(p.name for p in out.glob("snapshot_*")) == sorted(
+        f"snapshot_{step:06d}.{ext}" for step in steps
+        for ext in ("obj", "vtk"))
+    mesh = st.build_box_mesh(3, 3, 3)
+    slab = st.surfaces.slab_labels(mesh, 0.5, axis=0).labels
+    first = cell_phases(out / f"snapshot_{steps[0]:06d}.vtk", mesh.n_tets)
+    assert sorted(slab[first != slab]) == [0, 1]
+    for step in steps:
+        assert (out / f"snapshot_{step:06d}.obj").read_text().startswith(
+            "v ")
+
+
+@pytest.mark.parametrize("labels, fraction", [
+    ({"type": "uniform", "value": 0}, "0"),
+    ({"type": "halfspace", "axis": 0, "threshold": 5.0}, "1"),
+], ids=["uniform-0", "halfspace-all"])
+def test_topopt_start_off_the_mass_target_exit_2(tmp_path, capsys, labels,
+                                                 fraction):
+    """A start labeling whose phase-1 volume misses topopt.eta by more
+    than one tet is the scenario's fault: exit 2, with its volume
+    fraction and eta in a `labels:` message, and no output."""
+    doc = json.loads(Path(topopt_scenario(tmp_path)).read_text())
+    doc["labels"] = labels
+    out = tmp_path / "topo"
+    assert main(["topopt", "--scenario", write_scenario(tmp_path, "s.json",
+                                                        doc),
+                 "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == (
+        f"labels: the start's phase-1 volume fraction {fraction} misses "
+        "topopt.eta = 0.5 by more than one tet")
+    assert list(out.iterdir()) == []
 
 
 def test_topopt_summary_counts_stage_one_rejections(tmp_path):
@@ -302,6 +384,18 @@ def test_curvature_test_command(tmp_path):
     ("solve", {"max_iterations": 2.5}, "max_iterations"),
     ("mesh", {"tags": [{"tag": "DIRICHLET", "axis": 2, "value": 0.0,
                         "tol": -1e-9}]}, "tags"),
+    # a JSON true is not the number 1, and a string or null names its key
+    ("model", {"s": True}, "s must be a number, got True"),
+    ("model", {"scale0": "1"}, "scale0 must be a number, got '1'"),
+    ("model", {"c_int": None}, "c_int must be a number, got None"),
+    ("model", {"f": "abc"}, "f must be a finite 3-vector"),
+    ("solve", {"gradient_tolerance": True},
+     "gradient_tolerance must be a number, got True"),
+    ("solve", {"gradient_tolerance": "x"},
+     "gradient_tolerance must be a number, got 'x'"),
+    ("topopt", {"t_initial": True}, "t_initial must be a number, got True"),
+    ("topopt", {"t_initial": "x"}, "t_initial must be a number, got 'x'"),
+    ("topopt", {"eta": None}, "eta must be a number, got None"),
 ])
 def test_bad_scenario_section_exit_2(tmp_path, capsys, section, spec, needle):
     scenario = write_scenario(tmp_path, "bad.json", {

@@ -552,3 +552,13 @@ def test_model_invariants():
         st.EnergyModel(g=[0.0, 0.0, np.inf])
     with pytest.raises(ValueError, match="f must be a finite 3-vector"):
         st.EnergyModel(f=np.zeros((4, 3)))
+    for key in ("r", "s", "scale0", "scale1", "c_int", "p", "eta"):
+        for bad in (True, "1", None):   # a bool is not a number
+            with pytest.raises(ValueError, match=f"^{key} must be a number"):
+                st.EnergyModel(**{key: bad})
+    for bad in ("abc", ["a", 0, 0], [None, 0, 0], [True, 0, 0],
+                [[0, 0, 1]] * 3, np.array(1.0), np.ones(3, bool)):
+        with pytest.raises(ValueError, match="^f must be a finite 3-vector"):
+            st.EnergyModel(f=bad)
+    model = st.EnergyModel(r=np.int64(5), s=np.float32(2), g=[0, 0, 1])
+    assert model.g.dtype == float and model.g.tolist() == [0.0, 0.0, 1.0]

@@ -240,6 +240,10 @@ def test_options_validation():
         with pytest.raises(ValueError, match="max_iterations"):
             SolveOptions(max_iterations=bad)
     assert SolveOptions(max_iterations=np.int64(3)).max_iterations == 3
+    for bad in (True, "x", None):
+        with pytest.raises(ValueError,
+                           match="^gradient_tolerance must be a number"):
+            SolveOptions(gradient_tolerance=bad)
 
 
 def _counting_check(monkeypatch, verdicts=None):
@@ -406,3 +410,47 @@ def test_elasticity_preconditions_a_loaded_cold_solve(monkeypatch):
     assert report.converged and laplacian.converged
     assert report.iterations <= 6 and laplacian.iterations >= 20
     assert report.objective == pytest.approx(laplacian.objective, rel=1e-9)
+
+
+def test_det_floor_backtracks_a_step_that_inverts_tets(clamped_mesh,
+                                                      uniform_phase1,
+                                                      monkeypatch):
+    """Directions a thousand times too long make some trial steps invert
+    tets, which the det floor shortens: each trial below DET_FLOOR counts
+    as a guard, no accepted state falls below the floor, and the solve
+    converges."""
+    real = sharptop.solve._lbfgs_direction
+    monkeypatch.setattr(sharptop.solve, "_lbfgs_direction",
+                        lambda *args: 1e3 * real(*args))
+    model = st.EnergyModel(r=4, s=stress_free_s(4), g=[0.0, 0.0, 2.0])
+    state, report = st.minimize_equilibrium(
+        clamped_mesh, st.identity_state(clamped_mesh),
+        uniform_phase1(clamped_mesh), model,
+        SolveOptions(gradient_tolerance=1e-5, max_iterations=400))
+    assert report.converged, report.message
+    assert report.det_floor_backtracks > 0
+    assert sum(row[4] for row in report.history) == report.guard_activations
+    assert report.guard_activations == (report.det_floor_backtracks
+                                        + report.injectivity_backtracks)
+    assert min(row[3] for row in report.history) > DET_FLOOR
+
+
+def test_ascent_direction_falls_back_to_steepest_descent(clamped_mesh,
+                                                         uniform_phase1):
+    """With H0 of the wrong sign the first L-BFGS direction climbs, so the
+    descent steps along -g instead: its first state is the start moved by
+    a halving of -g, and its objective is lower."""
+    mesh, phases = clamped_mesh, uniform_phase1(clamped_mesh)
+    model = st.EnergyModel(r=4, s=stress_free_s(4), g=[0.0, 0.0, 2.0])
+    state0 = st.identity_state(mesh)
+    free = ~state0.dirichlet_mask
+    h0 = Preconditioner(mesh, free, bulk_weights(mesh, phases, model), model)
+    state, report, _ = _descend(mesh, state0, phases, model,
+                                SolveOptions(max_iterations=1),
+                                lambda v: -h0(v))
+    assert report.iterations == 1 and len(report.history) == 1
+    grad = equilibrium_gradient(mesh, state0, phases, model)
+    steps = [state0.positions + 0.5**k * -grad for k in range(40)]
+    assert any(np.array_equal(state.positions, step) for step in steps)
+    assert report.objective < equilibrium_objective(mesh, state0, phases,
+                                                    model)

@@ -10,9 +10,9 @@ from sharptop.energy import stress_free_s
 from sharptop.solve import SolveOptions
 from sharptop.surfaces import slab_labels
 from sharptop.topopt import (COLD_SOLVE_EVERY, EULERIAN,
-                             INTERFACE_MOVE_BIAS, LOOK_AHEAD, REFERENTIAL,
-                             TopOptConfig, TopOptError,
-                             _LookAhead, _second_stage, _swaps,
+                             INTERFACE_MOVE_BIAS, LOOK_AHEAD,
+                             LOOK_AHEAD_ACCEPTS, REFERENTIAL, TopOptConfig,
+                             TopOptError, _Moves, _second_stage, _swaps,
                              compliance, mass_preserving_move, objective,
                              optimize_topology)
 
@@ -148,60 +148,120 @@ def test_swaps_draw_from_the_phases_unless_near_the_interface():
                                                .astype(int)])
 
 
+class _Rows:
+    """A move stream that counts the rows read from it."""
+
+    def __init__(self, seed):
+        self.rng, self.read = np.random.default_rng(seed), 0
+
+    def random(self, size):
+        self.read += size[0]
+        return self.rng.random(size)
+
+
 @pytest.mark.parametrize("bias", [0.0, 0.5, 0.9, 1.0])
-def test_swaps_of_a_block_are_its_rows_swaps(bias):
+def test_swaps_of_a_block_are_its_rows_swaps(monkeypatch, bias):
     """Mapping an (n, 3) block of draws gives the swaps and volume flags of
     mapping its rows one at a time, and a block read from a generator
-    holds the rows that reads of one row each give, in order: so the
-    look-ahead's buffered reads and `mass_preserving_move`'s one-row
-    reads see the same swaps.  The look-ahead hands its buffered rows,
-    and the rows after them, to the moves in stream order."""
+    holds the rows that reads of one row each give, in order: so a move
+    reader's block reads and `mass_preserving_move`'s one-row reads see
+    the same swaps.  A reader of LOOK_AHEAD-row blocks finds the moves,
+    or no move, that one-row moves from the same stream find, holds the
+    rest of its last block unread, maps each block once and counts the
+    matched swaps that it dropped as non-manifold."""
+    import sharptop.topopt as topopt
     mesh = jittered_box_mesh((3, 4, 3), np.random.default_rng(5), 0.05)
-    topology = st.InterfaceTopology(mesh, perturbed_slab_labels(mesh, 2, 5,
-                                                                3))
-    block = np.random.default_rng(7).random((40, 3))
+    phases = perturbed_slab_labels(mesh, 2, 5, 3)
+    topology = st.InterfaceTopology(mesh, phases)
+    block = np.random.default_rng(7).random((6 * LOOK_AHEAD, 3))
     rng = np.random.default_rng(7)
     assert np.array_equal(block, np.concatenate([rng.random((1, 3))
-                                                 for _ in range(40)]))
+                                                 for _ in block]))
     whole = _swaps(mesh, topology, block, bias)
     one_by_one = [_swaps(mesh, topology, row[None], bias) for row in block]
     for k, part in enumerate(whole):
         assert np.array_equal(part, [swap[k][0] for swap in one_by_one])
     assert 0 < np.count_nonzero(whole[2]) < len(block)   # jitter unmatches
-    ahead = _LookAhead(topology, annealing_model(), np.random.default_rng(7))
-    ahead.fill()
-    assert ahead.mapped == LOOK_AHEAD
-    read = np.concatenate([ahead.random((1, 3)) for _ in range(40)])
-    assert np.array_equal(read, block)
-    assert ahead.mapped == 0
+    real, mapped = topopt._swaps, []
+
+    def counted(*args):
+        mapped.append(1)
+        return real(*args)
+    monkeypatch.setattr(topopt, "_swaps", counted)
+    plain, moves = _Rows(7), _Moves(topology, _Rows(7), LOOK_AHEAD, bias)
+    found = 0
+    while plain.read < 2 * LOOK_AHEAD:   # into the reader's second block
+        try:
+            one = mass_preserving_move(mesh, phases, plain,
+                                       interface_bias=bias)
+        except TopOptError:
+            with pytest.raises(TopOptError, match="no admissible move"):
+                moves.draw()
+        else:
+            tet_to_0, tet_to_1 = moves.draw()
+            moves.reject()
+            assert one.labels[tet_to_0] == 0 and one.labels[tet_to_1] == 1
+            assert np.count_nonzero(one.labels != phases.labels) == 2
+            found += 1
+        assert moves.rng.read == -(-plain.read // LOOK_AHEAD) * LOOK_AHEAD
+        assert np.array_equal(moves.rows, block[plain.read:moves.rng.read])
+    assert found
+    # the one-row moves map a row per try, the reader a block at a time
+    assert len(mapped) == plain.read + moves.rng.read // LOOK_AHEAD
+    assert moves.nonmanifold == np.count_nonzero(
+        whole[2][:plain.read]) - found
 
 
 def test_lookahead_scores_the_unread_rows_at_the_accepted_labeling():
-    """After a fill, the look-ahead holds the scores of exactly the swaps
-    that its unread rows give at the accepted labeling, as one call of
-    `swap_energy_changes` gives them.  After an accepted move (`apply`,
-    then `reset`) it holds none and maps no row until it fills again."""
+    """After `look_ahead`, the move reader holds a block of unread rows
+    and the scores of exactly the swaps that they give at the accepted
+    labeling, as one call of `swap_energy_changes` gives them; it reads
+    and scores no more while an unread row is scored.  After an accepted
+    move it holds no score and no mapped row.  Once more than
+    LOOK_AHEAD_ACCEPTS of the last LOOK_AHEAD steps were accepted, it
+    scores nothing."""
     mesh, model = pinned_mesh(4), annealing_model()
     phases = perturbed_slab_labels(mesh, 0, 3, 1)
     topology = st.InterfaceTopology(mesh, phases)
-    ahead = _LookAhead(topology, model, np.random.default_rng(2))
-    for _ in range(4):
-        ahead.fill()
-        tet_to_0, tet_to_1, matched = _swaps(mesh, topology, ahead.rows,
+    moves = _Moves(topology, np.random.default_rng(2), LOOK_AHEAD,
+                   model=model)
+    for _ in range(LOOK_AHEAD_ACCEPTS + 1):
+        moves.look_ahead()
+        assert len(moves.rows) == LOOK_AHEAD
+        tet_to_0, tet_to_1, matched = _swaps(mesh, topology, moves.rows,
                                              INTERFACE_MOVE_BIAS)
         swaps = list(dict.fromkeys(zip(tet_to_0[matched].tolist(),
                                        tet_to_1[matched].tolist())))
-        assert list(ahead.scored) == swaps
+        assert list(moves.scored) == swaps
         admissible, _, energy, bound = st.swap_energy_changes(
             topology, *np.array(swaps).T, model)
         np.testing.assert_array_equal(
-            np.array(list(ahead.scored.values()), float),
+            np.array(list(moves.scored.values()), float),
             np.column_stack([admissible, energy, bound]))
-        phases = mass_preserving_move(mesh, phases, ahead, topology=ahead)
-        ahead.apply()
-        ahead.reset()
+        phases = mass_preserving_move(mesh, phases, moves)
+        rows = moves.rows
+        moves.look_ahead()
+        assert moves.rows is rows and list(moves.scored) == swaps
+        moves.apply()   # as stage 1 does
+        moves.accept()
         assert np.array_equal(topology.labels, phases.labels)
-        assert ahead.mapped == 0 and not ahead.scored
+        assert moves.swaps is None and not moves.scored
+    moves.look_ahead()
+    assert moves.swaps is None and not moves.scored
+    # once every scored row is drawn, the next look-ahead scores a block
+    # again, whether the last draw read past them or ended on the last one
+    moves = _Moves(st.InterfaceTopology(mesh, phases),
+                   np.random.default_rng(3), LOOK_AHEAD, model=model)
+    ended = 0
+    for _ in range(40):
+        moves.look_ahead()
+        assert moves.scored_rows and len(moves.rows)
+        assert all((tet_to_0, tet_to_1) in moves.scored
+                   for tet_to_0, tet_to_1, matched in moves.swaps if matched)
+        mass_preserving_move(mesh, phases, moves)
+        moves.reject()
+        ended += not len(moves.rows)
+    assert ended
 
 
 def test_move_matches_full_extraction_oracle():
@@ -311,19 +371,23 @@ def test_failed_solve_is_retried_only_from_a_moved_start(monkeypatch, moved,
     assert np.array_equal(starts[-1], mesh.vertices)
 
 
-@pytest.mark.parametrize("cause", ["no_move", "interface"])
+@pytest.mark.parametrize("cause", ["no_move", "interface", "solve"])
 def test_abort_names_the_failures_by_cause(monkeypatch, cause):
     """When more than half the moves at a temperature fail, the error
     counts them by cause, not all as failed inner solves."""
     import sharptop.topopt as topopt
     from sharptop.varifold import InterfaceError
+    mesh = pinned_mesh(3)
+    inputs = (mesh, slab_labels(mesh, 0.5, axis=0), annealing_model(),
+              fast_config(mode=REFERENTIAL, seed=1))
     if cause == "no_move":
         def failing(*args, **kwargs):
             raise TopOptError("no admissible move found")
         monkeypatch.setattr(topopt, "mass_preserving_move", failing)
-        counts = "5 found no move, 0 failed interface extraction"
-    else:   # every energy after the start's; the look-ahead's scores
-        # flag every swap as degenerate, which sends it to the full pass
+        counts = "5 found no move, 0 failed interface extraction and 0"
+    elif cause == "interface":   # every energy after the start's; the
+        # look-ahead's scores flag every swap as degenerate, which sends
+        # it to the full pass
         real, calls = topopt.referential_energy, []
         scored = topopt.swap_energy_changes
 
@@ -340,14 +404,24 @@ def test_abort_names_the_failures_by_cause(monkeypatch, cause):
                     *(np.full_like(c, np.nan) for c in changes))
         monkeypatch.setattr(topopt, "referential_energy", failing)
         monkeypatch.setattr(topopt, "swap_energy_changes", degenerate)
-        counts = "0 found no move, 5 failed interface extraction"
-    mesh = pinned_mesh(3)
+        counts = "0 found no move, 5 failed interface extraction and 0"
+    else:   # every proposal's solve, warm and cold, in a loaded run whose
+        # hot stage 1 passes every candidate
+        real = topopt._descend
+
+        def unconverged(*args):
+            state, report, passed = real(*args)
+            report.converged = False
+            return state, report, passed
+        monkeypatch.setattr(topopt, "_descend", unconverged)
+        mesh, phases, model = loaded_run_inputs()
+        inputs = (mesh, phases, model, replace(fast_config(seed=0),
+                                               t_initial=100.0))
+        counts = "0 found no move, 0 failed interface extraction and 5"
     with pytest.raises(TopOptError, match=(
-            rf"^more than half the moves failed at T=1.0: {counts} and 0 "
-            r"failed inner solves, of 5$")):
-        optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
-                          annealing_model(),
-                          fast_config(mode=REFERENTIAL, seed=1))
+            rf"^more than half the moves failed at T={inputs[3].t_initial}: "
+            rf"{counts} failed inner solves, of 5$")):
+        optimize_topology(*inputs)
 
 
 def test_move_rejects_empty_phase(small_mesh, uniform_phase1):
@@ -454,6 +528,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match=key):
             TopOptConfig(**{key: bad})
     assert TopOptConfig(snapshot_every=0).snapshot_every == 0
+    for key in ("eta", "t_initial", "t_decay", "t_final"):
+        for bad in (True, "x", None):
+            with pytest.raises(ValueError, match=f"^{key} must be a number"):
+                TopOptConfig(**{key: bad})
 
 
 def test_snapshot_callback_invoked():
@@ -644,7 +722,7 @@ def test_only_kept_states_are_checked(monkeypatch):
 def test_failed_check_of_a_kept_state_rejects_the_move(monkeypatch):
     """When the check of an accepted candidate fails, the move is a
     rejected solve: its trace row reads rejected at the kept objective,
-    the topology is undone, and the next solved proposal starts from the
+    the reader undoes the swap, and the next solved proposal starts from the
     kept state and labels; the best state is not the candidate's.  The
     schedule is hot, so that candidates pass stage 1 and reach the
     check."""
@@ -705,6 +783,88 @@ def test_failed_extraction_at_either_stage_rejects_the_interface(
     assert result.rejected_interface == 1
     assert result.rejected_moves == 1 + result.rejected_metropolis
     assert result.accepted_moves > 0
+
+
+@pytest.mark.parametrize("case, mode", [("loaded", EULERIAN),
+                                        ("no-move", EULERIAN),
+                                        ("no-move", REFERENTIAL)])
+def test_one_move_call_per_step(monkeypatch, case, mode):
+    """perfbench classifies annealing steps by the calls of
+    `topopt.mass_preserving_move`, looked up on the module, and needs one
+    call per trace row.  The annealer makes one per step: in a loaded
+    Eulerian run, whose candidates are solved, and in runs on a jittered
+    box with steps that find no move, where the call raises."""
+    import sharptop.topopt as topopt
+    real, calls = topopt.mass_preserving_move, []
+
+    def counted(*args, **kwargs):
+        calls.append(False)
+        phases = real(*args, **kwargs)
+        calls[-1] = True
+        return phases
+    monkeypatch.setattr(topopt, "mass_preserving_move", counted)
+    if case == "loaded":
+        mesh, phases, model = loaded_run_inputs()
+    else:
+        mesh = jittered_box_mesh((3, 3, 3), np.random.default_rng(0), 0.05)
+        phases, model = slab_labels(mesh, 0.5, axis=0), annealing_model()
+    result = optimize_topology(mesh, phases, model,
+                               fast_config(mode=mode, seed=0))
+    assert len(calls) == len(result.trace) == 15
+    assert calls.count(False) == result.rejected_no_move
+    assert (result.rejected_no_move > 0) == (case == "no-move")
+    assert result.accepted_moves > 0
+    assert (result.inner_iterations > 0) == (case == "loaded")
+
+
+def test_failed_retry_rejects_the_solve_and_undoes_the_swap(monkeypatch):
+    """A proposal whose solve fails warm and again from the identity is a
+    rejected solve: its trace row reads rejected at the kept objective,
+    the move reader undoes its swap on the topology, every later
+    interface is read from the topology of its own labels, and the run
+    goes on accepting."""
+    import sharptop.topopt as topopt
+    real_descend, real_terms = topopt._descend, topopt._interface_terms
+    real_move, real_reject = topopt.mass_preserving_move, topopt._Moves.reject
+    steps, solves, undone = [], [], []
+
+    def move(*args, **kwargs):
+        steps.append(1)
+        return real_move(*args, **kwargs)
+
+    def descend(mesh, warm, *args):
+        state, report, passed = real_descend(mesh, warm, *args)
+        solves.append((len(steps) - 1, warm))
+        if len(solves) <= 2:
+            report.converged = False
+        return state, report, passed
+
+    def terms(mesh, state, labels, model, mode, topology):
+        assert np.array_equal(topology.labels, labels.labels)
+        return real_terms(mesh, state, labels, model, mode, topology)
+
+    def reject(self):
+        undone.append((len(steps) - 1, self.applied))
+        real_reject(self)
+
+    monkeypatch.setattr(topopt, "mass_preserving_move", move)
+    monkeypatch.setattr(topopt, "_descend", descend)
+    monkeypatch.setattr(topopt, "_interface_terms", terms)
+    monkeypatch.setattr(topopt._Moves, "reject", reject)
+    mesh, phases, model = loaded_run_inputs()
+    config = replace(fast_config(seed=0), t_initial=100.0, t_final=20.0)
+    result = optimize_topology(mesh, phases, model, config)
+    (f, warm), (retry, cold) = solves[:2]
+    assert retry == f
+    assert not np.array_equal(warm.positions, mesh.vertices)
+    assert np.array_equal(cold.positions, mesh.vertices)
+    assert result.rejected_solve == 1
+    row = result.trace[f]
+    assert not row.accepted
+    assert row.objective == (result.trace[f - 1].objective if f else
+                             result.initial_objective)
+    assert (f, True) in undone
+    assert any(r.accepted for r in result.trace[f + 1:])
 
 
 ORACLE_CASES = {
@@ -868,7 +1028,7 @@ def test_lookahead_changes_only_the_work(monkeypatch):
     monkeypatch.setattr(topopt, "mass_preserving_move", counted)
     mesh, phases, config = cold_referential_run()
     runs = [optimize_topology(mesh, phases, annealing_model(), config)]
-    monkeypatch.setattr(topopt._LookAhead, "fill", lambda self: None)
+    monkeypatch.setattr(topopt._Moves, "look_ahead", lambda self: None)
     runs.append(optimize_topology(mesh, phases, annealing_model(), config))
     ahead, plain = runs
     assert len(calls) == 2 * len(ahead.trace) == 120
