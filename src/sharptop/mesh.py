@@ -87,6 +87,20 @@ def corner_terms(e1, e2, twice_area, areas):
     return angles, cot, share
 
 
+def face_terms(positions, tris):
+    """The areas (n,) of the triangles `tris` (n, 3) at `positions`,
+    and the angles, their cotangents and the mixed-area shares at their
+    corners (3, 3, n), by `corner_crosses` and `corner_terms`.  A
+    triangle of area <= 0 is degenerate: its terms are zero."""
+    e1, e2, _, twice_area = corner_crosses(np.take(positions.T, tris.T,
+                                                   axis=1))
+    area = 0.5 * twice_area[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.array(corner_terms(e1, e2, twice_area, area))
+    terms[:, :, area <= 0] = 0.0
+    return area, terms
+
+
 def _cofactors(A, out):
     """Write Cof A into `out` and return det A, for 3x3 matrices stored
     component first, (3, 3, ...): rows r1 x r2, r2 x r0, r0 x r1 of the rows
@@ -356,27 +370,18 @@ class ReferenceMesh:
 
     @cached_property
     def interior_face_terms(self):
-        """Each interior face's area (ni,), and the angles, their
-        cotangents and the mixed-area shares at the corners of its sorted
-        triple (3, 3, ni), at the reference positions, by `corner_crosses`
-        and `corner_terms`: the per-face terms of every referential
-        interface, whichever way its faces point.  Built _TERM_CHUNK
-        faces at a time, which bounds the kernel's temporaries.
-
-        On a mesh of edges near 1e-90 a face's squared cross underflows
-        to a zero area, which makes a cotangent infinite; such a face is
-        degenerate to extraction, which raises on its area before any
-        of its corner terms are read."""
+        """The `face_terms` of the interior faces' sorted triples at the
+        reference positions, (ni,) and (3, 3, ni): the per-face terms of
+        every interface there, whichever way its faces point.  Built
+        _TERM_CHUNK faces at a time, which bounds the kernel's
+        temporaries.  On a mesh of edges near 1e-90 a face's squared
+        cross underflows to a zero area, which makes it degenerate."""
         ni = len(self.interior_faces)
         areas, terms = np.empty(ni), np.empty((3, 3, ni))
         for lo in range(0, ni, _TERM_CHUNK):
             part = slice(lo, lo + _TERM_CHUNK)
-            e1, e2, _, twice_area = corner_crosses(np.take(
-                self.vertices.T, self.interior_faces[part].T, axis=1))
-            areas[part] = 0.5 * twice_area[0]
-            with np.errstate(divide="ignore"):
-                terms[:, :, part] = corner_terms(e1, e2, twice_area,
-                                                 areas[part])
+            areas[part], terms[:, :, part] = face_terms(
+                self.vertices, self.interior_faces[part])
         return _read_only(areas), _read_only(terms)
 
     @cached_property

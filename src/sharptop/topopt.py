@@ -10,26 +10,27 @@ A proposal costs work in the two swapped tets, not in the mesh, where
 it can.  The annealer keeps the labeling's `InterfaceTopology` and
 updates it per swap, so drawing a candidate and checking it for
 non-manifold edges visit only the swapped tets' faces and edges, and
-extraction reads its cut faces, flips and edge counts from it.
+the interface energy reads its cut faces, flips and edge counts from it.
 
 Every candidate is decided in two stages (Christen and Fox 2005, MCMC
 using an approximation).  Stage 1 holds the accepted state: the change
 d1 is the accepted compliance plus the candidate's interface energy,
-less the accepted objective.  That energy is extracted at the accepted
-positions, or in referential mode read by `referential_energy`, one
-pass over the cut faces' terms stored on the mesh.  When d1 is not
-negative, stage 1 draws the Metropolis stream's next uniform and
-rejects the candidate unsolved unless it lies below exp(-d1 / T).  With
-equal phase scales and no body load a swap is inert: the bulk weights
-and the load vector do not depend on the labels, so a candidate's
-equilibrium problem is the accepted one, whose state came from a
-converged solve.  Such a candidate keeps that state and compliance and
-runs no mechanics, so d1 is its exact change and stage 1 is final.
-Stage 2 solves every other candidate, warm started from the accepted
-state, and accepts by `_second_stage`, which draws a second uniform
-only when its ratio is below one.  While the accepted-move count is a
-positive multiple of `COLD_SOLVE_EVERY`, every proposal is solved from
-the identity (a cold start) until one of them is accepted.
+less the accepted objective.  That energy is `labeling_energy` at the
+accepted positions, one pass over the cut faces' terms; the mode only
+picks the positions, the accepted state's (Eulerian) or the reference
+ones (referential).  When d1 is not negative, stage 1 draws the
+Metropolis stream's next uniform and rejects the candidate unsolved
+unless it lies below exp(-d1 / T).  With equal phase scales and no
+body load a swap is inert: the bulk weights and the load vector do not
+depend on the labels, so a candidate's equilibrium problem is the
+accepted one, whose state came from a converged solve.  Such a
+candidate keeps that state and compliance and runs no mechanics, so d1
+is its exact change and stage 1 is final.  Stage 2 solves every other
+candidate, warm started from the accepted state, and accepts by
+`_second_stage`, which draws a second uniform only when its ratio is
+below one.  While the accepted-move count is a positive multiple of
+`COLD_SOLVE_EVERY`, every proposal is solved from the identity (a cold
+start) until one of them is accepted.
 
 A solved proposal pays for its iterations and little else.  Every
 solve of a run is preconditioned by one `Preconditioner`, the start
@@ -49,10 +50,10 @@ seed, so the draws of the coming moves do not depend on the decisions
 made before them.  The annealer reads the move stream through one
 `_Moves` reader, in blocks of `LOOK_AHEAD` rows.  A row's swap depends
 on the accepted labeling alone, so `_swaps` maps each block once, and
-the unread rows again after an accepted move.  In referential mode,
-while at most `LOOK_AHEAD_ACCEPTS` of the last `LOOK_AHEAD` steps were
-accepted and no unread row is scored, the reader tops its unread rows
-up to a block and scores their swaps in one call of
+the unread rows again after an accepted move.  While at most
+`LOOK_AHEAD_ACCEPTS` of the last `LOOK_AHEAD` steps were accepted and
+no unread row is scored, the reader tops its unread rows up to a block
+and scores their swaps at the accepted positions in one call of
 `varifold.swap_energy_changes`.  The scores, and which swaps are
 admissible, hold until the next accepted move.  A scored swap is not
 applied to the topology unless a full pass or an acceptance needs it.
@@ -76,8 +77,7 @@ from .kinematics import boundary_self_intersects, identity_state
 from .solve import (Preconditioner, SolveOptions, _descend,
                     minimize_equilibrium)
 from .varifold import (ROUNDING, InterfaceError, InterfaceTopology,
-                       PhaseLabeling, extract_interface, interface_energy,
-                       referential_energy, swap_energy_changes, varifold_mass)
+                       PhaseLabeling, labeling_energy, swap_energy_changes)
 
 EULERIAN = "EULERIAN"
 REFERENTIAL = "REFERENTIAL"
@@ -137,12 +137,12 @@ def compliance(mesh, state, phases, model, loads=None):
 def objective(mesh, state, phases, model, mode=EULERIAN):
     """Compliance plus interface energy (Eulerian or referential placement).
 
-    In referential mode the interface is extracted at the reference
-    positions; in Eulerian mode at the deformed positions.
+    In referential mode the interface lies at the reference positions; in
+    Eulerian mode at the deformed positions.
     """
-    positions = mesh.vertices if mode == REFERENTIAL else state.positions
-    V = extract_interface(mesh, state, phases, positions=positions)
-    return compliance(mesh, state, phases, model) + interface_energy(V, model)
+    positions = None if mode == REFERENTIAL else state.positions
+    return compliance(mesh, state, phases, model) + labeling_energy(
+        InterfaceTopology(mesh, phases), model, positions)[0]
 
 
 def mass_preserving_move(mesh, phases, rng,
@@ -188,8 +188,8 @@ def _swaps(mesh, topology, rows, bias):
 class _Moves:
     """The move reader on `topology`'s accepted labeling: reads the move
     stream `rng` in blocks of `block` rows and tries their swaps in
-    stream order, a scored swap from its score (with a `model`, see the
-    module docstring), any other with `try_swap`.  A swap keeps the size
+    stream order, a scored swap from its score (see the module
+    docstring), any other with `try_swap`.  A swap keeps the size
     of both phases, so whether one is empty is decided once.
     `nonmanifold` counts the drawn swaps dropped as non-manifold.
     """
@@ -238,11 +238,10 @@ class _Moves:
         self.nonmanifold += not kept
         return kept
 
-    def look_ahead(self):
-        """With a model, and under the module docstring's rule, top the
-        unread rows up to a block and score their unscored swaps."""
-        if (self.model is None or self.empty
-                or (self.scored_rows and len(self.rows))
+    def look_ahead(self, positions):
+        """Under the module docstring's rule, top the unread rows up to a
+        block and score their unscored swaps at the accepted `positions`."""
+        if (self.empty or (self.scored_rows and len(self.rows))
                 or sum(self.recent) > LOOK_AHEAD_ACCEPTS):
             return
         self._read(self.block - len(self.rows))
@@ -252,7 +251,7 @@ class _Moves:
             if swap not in self.scored]
         if swaps:
             admissible, _, energy, bound = swap_energy_changes(
-                self.topology, *np.array(swaps).T, self.model)
+                self.topology, *np.array(swaps).T, self.model, positions)
             self.scored.update(zip(swaps, zip(
                 admissible.tolist(), energy.tolist(), bound.tolist())))
 
@@ -333,15 +332,6 @@ class TopOptResult:
     surrogate_rejections: int = 0   # stage-1 rejections of unkept candidates
 
 
-def _interface_terms(mesh, state, phases, model, mode, topology):
-    """A candidate's interface energy and mass; `topology` is the
-    `InterfaceTopology` of `phases`."""
-    if mode == REFERENTIAL:
-        return referential_energy(topology, model)
-    V = extract_interface(mesh, state, phases, topology=topology)
-    return interface_energy(V, model), varifold_mass(V)
-
-
 def optimize_topology(mesh, init_phases, model, config, state0=None,
                       snapshot_callback=None):
     """Simulated annealing over labelings with inner equilibrium solves."""
@@ -394,21 +384,13 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
         return (state, compliance(mesh, state, phases, model, loads),
                 passed is not None)
 
-    def reverse_energy(cand_state):
-        """The accepted labeling's interface energy at `cand_state`'s
-        positions, the candidate's swap undone on the topology for the
-        extraction and redone after it."""
-        swap = topology.last_swap
-        topology.undo()
-        try:
-            return _interface_terms(mesh, cand_state, phases, model, EULERIAN,
-                                    topology)[0]
-        finally:
-            topology.swap(*swap)
+    def at(state):
+        """The positions of `state`'s interface: the reference positions
+        (None) in referential mode."""
+        return None if config.mode == REFERENTIAL else state.positions
 
     state, comp, _ = solve(phases, state, checked_solve)
-    eint, mu = _interface_terms(mesh, state, phases, model, config.mode,
-                                topology)
+    eint, mu = labeling_energy(topology, model, at(state))
     obj = comp + eint
     best = (state, phases, obj)
     initial_obj, initial_mu = obj, mu
@@ -418,8 +400,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
     rejected = dict.fromkeys(("no_move", "interface", "solve", "metropolis"),
                              0)
     skipped = decided = surrogate = 0
-    moves = _Moves(topology, move_rng, LOOK_AHEAD,
-                   model=model if config.mode == REFERENTIAL else None)
+    moves = _Moves(topology, move_rng, LOOK_AHEAD, model=model)
     step = 0
     temperature = config.t_initial
     while temperature > config.t_final:
@@ -427,7 +408,7 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
         for _ in range(config.steps_per_temperature):
             step += 1
             cause = uniform = None
-            moves.look_ahead()
+            moves.look_ahead(at(state))
             # the step's move is drawn through `mass_preserving_move`, once
             # per step, since perfbench classifies steps by its calls
             try:
@@ -453,9 +434,8 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                 # stage 1: the change with the accepted state held
                 moves.apply()
                 try:
-                    c_eint, c_mu = _interface_terms(mesh, state, candidate,
-                                                    model, config.mode,
-                                                    topology)
+                    c_eint, c_mu = labeling_energy(topology, model,
+                                                   at(state))
                 except InterfaceError:
                     cause = "interface"
                 else:
@@ -474,10 +454,14 @@ def optimize_topology(mesh, init_phases, model, config, state0=None,
                         candidate, identity_state(mesh) if cold else state)
                     x_eint = eint
                     if config.mode == EULERIAN:
-                        c_eint, c_mu = _interface_terms(
-                            mesh, cand_state, candidate, model, EULERIAN,
-                            topology)
-                        x_eint = reverse_energy(cand_state)
+                        c_eint, c_mu = labeling_energy(
+                            topology, model, cand_state.positions)
+                        topology.undo()   # the accepted labels, for x_eint
+                        try:
+                            x_eint = labeling_energy(
+                                topology, model, cand_state.positions)[0]
+                        finally:
+                            topology.undo()   # the candidate's again
                 except InterfaceError:
                     cause = "interface"
                 except TopOptError:

@@ -10,11 +10,11 @@ vector with angle-defect Gaussian curvature; the full-curvature
 magnitude is recovered through a_norm^2 = 2 * |II|^2 with |II|^2
 estimated as 4|H|^2 - 2K.
 
-At the reference positions, `referential_energy` gives a labeling's
-interface energy and mass bit for bit as extraction does, from the
-faces' terms stored on the mesh, and `swap_energy_changes` gives their
-changes under K swaps, each taken on its own, in one batched pass, with
-a bound on the energy change's rounding.
+`labeling_energy` gives a labeling's interface energy and mass at any
+positions bit for bit as extraction does, from the cut faces' terms
+alone, and `swap_energy_changes` gives their changes under K swaps,
+each taken on its own, in one batched pass, with a bound on the energy
+change's rounding.
 """
 
 from dataclasses import dataclass, field, replace
@@ -23,7 +23,7 @@ import numpy as np
 
 from .energy import interface_density
 from .mesh import (_NEXT, _PREV, _dot, _edge_cofactors, _read_only,
-                   corner_crosses, corner_terms, edge_keys)
+                   corner_crosses, corner_terms, edge_keys, face_terms)
 from .quadrature import map_to_simplex, tet_rule, triangle_rule
 
 
@@ -234,19 +234,16 @@ def varifold_from_triangles(vertices, faces):
         vertices=np.asarray(vertices, float), faces=np.asarray(faces, int)))
 
 
-def extract_interface(mesh, state, phases, positions=None, topology=None):
+def extract_interface(mesh, state, phases, positions=None):
     """Interface varifold of a labeled, deformed mesh.
 
     `positions` overrides the deformed coordinates (pass mesh.vertices for
-    the referential interface); `topology` is the labeling's
-    `InterfaceTopology`, when the caller keeps one.  Raises on
-    non-manifold interface edges interior to the domain.
+    the referential interface).  Raises on non-manifold interface edges
+    interior to the domain.
     """
     if positions is None:
         positions = state.positions
-    if topology is None:
-        topology = InterfaceTopology(mesh, phases)
-    tris, flip, edges, counts = topology.triangles()
+    tris, flip, edges, counts = InterfaceTopology(mesh, phases).triangles()
     tris[flip] = tris[flip][:, [0, 2, 1]]
     used = _unique(tris)
     remap = np.full(mesh.n_vertices, -1, int)
@@ -281,8 +278,7 @@ def discrete_curvature_inplace(V, edge_counts=None):
     `V.domain_boundary_edges`, when the caller already has them.
 
     The per-face terms come from `mesh.corner_terms`, the per-vertex sums
-    from `_vertex_sums`; `referential_energy` reads the former from the
-    mesh and runs the latter.
+    from `_vertex_sums`, which `labeling_energy` runs too.
     """
     nv = len(V.vertices)
     p = np.take(V.vertices.T, V.faces.T, axis=1)    # (xyz, corner, face)
@@ -368,32 +364,41 @@ def interface_energy(V, model):
     return float(np.sum(V.mixed_area * interface_density(V.a_norm, model)))
 
 
-def referential_energy(topology, model):
-    """Interface energy and mass of the `InterfaceTopology`'s labeling at
-    the reference positions: bit for bit `interface_energy` and
-    `varifold_mass` of `extract_interface(..., positions=mesh.vertices)`,
-    and raising as it would.
+def _face_terms(mesh, faces, positions, slots=slice(None)):
+    """The `mesh.face_terms` of the interior `faces` at `positions` (None:
+    the reference positions, whose terms the mesh stores): areas (n,) and
+    terms at their sorted triples' slots `slots` (3, n), in one gather.
+    A term has the same bits whichever way its face points."""
+    if positions is None:
+        area, terms = mesh.interior_face_terms
+    else:
+        area, terms = face_terms(positions, mesh.interior_faces[faces])
+        faces = np.arange(len(faces))
+    return area[faces], terms[:, slots, faces]
 
-    One pass over the cut faces, ascending, reads their terms from
-    `mesh.interior_face_terms` in place of the corner kernel.  Each term
-    has the kernel's bits whichever way the face points (`corner_terms`),
-    and the terms are permuted to the oriented corners, so
-    `_vertex_sums` adds the same terms in the same order as extraction.
+
+def labeling_energy(topology, model, positions=None):
+    """Interface energy and mass of the `InterfaceTopology`'s labeling at
+    `positions` (None: the reference positions): bit for bit
+    `interface_energy` and `varifold_mass` of `extract_interface(...,
+    positions=...)`, and raising as it would.
+
+    One pass over the cut faces, ascending, takes their `_face_terms` at
+    the oriented corners: `_vertex_sums` adds extraction's terms in its
+    order.
     """
     topology._check_manifold()
     mesh, nv = topology.mesh, topology.mesh.n_vertices
     faces = np.flatnonzero(topology.cut)
-    area, terms = mesh.interior_face_terms
-    area = area[faces]
-    if (area <= 0).any():
-        raise InterfaceError("degenerate interface triangle")
     # the sorted slot at each corner: 1 and 2 trade places on a flip
     slots = _CORNER_SLOTS[topology._flips(faces).view(np.int8)]
+    area, (angles, cot, share) = _face_terms(mesh, faces, positions, slots.T)
+    if (area <= 0).any():
+        raise InterfaceError("degenerate interface triangle")
     tris = mesh.interior_faces[faces[:, None], slots]
-    angles, cot, share = terms[:, slots.T, faces]
+    xyz = mesh.vertices if positions is None else positions
     mixed, lap, angle_sum = _vertex_sums(
-        tris, np.take(mesh.vertices.T, tris.T, axis=1), angles, cot, share,
-        nv)
+        tris, np.take(xyz.T, tris.T, axis=1), angles, cot, share, nv)
     edges = mesh.interior_face_edges[faces]
     interior = _off_edges(mesh.interior_edge_keys[
         edges[topology.edge_count[edges] == 1]], nv)
@@ -411,28 +416,30 @@ _EPS = np.finfo(float).eps
 _SIDES = np.array([[-1.0], [1.0]])   # the least, then the largest
 
 
-def _slot_terms(mesh, faces):
-    """Each interior face's terms at the vertices of its sorted triple,
-    whichever way it points, (7, slot, face): 1, the mixed-area share,
-    the angle, the cotangent-Laplacian term (xyz) and the summed
-    absolute components of that term's two parts."""
+def _slot_terms(mesh, faces, positions):
+    """The interior `faces`' areas at `positions` (see `_face_terms`),
+    and their terms at the vertices of their sorted triples, whichever
+    way they point, (7, slot, face): 1, the mixed-area share, the angle,
+    the cotangent-Laplacian term (xyz) and the summed absolute components
+    of that term's two parts."""
     out = np.empty((7, 3, len(faces)))
     out[0] = 1.0
-    angles, cot, out[1] = mesh.interior_face_terms[1][:, :, faces]
+    area, (angles, cot, out[1]) = _face_terms(mesh, faces, positions)
     out[2] = angles
-    p = np.take(mesh.vertices.T, mesh.interior_faces[faces].T, axis=1)
+    xyz = mesh.vertices if positions is None else positions
+    p = np.take(xyz.T, mesh.interior_faces[faces].T, axis=1)
     # the edge from slot j to j + 1 is opposite j + 2, the one to j + 2
     # opposite j + 1
     to_next, to_prev = cot[_PREV] * (p - p[:, _NEXT]), cot[_NEXT] * (
         p - p[:, _PREV])
     np.add(to_next, to_prev, out=out[3:6])
     out[6] = (np.abs(to_next) + np.abs(to_prev)).sum(axis=0)
-    return out
+    return area, out
 
 
 def _energy_range(mixed, lap, angle_sum, interior, error, model):
     """The least and the largest energy share, mixed area times
-    Psi(a_norm) as `referential_energy` takes it, of vertices whose sums
+    Psi(a_norm) as `labeling_energy` takes it, of vertices whose sums
     lie within `error` (3, n) of the given mixed areas, norms of
     cotangent Laplacians and angle sums, (2, n); the mixed areas stay
     positive."""
@@ -492,38 +499,41 @@ def _swap_flips(topology, pairs):
     return swap, faces, sign, corners, at, bins, before, after, admissible
 
 
-def _cut_sums(topology):
-    """The sums over each vertex's cut faces of their `_slot_terms`
-    (nv, 7), and each vertex's count of single-face edges (nv,)."""
+def _cut_sums(topology, positions):
+    """Each vertex's sums of its cut faces' `_slot_terms` at `positions`
+    (nv, 7) and its count of single-face edges (nv,)."""
     mesh, nv = topology.mesh, topology.mesh.n_vertices
     cut = np.flatnonzero(topology.cut)
     q = np.arange(7)[:, None, None]
     sums = np.bincount((mesh.interior_faces[cut].T * 7 + q).ravel(),
-                       _slot_terms(mesh, cut).ravel(), minlength=7 * nv)
+                       _slot_terms(mesh, cut, positions)[1].ravel(),
+                       minlength=7 * nv)
     singles = np.bincount(np.concatenate(divmod(mesh.interior_edge_keys[
         topology.edge_count == 1], nv)), minlength=nv)
     return sums.reshape(nv, 7), singles
 
 
-def swap_energy_changes(topology, tet_to_0, tet_to_1, model):
-    """The change of the referential interface energy that each swap of
-    phase-1 `tet_to_0[k]` to 0 and phase-0 `tet_to_1[k]` to 1 makes to
-    the `InterfaceTopology`'s labeling, each swap taken on its own and
-    none applied: one call scores K swaps.  The labeling's own
-    `referential_energy` must not raise.
+def swap_energy_changes(topology, tet_to_0, tet_to_1, model,
+                        positions=None):
+    """The change of the interface energy at `positions` (None: the
+    reference positions) that each swap of phase-1 `tet_to_0[k]` to 0 and
+    phase-0 `tet_to_1[k]` to 1 makes to the `InterfaceTopology`'s
+    labeling, each swap taken on its own and none applied: one call
+    scores K swaps.  The labeling's own `labeling_energy` at `positions`
+    must not raise.
 
     Returns (admissible, degenerate, energy, bound), each (K,): whether
-    `try_swap` would keep the swap; whether `referential_energy` might
+    `try_swap` would keep the swap; whether `labeling_energy` might
     raise on the swapped labeling (a cut face of area <= 0, or a vertex
     whose mixed area may not be positive); and, for an admissible swap
     that is not degenerate, the energy change and a bound on its distance
-    from the difference of `referential_energy` after and before the
+    from the difference of `labeling_energy` after and before the
     swap, short of ROUNDING times the two energies (nan elsewhere).
 
     A swap flips at most eight faces, all of them faces of its two tets,
     so only the two tets' eight corners change their vertex sums, or, for
     a face of both tets, which turns over, the order of their terms.  A
-    base pass, one bincount over the cut faces' stored terms, gives every
+    base pass, one bincount over the cut faces' terms, gives every
     vertex's mixed area, cotangent Laplacian, angle sum and cut-face
     count; one over the flipped faces' terms, signed, gives their
     changes, in bins offset by swap; the corners' energies are taken
@@ -541,8 +551,9 @@ def swap_energy_changes(topology, tet_to_0, tet_to_1, model):
     # vertex sums per corner (1, mixed, angle, lap xyz, lap size): before
     # the swap, and the flipped faces' changes and magnitudes; single-face
     # edges per corner before and after
-    sums, singles = (b[corners.ravel()] for b in _cut_sums(topology))
-    terms = _slot_terms(mesh, faces)
+    sums, singles = (b[corners.ravel()]
+                     for b in _cut_sums(topology, positions))
+    area, terms = _slot_terms(mesh, faces, positions)
     at = ((swap[:, None] * 8 + at).T * 7 + np.arange(7)[:, None, None]
           ).ravel()
     size = np.bincount(at, terms.ravel(), minlength=56 * n).reshape(-1, 7)
@@ -573,7 +584,6 @@ def swap_energy_changes(topology, tet_to_0, tet_to_1, model):
     energy = np.bincount(owner, side * (energies[0] + energies[1]),
                          minlength=n)
     bound = 0.5 * np.bincount(owner, energies[1] - energies[0], minlength=n)
-    area = mesh.interior_face_terms[0][faces]
     degenerate = (np.bincount(owner, on & ~ok, minlength=n)
                   + np.bincount(swap, (sign > 0) & (area <= 0),
                                 minlength=n)) > 0

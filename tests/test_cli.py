@@ -195,9 +195,9 @@ def test_topopt_command_outputs(tmp_path):
     # and so no solve takes a step: no factor and no injectivity check
     assert summary["inner_iterations"] == 0
     assert summary["injectivity_checks"] == 0
-    # an Eulerian run scores no swaps ahead, and stage 1 is final for
-    # every inert candidate
-    assert summary["lookahead_decisions"] == 0
+    # stage 1 is final for every inert candidate, whether a scored change
+    # decided its rejection or a full pass did
+    assert summary["lookahead_decisions"] <= summary["rejected_metropolis"]
     assert summary["surrogate_rejections"] == 0
     with open(out / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -262,7 +262,9 @@ def test_topopt_start_off_the_mass_target_exit_2(tmp_path, capsys, labels,
 def test_topopt_summary_counts_stage_one_rejections(tmp_path):
     """In a loaded two-phase Eulerian run no swap is inert:
     `surrogate_rejections` counts the candidates that stage 1 rejected
-    unsolved, part of `rejected_metropolis`; the others were solved."""
+    unsolved, part of `rejected_metropolis`; the others were solved.
+    Some of those rejections were decided from the look-ahead's scored
+    changes at the accepted state's positions."""
     out = tmp_path / "topo"
     assert main(["topopt", "--scenario", topopt_scenario(tmp_path,
                                                          loaded=True),
@@ -270,7 +272,9 @@ def test_topopt_summary_counts_stage_one_rejections(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert 0 < summary["surrogate_rejections"] \
         <= summary["rejected_metropolis"]
-    assert summary["skipped_solves"] == summary["lookahead_decisions"] == 0
+    assert summary["skipped_solves"] == 0
+    assert 0 < summary["lookahead_decisions"] \
+        <= summary["surrogate_rejections"]
     assert summary["accepted_moves"] > 0 and summary["inner_iterations"] > 0
 
 

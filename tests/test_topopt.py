@@ -215,18 +215,20 @@ def test_swaps_of_a_block_are_its_rows_swaps(monkeypatch, bias):
 def test_lookahead_scores_the_unread_rows_at_the_accepted_labeling():
     """After `look_ahead`, the move reader holds a block of unread rows
     and the scores of exactly the swaps that they give at the accepted
-    labeling, as one call of `swap_energy_changes` gives them; it reads
-    and scores no more while an unread row is scored.  After an accepted
-    move it holds no score and no mapped row.  Once more than
-    LOOK_AHEAD_ACCEPTS of the last LOOK_AHEAD steps were accepted, it
-    scores nothing."""
+    labeling and positions, as one call of `swap_energy_changes` gives
+    them; it reads and scores no more while an unread row is scored.
+    After an accepted move it holds no score and no mapped row.  Once
+    more than LOOK_AHEAD_ACCEPTS of the last LOOK_AHEAD steps were
+    accepted, it scores nothing."""
     mesh, model = pinned_mesh(4), annealing_model()
     phases = perturbed_slab_labels(mesh, 0, 3, 1)
     topology = st.InterfaceTopology(mesh, phases)
     moves = _Moves(topology, np.random.default_rng(2), LOOK_AHEAD,
                    model=model)
+    positions = mesh.vertices + 0.01 * np.random.default_rng(4) \
+        .standard_normal(mesh.vertices.shape)
     for _ in range(LOOK_AHEAD_ACCEPTS + 1):
-        moves.look_ahead()
+        moves.look_ahead(positions)
         assert len(moves.rows) == LOOK_AHEAD
         tet_to_0, tet_to_1, matched = _swaps(mesh, topology, moves.rows,
                                              INTERFACE_MOVE_BIAS)
@@ -234,19 +236,19 @@ def test_lookahead_scores_the_unread_rows_at_the_accepted_labeling():
                                        tet_to_1[matched].tolist())))
         assert list(moves.scored) == swaps
         admissible, _, energy, bound = st.swap_energy_changes(
-            topology, *np.array(swaps).T, model)
+            topology, *np.array(swaps).T, model, positions)
         np.testing.assert_array_equal(
             np.array(list(moves.scored.values()), float),
             np.column_stack([admissible, energy, bound]))
         phases = mass_preserving_move(mesh, phases, moves)
         rows = moves.rows
-        moves.look_ahead()
+        moves.look_ahead(positions)
         assert moves.rows is rows and list(moves.scored) == swaps
         moves.apply()   # as stage 1 does
         moves.accept()
         assert np.array_equal(topology.labels, phases.labels)
         assert moves.swaps is None and not moves.scored
-    moves.look_ahead()
+    moves.look_ahead(positions)
     assert moves.swaps is None and not moves.scored
     # once every scored row is drawn, the next look-ahead scores a block
     # again, whether the last draw read past them or ended on the last one
@@ -254,7 +256,7 @@ def test_lookahead_scores_the_unread_rows_at_the_accepted_labeling():
                    np.random.default_rng(3), LOOK_AHEAD, model=model)
     ended = 0
     for _ in range(40):
-        moves.look_ahead()
+        moves.look_ahead(None)
         assert moves.scored_rows and len(moves.rows)
         assert all((tet_to_0, tet_to_1) in moves.scored
                    for tet_to_0, tet_to_1, matched in moves.swaps if matched)
@@ -388,21 +390,21 @@ def test_abort_names_the_failures_by_cause(monkeypatch, cause):
     elif cause == "interface":   # every energy after the start's; the
         # look-ahead's scores flag every swap as degenerate, which sends
         # it to the full pass
-        real, calls = topopt.referential_energy, []
+        real, calls = topopt.labeling_energy, []
         scored = topopt.swap_energy_changes
 
-        def failing(topology, model):
+        def failing(topology, model, positions):
             calls.append(1)
             if len(calls) > 1:
                 raise InterfaceError("degenerate interface triangle")
-            return real(topology, model)
+            return real(topology, model, positions)
 
         def degenerate(*args):
             admissible, flagged, *changes = scored(*args)
             assert not flagged.any()
             return (admissible, np.ones_like(flagged),
                     *(np.full_like(c, np.nan) for c in changes))
-        monkeypatch.setattr(topopt, "referential_energy", failing)
+        monkeypatch.setattr(topopt, "labeling_energy", failing)
         monkeypatch.setattr(topopt, "swap_energy_changes", degenerate)
         counts = "0 found no move, 5 failed interface extraction and 0"
     else:   # every proposal's solve, warm and cold, in a loaded run whose
@@ -640,22 +642,43 @@ def test_one_preconditioner_per_run(monkeypatch, case):
     assert (result.inner_iterations > 0) == (case != "unloaded")
 
 
+def _checked_energy_reads(monkeypatch, candidates):
+    """Assert that every interface energy the annealer reads is read from
+    a topology that a rebuild from its labels equals, and that holds the
+    last of `candidates` (the labelings `mass_preserving_move` returned)
+    or, that swap undone, the labels it was drawn from; a read before the
+    first candidate is the start's."""
+    import sharptop.topopt as topopt
+    real = topopt.labeling_energy
+
+    def read(topology, model, positions):
+        fresh = st.InterfaceTopology(topology.mesh,
+                                     st.PhaseLabeling(topology.labels))
+        for name in ("cut", "edge_count", "tet_count"):
+            assert np.array_equal(getattr(topology, name),
+                                  getattr(fresh, name)), name
+        if candidates:
+            assert np.count_nonzero(
+                topology.labels != candidates[-1].labels) in (0, 2)
+        return real(topology, model, positions)
+    monkeypatch.setattr(topopt, "labeling_energy", read)
+
+
 def _recorded_proposals(monkeypatch, verdicts=None):
     """Record every proposal solve, as (step from 0, warm state, labels,
     state, whether its state is still to be checked), and every check the
     annealer makes; the n-th check answers verdicts[n] (default: the real
-    check).  Every interface is asserted to be read from the topology of
-    its own labels."""
+    check).  Every energy read is checked by `_checked_energy_reads`."""
     import sharptop.topopt as topopt
-    seen = {"steps": 0, "solves": [], "checks": []}
+    seen = {"steps": 0, "solves": [], "checks": [], "candidates": []}
     real_move = topopt.mass_preserving_move
     real_descend = topopt._descend
     real_check = topopt.boundary_self_intersects
-    real_terms = topopt._interface_terms
 
     def move(*args, **kwargs):
         seen["steps"] += 1
-        return real_move(*args, **kwargs)
+        seen["candidates"].append(real_move(*args, **kwargs))
+        return seen["candidates"][-1]
 
     def descend(mesh, warm, phases, *args):
         state, report, passed = real_descend(mesh, warm, phases, *args)
@@ -669,14 +692,10 @@ def _recorded_proposals(monkeypatch, verdicts=None):
             return real_check(mesh, positions)
         return verdicts[len(seen["checks"]) - 1]
 
-    def terms(mesh, state, phases, model, mode, topology):
-        assert np.array_equal(topology.labels, phases.labels)
-        return real_terms(mesh, state, phases, model, mode, topology)
-
     monkeypatch.setattr(topopt, "mass_preserving_move", move)
     monkeypatch.setattr(topopt, "_descend", descend)
     monkeypatch.setattr(topopt, "boundary_self_intersects", check)
-    monkeypatch.setattr(topopt, "_interface_terms", terms)
+    _checked_energy_reads(monkeypatch, seen["candidates"])
     return seen
 
 
@@ -760,23 +779,33 @@ def test_failed_extraction_at_either_stage_rejects_the_interface(
     the accepted positions) or in stage 2's reverse term (the accepted
     labels' at the candidate's positions) rejects the move as
     `rejected_interface`, not as a Metropolis rejection.  The topology is
-    left with the accepted labels: every later interface is read from the
-    topology of its own labels, and the run goes on accepting."""
+    left with the accepted labels: every later energy read is checked by
+    `_checked_energy_reads`, and the run goes on accepting."""
     import sharptop.topopt as topopt
     from sharptop.varifold import InterfaceError
-    real, calls, failed = topopt._interface_terms, [], []
+    real_move, candidates = topopt.mass_preserving_move, []
+    calls, failed = [], []
     mesh, phases, model = loaded_run_inputs()
 
-    def terms(mesh, state, labels, model, mode, topology):
-        assert np.array_equal(topology.labels, labels.labels)
-        calls.append(labels)
-        reverse = len(calls) > 1 and labels is phases
+    def move(*args, **kwargs):
+        candidates.append(real_move(*args, **kwargs))
+        return candidates[-1]
+
+    monkeypatch.setattr(topopt, "mass_preserving_move", move)
+    _checked_energy_reads(monkeypatch, candidates)
+    real = topopt.labeling_energy
+
+    def read(topology, model, positions):
+        calls.append(1)
+        # the reverse term reads the accepted labels, not the candidate's
+        reverse = candidates and not np.array_equal(topology.labels,
+                                                    candidates[-1].labels)
         if not failed and (reverse if stage == 2 else len(calls) == 2):
             failed.append(len(calls))
             raise InterfaceError("degenerate interface triangle")
-        return real(mesh, state, labels, model, mode, topology)
+        return real(topology, model, positions)
 
-    monkeypatch.setattr(topopt, "_interface_terms", terms)
+    monkeypatch.setattr(topopt, "labeling_energy", read)
     config = replace(fast_config(seed=0), t_initial=100.0, t_final=20.0)
     result = optimize_topology(mesh, phases, model, config)
     assert failed and len(calls) > failed[0]
@@ -821,16 +850,16 @@ def test_failed_retry_rejects_the_solve_and_undoes_the_swap(monkeypatch):
     """A proposal whose solve fails warm and again from the identity is a
     rejected solve: its trace row reads rejected at the kept objective,
     the move reader undoes its swap on the topology, every later
-    interface is read from the topology of its own labels, and the run
-    goes on accepting."""
+    energy read is checked by `_checked_energy_reads`, and the run goes on
+    accepting."""
     import sharptop.topopt as topopt
-    real_descend, real_terms = topopt._descend, topopt._interface_terms
+    real_descend = topopt._descend
     real_move, real_reject = topopt.mass_preserving_move, topopt._Moves.reject
     steps, solves, undone = [], [], []
 
     def move(*args, **kwargs):
-        steps.append(1)
-        return real_move(*args, **kwargs)
+        steps.append(real_move(*args, **kwargs))
+        return steps[-1]
 
     def descend(mesh, warm, *args):
         state, report, passed = real_descend(mesh, warm, *args)
@@ -839,17 +868,13 @@ def test_failed_retry_rejects_the_solve_and_undoes_the_swap(monkeypatch):
             report.converged = False
         return state, report, passed
 
-    def terms(mesh, state, labels, model, mode, topology):
-        assert np.array_equal(topology.labels, labels.labels)
-        return real_terms(mesh, state, labels, model, mode, topology)
-
     def reject(self):
         undone.append((len(steps) - 1, self.applied))
         real_reject(self)
 
     monkeypatch.setattr(topopt, "mass_preserving_move", move)
     monkeypatch.setattr(topopt, "_descend", descend)
-    monkeypatch.setattr(topopt, "_interface_terms", terms)
+    _checked_energy_reads(monkeypatch, steps)
     monkeypatch.setattr(topopt._Moves, "reject", reject)
     mesh, phases, model = loaded_run_inputs()
     config = replace(fast_config(seed=0), t_initial=100.0, t_final=20.0)
@@ -963,6 +988,11 @@ def test_annealing_matches_full_recompute_oracle(case):
     if case in ("loaded-3", "loaded-4"):
         # and stage 2 accepts by its draws
         assert stages["drawn"] >= stages["accepted_drawn"] > 0
+    # a decision from scores is a stage-1 rejection; in these Eulerian
+    # runs some are, scored at the accepted state's positions
+    assert result.lookahead_decisions <= stages["surrogate"]
+    if case in ("loaded-4", "unequal-unloaded-3"):
+        assert result.lookahead_decisions > 0
 
 
 def test_stage_one_rejection_runs_no_solve(monkeypatch):
@@ -1013,33 +1043,61 @@ def test_unbounded_scores_decide_nothing(monkeypatch):
 
 
 def test_lookahead_changes_only_the_work(monkeypatch):
-    """A cold referential run with the look-ahead gives the result of one
-    without it, whose every candidate is tried on the topology and
-    recomputed in full: the same trace, counts by cause, non-manifold
-    draws, skipped solves and best labels.  Both call
+    """A cold referential run and a loaded Eulerian one (`ORACLE_CASES`'s
+    loaded-4) with the look-ahead each give the result of one without it,
+    whose every candidate is tried on the topology and recomputed in
+    full: the same trace, counts by cause, non-manifold draws, skipped
+    solves, solver work and best labels.  Each calls
     `mass_preserving_move` once per step: the look-ahead reads the move
-    stream's coming rows without calling it."""
+    stream's coming rows without calling it.  The loaded run scores its
+    swaps at the accepted state's positions, those of the next stage-1
+    pass."""
     import sharptop.topopt as topopt
-    real, calls = topopt.mass_preserving_move, []
+    real, calls, events = topopt.mass_preserving_move, [], []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
+
+    def recorded(kind, fn):
+        def wrapper(topology, *args):
+            events.append((kind, args[-1]))
+            return fn(topology, *args)
+        return wrapper
     monkeypatch.setattr(topopt, "mass_preserving_move", counted)
     mesh, phases, config = cold_referential_run()
+    loaded = oracle_run_inputs("loaded-4")
     runs = [optimize_topology(mesh, phases, annealing_model(), config)]
-    monkeypatch.setattr(topopt._Moves, "look_ahead", lambda self: None)
-    runs.append(optimize_topology(mesh, phases, annealing_model(), config))
-    ahead, plain = runs
-    assert len(calls) == 2 * len(ahead.trace) == 120
-    assert ahead.lookahead_decisions > plain.lookahead_decisions == 0
-    assert ahead.nonmanifold_draws > 0
-    for name in ("trace", "accepted_moves", "rejected_moves",
-                 "rejected_no_move", "rejected_interface", "rejected_solve",
-                 "rejected_metropolis", "nonmanifold_draws", "skipped_solves",
-                 "best_objective", "final_mass"):
-        assert getattr(ahead, name) == getattr(plain, name), name
-    assert np.array_equal(ahead.best_phases.labels, plain.best_phases.labels)
+    for kind, name in (("score", "swap_energy_changes"),
+                       ("read", "labeling_energy")):
+        monkeypatch.setattr(topopt, name,
+                            recorded(kind, getattr(topopt, name)))
+    runs.append(optimize_topology(*loaded))
+    scored = [k for k, (kind, _) in enumerate(events) if kind == "score"]
+    assert scored
+    for k in scored:
+        # no acceptance comes before a stage-1 pass
+        after = next(at for kind, at in events[k:] if kind == "read")
+        assert events[k][1] is not None and np.array_equal(events[k][1],
+                                                           after)
+    monkeypatch.setattr(topopt._Moves, "look_ahead",
+                        lambda self, positions: None)
+    runs += [optimize_topology(mesh, phases, annealing_model(), config),
+             optimize_topology(*loaded)]
+    assert len(calls) == 2 * (len(runs[0].trace) + len(runs[1].trace)) \
+        == 2 * (60 + 15)
+    assert runs[0].nonmanifold_draws > 0
+    for ahead, plain in (runs[::2], runs[1::2]):
+        assert ahead.lookahead_decisions > plain.lookahead_decisions == 0
+        for name in ("trace", "accepted_moves", "rejected_moves",
+                     "rejected_no_move", "rejected_interface",
+                     "rejected_solve", "rejected_metropolis",
+                     "nonmanifold_draws", "skipped_solves",
+                     "surrogate_rejections", "inner_iterations",
+                     "injectivity_checks", "best_objective", "final_mass"):
+            assert getattr(ahead, name) == getattr(plain, name), name
+        assert np.array_equal(ahead.best_phases.labels,
+                              plain.best_phases.labels)
 
 
 class _Uniforms:
@@ -1130,11 +1188,12 @@ def test_inert_candidates_run_no_mechanics(monkeypatch):
 
 
 def test_referential_run_reads_the_energy_once_per_candidate(monkeypatch):
-    """A referential run extracts no interface and runs no full curvature
-    pass, for its start or for any proposal: it reads the interface
-    energy from `referential_energy` once for the start and once per
-    candidate whose rejection the look-ahead's scored energy changes did
-    not decide."""
+    """An annealing run, in either mode, extracts no interface and runs
+    no full curvature pass, for its start or for any proposal.  With equal
+    phases and no load every candidate is inert, so it reads the
+    interface energy from `labeling_energy` once for the start and once
+    per candidate whose rejection the look-ahead's scored energy changes
+    did not decide."""
     import sharptop.topopt as topopt
     import sharptop.varifold as varifold
     calls = []
@@ -1147,20 +1206,23 @@ def test_referential_run_reads_the_energy_once_per_candidate(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(topopt, "extract_interface")
     counted(varifold, "extract_interface")
     counted(varifold, "discrete_curvature_inplace")
-    counted(topopt, "referential_energy")
+    counted(topopt, "labeling_energy")
     counted(topopt, "swap_energy_changes")
     mesh = pinned_mesh(4)
-    result = optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
-                               annealing_model(),
-                               fast_config(mode=REFERENTIAL, seed=3))
-    candidates = len(result.trace) - result.rejected_no_move
-    assert candidates >= result.lookahead_decisions > 0
-    assert sorted(set(calls)) == ["referential_energy", "swap_energy_changes"]
-    assert calls.count("referential_energy") \
-        == 1 + candidates - result.lookahead_decisions
+    for mode in (REFERENTIAL, EULERIAN):
+        calls.clear()
+        result = optimize_topology(mesh, slab_labels(mesh, 0.5, axis=0),
+                                   annealing_model(),
+                                   fast_config(mode=mode, seed=3))
+        candidates = len(result.trace) - result.rejected_no_move
+        assert result.skipped_solves == candidates
+        assert candidates >= result.lookahead_decisions > 0
+        assert sorted(set(calls)) == ["labeling_energy",
+                                      "swap_energy_changes"]
+        assert calls.count("labeling_energy") \
+            == 1 + candidates - result.lookahead_decisions
 
 
 @pytest.mark.parametrize("g", [[0.0, 0.0, 0.0], [0.1, 0.0, 1.0]])

@@ -13,8 +13,8 @@ from sharptop.surfaces import (cylinder_patch, cylinder_varifold, flat_patch,
 from sharptop.topopt import TopOptError, mass_preserving_move
 from sharptop.varifold import (ROUNDING, InterfaceError, InterfaceTopology,
                                InterfaceVarifold, curvature_integral,
-                               discrete_curvature_inplace, random_bump_fields,
-                               referential_energy, swap_energy_changes,
+                               discrete_curvature_inplace, labeling_energy,
+                               random_bump_fields, swap_energy_changes,
                                varifold_from_triangles)
 
 from conftest import (assert_varifold_equals_oracle,
@@ -242,8 +242,7 @@ def test_interface_orientation_is_topological(interface_meshes):
         cut, want = centroid_flips(mesh, phases.labels, positions)
         assert np.array_equal(tris, mesh.interior_faces[cut])
         assert np.array_equal(flip, want)
-        V = st.extract_interface(mesh, None, phases, positions=positions,
-                                 topology=topology)
+        V = st.extract_interface(mesh, None, phases, positions=positions)
         directed = (V.faces * len(V.vertices)
                     + np.roll(V.faces, -1, axis=1)).ravel()
         assert np.unique(directed).size == directed.size
@@ -401,42 +400,53 @@ def test_interface_topology_after_swaps_matches_a_rebuild():
     assert min(starts) == 0 < max(starts)
 
 
-def test_referential_energy_equals_full_extraction():
+def test_referential_energy_equals_full_extraction(interface_meshes):
     """After every step of random swap, undo and accept sequences, the
-    interface energy and mass that `referential_energy` reads from the
-    topology and the stored face terms equal those of a full extraction
-    at the reference positions, compared with ==, and the kept, read-only
-    near-interface lists equal those of a rebuilt topology, on box, jittered,
-    L-shaped, wedge and corner-shuffled meshes and for an empty
-    interface.  Where extraction raises, so does `referential_energy`: on
-    non-manifold labelings, and on a box of edges near 1e-90, whose face
-    areas underflow to zero.  A step is accepted when the energy is read
-    after it, for one of two models."""
+    interface energy and mass that `labeling_energy` takes from the
+    topology and the face terms equal those of a full extraction at the
+    same positions, compared with ==, and the kept, read-only
+    near-interface lists equal those of a rebuilt topology, on box,
+    jittered, L-shaped, wedge, corner-shuffled and solved meshes and for
+    an empty interface.  The positions are the reference ones (None, the
+    terms stored on the mesh), those jittered off them or off a solved
+    state's, or those with two vertices of a cut face made one.  Where
+    extraction raises, so does `labeling_energy`: on non-manifold
+    labelings, on a box of edges near 1e-90, whose face areas underflow
+    to zero, and on a cut face of zero area.  A step is accepted when the
+    energy is read after it, for one of two models."""
     meshes = {"l-shape": l_shape_mesh(), "wedge": st.surfaces.wedge_fold()[0]}
     models = (st.EnergyModel(), st.EnergyModel(c_int=0.7, p=3.0))
     seen = set()
 
     @settings(max_examples=100, deadline=None)
     @given(kind=hs.sampled_from(["box", "jittered", "l-shape", "wedge",
-                                 "shuffled", "empty", "tiny"]),
+                                 "shuffled", "empty", "tiny", "solved"]),
            axis=hs.integers(0, 2), seed=hs.integers(0, 2**16),
-           flips=hs.integers(0, 2))
+           flips=hs.integers(0, 2),
+           at=hs.sampled_from(["reference", "moved", "collapsed"]))
     # one row per key of the coverage set asserted below, so that the
     # coverage does not rest on the derandomized draws, whose seed comes
     # from this test's source
-    @example(kind="box", axis=0, seed=0, flips=0)
-    @example(kind="jittered", axis=0, seed=0, flips=0)
-    @example(kind="l-shape", axis=0, seed=0, flips=0)
-    @example(kind="wedge", axis=0, seed=0, flips=0)
-    @example(kind="shuffled", axis=0, seed=0, flips=0)
-    @example(kind="empty", axis=0, seed=0, flips=0)
-    @example(kind="box", axis=2, seed=5, flips=1)       # raised, not tiny
-    @example(kind="tiny", axis=0, seed=0, flips=0)      # raised, tiny
-    @example(kind="shuffled", axis=1, seed=4, flips=1)  # repeated undo
-    def check(kind, axis, seed, flips):
+    @example(kind="box", axis=0, seed=0, flips=0, at="reference")
+    @example(kind="jittered", axis=0, seed=0, flips=0, at="moved")
+    @example(kind="l-shape", axis=0, seed=0, flips=0, at="reference")
+    @example(kind="wedge", axis=0, seed=0, flips=0, at="moved")
+    @example(kind="shuffled", axis=0, seed=0, flips=0, at="reference")
+    @example(kind="empty", axis=0, seed=0, flips=0, at="moved")
+    @example(kind="solved", axis=2, seed=0, flips=0, at="reference")
+    @example(kind="box", axis=2, seed=5, flips=1,       # non-manifold
+             at="reference")
+    @example(kind="tiny", axis=0, seed=0, flips=0, at="reference")
+    @example(kind="box", axis=1, seed=2, flips=0, at="collapsed")
+    @example(kind="shuffled", axis=1, seed=4, flips=1,  # repeated undo
+             at="reference")
+    def check(kind, axis, seed, flips, at):
         rng = np.random.default_rng(seed)
         dims = tuple(rng.integers(2, 5, 3))
-        if kind == "jittered":
+        base = None   # the reference positions
+        if kind == "solved":
+            mesh, base = interface_meshes["solved"](rng)
+        elif kind == "jittered":
             mesh = jittered_box_mesh(dims, rng, 0.2)
         elif kind == "shuffled":
             mesh = even_corner_shuffle(st.build_box_mesh(*dims), seed)
@@ -451,6 +461,12 @@ def test_referential_energy_equals_full_extraction():
         labels = (np.ones(mesh.n_tets, np.int8) if kind == "empty" else
                   np.array(perturbed_slab_labels(mesh, axis, seed,
                                                  flips).labels))
+        if at == "moved":
+            edges = mesh.vertices[mesh.tets[:, 1]] - mesh.vertices[
+                mesh.tets[:, 0]]
+            base = (mesh.vertices if base is None else base) + 0.05 * (
+                np.sqrt(np.einsum("ij,ij->i", edges, edges).min())
+                * rng.standard_normal(mesh.vertices.shape))
         topology, last, model = InterfaceTopology(
             mesh, st.PhaseLabeling(labels)), None, models[0]
         undone = False
@@ -477,55 +493,77 @@ def test_referential_energy_equals_full_extraction():
                 continue
             if rng.random() < 0.1:
                 model = models[1] if model is models[0] else models[0]
+            positions, collapsed = base, at == "collapsed" and \
+                topology.cut.any()
+            if collapsed:   # a cut face's second vertex onto its first
+                a, b = mesh.interior_faces[rng.choice(np.flatnonzero(
+                    topology.cut))][:2]
+                positions = (mesh.vertices if base is None else base).copy()
+                positions[b] = positions[a]
             try:
-                V = st.extract_interface(mesh, None, st.PhaseLabeling(labels),
-                                         positions=mesh.vertices)
+                V = st.extract_interface(
+                    mesh, None, st.PhaseLabeling(labels),
+                    positions=mesh.vertices if positions is None else
+                    positions)
             except InterfaceError:
                 with pytest.raises(InterfaceError):
-                    referential_energy(topology, model)
-                seen.add(("raised", kind == "tiny"))
+                    labeling_energy(topology, model, positions)
+                seen.add(("raised", "tiny" if kind == "tiny" else
+                          "collapsed" if collapsed else "non-manifold"))
                 continue
-            assert referential_energy(topology, model) == (
+            assert labeling_energy(topology, model, positions) == (
                 st.interface_energy(V, model), st.varifold_mass(V))
-            seen.add(kind if V.n_triangles or kind == "empty" else None)
+            if V.n_triangles or kind == "empty":
+                seen.update((kind, at))
 
     check()
     assert seen >= {"box", "jittered", "l-shape", "wedge", "shuffled",
-                    "empty", ("raised", False), ("raised", True),
-                    "repeated undo"}, seen
+                    "solved", "empty", "reference", "moved",
+                    ("raised", "tiny"), ("raised", "non-manifold"),
+                    ("raised", "collapsed"), "repeated undo"}, seen
 
 
-def test_swap_energy_changes_match_referential_passes():
+def test_swap_energy_changes_match_referential_passes(interface_meshes):
     """Each swap that `swap_energy_changes` scores, taken on its own, is
     admissible exactly when `try_swap` keeps it, and its energy change is
-    within 1e-12 relative of the difference of `referential_energy`
-    after and before the swap, and within the returned bound short of
-    ROUNDING times the two energies: near-interface swaps, adjacent
-    swaps (a cut face of the two tets) and swaps away from the interface,
-    on box, jittered, L-shaped and wedge meshes, after a few moves from a
-    slab.  The swaps include ones that empty a vertex's fan of cut faces
-    and ones at interface-boundary vertices."""
+    within 1e-12 relative of the difference of `labeling_energy` after
+    and before the swap, and within the returned bound short of ROUNDING
+    times the two energies: near-interface swaps, adjacent swaps (a cut
+    face of the two tets) and swaps away from the interface, on box,
+    jittered, L-shaped, wedge and solved meshes, after a few moves from a
+    slab, at the reference positions and at positions moved off them or
+    off the solved state's.  The swaps include ones that empty a vertex's
+    fan of cut faces and ones at interface-boundary vertices."""
     meshes = {"l-shape": l_shape_mesh(), "wedge": st.surfaces.wedge_fold()[0]}
     model = st.EnergyModel()
     seen = set()
 
     @settings(max_examples=30, deadline=None)
-    @given(kind=hs.sampled_from(["box", "jittered", "l-shape", "wedge"]),
+    @given(kind=hs.sampled_from(["box", "jittered", "l-shape", "wedge",
+                                 "solved"]),
            axis=hs.integers(0, 2), seed=hs.integers(0, 2**16),
-           moves=hs.integers(0, 8))
-    # one row per mesh kind, so that the coverage asserted below does not
-    # rest on the derandomized draws, whose seed comes from this source
-    @example(kind="box", axis=0, seed=0, moves=3)
-    @example(kind="jittered", axis=1, seed=1, moves=3)
-    @example(kind="l-shape", axis=2, seed=2, moves=3)
-    @example(kind="wedge", axis=0, seed=3, moves=3)
-    def check(kind, axis, seed, moves):
+           moves=hs.integers(0, 8), moved=hs.booleans())
+    # one row per mesh kind and per kind of positions, so that the
+    # coverage asserted below does not rest on the derandomized draws,
+    # whose seed comes from this source
+    @example(kind="box", axis=0, seed=0, moves=3, moved=False)
+    @example(kind="jittered", axis=1, seed=1, moves=3, moved=True)
+    @example(kind="l-shape", axis=2, seed=2, moves=3, moved=False)
+    @example(kind="wedge", axis=0, seed=3, moves=3, moved=True)
+    @example(kind="solved", axis=2, seed=4, moves=3, moved=False)
+    def check(kind, axis, seed, moves, moved):
         rng = np.random.default_rng(seed)
         dims = tuple(rng.integers(2, 5, 3))
-        if kind == "jittered":   # small enough to keep swaps volume-matched
+        positions = None   # the reference positions
+        if kind == "solved":
+            mesh, positions = interface_meshes["solved"](rng)
+        elif kind == "jittered":   # small enough to keep swaps matched
             mesh = jittered_box_mesh(dims, rng, 0.002)
         else:
             mesh = meshes.get(kind) or st.build_box_mesh(*dims)
+        if moved:
+            positions = (mesh.vertices if positions is None else positions) \
+                + 0.01 * rng.standard_normal(mesh.vertices.shape)
         phases = slab_labels(mesh, 0.5, axis=axis)
         for _ in range(moves):
             try:
@@ -544,8 +582,8 @@ def test_swap_energy_changes_match_referential_passes():
             adjacent[rng.permutation(len(adjacent))[:6]],
             np.stack([rng.choice(ones, 4), rng.choice(zeros, 4)], 1)])
         admissible, degenerate, energy, bound = swap_energy_changes(
-            topology, pairs[:, 0], pairs[:, 1], model)
-        e0, _ = referential_energy(topology, model)
+            topology, pairs[:, 0], pairs[:, 1], model, positions)
+        e0, _ = labeling_energy(topology, model, positions)
         nv = mesh.n_vertices
 
         def fan_and_ends():
@@ -562,11 +600,11 @@ def test_swap_energy_changes_match_referential_passes():
                 seen.add("inadmissible")
                 assert np.isnan([energy[k], bound[k]]).all()
                 continue
-            e1, _ = referential_energy(topology, model)
+            e1, _ = labeling_energy(topology, model, positions)
             fan1, ends1 = fan_and_ends()
             topology.undo()
             corners = mesh.tets[[src, dst]].ravel()
-            seen.add(kind)
+            seen.update((kind, positions is None))
             if k >= 8 and k < 8 + min(6, len(adjacent)):
                 seen.add("adjacent")
             if ((fan0 > 0) & (fan1 == 0)).any():
@@ -578,8 +616,9 @@ def test_swap_energy_changes_match_referential_passes():
             assert error <= bound[k] + ROUNDING * (e0 + e1)
 
     check()
-    assert seen >= {"box", "jittered", "l-shape", "wedge", "adjacent",
-                    "emptied fan", "boundary vertex", "inadmissible"}, seen
+    assert seen >= {"box", "jittered", "l-shape", "wedge", "solved", True,
+                    False, "adjacent", "emptied fan", "boundary vertex",
+                    "inadmissible"}, seen
 
 
 def test_swap_energy_changes_bound_an_exactly_zero_change():
@@ -591,15 +630,53 @@ def test_swap_energy_changes_bound_an_exactly_zero_change():
     from sharptop.topopt import _least_change
     mesh, model = st.build_box_mesh(5, 5, 5), st.EnergyModel()
     topology = InterfaceTopology(mesh, slab_labels(mesh, 0.5, axis=0))
-    e0, _ = referential_energy(topology, model)
+    e0, _ = labeling_energy(topology, model)
     topology.swap(328, 422)
-    assert referential_energy(topology, model)[0] == e0
+    assert labeling_energy(topology, model)[0] == e0
     topology.undo()
     admissible, degenerate, energy, bound = swap_energy_changes(
         topology, [328], [422], model)
     assert admissible[0] and not degenerate[0]
     assert abs(energy[0]) <= bound[0]
     assert _least_change((energy[0], bound[0]), 0.0, e0, e0) < 0.0
+
+
+def test_swap_energy_changes_flag_a_collapsed_face():
+    """At positions where a face of a swap's tets has collapsed, to a
+    point or onto a line, and no interface vertex has moved, the
+    labeling's own energy is the reference one, and each swap of a batch
+    is scored degenerate exactly when `labeling_energy` raises on its
+    swapped labeling; no floating-point warning is raised on the way."""
+    mesh, model = st.build_box_mesh(4, 4, 4), st.EnergyModel()
+    topology = InterfaceTopology(mesh, slab_labels(mesh, 0.5, axis=0))
+    ones, zeros = topology.tets()
+    pairs = np.stack([ones[::7], zeros[::-7]], 1)
+    on = np.zeros(mesh.n_vertices, bool)
+    on[mesh.interior_faces[topology.cut]] = True
+    e0, seen = labeling_energy(topology, model), set()
+    for face in mesh.tet_interior_faces[pairs[:2]].ravel():
+        if face < 0 or on[mesh.interior_faces[face]].any():
+            continue
+        a, b, c = mesh.interior_faces[face]
+        for line in (False, True):
+            positions = mesh.vertices.copy()
+            positions[c] = positions[a] + line * 2.0 * (
+                positions[b] - positions[a])
+            assert labeling_energy(topology, model, positions) == e0
+            admissible, degenerate, energy, _ = swap_energy_changes(
+                topology, pairs[:, 0], pairs[:, 1], model, positions)
+            for k in np.flatnonzero(admissible):
+                topology.swap(*pairs[k])
+                try:
+                    labeling_energy(topology, model, positions)
+                except InterfaceError:
+                    assert degenerate[k] and np.isnan(energy[k])
+                    seen.add(("raised", line))
+                else:
+                    assert not degenerate[k]
+                    seen.add("scored")
+                topology.undo()
+    assert seen == {("raised", False), ("raised", True), "scored"}, seen
 
 
 def test_domain_boundary_edges_match_an_isin_lookup():
